@@ -18,6 +18,8 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import logging
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -30,8 +32,8 @@ from .corpus import (
     load_spider,
     load_spider_ss,
 )
-from .errors import BudgetExceeded
-from .llmclient import LlmClient, ReplayStore, forbidden_transport
+from .errors import BudgetExceeded, PsmithError
+from .llmclient import LlmClient, ReplayStore, forbidden_transport, write_records
 from .pipelines import (
     AdaptationBundle,
     PipelineConfig,
@@ -39,8 +41,7 @@ from .pipelines import (
     run_pipeline,
 )
 from .pipelines.adapt import adapt_exemplars
-from .pipelines.run import MODES
-from .promptforge import TokenBudget, save_artifact
+from .promptforge import MODES, save_artifact
 from .sqlanalysis.ops import load_catalog
 
 logger = logging.getLogger(__name__)
@@ -54,22 +55,15 @@ EXIT_DEFECTS = 5
 
 # --- configuration -----------------------------------------------------------
 
-CONFIG_KEYS = {
-    "mode": str,
-    "ted_threshold": int,
-    "max_beam_samples": int,
-    "seed": int,
-    "budget_limit": int,
-    "token_counter": str,
-    "numeric_render": str,
-    "cot_enabled": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "max_output_tokens": int,
-    "workers": int,
-    "model": str,
-    "llm_mode": str,
-    "api_surface": str,
-    "spend_cap": int,
-}
+_FIELDS = {key.name: key for key in fields(PipelineConfig)}
+_TYPES = typing.get_type_hints(PipelineConfig)
+
+
+def _parse_value(key: str, value: str):
+    kind = _TYPES[key]
+    if kind is bool:
+        return value.lower() in ("1", "true", "yes", "on")
+    return kind(value)
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -83,78 +77,74 @@ def read_config_file(path: str | Path) -> dict:
             raise click.ClickException(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _FIELDS:
             raise click.ClickException(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = CONFIG_KEYS[key](value)
+        values[key] = _parse_value(key, value)
     return values
 
 
-def resolve_config(config_path: str | None, **overrides) -> dict:
-    values: dict = {}
-    if config_path:
-        values.update(read_config_file(config_path))
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    return values
+def resolve_config(config_path: str | None, **overrides) -> PipelineConfig:
+    """The configuration file's keys, overridden by the flags that were given."""
+    values = read_config_file(config_path) if config_path else {}
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    try:
+        return PipelineConfig(**values)
+    except (ValueError, PsmithError) as exc:
+        raise click.UsageError(str(exc)) from None
 
 
-def build_pipeline_config(values: dict, mode: str | None = None) -> PipelineConfig:
-    budget = TokenBudget(limit=values.get("budget_limit", 4096),
-                         counter=values.get("token_counter", "heuristic"))
-    return PipelineConfig(
-        mode=mode or values.get("mode", "gp"),
-        ted_threshold=values.get("ted_threshold", 2),
-        max_beam_samples=values.get("max_beam_samples", 8),
-        seed=values.get("seed", 0),
-        budget=budget,
-        numeric_render=values.get("numeric_render", "range"),
-        cot_enabled=values.get("cot_enabled", True),
-        max_output_tokens=values.get("max_output_tokens", 256),
-        workers=values.get("workers", 1),
-    )
-
-
-def build_client(values: dict, replay: str | None, record: str | None,
+def build_client(cfg: PipelineConfig, replay: str | None, record: str | None,
                  cache_dir: str | None) -> LlmClient:
+    options = dict(model=cfg.model, spend_cap=cfg.spend_cap,
+                   api_surface=cfg.api_surface, record_path=record)
     if replay:
         # --replay globally forces replay mode and fails fast on any network use
         return LlmClient(mode="replay", replay_store=ReplayStore.load(replay),
-                         model=values.get("model"),
-                         transport=forbidden_transport,
-                         record_path=record)
-    mode = values.get("llm_mode", "live")
-    return LlmClient(mode=mode,
-                     cache_dir=cache_dir,
-                     model=values.get("model"),
-                     spend_cap=values.get("spend_cap", 200_000),
-                     api_surface=values.get("api_surface", "completions"),
-                     record_path=record)
+                         transport=forbidden_transport, **options)
+    return LlmClient(mode=cfg.llm_mode, cache_dir=cache_dir, **options)
 
 
-def _client_options(fn):
-    options = [
-        click.option("--config", "config_path", type=click.Path(exists=True),
-                     default=None, help="key = value configuration file"),
-        click.option("--replay", type=click.Path(exists=True), default=None,
-                     help="replay store; forces offline replay mode"),
-        click.option("--record", type=click.Path(), default=None,
-                     help="append every generation to this replay store"),
-        click.option("--cache-dir", type=click.Path(), default=None,
-                     help="content-addressed completion cache directory"),
-        click.option("--model", default=None, help="model id (or PSMITH_MODEL)"),
-        click.option("--seed", type=int, default=None),
-        click.option("--budget-limit", type=int, default=None),
-        click.option("--ted-threshold", type=int, default=None),
-        click.option("--max-beam-samples", type=int, default=None),
-        click.option("--numeric-render", type=click.Choice(["range", "samples"]),
-                     default=None),
-        click.option("--cot/--no-cot", "cot_enabled", default=None),
-        click.option("--workers", type=int, default=None),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+def _config_option(key: str):
+    """The flag of one configuration key: ``--ted-threshold`` for
+    ``ted_threshold``; a boolean ``cot_enabled`` gives ``--cot/--no-cot``."""
+    flag = key.replace("_", "-")
+    metadata = _FIELDS[key].metadata
+    if _TYPES[key] is bool:
+        flag = flag.removesuffix("-enabled")
+        return click.option(f"--{flag}/--no-{flag}", key, default=None,
+                            help=metadata.get("help"))
+    choices = metadata.get("choices")
+    return click.option(f"--{flag}", key, default=None,
+                        type=click.Choice(choices) if choices else _TYPES[key],
+                        help=metadata.get("help"))
+
+
+def _config_options(*keys: str, sources: bool = False):
+    """The configuration file option and the flags of the named keys; with
+    ``sources``, also the options naming where generations come from."""
+    options = [click.option("--config", "config_path", type=click.Path(exists=True),
+                            default=None, help="key = value configuration file")]
+    if sources:
+        options += [
+            click.option("--replay", type=click.Path(exists=True), default=None,
+                         help="replay store; forces offline replay mode"),
+            click.option("--record", type=click.Path(), default=None,
+                         help="append every generation to this replay store"),
+            click.option("--cache-dir", type=click.Path(), default=None,
+                         help="content-addressed completion cache directory"),
+        ]
+    options += [_config_option(key) for key in keys]
+
+    def decorate(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return decorate
+
+
+# adapt and run take every key as a flag except mode, which run declares itself
+_generation_options = _config_options(
+    *(key for key in _FIELDS if key != "mode"), sources=True)
 
 
 def _load_test_dataset(test_dir: str):
@@ -196,19 +186,14 @@ def main(verbose: bool):
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True), default=None,
               help="primitive-op catalog file (default: the packaged catalog)")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--budget-limit", type=int, default=None)
-@click.option("--token-counter", default=None)
-def sample(train_dir, catalog_path, out_path, config_path, budget_limit, token_counter):
+@_config_options("budget_limit", "token_counter")
+def sample(train_dir, catalog_path, out_path, config_path, **overrides):
     """Sample a minimal operator-complete exemplar set from a train corpus."""
-    values = resolve_config(config_path, budget_limit=budget_limit,
-                            token_counter=token_counter)
+    cfg = resolve_config(config_path, **overrides)
     catalog = load_catalog(catalog_path)
     dataset = load_spider(train_dir)
-    budget = TokenBudget(limit=values.get("budget_limit", 4096),
-                         counter=values.get("token_counter", "heuristic"))
     try:
-        result = sampler.sample_exemplars(dataset, catalog, budget)
+        result = sampler.sample_exemplars(dataset, catalog, cfg.budget)
     except BudgetExceeded as exc:
         click.echo(f"budget exceeded: {exc}", err=True)
         raise SystemExit(EXIT_BUDGET) from None
@@ -235,13 +220,12 @@ def sample(train_dir, catalog_path, out_path, config_path, budget_limit, token_c
 @click.option("--dry-run", is_flag=True, help="write prompts, skip generation")
 @click.option("--prompts-dir", type=click.Path(), default=None,
               help="where --dry-run writes prompt artifacts")
-@_client_options
+@_generation_options
 def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
           draft_decompositions, dry_run, prompts_dir, config_path, replay,
-          record, cache_dir, model, **overrides):
+          record, cache_dir, **overrides):
     """Auto-adapt sampled exemplars to the target database domain."""
-    values = resolve_config(config_path, model=model, **overrides)
-    cfg = build_pipeline_config(values, mode="da-gp")
+    cfg = resolve_config(config_path, **overrides)
     exemplars = sampler.read_report(report_path)
     train = load_spider(train_dir)
     test = _load_test_dataset(test_dir)
@@ -268,7 +252,7 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
             raise click.ClickException("--draft-decompositions needs --spider-ss")
         draft_records = load_spider_ss(spider_ss_dir)
 
-    client = build_client(values, replay, record, cache_dir)
+    client = build_client(cfg, replay, record, cache_dir)
     bundle, failed = adapt_exemplars(
         exemplars, train.databases, target, client,
         ted_threshold=cfg.ted_threshold,
@@ -288,7 +272,7 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
 
 
 @main.command(name="run")
-@click.option("--mode", required=True, type=click.Choice(MODES))
+@click.option("--mode", required=True, type=click.Choice(list(MODES)))
 @click.option("--report", "report_path", type=click.Path(exists=True), default=None)
 @click.option("--bundle", "bundle_path", type=click.Path(exists=True), default=None)
 @click.option("--train", "train_dir", type=click.Path(exists=True), default=None)
@@ -296,25 +280,24 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
 @click.option("--spider-ss", "spider_ss_dir", type=click.Path(exists=True), default=None)
 @click.option("--runs", "runs_root", type=click.Path(), default="runs")
 @click.option("--run-id", default=None, help="resumable run identifier")
-@_client_options
+@_generation_options
 def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
-            runs_root, run_id, config_path, replay, record, cache_dir, model,
-            **overrides):
+            runs_root, run_id, config_path, replay, record, cache_dir, **overrides):
     """Run a prompting pipeline over the test set and persist predictions."""
-    values = resolve_config(config_path, model=model, **overrides)
-    cfg = build_pipeline_config(values, mode=mode)
+    cfg = resolve_config(config_path, mode=mode, **overrides)
+    spec = MODES[mode]
     test = _load_test_dataset(test_dir)
 
     exemplars = train = ss_records = bundle = target_profile = None
-    if mode in ("gp", "ltmp-gp"):
+    if not spec.domain:
         if report_path is None or train_dir is None:
             raise click.ClickException(f"--mode {mode} needs --report and --train")
         exemplars = sampler.read_report(report_path)
         train = load_spider(train_dir)
         ensure_disjoint(train, test)
-        if mode == "ltmp-gp":
+        if spec.ltmp:
             if spider_ss_dir is None:
-                raise click.ClickException("--mode ltmp-gp needs --spider-ss")
+                raise click.ClickException(f"--mode {mode} needs --spider-ss")
             ss_records = load_spider_ss(spider_ss_dir)
     else:
         if bundle_path is None:
@@ -333,16 +316,7 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
     _write_manifest(run_dir, {
         "run_id": run_id,
         "mode": mode,
-        "config": {
-            "ted_threshold": cfg.ted_threshold,
-            "max_beam_samples": cfg.max_beam_samples,
-            "seed": cfg.seed,
-            "budget_limit": cfg.budget.limit,
-            "token_counter": cfg.budget.counter,
-            "numeric_render": cfg.numeric_render,
-            "cot_enabled": cfg.cot_enabled,
-            "max_output_tokens": cfg.max_output_tokens,
-        },
+        "config": cfg.output_settings(),
         "inputs": {
             "test": str(test_dir),
             "train": str(train_dir) if train_dir else None,
@@ -353,7 +327,7 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
         },
     })
 
-    client = build_client(values, replay, record, cache_dir)
+    client = build_client(cfg, replay, record, cache_dir)
     outcome = run_pipeline(cfg, client, test, train=train, exemplars=exemplars,
                            ss_records=ss_records, bundle=bundle,
                            target_profile=target_profile, out_dir=run_dir)
@@ -409,19 +383,14 @@ def replay_record(inputs, out_path):
     records: dict[str, dict] = {}
     for source in inputs:
         path = Path(source)
-        files = sorted(path.glob("*.json")) if path.is_dir() else [path]
-        for file in files:
-            text = file.read_text(encoding="utf-8")
-            rows = [json.loads(line) for line in text.splitlines() if line.strip()] \
-                if file.suffix == ".jsonl" else [json.loads(text)]
-            for row in rows:
-                records.setdefault(row["key"], row)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as f:
-        for key in sorted(records):
-            f.write(json.dumps(records[key], ensure_ascii=False, sort_keys=True) + "\n")
-    click.echo(f"{len(records)} records -> {out}")
+        # a cache file holds one record; a store file holds one per line
+        for file in sorted(path.glob("*.json")) if path.is_dir() else [path]:
+            for line in file.read_text(encoding="utf-8").splitlines():
+                if line.strip():
+                    row = json.loads(line)
+                    records.setdefault(row["key"], row)
+    write_records(out_path, [records[key] for key in sorted(records)], append=False)
+    click.echo(f"{len(records)} records -> {out_path}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import json
 import logging
 from pathlib import Path
 
-from ..errors import LengthMismatch, MalformedManifest, MissingFile
+from ..errors import MalformedManifest, MissingFile
 from .types import (
     AnnotatedDataset,
     AnnotatedExample,
@@ -170,8 +170,5 @@ def load_spider_ss(directory: str | Path) -> dict[str, DecompositionRecord]:
             gold = entry["query"]
         except (KeyError, TypeError) as exc:
             raise MalformedManifest(f"spider-ss entry missing field: {exc}", row=row) from None
-        try:
-            records[nl] = DecompositionRecord(nl, subs, steps, gold)
-        except LengthMismatch:
-            raise
+        records[nl] = DecompositionRecord(nl, subs, steps, gold)
     return records

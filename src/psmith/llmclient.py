@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetRefused, RateLimited, ReplayMiss, TransportError
 from .promptforge.budget import count_tokens
@@ -27,6 +27,10 @@ DEFAULT_STOP = ["#", ";", "\n\n"]
 MAX_RETRIES = 4
 # conservative live-mode spend cap (total tokens per client instance)
 DEFAULT_SPEND_CAP = 200_000
+
+
+def default_model() -> str:
+    return os.environ.get("PSMITH_MODEL", "offline-model")
 
 
 @dataclass(frozen=True)
@@ -112,39 +116,28 @@ class ReplayStore:
         return key in self._records
 
 
+def write_records(path: str | Path, records: Iterable[dict], append: bool = True) -> None:
+    """The one writer of replay records: one sorted-key JSON object per line."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a" if append else "w", encoding="utf-8") as f:
+        for record in records:
+            f.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+
+
+def _record(request: GenerationRequest, completions: Sequence[str]) -> dict:
+    return {
+        "key": request.key,
+        "model": request.model,
+        "params": request.params(),
+        "prompt_digest": request.prompt_digest,
+        "completions": list(completions),
+    }
+
+
 def append_record(path: str | Path, request: GenerationRequest,
                   completions: Sequence[str]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as f:
-        f.write(json.dumps({
-            "key": request.key,
-            "model": request.model,
-            "params": request.params(),
-            "prompt_digest": request.prompt_digest,
-            "completions": list(completions),
-        }, sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def record_session(session: Sequence[tuple[GenerationRequest, GenerationResult]],
-                   path: str | Path) -> Path:
-    """Write one append-only replay record per request of a finished session."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    seen: set[str] = set()
-    with open(path, "w", encoding="utf-8") as f:
-        for request, result in session:
-            if request.key in seen:
-                continue
-            seen.add(request.key)
-            f.write(json.dumps({
-                "key": request.key,
-                "model": request.model,
-                "params": request.params(),
-                "prompt_digest": request.prompt_digest,
-                "completions": list(result.completions),
-            }, sort_keys=True, ensure_ascii=False) + "\n")
-    return path
+    write_records(path, [_record(request, completions)])
 
 
 # --- transports -----------------------------------------------------------------
@@ -239,12 +232,11 @@ class LlmClient:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.api_base = (api_base or os.environ.get("PSMITH_API_BASE", "")).rstrip("/")
         self.api_key = api_key or os.environ.get("PSMITH_API_KEY", "")
-        self.model = model or os.environ.get("PSMITH_MODEL", "offline-model")
+        self.model = model or default_model()
         self.spend_cap = spend_cap
         self.transport = transport
         self.record_path = Path(record_path) if record_path else None
         self.limiter = limiter
-        self.session: list[tuple[GenerationRequest, GenerationResult]] = []
         self._lock = threading.Lock()
         self._spent_tokens = 0
         if mode == "replay" and self.replay_store is None:
@@ -271,9 +263,8 @@ class LlmClient:
             result = self._from_cache(request)
         else:
             result = self._live(request)
-        with self._lock:
-            self.session.append((request, result))
-            if self.record_path is not None:
+        if self.record_path is not None:
+            with self._lock:
                 append_record(self.record_path, request, result.completions)
         return result
 
@@ -297,15 +288,9 @@ class LlmClient:
             completions = record["completions"]
             return GenerationResult(tuple(completions), self._usage(request, completions), "cache")
         result = self._live(request)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        # a cache file is a one-record replay store, written whole then renamed
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps({
-            "key": request.key,
-            "model": request.model,
-            "params": request.params(),
-            "prompt_digest": request.prompt_digest,
-            "completions": list(result.completions),
-        }, sort_keys=True, ensure_ascii=False), encoding="utf-8")
+        write_records(tmp, [_record(request, result.completions)], append=False)
         tmp.replace(path)
         return result
 

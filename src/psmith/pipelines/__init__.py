@@ -17,14 +17,11 @@ from .ltmp import (
 )
 from .normalize import normalize_question, normalize_sql
 from .run import (
-    MODES,
     PipelineConfig,
     PipelineOutcome,
     chains_from_bundle,
     chains_from_records,
     read_predictions,
-    run_da_gp,
-    run_gp,
     run_pipeline,
     write_predictions,
 )
@@ -33,7 +30,6 @@ __all__ = [
     "AdaptationBundle",
     "AdaptedExemplar",
     "LtmpTrace",
-    "MODES",
     "PipelineConfig",
     "PipelineOutcome",
     "chains_from_bundle",
@@ -45,8 +41,6 @@ __all__ = [
     "normalize_sql",
     "parse_item_list",
     "read_predictions",
-    "run_da_gp",
-    "run_gp",
     "run_pipeline",
     "run_stage1_decompose",
     "run_stage2_map_natsql",

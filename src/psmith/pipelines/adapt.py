@@ -242,12 +242,12 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
         chains = chains_from_records(exemplars, draft_records)
         for entry in bundle.exemplars:
             stage1 = build_ltmp_prompt(
-                "gp", 1, chains, entry.adapted_nl, databases=draft_context,
+                "ltmp-gp", 1, chains, entry.adapted_nl, databases=draft_context,
                 budget=budget, test_schema=target_schema)
             try:
                 subs, _ = run_stage1_decompose(stage1, client, max_output_tokens)
                 stage2 = build_ltmp_prompt(
-                    "gp", 2, chains, entry.adapted_nl, databases=draft_context,
+                    "ltmp-gp", 2, chains, entry.adapted_nl, databases=draft_context,
                     test_sub_questions=subs, budget=budget,
                     test_schema=target_schema)
                 request = client.request(stage2.text, max_output_tokens=max_output_tokens,

@@ -29,7 +29,6 @@ class LtmpTrace:
     natsql_steps: tuple[str, ...] = ()
     final_sql: str = ""
     stage_prompts: list[str] = field(default_factory=list)  # artifact digests
-    error: str | None = None
 
 
 def parse_item_list(raw: str) -> list[str]:

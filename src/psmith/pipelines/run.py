@@ -12,14 +12,16 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from ..corpus.profile import NUMERIC_RENDER_MODES
 from ..corpus.types import AnnotatedDataset, AnnotatedExample, DecompositionRecord
 from ..errors import MissingAdaptation, PsmithError
-from ..llmclient import LlmClient
-from ..promptforge.budget import TokenBudget
+from ..llmclient import DEFAULT_SPEND_CAP, LlmClient, default_model
+from ..promptforge.budget import DEFAULT_LIMIT, TokenBudget
 from ..promptforge.prompts import (
+    MODES,
     LtmpChain,
     PromptArtifact,
     build_da_prompt,
@@ -40,28 +42,53 @@ from .normalize import normalize_sql
 
 logger = logging.getLogger(__name__)
 
-MODES = ("gp", "da-gp", "ltmp-gp", "ltmp-da-gp")
+
+def _key(default, **metadata):
+    """A configuration key with its default. Metadata: ``choices`` limits its
+    values; ``runtime`` marks a key that changes how a run's outputs are
+    generated, not what they are; ``help`` describes its flag."""
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class PipelineConfig:
-    mode: str = "gp"
+    """Every setting of a run, each declared once: the fields are the keys
+    of the configuration file and the ``adapt``/``run`` flags."""
+    mode: str = _key("gp", choices=tuple(MODES))
     ted_threshold: int = 2
     max_beam_samples: int = 8
     seed: int = 0
-    budget: TokenBudget = field(default_factory=TokenBudget)
-    numeric_render: str = "range"
+    budget_limit: int = DEFAULT_LIMIT
+    token_counter: str = "heuristic"
+    numeric_render: str = _key("range", choices=NUMERIC_RENDER_MODES)
     cot_enabled: bool = True
     max_output_tokens: int = 256
-    workers: int = 1
+    workers: int = _key(1, runtime=True)
+    model: str = field(default_factory=default_model, metadata={
+        "help": "model id (default: PSMITH_MODEL, else offline-model)"})
+    llm_mode: str = _key("live", choices=("live", "cache", "replay"), runtime=True)
+    api_surface: str = _key("completions", choices=("completions", "chat"))
+    spend_cap: int = _key(DEFAULT_SPEND_CAP, runtime=True)
 
     def __post_init__(self):
         if self.ted_threshold < 0:
             raise ValueError("ted_threshold must be non-negative")
         if self.max_beam_samples < 1:
             raise ValueError("max_beam_samples must be at least 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        for key in fields(self):
+            choices = key.metadata.get("choices")
+            if choices and getattr(self, key.name) not in choices:
+                raise ValueError(f"{key.name} must be one of {choices}")
+        self.budget  # raises on a bad budget_limit or token_counter
+
+    @property
+    def budget(self) -> TokenBudget:
+        return TokenBudget(self.budget_limit, self.token_counter)
+
+    def output_settings(self) -> dict:
+        """The keys that decide what a run outputs: all but the runtime ones."""
+        return {key.name: getattr(self, key.name) for key in fields(self)
+                if not key.metadata.get("runtime")}
 
 
 @dataclass
@@ -106,26 +133,23 @@ class _QueryRunner:
                  bundle: AdaptationBundle | None,
                  target_profile, out_dir: Path | None, resume: bool):
         self.cfg = cfg
+        self.spec = MODES[cfg.mode]
         self.client = client
-        self.train = train
+        self.train_databases = train.databases if train is not None else None
         self.test = test
-        self.exemplars = exemplars
-        self.bundle = bundle
         self.target_profile = target_profile
         self.out_dir = out_dir
         self.resume = resume
-        if cfg.mode == "ltmp-gp":
-            self.chains = chains_from_records(exemplars, ss_records)
-        elif cfg.mode == "ltmp-da-gp":
-            self.chains = chains_from_bundle(bundle)
-        else:
-            self.chains = None
-        if cfg.mode == "da-gp" and bundle is not None:
+        self.exemplars = exemplars
+        if self.spec.domain and not bundle.exemplars:
+            logger.warning("adaptation bundle is empty; running a zero-shot "
+                           "domain prompt")
+        if self.spec.ltmp:
+            self.chains = (chains_from_bundle(bundle) if self.spec.domain
+                           else chains_from_records(exemplars, ss_records))
+        elif self.spec.domain:
             self.pairs = [(e.adapted_nl, e.adapted_sql) for e in bundle.exemplars]
             self.pair_ids = [exemplar_id(e.source) for e in bundle.exemplars]
-            if not self.pairs:
-                logger.warning("adaptation bundle is empty; running a zero-shot "
-                               "domain prompt")
 
     # -- persistence helpers --
 
@@ -163,14 +187,10 @@ class _QueryRunner:
         if stored is not None:
             return stored, None, None
         try:
-            if self.cfg.mode == "gp":
-                sql = self._run_gp_query(example, qdir)
-                trace = None
-            elif self.cfg.mode == "da-gp":
-                sql = self._run_da_query(example, qdir)
-                trace = None
-            else:
+            if self.spec.ltmp:
                 sql, trace = self._run_ltmp_query(example, qdir)
+            else:
+                sql, trace = self._run_one_shot_query(example, qdir), None
         except PsmithError as exc:
             logger.warning("query failed (%s / %r): %s", example.db_id, example.nl, exc)
             self._persist(qdir, "error.txt", text=f"{type(exc).__name__}: {exc}\n")
@@ -178,65 +198,48 @@ class _QueryRunner:
         self._persist(qdir, "final.sql", text=sql)
         return sql, trace, None
 
-    def _run_gp_query(self, example: AnnotatedExample, qdir: Path | None) -> str:
-        artifact = build_generic_prompt(
-            self.exemplars, self.train.databases, example, self.cfg.budget,
-            test_schema=self.test.databases[example.db_id])
-        self._persist(qdir, "gp", artifact=artifact)
+    def _run_one_shot_query(self, example: AnnotatedExample, qdir: Path | None) -> str:
+        if self.spec.domain:
+            artifact = build_da_prompt(self.target_profile, self.pairs, example.nl,
+                                       self.cfg.budget, exemplar_ids=self.pair_ids)
+        else:
+            artifact = build_generic_prompt(
+                self.exemplars, self.train_databases, example, self.cfg.budget,
+                test_schema=self.test.databases[example.db_id])
+        name = self.spec.template
+        self._persist(qdir, name, artifact=artifact)
         request = self.client.request(
             artifact.text, max_output_tokens=self.cfg.max_output_tokens)
         result = self.client.generate(request)
-        self._persist(qdir, "gp.out", text=result.text)
-        return normalize_sql(result.text, cue="SELECT")
-
-    def _run_da_query(self, example: AnnotatedExample, qdir: Path | None) -> str:
-        artifact = build_da_prompt(self.target_profile, self.pairs, example.nl,
-                                   self.cfg.budget, exemplar_ids=self.pair_ids)
-        self._persist(qdir, "da_gp", artifact=artifact)
-        request = self.client.request(
-            artifact.text, max_output_tokens=self.cfg.max_output_tokens)
-        result = self.client.generate(request)
-        self._persist(qdir, "da_gp.out", text=result.text)
+        self._persist(qdir, f"{name}.out", text=result.text)
         return normalize_sql(result.text, cue="SELECT")
 
     def _run_ltmp_query(self, example: AnnotatedExample,
                         qdir: Path | None) -> tuple[str, LtmpTrace]:
-        family = "gp" if self.cfg.mode == "ltmp-gp" else "da"
         trace = LtmpTrace(test_nl=example.nl)
-        common = dict(
-            chains=self.chains,
-            budget=self.cfg.budget,
-            cot_enabled=self.cfg.cot_enabled,
-        )
-        if family == "gp":
-            common["databases"] = self.train.databases
-            common["test_schema"] = self.test.databases[example.db_id]
-        else:
-            common["target"] = self.target_profile
 
-        stage1 = build_ltmp_prompt(family, 1, test_nl=example.nl, **common)
-        self._persist(qdir, "stage1", artifact=stage1)
-        trace.stage_prompts.append(stage1.digest)
-        subs, raw1 = run_stage1_decompose(stage1, self.client,
+        def prompt(stage: int) -> PromptArtifact:
+            artifact = build_ltmp_prompt(
+                self.cfg.mode, stage, self.chains, example.nl,
+                databases=self.train_databases, target=self.target_profile,
+                test_sub_questions=trace.sub_questions, test_steps=trace.natsql_steps,
+                budget=self.cfg.budget, cot_enabled=self.cfg.cot_enabled,
+                test_schema=self.test.databases[example.db_id])
+            self._persist(qdir, f"stage{stage}", artifact=artifact)
+            trace.stage_prompts.append(artifact.digest)
+            return artifact
+
+        subs, raw1 = run_stage1_decompose(prompt(1), self.client,
                                           self.cfg.max_output_tokens)
         self._persist(qdir, "stage1.out", text=raw1)
         trace.sub_questions = subs
 
-        stage2 = build_ltmp_prompt(family, 2, test_nl=example.nl,
-                                   test_sub_questions=subs, **common)
-        self._persist(qdir, "stage2", artifact=stage2)
-        trace.stage_prompts.append(stage2.digest)
-        steps, raw2 = run_stage2_map_natsql(stage2, self.client, subs,
+        steps, raw2 = run_stage2_map_natsql(prompt(2), self.client, subs,
                                             self.cfg.max_output_tokens)
         self._persist(qdir, "stage2.out", text=raw2)
         trace.natsql_steps = steps
 
-        stage3 = build_ltmp_prompt(family, 3, test_nl=example.nl,
-                                   test_sub_questions=subs, test_steps=steps,
-                                   **common)
-        self._persist(qdir, "stage3", artifact=stage3)
-        trace.stage_prompts.append(stage3.digest)
-        sql, raw3 = run_stage3_compose_sql(stage3, self.client,
+        sql, raw3 = run_stage3_compose_sql(prompt(3), self.client,
                                            self.cfg.max_output_tokens)
         self._persist(qdir, "stage3.out", text=raw3)
         trace.final_sql = sql
@@ -260,14 +263,14 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
     only process test queries of the bundle's target database. Stage outputs
     are threaded into the next stage's prompt; artifacts are append-only.
     """
-    if cfg.mode in ("gp", "ltmp-gp"):
-        if exemplars is None or train is None:
-            raise ValueError(f"{cfg.mode} needs sampled exemplars and the train dataset")
-        queries = list(test.examples)
-    else:
+    if MODES[cfg.mode].domain:
         if bundle is None or target_profile is None:
             raise ValueError(f"{cfg.mode} needs an adaptation bundle and target profile")
         queries = [ex for ex in test.examples if ex.db_id == bundle.target_db_id]
+    else:
+        if exemplars is None or train is None:
+            raise ValueError(f"{cfg.mode} needs sampled exemplars and the train dataset")
+        queries = list(test.examples)
 
     out_path = Path(out_dir) if out_dir is not None else None
     runner = _QueryRunner(cfg, client, train, test, exemplars, ss_records,
@@ -330,25 +333,3 @@ def read_predictions(path: str | Path) -> dict[tuple[str, str], str]:
             predictions[(record["db_id"], record["question"])] = record["sql"]
     return predictions
 
-
-def run_gp(exemplars: ExemplarSet, test: AnnotatedDataset, client: LlmClient,
-           train: AnnotatedDataset, cfg: PipelineConfig | None = None,
-           out_dir: str | Path | None = None) -> PipelineOutcome:
-    """One generic-prompt generation per test query; failures become empty
-    predictions and never abort the batch."""
-    cfg = cfg or PipelineConfig(mode="gp")
-    if cfg.mode != "gp":
-        raise ValueError("run_gp drives the gp mode")
-    return run_pipeline(cfg, client, test, train=train, exemplars=exemplars,
-                        out_dir=out_dir)
-
-
-def run_da_gp(bundle: AdaptationBundle, test: AnnotatedDataset, client: LlmClient,
-              target_profile, cfg: PipelineConfig | None = None,
-              out_dir: str | Path | None = None) -> PipelineOutcome:
-    """Domain-adapted prompt generation over the bundle's target database."""
-    cfg = cfg or PipelineConfig(mode="da-gp")
-    if cfg.mode != "da-gp":
-        raise ValueError("run_da_gp drives the da-gp mode")
-    return run_pipeline(cfg, client, test, bundle=bundle,
-                        target_profile=target_profile, out_dir=out_dir)

@@ -2,8 +2,9 @@
 
 from .budget import DEFAULT_LIMIT, TokenBudget, count_tokens, register_counter
 from .prompts import (
+    MODES,
     LtmpChain,
-    Mode,
+    PipelineMode,
     PromptArtifact,
     build_adapt_nl_prompt,
     build_adapt_sql_prompt,
@@ -20,7 +21,8 @@ from .templates import load_template
 __all__ = [
     "DEFAULT_LIMIT",
     "LtmpChain",
-    "Mode",
+    "MODES",
+    "PipelineMode",
     "PromptArtifact",
     "TokenBudget",
     "build_adapt_nl_prompt",

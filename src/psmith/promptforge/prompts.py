@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..corpus.types import AnnotatedExample, SchemaProfile
 from ..errors import BudgetExceeded
@@ -20,17 +20,24 @@ from .schema_render import render_schema_basic, render_schema_domain
 from .templates import Template, load_template
 
 
-class Mode:
-    GP = "gp"
-    DA_GP = "da_gp"
-    LTMP_GP_STAGE1 = "ltmp_gp_stage1"
-    LTMP_GP_STAGE2 = "ltmp_gp_stage2"
-    LTMP_GP_STAGE3 = "ltmp_gp_stage3"
-    LTMP_DA_GP_STAGE1 = "ltmp_da_gp_stage1"
-    LTMP_DA_GP_STAGE2 = "ltmp_da_gp_stage2"
-    LTMP_DA_GP_STAGE3 = "ltmp_da_gp_stage3"
-    ADAPT_SQL = "adapt_sql"
-    ADAPT_NL = "adapt_nl"
+@dataclass(frozen=True)
+class PipelineMode:
+    """One of the four pipelines, placed on the design's two axes."""
+    template: str  # template file stem, and the mode of its artifacts
+    domain: bool   # exemplars adapted onto the target database
+    ltmp: bool     # least-to-most decomposition in three stages
+
+
+# The one table of pipeline modes: prompt building, run dispatch and the
+# CLI's --mode all read it.
+MODES: dict[str, PipelineMode] = {
+    "gp": PipelineMode("gp", domain=False, ltmp=False),
+    "da-gp": PipelineMode("da_gp", domain=True, ltmp=False),
+    "ltmp-gp": PipelineMode("ltmp_gp", domain=False, ltmp=True),
+    "ltmp-da-gp": PipelineMode("ltmp_da_gp", domain=True, ltmp=True),
+}
+
+LTMP_STAGES = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -47,7 +54,8 @@ class PromptArtifact:
 
 
 def _make_artifact(mode: str, text: str, exemplar_ids: Sequence[str],
-                   budget: TokenBudget) -> PromptArtifact:
+                   budget: TokenBudget | None) -> PromptArtifact:
+    budget = budget or TokenBudget()
     count = budget.measure(text)
     if count > budget.limit:
         raise BudgetExceeded(
@@ -77,24 +85,18 @@ def load_artifact(path: str | Path) -> PromptArtifact:
 
 # --- shared assembly helpers ------------------------------------------------
 
-def _exemplar_items(exemplars) -> list:
-    return list(getattr(exemplars, "items", exemplars))
-
-
 def _group_by_db(items) -> list[tuple[str, list]]:
     """Group exemplar-like records by db_id, preserving first-use order."""
-    order: list[str] = []
     groups: dict[str, list] = {}
     for item in items:
-        if item.db_id not in groups:
-            order.append(item.db_id)
-            groups[item.db_id] = []
-        groups[item.db_id].append(item)
-    return [(db_id, groups[db_id]) for db_id in order]
+        groups.setdefault(item.db_id, []).append(item)
+    return list(groups.items())
 
 
 def _schema_for(databases, db_id: str) -> SchemaProfile:
     mapping = getattr(databases, "databases", databases)
+    if mapping is None:
+        raise ValueError("generic prompts need the exemplar schemas")
     try:
         return mapping[db_id]
     except KeyError:
@@ -106,7 +108,84 @@ def exemplar_id(item) -> str:
     return f"{item.db_id}:{content}"
 
 
-# --- Generic Prompt ---------------------------------------------------------
+def _basic_block(header: str, schema: SchemaProfile, separator: str) -> list[str]:
+    return [header, *render_schema_basic(schema).splitlines(), separator]
+
+
+def _bracketed(items: Iterable[str], item_template: str) -> str:
+    return "[" + ", ".join(item_template.replace("{text}", item) for item in items) + "]"
+
+
+def _decomposition_lines(tpl: Template, sub_questions: Sequence[str],
+                         steps: Sequence[str]) -> list[str]:
+    return [tpl["subquestions_prefix"] + _bracketed(sub_questions, tpl["subquestion_item"]),
+            tpl["steps_prefix"] + _bracketed(steps, tpl["step_item"])]
+
+
+class _Shot(NamedTuple):
+    nl: str
+    sql: str
+
+
+def _assemble(mode: str, items: Sequence, test_nl: str, budget: TokenBudget | None,
+              *, stage: int = 1, databases=None, test_schema: SchemaProfile | None = None,
+              target: SchemaProfile | None = None, test_sub_questions: Sequence[str] = (),
+              test_steps: Sequence[str] = (), cot_enabled: bool = True,
+              exemplar_ids: Sequence[str] | None = None) -> PromptArtifact:
+    """Lay out the prompt of one pipeline mode (and stage).
+
+    The domain axis picks the schema context: a generic prompt opens with a
+    note, shows each exemplar database's basic schema before its exemplars
+    (first-use order) and the test schema after them; a domain prompt shows
+    the one target schema in the domain format before all exemplars. The
+    LTMP axis and the stage pick the exemplar lines (question and SQL, or
+    the full reasoning chain) and the tail after the test question.
+    """
+    spec = MODES[mode]
+    tpl = load_template(spec.template)
+    if spec.domain:
+        if target is None:
+            raise ValueError(f"{mode} prompts need the target schema")
+        lines = [tpl["schema_header"], tpl["separator"],
+                 *render_schema_domain(target).splitlines(), tpl["separator"]]
+        groups = [(None, items)]
+    else:
+        if test_schema is None:
+            raise ValueError(f"{mode} prompts need the test schema")
+        lines = [tpl["note"]]
+        groups = _group_by_db(items)
+    for db_id, group in groups:
+        if db_id is not None:
+            lines += _basic_block(tpl["schema_header"], _schema_for(databases, db_id),
+                                  tpl["separator"])
+        for item in group:
+            lines.append(tpl["question_prefix"] + item.nl)
+            if spec.ltmp:
+                lines += _decomposition_lines(tpl, item.sub_questions, item.natsql_steps)
+                lines.append(tpl["cot_line"] if cot_enabled else tpl["plain_answer_line"])
+                lines.append(tpl["sql_line"].replace("{sql}", item.sql))
+            else:
+                lines.append(item.sql)
+            lines.append(tpl["separator"])
+    if not spec.domain:
+        lines += _basic_block(tpl["schema_header"], test_schema, tpl["separator"])
+    lines.append(tpl["question_prefix"] + test_nl)
+    if spec.ltmp:
+        # the test block grows with the stage: what earlier stages generated,
+        # then the cue of the stage's own output
+        lines += _decomposition_lines(tpl, test_sub_questions, test_steps)[:stage - 1]
+        lines.append((tpl["subquestions_prefix"].rstrip(), tpl["steps_prefix"].rstrip(),
+                      tpl["stage3_cue"])[stage - 1])
+        name = f"{spec.template}_stage{stage}"
+    else:
+        lines.append(tpl["cue"])
+        name = spec.template
+    if exemplar_ids is None:
+        exemplar_ids = [exemplar_id(item) for item in items]
+    return _make_artifact(name, "\n".join(lines), exemplar_ids, budget)
+
+
+# --- one-shot prompts ----------------------------------------------------------
 
 def build_generic_prompt(exemplars, databases, test: AnnotatedExample,
                          budget: TokenBudget | None = None,
@@ -118,49 +197,19 @@ def build_generic_prompt(exemplars, databases, test: AnnotatedExample,
     ``databases`` must resolve every exemplar db_id (and the test db_id,
     unless ``test_schema`` is given explicitly).
     """
-    budget = budget or TokenBudget()
-    tpl = load_template("gp")
-    items = _exemplar_items(exemplars)
     if test_schema is None:
         test_schema = _schema_for(databases, test.db_id)
+    return _assemble("gp", list(getattr(exemplars, "items", exemplars)), test.nl, budget,
+                     databases=databases, test_schema=test_schema)
 
-    lines = [tpl["note"]]
-    for db_id, group in _group_by_db(items):
-        lines.append(tpl["schema_header"])
-        lines.extend(render_schema_basic(_schema_for(databases, db_id)).splitlines())
-        lines.append(tpl["separator"])
-        for item in group:
-            lines.append(tpl["question_prefix"] + item.nl)
-            lines.append(item.sql)
-            lines.append(tpl["separator"])
-    lines.append(tpl["schema_header"])
-    lines.extend(render_schema_basic(test_schema).splitlines())
-    lines.append(tpl["separator"])
-    lines.append(tpl["question_prefix"] + test.nl)
-    lines.append(tpl["cue"])
-    return _make_artifact(Mode.GP, "\n".join(lines),
-                          [exemplar_id(i) for i in items], budget)
-
-
-# --- Domain-Adapted Generic Prompt (final stage) ----------------------------
 
 def build_da_prompt(target: SchemaProfile, pairs: Sequence[tuple[str, str]],
                     test_nl: str, budget: TokenBudget | None = None,
                     exemplar_ids: Sequence[str] = ()) -> PromptArtifact:
     """Assemble the domain-adapted prompt: the single target schema in the
     domain-enriched format, adapted NL/SQL pairs, then the test question."""
-    budget = budget or TokenBudget()
-    tpl = load_template("da_gp")
-    lines = [tpl["schema_header"], tpl["separator"]]
-    lines.extend(render_schema_domain(target).splitlines())
-    lines.append(tpl["separator"])
-    for nl, sql in pairs:
-        lines.append(tpl["question_prefix"] + nl)
-        lines.append(sql)
-        lines.append(tpl["separator"])
-    lines.append(tpl["question_prefix"] + test_nl)
-    lines.append(tpl["cue"])
-    return _make_artifact(Mode.DA_GP, "\n".join(lines), exemplar_ids, budget)
+    return _assemble("da-gp", [_Shot(*pair) for pair in pairs], test_nl, budget,
+                     target=target, exemplar_ids=exemplar_ids)
 
 
 # --- Least-to-Most prompts ---------------------------------------------------
@@ -176,27 +225,7 @@ class LtmpChain:
     sql: str
 
 
-def _render_list(items: Iterable[str], item_template: str) -> str:
-    return ", ".join(item_template.replace("{text}", item) for item in items)
-
-
-def _chain_lines(tpl: Template, chain: LtmpChain, cot_enabled: bool) -> list[str]:
-    lines = [
-        tpl["question_prefix"] + chain.nl,
-        tpl["subquestions_prefix"] + "["
-        + _render_list(chain.sub_questions, tpl["subquestion_item"]) + "]",
-        tpl["steps_prefix"] + "["
-        + _render_list(chain.natsql_steps, tpl["step_item"]) + "]",
-        tpl["cot_line"] if cot_enabled else tpl["plain_answer_line"],
-        tpl["sql_line"].replace("{sql}", chain.sql),
-    ]
-    return lines
-
-
-LTMP_STAGES = (1, 2, 3)
-
-
-def build_ltmp_prompt(family: str, stage: int, chains: Sequence[LtmpChain],
+def build_ltmp_prompt(mode: str, stage: int, chains: Sequence[LtmpChain],
                       test_nl: str,
                       databases: Mapping[str, SchemaProfile] | None = None,
                       target: SchemaProfile | None = None,
@@ -207,71 +236,21 @@ def build_ltmp_prompt(family: str, stage: int, chains: Sequence[LtmpChain],
                       test_schema: SchemaProfile | None = None) -> PromptArtifact:
     """Assemble a least-to-most stage prompt.
 
-    ``family`` is ``gp`` (multi-database exemplar schemas, basic format) or
-    ``da`` (single target schema, domain format). Exemplar chains are shown
-    in full at every stage; the test block grows recursively: stage 1 ends at
-    the sub-question cue, stage 2 adds the generated sub-questions and ends
-    at the intermediate-representation cue, stage 3 adds both and ends at the
-    answer cue.
+    ``mode`` is ``ltmp-gp`` (multi-database exemplar schemas, basic format)
+    or ``ltmp-da-gp`` (single target schema, domain format). Exemplar chains
+    are shown in full at every stage; the test block grows recursively:
+    stage 1 ends at the sub-question cue, stage 2 adds the generated
+    sub-questions and ends at the intermediate-representation cue, stage 3
+    adds both and ends at the answer cue.
     """
-    if family not in ("gp", "da"):
-        raise ValueError(f"unknown LTMP family {family!r}")
+    if mode not in MODES or not MODES[mode].ltmp:
+        raise ValueError(f"{mode!r} is not a least-to-most mode")
     if stage not in LTMP_STAGES:
         raise ValueError(f"LTMP stage must be one of {LTMP_STAGES}")
-    budget = budget or TokenBudget()
-    tpl = load_template("ltmp_gp" if family == "gp" else "ltmp_da_gp")
-
-    lines: list[str] = []
-    if family == "gp":
-        lines.append(tpl["note"])
-        for db_id, group in _group_by_db(chains):
-            if databases is None:
-                raise ValueError("gp-family LTMP prompts need exemplar schemas")
-            lines.append(tpl["schema_header"])
-            lines.extend(render_schema_basic(_schema_for(databases, db_id)).splitlines())
-            lines.append(tpl["separator"])
-            for chain in group:
-                lines.extend(_chain_lines(tpl, chain, cot_enabled))
-                lines.append(tpl["separator"])
-    else:
-        if target is None:
-            raise ValueError("da-family LTMP prompts need the target schema")
-        lines.append(tpl["schema_header"])
-        lines.append(tpl["separator"])
-        lines.extend(render_schema_domain(target).splitlines())
-        lines.append(tpl["separator"])
-        for chain in chains:
-            lines.extend(_chain_lines(tpl, chain, cot_enabled))
-            lines.append(tpl["separator"])
-
-    if family == "gp":
-        if test_schema is None:
-            raise ValueError("gp-family LTMP prompts need the test schema")
-        lines.append(tpl["schema_header"])
-        lines.extend(render_schema_basic(test_schema).splitlines())
-        lines.append(tpl["separator"])
-    lines.append(tpl["question_prefix"] + test_nl)
-
-    if stage == 1:
-        lines.append(tpl["subquestions_prefix"].rstrip())
-    elif stage == 2:
-        lines.append(tpl["subquestions_prefix"] + "["
-                     + _render_list(test_sub_questions, tpl["subquestion_item"]) + "]")
-        lines.append(tpl["steps_prefix"].rstrip())
-    else:
-        lines.append(tpl["subquestions_prefix"] + "["
-                     + _render_list(test_sub_questions, tpl["subquestion_item"]) + "]")
-        lines.append(tpl["steps_prefix"] + "["
-                     + _render_list(test_steps, tpl["step_item"]) + "]")
-        lines.append(tpl["stage3_cue"])
-
-    if family == "gp":
-        mode = (Mode.LTMP_GP_STAGE1, Mode.LTMP_GP_STAGE2, Mode.LTMP_GP_STAGE3)[stage - 1]
-    else:
-        mode = (Mode.LTMP_DA_GP_STAGE1, Mode.LTMP_DA_GP_STAGE2,
-                Mode.LTMP_DA_GP_STAGE3)[stage - 1]
-    return _make_artifact(mode, "\n".join(lines),
-                          [exemplar_id(c) for c in chains], budget)
+    return _assemble(mode, chains, test_nl, budget, stage=stage, databases=databases,
+                     test_schema=test_schema, target=target,
+                     test_sub_questions=test_sub_questions, test_steps=test_steps,
+                     cot_enabled=cot_enabled)
 
 
 # --- adaptation prompts -------------------------------------------------------
@@ -281,36 +260,22 @@ def build_adapt_sql_prompt(source_schema: SchemaProfile, source_sql: str,
                            budget: TokenBudget | None = None) -> PromptArtifact:
     """Stage-1 transfer prompt: source schema and SQL (no NL), target schema,
     and an instruction explaining compositional similarity."""
-    budget = budget or TokenBudget()
     tpl = load_template("adapt_sql")
-    lines = [tpl["instruction"], tpl["separator"]]
-    lines.append(tpl["source_header"])
-    lines.extend(render_schema_basic(source_schema).splitlines())
-    lines.append(tpl["separator"])
-    lines.append(tpl["source_sql_header"])
-    lines.append(source_sql)
-    lines.append(tpl["separator"])
-    lines.append(tpl["target_header"])
-    lines.extend(render_schema_basic(target_schema).splitlines())
-    lines.append(tpl["separator"])
-    lines.append(tpl["task_line"])
-    lines.append(tpl["cue"])
-    return _make_artifact(Mode.ADAPT_SQL, "\n".join(lines), (), budget)
+    lines = [tpl["instruction"], tpl["separator"],
+             *_basic_block(tpl["source_header"], source_schema, tpl["separator"]),
+             tpl["source_sql_header"], source_sql, tpl["separator"],
+             *_basic_block(tpl["target_header"], target_schema, tpl["separator"]),
+             tpl["task_line"], tpl["cue"]]
+    return _make_artifact("adapt_sql", "\n".join(lines), (), budget)
 
 
 def build_adapt_nl_prompt(target_schema: SchemaProfile, adapted_sql: str,
                           budget: TokenBudget | None = None) -> PromptArtifact:
     """Stage-2 prompt: target schema plus an adapted SQL, asking for the NL
     question the SQL answers."""
-    budget = budget or TokenBudget()
     tpl = load_template("adapt_nl")
-    lines = [tpl["instruction"], tpl["separator"]]
-    lines.append(tpl["target_header"])
-    lines.extend(render_schema_basic(target_schema).splitlines())
-    lines.append(tpl["separator"])
-    lines.append(tpl["sql_header"])
-    lines.append(adapted_sql)
-    lines.append(tpl["separator"])
-    lines.append(tpl["task_line"])
-    lines.append(tpl["cue"])
-    return _make_artifact(Mode.ADAPT_NL, "\n".join(lines), (), budget)
+    lines = [tpl["instruction"], tpl["separator"],
+             *_basic_block(tpl["target_header"], target_schema, tpl["separator"]),
+             tpl["sql_header"], adapted_sql, tpl["separator"],
+             tpl["task_line"], tpl["cue"]]
+    return _make_artifact("adapt_nl", "\n".join(lines), (), budget)

@@ -11,25 +11,26 @@ from ..corpus.types import NumericRange, SampledValues, SchemaProfile
 from ..errors import MissingProfile
 
 
+def _table_line(schema: SchemaProfile, table) -> str:
+    parts = [c.name for c in table.columns]
+    pk = schema.primary_keys.get(table.name)
+    if pk:
+        parts.append(f"PK ({', '.join(pk)})")
+    for fk in schema.foreign_keys:
+        if fk.from_table == table.name:
+            parts.append(
+                f"FK ({', '.join(fk.from_columns)}) REFERENCES "
+                f"{fk.to_table} ({', '.join(fk.to_columns)})"
+            )
+    return f"# CREATE TABLE {table.name} ({', '.join(parts)})"
+
+
 def render_schema_basic(schema: SchemaProfile) -> str:
     """Serialize tables as bare CREATE TABLE lines with PK/FK constraints.
 
     Column order is schema order; output is deterministic byte-for-byte.
     """
-    lines = []
-    for table in schema.tables:
-        parts = [c.name for c in table.columns]
-        pk = schema.primary_keys.get(table.name)
-        if pk:
-            parts.append(f"PK ({', '.join(pk)})")
-        for fk in schema.foreign_keys:
-            if fk.from_table == table.name:
-                parts.append(
-                    f"FK ({', '.join(fk.from_columns)}) REFERENCES "
-                    f"{fk.to_table} ({', '.join(fk.to_columns)})"
-                )
-        lines.append(f"# CREATE TABLE {table.name} ({', '.join(parts)})")
-    return "\n".join(lines)
+    return "\n".join(_table_line(schema, table) for table in schema.tables)
 
 
 def render_schema_domain(schema: SchemaProfile) -> str:
@@ -42,7 +43,7 @@ def render_schema_domain(schema: SchemaProfile) -> str:
         raise MissingProfile(f"{schema.db_id} has no value profile")
     blocks = []
     for table in schema.tables:
-        lines = [_create_line(schema, table.name)]
+        lines = [_table_line(schema, table)]
         lines.append(
             f"Columns in {table.name} with examples in each column "
             f"and descriptions wherever required:"
@@ -64,17 +65,3 @@ def render_schema_domain(schema: SchemaProfile) -> str:
         blocks.append("\n".join(lines))
     return "\n#\n".join(blocks)
 
-
-def _create_line(schema: SchemaProfile, table_name: str) -> str:
-    table = schema.table(table_name)
-    parts = [c.name for c in table.columns]
-    pk = schema.primary_keys.get(table_name)
-    if pk:
-        parts.append(f"PK ({', '.join(pk)})")
-    for fk in schema.foreign_keys:
-        if fk.from_table == table_name:
-            parts.append(
-                f"FK ({', '.join(fk.from_columns)}) REFERENCES "
-                f"{fk.to_table} ({', '.join(fk.to_columns)})"
-            )
-    return f"# CREATE TABLE {table_name} ({', '.join(parts)})"

@@ -21,9 +21,6 @@ class Template:
         except KeyError:
             raise KeyError(f"template {self.name!r} has no fragment {key!r}") from None
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self._fragments.get(key, default)
-
 
 def _parse(name: str, text: str) -> Template:
     fragments: dict[str, str] = {}

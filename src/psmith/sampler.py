@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 from .corpus.types import AnnotatedDataset, Role
 from .errors import BudgetExceeded, ParseError
@@ -87,27 +87,8 @@ def greedy_cover(
     return [key for key, _ in selected], first_cover
 
 
-# --- database ordering --------------------------------------------------------
-
-def sort_databases(dataset: AnnotatedDataset,
-                   catalog: PrimitiveOpSet | None = None,
-                   op_extractor: Callable[[str], PrimitiveOpSet] | None = None) -> list[str]:
-    """Order db_ids by descending operator coverage of their queries;
-    ties break by ascending db_id. Unparseable SQL contributes nothing."""
-    catalog = catalog or default_catalog()
-    coverage: dict[str, PrimitiveOpSet] = {db_id: PrimitiveOpSet() for db_id in dataset.databases}
-    for example in dataset.examples:
-        ops = _safe_extract(example.sql, catalog, op_extractor)
-        if ops is not None:
-            coverage[example.db_id] = coverage[example.db_id] | (ops & catalog)
-    return sorted(coverage, key=lambda db: (-len(coverage[db]), db))
-
-
-def _safe_extract(sql: str, catalog: PrimitiveOpSet,
-                  op_extractor: Callable[[str], PrimitiveOpSet] | None) -> PrimitiveOpSet | None:
+def _safe_extract(sql: str, catalog: PrimitiveOpSet) -> PrimitiveOpSet | None:
     try:
-        if op_extractor is not None:
-            return op_extractor(sql)
         return extract_operators(sql, catalog)
     except ParseError as exc:
         logger.warning("skipping unparseable training SQL %r: %s", sql, exc)
@@ -133,9 +114,11 @@ class SamplingResult:
 def sample_exemplars(dataset: AnnotatedDataset,
                      catalog: PrimitiveOpSet | None = None,
                      budget: TokenBudget | None = None) -> SamplingResult:
-    """Algorithm: traverse databases in sort_databases order (manifest order
-    within a database), apply the replacement-greedy cover, then fit the
-    rendered exemplar blocks into the token budget by redundant-first pruning.
+    """Algorithm: traverse databases in descending order of the operator
+    coverage of their queries, ties by ascending db_id, and each database's
+    queries in manifest order; apply the replacement-greedy cover, then fit
+    the rendered exemplar blocks into the token budget by redundant-first
+    pruning. Each query's SQL is analysed once; unparseable SQL is skipped.
 
     Catalog ops unattainable from the corpus are reported, not fatal.
     Raises BudgetExceeded only when a sole-cover exemplar would have to go.
@@ -144,26 +127,29 @@ def sample_exemplars(dataset: AnnotatedDataset,
         raise ValueError("exemplars are sampled from a training dataset")
     catalog = catalog or default_catalog()
     budget = budget or TokenBudget()
+    catalog_ops = frozenset(catalog)
 
     ops_by_key: dict[tuple[str, int], PrimitiveOpSet] = {}
     example_by_key: dict[tuple[str, int], object] = {}
     per_db: dict[str, list[tuple[str, int]]] = {db: [] for db in dataset.databases}
     for idx, example in enumerate(dataset.examples):
         key = (example.db_id, idx)
-        ops = _safe_extract(example.sql, catalog, None)
+        ops = _safe_extract(example.sql, catalog)
         if ops is None:
             continue
         ops_by_key[key] = ops
         example_by_key[key] = example
         per_db[example.db_id].append(key)
 
-    db_order = sort_databases(dataset, catalog)
+    coverage = {db_id: frozenset().union(*(ops_by_key[key] for key in keys)) & catalog_ops
+                for db_id, keys in per_db.items()}
+    db_order = sorted(coverage, key=lambda db_id: (-len(coverage[db_id]), db_id))
     ordered_items = [
         (key, frozenset(ops_by_key[key]))
         for db_id in db_order
         for key in per_db[db_id]
     ]
-    selected_keys, first_cover_keys = greedy_cover(ordered_items, frozenset(catalog))
+    selected_keys, first_cover_keys = greedy_cover(ordered_items, catalog_ops)
 
     exemplars = ExemplarSet([
         Exemplar(example_by_key[k].db_id, example_by_key[k].nl,

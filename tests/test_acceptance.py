@@ -165,12 +165,12 @@ def test_c6_golden_prompts(train_dataset, test_dataset):
             fixturelib.nuclear_pinned_profile(), fixturelib.DA_PINNED_PAIRS,
             fixturelib.TEST_QUESTION, budget),
         "ltmp_gp_stage1.txt": build_ltmp_prompt(
-            "gp", 1, gp_chains(train_dataset), test_nl=fixturelib.TEST_QUESTION,
+            "ltmp-gp", 1, gp_chains(train_dataset), test_nl=fixturelib.TEST_QUESTION,
             databases=train_dataset.databases,
             test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
             budget=budget),
         "ltmp_da_gp_stage3.txt": build_ltmp_prompt(
-            "da", 3, da_chains(), test_nl=fixturelib.TEST_QUESTION,
+            "ltmp-da-gp", 3, da_chains(), test_nl=fixturelib.TEST_QUESTION,
             target=fixturelib.nuclear_pinned_profile(),
             test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
             test_steps=fixturelib.LTMP_TEST_STEPS, budget=budget),

@@ -1,0 +1,68 @@
+"""The benchmark's span tracer (perfbench/spans.py) wraps psmith by name.
+
+Renaming a wrapped method, or adding a public prompt builder without a span
+info entry, would break ``perfbench/run.py --trace 1``; these tests catch
+that in the ordinary suite.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture()
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import psmith.cli  # noqa: F401 - loads every layer the tracer wraps
+    import spans as module
+
+    yield module
+    sys.modules.pop("spans", None)
+
+
+def _builders(spans) -> list[str]:
+    names = []
+    for modname in spans.LAYERS["promptforge"]:
+        module = importlib.import_module(modname)
+        names += [name for name, value in vars(module).items()
+                  if name.startswith("build_") and isinstance(value, types.FunctionType)
+                  and value.__module__ == modname]
+    return names
+
+
+def test_instrument_wraps_and_undo_restores(spans):
+    from psmith.llmclient import LlmClient
+    from psmith.pipelines import run
+    from psmith.promptforge import prompts
+
+    originals = {
+        "run_one": vars(run._QueryRunner)["run_one"],
+        "generate": vars(LlmClient)["generate"],
+        "build_ltmp_prompt": prompts.build_ltmp_prompt,
+    }
+    undo = spans.instrument(spans.Tracer())
+    try:
+        assert vars(run._QueryRunner)["run_one"] is not originals["run_one"]
+        assert vars(LlmClient)["generate"] is not originals["generate"]
+        assert prompts.build_ltmp_prompt is not originals["build_ltmp_prompt"]
+        assert run.build_ltmp_prompt is prompts.build_ltmp_prompt
+    finally:
+        undo()
+    assert vars(run._QueryRunner)["run_one"] is originals["run_one"]
+    assert vars(LlmClient)["generate"] is originals["generate"]
+    assert prompts.build_ltmp_prompt is originals["build_ltmp_prompt"]
+    assert run.build_ltmp_prompt is originals["build_ltmp_prompt"]
+
+
+def test_every_prompt_builder_has_span_info(spans):
+    builders = _builders(spans)
+    assert builders
+    for name in builders:
+        assert f"promptforge.{name}" in spans.INFO, name

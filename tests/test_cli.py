@@ -118,6 +118,13 @@ def test_run_manifest_guards_config(runner, kaggledbqa_dir, tmp_path):
     # changed config, same run id -> refuse
     conflicting = runner.invoke(main, args + ["--ted-threshold", "9"])
     assert conflicting.exit_code != 0
+    # a different model changes what the run outputs -> refuse
+    other_model = runner.invoke(main, args + ["--model", "another-model"])
+    assert other_model.exit_code != 0
+    assert "different configuration" in other_model.output + other_model.stderr
+    # the worker count only changes how the outputs are generated -> resume
+    more_workers = runner.invoke(main, args + ["--workers", "2"])
+    assert more_workers.exit_code == 0, more_workers.output
 
 
 def test_replay_record_merges(runner, tmp_path):

@@ -12,7 +12,6 @@ from psmith.llmclient import (
     ReplayStore,
     append_record,
     forbidden_transport,
-    record_session,
     replay_client,
 )
 
@@ -78,18 +77,12 @@ def test_replay_mode_requires_store():
 
 def test_store_round_trip(tmp_path):
     request = make_request()
-    result = GenerationResult(("SELECT 42",), (10, 3), "live")
-    path = record_session([(request, result)], tmp_path / "session.jsonl")
+    path = tmp_path / "session.jsonl"
+    append_record(path, request, ["SELECT 42"])
     store = ReplayStore.load(path)
     assert store.get(request.key) == ["SELECT 42"]
     record = json.loads(path.read_text().strip())
     assert set(record) == {"key", "model", "params", "prompt_digest", "completions"}
-
-
-def test_record_session_empty(tmp_path):
-    path = record_session([], tmp_path / "empty.jsonl")
-    assert path.read_text() == ""
-    assert len(ReplayStore.load(path)) == 0
 
 
 # --- cache mode -------------------------------------------------------------------
@@ -198,15 +191,6 @@ def test_spend_cap_refuses_before_network():
                        spend_cap=10)
     with pytest.raises(BudgetRefused):
         client.generate(make_request(max_output_tokens=1000))
-
-
-def test_session_log_collects_requests(tmp_path):
-    request = make_request()
-    append_record(tmp_path / "s.jsonl", request, ["SELECT 1"])
-    client = replay_client(tmp_path / "s.jsonl")
-    client.generate(request)
-    assert len(client.session) == 1
-    assert client.session[0][0] is request
 
 
 def test_chat_surface(tmp_path):

@@ -408,7 +408,7 @@ def test_stage1_rejects_empty_list(tmp_path, train_dataset, test_dataset):
     from test_promptforge import gp_chains
 
     prompt = build_ltmp_prompt(
-        "gp", 1, gp_chains(train_dataset), test_nl=fixturelib.TEST_QUESTION,
+        "ltmp-gp", 1, gp_chains(train_dataset), test_nl=fixturelib.TEST_QUESTION,
         databases=train_dataset.databases,
         test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB])
     probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
@@ -425,7 +425,7 @@ def test_stage2_arity_mismatch(tmp_path, train_dataset, test_dataset):
 
     subs = ("first part", "second part")
     prompt = build_ltmp_prompt(
-        "gp", 2, gp_chains(train_dataset), test_nl="a two part question",
+        "ltmp-gp", 2, gp_chains(train_dataset), test_nl="a two part question",
         databases=train_dataset.databases,
         test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
         test_sub_questions=subs)
@@ -443,7 +443,7 @@ def test_stage2_single_segment_allows_extra_steps(tmp_path, train_dataset, test_
 
     subs = ("one segment",)
     prompt = build_ltmp_prompt(
-        "gp", 2, gp_chains(train_dataset), test_nl="one segment",
+        "ltmp-gp", 2, gp_chains(train_dataset), test_nl="one segment",
         databases=train_dataset.databases,
         test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
         test_sub_questions=subs)
@@ -497,27 +497,6 @@ def test_normalize_idempotent_property(raw, with_cue):
     assert normalize_sql(once, cue=cue) == once
 
 
-def test_run_gp_wrapper_dispatch_identity(tmp_path, train_dataset, test_dataset):
-    from psmith.corpus.types import AnnotatedDataset
-    from psmith.pipelines import run_gp
-
-    nuclear = [ex for ex in test_dataset.examples
-               if ex.db_id == fixturelib.NUCLEAR_DB][:5]
-    exemplars, store_path = build_gp_identity_store(
-        tmp_path, train_dataset, test_dataset, nuclear)
-    dataset = AnnotatedDataset(databases=test_dataset.databases,
-                               examples=nuclear, role="test")
-
-    def fresh_client():
-        return LlmClient(mode="replay", replay_store=ReplayStore.load(store_path),
-                         model="offline-model")
-
-    wrapped = run_gp(exemplars, dataset, fresh_client(), train_dataset)
-    dispatched = run_pipeline(PipelineConfig(mode="gp"), fresh_client(), dataset,
-                              train=train_dataset, exemplars=exemplars)
-    assert wrapped.predictions == dispatched.predictions
-
-
 def test_cot_flag_changes_stage_prompt(train_dataset, test_dataset):
     from psmith.promptforge import build_ltmp_prompt
     from test_promptforge import gp_chains
@@ -530,8 +509,8 @@ def test_cot_flag_changes_stage_prompt(train_dataset, test_dataset):
         test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
         test_steps=fixturelib.LTMP_TEST_STEPS,
     )
-    with_cot = build_ltmp_prompt("gp", 3, cot_enabled=True, **common)
-    without = build_ltmp_prompt("gp", 3, cot_enabled=False, **common)
+    with_cot = build_ltmp_prompt("ltmp-gp", 3, cot_enabled=True, **common)
+    without = build_ltmp_prompt("ltmp-gp", 3, cot_enabled=False, **common)
     assert "Lets think step by step" in with_cot.text
     assert "Lets think step by step" not in without.text
     assert without.text.endswith("A:")
@@ -542,3 +521,64 @@ def test_extract_operators_rejects_unknown_dialect():
 
     with pytest.raises(ValueError):
         extract_operators("SELECT 1", dialect="postgres")
+
+
+def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
+                                         spider_ss_dir):
+    """ltmp-gp through run_pipeline: three stages per query, each persisted
+    prompt equal to the one build_ltmp_prompt gives for the same inputs."""
+    from psmith.corpus import load_spider_ss
+    from psmith.corpus.types import AnnotatedDataset
+    from psmith.pipelines import chains_from_records
+    from psmith.promptforge import TokenBudget, build_ltmp_prompt, load_artifact
+    from psmith.sampler import sample_exemplars
+
+    exemplars = sample_exemplars(train_dataset).exemplars
+    records = load_spider_ss(spider_ss_dir)
+    chains = chains_from_records(exemplars, records)
+    queries = [ex for ex in test_dataset.examples
+               if ex.db_id == fixturelib.NUCLEAR_DB][:3]
+    dataset = AnnotatedDataset(databases=test_dataset.databases,
+                               examples=queries, role="test")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    store_path = tmp_path / "ltmp-gp.jsonl"
+    expected_prompts = {}
+    for index, example in enumerate(queries):
+        subs = (f"first part of question {index}", f"second part of question {index}")
+        steps = (f"select step one {index}", f"select step two {index}")
+        common = dict(test_nl=example.nl, databases=train_dataset.databases,
+                      test_schema=test_dataset.databases[example.db_id],
+                      budget=TokenBudget())
+        stages = [
+            build_ltmp_prompt("ltmp-gp", 1, chains, **common),
+            build_ltmp_prompt("ltmp-gp", 2, chains, test_sub_questions=subs, **common),
+            build_ltmp_prompt("ltmp-gp", 3, chains, test_sub_questions=subs,
+                              test_steps=steps, **common),
+        ]
+        expected_prompts[index] = stages
+        answers = [
+            (["\n"], "[" + ", ".join(f"'{s}'" for s in subs) + "]"),
+            (["\n"], " [" + ", ".join(f"'{s}'" for s in steps) + "]"),
+            (["#"], " Lets think step by step.\nSQL: " + example.sql),
+        ]
+        for artifact, (stop, completion) in zip(stages, answers):
+            request = probe.request(artifact.text, max_output_tokens=256, stop=stop)
+            append_record(store_path, request, [completion])
+
+    client = LlmClient(mode="replay", replay_store=ReplayStore.load(store_path),
+                       model="offline-model")
+    out_dir = tmp_path / "run"
+    outcome = run_pipeline(PipelineConfig(mode="ltmp-gp"), client, dataset,
+                           train=train_dataset, exemplars=exemplars,
+                           ss_records=records, out_dir=out_dir)
+    assert not outcome.errors
+    assert outcome.predictions == {(ex.db_id, ex.nl): normalize_sql(ex.sql)
+                                   for ex in queries}
+    assert [t.test_nl for t in outcome.traces] == [ex.nl for ex in queries]
+    for index, stages in expected_prompts.items():
+        qdir = out_dir / fixturelib.NUCLEAR_DB / str(index)
+        for stage, expected in enumerate(stages, 1):
+            persisted = load_artifact(qdir / f"stage{stage}.prompt")
+            assert persisted.text == expected.text
+            assert persisted.mode == f"ltmp_gp_stage{stage}"
+        assert (qdir / "final.sql").read_text() == normalize_sql(queries[index].sql)

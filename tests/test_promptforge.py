@@ -176,7 +176,7 @@ def gp_chains(train_dataset):
 
 def test_ltmp_gp_stage1_matches_golden(golden, train_dataset, test_dataset):
     artifact = build_ltmp_prompt(
-        "gp", 1, gp_chains(train_dataset),
+        "ltmp-gp", 1, gp_chains(train_dataset),
         test_nl=fixturelib.TEST_QUESTION,
         databases=train_dataset.databases,
         test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
@@ -189,7 +189,7 @@ def test_ltmp_gp_stage1_matches_golden(golden, train_dataset, test_dataset):
 
 def test_ltmp_da_gp_stage3_matches_golden(golden):
     artifact = build_ltmp_prompt(
-        "da", 3, da_chains(),
+        "ltmp-da-gp", 3, da_chains(),
         test_nl=fixturelib.TEST_QUESTION,
         target=fixturelib.nuclear_pinned_profile(),
         test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
@@ -203,7 +203,7 @@ def test_ltmp_da_gp_stage3_matches_golden(golden):
 
 def test_ltmp_stage2_cue(golden):
     artifact = build_ltmp_prompt(
-        "da", 2, da_chains(),
+        "ltmp-da-gp", 2, da_chains(),
         test_nl=fixturelib.TEST_QUESTION,
         target=fixturelib.nuclear_pinned_profile(),
         test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,

@@ -14,7 +14,6 @@ from psmith.sampler import (
     greedy_cover,
     read_report,
     sample_exemplars,
-    sort_databases,
     summarize,
     write_report,
 )
@@ -22,7 +21,7 @@ from psmith.sqlanalysis import extract_operators
 
 
 def test_sort_databases_orders_by_coverage(train_dataset):
-    order = sort_databases(train_dataset)
+    order = sample_exemplars(train_dataset).db_order
     assert order == ["college_2", "hr_1", "inn_1", "product_catalog", "flight_2"]
 
 
@@ -35,7 +34,7 @@ def test_sort_databases_tie_break():
         examples=[AnnotatedExample("beta", "q1", "SELECT a FROM t"),
                   AnnotatedExample("alpha", "q2", "SELECT b FROM u")],
         role="train")
-    assert sort_databases(dataset) == ["alpha", "beta"]
+    assert sample_exemplars(dataset).db_order == ["alpha", "beta"]
 
 
 def test_sample_covers_whole_catalog(train_dataset):
@@ -72,6 +71,22 @@ def test_sample_skips_unparseable_rows(train_dataset, caplog):
         result = sample_exemplars(train_dataset)
     assert "unparseable" in caplog.text
     assert all(e.sql != "SELECT airline FROM WHERE !!" for e in result.exemplars)
+
+
+def test_sample_extracts_ops_once_per_example(train_dataset, monkeypatch, caplog):
+    import psmith.sampler
+
+    calls = []
+
+    def counting(sql, *args, **kwargs):
+        calls.append(sql)
+        return extract_operators(sql, *args, **kwargs)
+
+    monkeypatch.setattr(psmith.sampler, "extract_operators", counting)
+    with caplog.at_level("WARNING"):
+        sample_exemplars(train_dataset)
+    assert sorted(calls) == sorted(ex.sql for ex in train_dataset.examples)
+    assert caplog.text.count("skipping unparseable training SQL") == 1
 
 
 def test_single_superset_example():
