@@ -57,6 +57,8 @@ EXIT_DEFECTS = 5
 
 _FIELDS = {key.name: key for key in fields(PipelineConfig)}
 _TYPES = typing.get_type_hints(PipelineConfig)
+# every key but mode, which only run --mode sets, can come from a file or a flag
+_FILE_KEYS = tuple(key for key in _FIELDS if key != "mode")
 
 
 def _parse_value(key: str, value: str):
@@ -77,7 +79,9 @@ def read_config_file(path: str | Path) -> dict:
             raise click.ClickException(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELDS:
+        if key == "mode":
+            raise click.ClickException(f"{path}:{lineno}: mode is set by run --mode only")
+        if key not in _FILE_KEYS:
             raise click.ClickException(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, value)
     return values
@@ -142,9 +146,7 @@ def _config_options(*keys: str, sources: bool = False):
     return decorate
 
 
-# adapt and run take every key as a flag except mode, which run declares itself
-_generation_options = _config_options(
-    *(key for key in _FIELDS if key != "mode"), sources=True)
+_generation_options = _config_options(*_FILE_KEYS, sources=True)
 
 
 def _load_test_dataset(test_dir: str):

@@ -1,8 +1,9 @@
 """Execution-accuracy scoring of predicted SQL against gold SQL over SQLite.
 
-Predictions are untrusted input: databases are opened read-only, statements
-other than a single SELECT are rejected before execution, and a statement
-timeout bounds pathological queries. Result comparison uses multiset
+Predictions are untrusted input: databases are opened read-only, an
+authorizer refuses every action but reading when a statement is prepared,
+sqlite refuses a second statement, and a statement timeout bounds
+pathological queries. Result comparison uses multiset
 semantics by default and row-sequence semantics when the gold query has a
 top-level ORDER BY.
 """
@@ -32,6 +33,11 @@ _TOLERANT_MATCH_LIMIT = 5000
 
 _PROGRESS_GRANULARITY = 10_000
 
+# the only actions a query needs; writes, ATTACH, PRAGMA, temp objects and
+# transactions are all denied when the statement is prepared
+_READ_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                           sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
+
 
 @dataclass(frozen=True)
 class ResultTable:
@@ -44,38 +50,20 @@ class ResultTable:
                 raise ValueError("all rows must share the arity")
 
 
-_WRITE_RE = re.compile(
-    r"^\s*(INSERT|UPDATE|DELETE|DROP|CREATE|ALTER|REPLACE|ATTACH|DETACH|"
-    r"PRAGMA|VACUUM|REINDEX|BEGIN|COMMIT|ROLLBACK)\b",
-    re.IGNORECASE,
-)
-
-
-def _reject_unsafe(sql: str) -> None:
-    if _WRITE_RE.match(sql):
-        raise SqlRejected(f"refusing non-SELECT statement: {sql[:80]!r}")
-    # multiple statements: anything but whitespace after the first ';'
-    head, sep, tail = sql.partition(";")
-    if sep and tail.strip():
-        raise SqlRejected(f"refusing multi-statement input: {sql[:80]!r}")
-    if not re.match(r"^\s*(SELECT|WITH)\b", sql, re.IGNORECASE):
-        raise SqlRejected(f"statement does not start with SELECT: {sql[:80]!r}")
-
-
 def execute_sql(db_path: str | Path, sql: str,
                 timeout_s: float = STATEMENT_TIMEOUT_S) -> ResultTable:
-    """Execute one SELECT on a read-only connection and materialize the result.
+    """Execute one query on a read-only connection and materialize the result.
 
-    Raises SqlRejected for non-SELECT input, SqlTimeout past the statement
-    timeout, and SqlError for syntax/semantic failures (message attached).
+    Raises SqlRejected for anything but a single read-only statement,
+    SqlTimeout past the statement timeout, and SqlError for syntax/semantic
+    failures (message attached).
     """
-    _reject_unsafe(sql)
     db_path = Path(db_path)
     if not db_path.exists():
         raise SqlError(f"database file not found: {db_path}")
     conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
     deadline = time.monotonic() + timeout_s
-    timed_out = []
+    timed_out, denied = [], []
 
     def guard():
         if time.monotonic() > deadline:
@@ -83,16 +71,29 @@ def execute_sql(db_path: str | Path, sql: str,
             return 1
         return 0
 
+    def authorize(action, *_):
+        if action in _READ_ACTIONS:
+            return sqlite3.SQLITE_OK
+        denied.append(action)
+        return sqlite3.SQLITE_DENY
+
+    conn.set_authorizer(authorize)
     conn.set_progress_handler(guard, _PROGRESS_GRANULARITY)
     try:
         cursor = conn.execute(sql)
+        if cursor.description is None:  # blank or comment-only input
+            raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
         rows = tuple(tuple(row) for row in cursor.fetchall())
-        columns = len(cursor.description) if cursor.description else 0
-    except sqlite3.OperationalError as exc:
+        columns = len(cursor.description)
+    except sqlite3.ProgrammingError as exc:
+        # e.g. "You can only execute one statement at a time."
+        raise SqlRejected(f"refusing {sql[:80]!r}: {exc}") from None
+    except sqlite3.DatabaseError as exc:
+        if denied:
+            raise SqlRejected(f"refusing a statement that is not a read-only query: "
+                              f"{sql[:80]!r}") from None
         if timed_out:
             raise SqlTimeout(f"statement exceeded {timeout_s}s: {sql[:80]!r}") from None
-        raise SqlError(str(exc)) from None
-    except sqlite3.DatabaseError as exc:
         raise SqlError(str(exc)) from None
     finally:
         conn.close()

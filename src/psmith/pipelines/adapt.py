@@ -21,6 +21,7 @@ from ..errors import (
     ParseError,
     PsmithError,
     SqlError,
+    UnparseableSteps,
 )
 from ..evaluator import execute_sql
 from ..llmclient import LlmClient
@@ -217,7 +218,7 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
     Returns (bundle, failure descriptions).
     """
     from ..promptforge.prompts import build_ltmp_prompt
-    from .ltmp import parse_item_list, run_stage1_decompose
+    from .ltmp import _generate_list, run_stage1_decompose
     from .run import chains_from_records
 
     bundle = AdaptationBundle(target_schema.db_id, ted_threshold)
@@ -250,13 +251,10 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
                     "ltmp-gp", 2, chains, entry.adapted_nl, databases=draft_context,
                     test_sub_questions=subs, budget=budget,
                     test_schema=target_schema)
-                request = client.request(stage2.text, max_output_tokens=max_output_tokens,
-                                         stop=["\n"])
                 # drafts skip the strict arity check of the run-time stage;
                 # the reviewer reconciles sub-questions and steps by hand
-                steps = tuple(parse_item_list(client.generate(request).text))
-                if not steps:
-                    raise EmptyGeneration(entry.adapted_nl)
+                steps, _ = _generate_list(stage2, client, max_output_tokens,
+                                          UnparseableSteps)
             except PsmithError as exc:
                 logger.warning("decomposition draft failed for %r: %s",
                                entry.adapted_nl, exc)

@@ -53,16 +53,23 @@ def parse_item_list(raw: str) -> list[str]:
     return [piece.strip() for piece in inner.split(",") if piece.strip()]
 
 
-def run_stage1_decompose(artifact: PromptArtifact, client: LlmClient,
-                         max_output_tokens: int = 256) -> tuple[tuple[str, ...], str]:
-    """Generate and parse the test question's sub-question list."""
+def _generate_list(artifact: PromptArtifact, client: LlmClient, max_output_tokens: int,
+                   unparseable: type[Exception]) -> tuple[tuple[str, ...], str]:
+    """Generate a one-line bracketed list and parse it; raise *unparseable*
+    with the completion when no item parses. Returns (items, completion)."""
     request = client.request(artifact.text, max_output_tokens=max_output_tokens,
                              stop=["\n"])
     result = client.generate(request)
     items = parse_item_list(result.text)
     if not items:
-        raise UnparseableDecomposition(result.text)
+        raise unparseable(result.text)
     return tuple(items), result.text
+
+
+def run_stage1_decompose(artifact: PromptArtifact, client: LlmClient,
+                         max_output_tokens: int = 256) -> tuple[tuple[str, ...], str]:
+    """Generate and parse the test question's sub-question list."""
+    return _generate_list(artifact, client, max_output_tokens, UnparseableDecomposition)
 
 
 def run_stage2_map_natsql(artifact: PromptArtifact, client: LlmClient,
@@ -75,19 +82,11 @@ def run_stage2_map_natsql(artifact: PromptArtifact, client: LlmClient,
     """
     if not sub_questions:
         raise ValueError("stage 2 needs at least one sub-question")
-    request = client.request(artifact.text, max_output_tokens=max_output_tokens,
-                             stop=["\n"])
-    result = client.generate(request)
-    items = parse_item_list(result.text)
-    if not items:
-        raise UnparseableSteps(result.text)
-    if len(sub_questions) == 1:
-        if len(items) < 1:
-            raise ArityMismatch("no steps for a single-segment question")
-    elif len(items) != len(sub_questions):
+    items, text = _generate_list(artifact, client, max_output_tokens, UnparseableSteps)
+    if len(sub_questions) > 1 and len(items) != len(sub_questions):
         raise ArityMismatch(
             f"{len(sub_questions)} sub-questions but {len(items)} steps")
-    return tuple(items), result.text
+    return items, text
 
 
 def run_stage3_compose_sql(artifact: PromptArtifact, client: LlmClient,

@@ -19,7 +19,7 @@ from typing import Hashable, Sequence
 from .corpus.types import AnnotatedDataset, Role
 from .errors import BudgetExceeded, ParseError
 from .promptforge.budget import TokenBudget
-from .sqlanalysis.ops import PrimitiveOp, PrimitiveOpSet, default_catalog, extract_operators
+from .sqlanalysis.ops import PrimitiveOp, default_catalog, extract_operators
 
 logger = logging.getLogger(__name__)
 
@@ -29,7 +29,7 @@ class Exemplar:
     db_id: str
     nl: str
     sql: str
-    ops: PrimitiveOpSet
+    ops: frozenset[PrimitiveOp]
 
 
 @dataclass
@@ -37,11 +37,8 @@ class ExemplarSet:
     items: list[Exemplar] = field(default_factory=list)
 
     @property
-    def covered(self) -> PrimitiveOpSet:
-        out = PrimitiveOpSet()
-        for item in self.items:
-            out = out | item.ops
-        return out
+    def covered(self) -> frozenset[PrimitiveOp]:
+        return frozenset().union(*(item.ops for item in self.items))
 
     def db_ids(self) -> list[str]:
         seen: list[str] = []
@@ -87,7 +84,7 @@ def greedy_cover(
     return [key for key, _ in selected], first_cover
 
 
-def _safe_extract(sql: str, catalog: PrimitiveOpSet) -> PrimitiveOpSet | None:
+def _safe_extract(sql: str, catalog: frozenset[PrimitiveOp]) -> frozenset[PrimitiveOp] | None:
     try:
         return extract_operators(sql, catalog)
     except ParseError as exc:
@@ -112,7 +109,7 @@ class SamplingResult:
 
 
 def sample_exemplars(dataset: AnnotatedDataset,
-                     catalog: PrimitiveOpSet | None = None,
+                     catalog: frozenset[PrimitiveOp] | None = None,
                      budget: TokenBudget | None = None) -> SamplingResult:
     """Algorithm: traverse databases in descending order of the operator
     coverage of their queries, ties by ascending db_id, and each database's
@@ -127,9 +124,8 @@ def sample_exemplars(dataset: AnnotatedDataset,
         raise ValueError("exemplars are sampled from a training dataset")
     catalog = catalog or default_catalog()
     budget = budget or TokenBudget()
-    catalog_ops = frozenset(catalog)
 
-    ops_by_key: dict[tuple[str, int], PrimitiveOpSet] = {}
+    ops_by_key: dict[tuple[str, int], frozenset[PrimitiveOp]] = {}
     example_by_key: dict[tuple[str, int], object] = {}
     per_db: dict[str, list[tuple[str, int]]] = {db: [] for db in dataset.databases}
     for idx, example in enumerate(dataset.examples):
@@ -141,19 +137,15 @@ def sample_exemplars(dataset: AnnotatedDataset,
         example_by_key[key] = example
         per_db[example.db_id].append(key)
 
-    coverage = {db_id: frozenset().union(*(ops_by_key[key] for key in keys)) & catalog_ops
+    coverage = {db_id: frozenset().union(*(ops_by_key[key] for key in keys))
                 for db_id, keys in per_db.items()}
     db_order = sorted(coverage, key=lambda db_id: (-len(coverage[db_id]), db_id))
-    ordered_items = [
-        (key, frozenset(ops_by_key[key]))
-        for db_id in db_order
-        for key in per_db[db_id]
-    ]
-    selected_keys, first_cover_keys = greedy_cover(ordered_items, catalog_ops)
+    ordered_items = [(key, ops_by_key[key]) for db_id in db_order for key in per_db[db_id]]
+    selected_keys, first_cover_keys = greedy_cover(ordered_items, catalog)
 
     exemplars = ExemplarSet([
         Exemplar(example_by_key[k].db_id, example_by_key[k].nl,
-                 example_by_key[k].sql, ops_by_key[k] & catalog)
+                 example_by_key[k].sql, ops_by_key[k])
         for k in selected_keys
     ])
     first_cover = {
@@ -161,7 +153,7 @@ def sample_exemplars(dataset: AnnotatedDataset,
         for op, key in first_cover_keys.items()
     }
 
-    unattainable = sorted(PrimitiveOpSet(catalog) - exemplars.covered)
+    unattainable = sorted(catalog - exemplars.covered)
     if unattainable:
         logger.warning(
             "catalog ops unattainable from the corpus: %s",
@@ -190,11 +182,9 @@ def _prune_to_budget(exemplars: ExemplarSet, dataset: AnnotatedDataset,
     while rendered_size() > budget.limit:
         candidates = []
         for i, item in enumerate(exemplars.items):
-            others = PrimitiveOpSet()
-            for j, other in enumerate(exemplars.items):
-                if j != i:
-                    others = others | other.ops
-            if item.ops.issubset(others):
+            others = frozenset().union(
+                *(other.ops for j, other in enumerate(exemplars.items) if j != i))
+            if item.ops <= others:
                 candidates.append((len(item.ops & others), i))
         if not candidates:
             raise BudgetExceeded(
@@ -231,7 +221,7 @@ def write_report(result: SamplingResult, path: str | Path) -> None:
                 "db_id": item.db_id,
                 "nl": item.nl,
                 "sql": item.sql,
-                "ops": [str(op) for op in item.ops],
+                "ops": [str(op) for op in sorted(item.ops)],
             }, sort_keys=True) + "\n")
         for op, key in sorted(result.first_cover.items()):
             f.write(json.dumps({
@@ -249,8 +239,7 @@ def read_report(path: str | Path) -> ExemplarSet:
             record = json.loads(line)
             if record.get("kind") != "exemplar":
                 continue
-            ops = PrimitiveOpSet(
-                PrimitiveOp(*entry.split(":", 1)) for entry in record["ops"])
+            ops = frozenset(PrimitiveOp(*entry.split(":", 1)) for entry in record["ops"])
             items.append(Exemplar(record["db_id"], record["nl"], record["sql"], ops))
     return ExemplarSet(items)
 

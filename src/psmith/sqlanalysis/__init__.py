@@ -2,7 +2,6 @@
 
 from .ops import (
     PrimitiveOp,
-    PrimitiveOpSet,
     default_catalog,
     extract_operators,
     extract_operators_detailed,
@@ -14,7 +13,6 @@ from .ted import tree_edit_distance
 
 __all__ = [
     "PrimitiveOp",
-    "PrimitiveOpSet",
     "SkeletonNode",
     "SqlSkeleton",
     "default_catalog",

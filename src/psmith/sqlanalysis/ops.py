@@ -2,21 +2,22 @@
 
 The catalog of tracked clauses/operators/functions lives in a versioned
 data file (``data/primitive_ops.tsv``); extraction returns exactly the
-catalog members syntactically present in a query. Parsed constructs with
-no catalog mapping (e.g. ``%``, ``IS``, uncatalogued functions) are logged,
+catalog members syntactically present in a query. It reads the claims the
+query's skeleton records (see ``skeleton``), so the rules for what a
+construct counts as are written down once. Parsed constructs with no
+catalog mapping (e.g. ``%``, ``IS``, uncatalogued functions) are logged,
 never silently dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
 
-from . import parser as ast
-from .parser import parse_sql
+from .skeleton import skeletonize
 
 logger = logging.getLogger(__name__)
 
@@ -39,55 +40,7 @@ class PrimitiveOp:
         return f"{self.kind}:{self.name}"
 
 
-class PrimitiveOpSet:
-    """An immutable set of PrimitiveOp with ordinary set semantics."""
-
-    __slots__ = ("_ops",)
-
-    def __init__(self, ops: Iterable[PrimitiveOp] = ()):
-        self._ops = frozenset(ops)
-
-    def __contains__(self, op: PrimitiveOp) -> bool:
-        return op in self._ops
-
-    def __iter__(self) -> Iterator[PrimitiveOp]:
-        return iter(sorted(self._ops))
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimitiveOpSet) and self._ops == other._ops
-
-    def __hash__(self) -> int:
-        return hash(self._ops)
-
-    def __le__(self, other: "PrimitiveOpSet") -> bool:
-        return self._ops <= other._ops
-
-    def __or__(self, other: "PrimitiveOpSet") -> "PrimitiveOpSet":
-        return PrimitiveOpSet(self._ops | other._ops)
-
-    def __and__(self, other: "PrimitiveOpSet") -> "PrimitiveOpSet":
-        return PrimitiveOpSet(self._ops & other._ops)
-
-    def __sub__(self, other: "PrimitiveOpSet") -> "PrimitiveOpSet":
-        return PrimitiveOpSet(self._ops - other._ops)
-
-    def issubset(self, other: "PrimitiveOpSet") -> bool:
-        return self._ops <= other._ops
-
-    def issuperset(self, other: "PrimitiveOpSet") -> bool:
-        return self._ops >= other._ops
-
-    def names(self) -> list[str]:
-        return [op.name for op in self]
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(str(op) for op in self) + "}"
-
-
-def load_catalog(path: str | Path | None = None) -> PrimitiveOpSet:
+def load_catalog(path: str | Path | None = None) -> frozenset[PrimitiveOp]:
     """Load the catalog file (``kind<TAB>name`` lines, ``#`` comments allowed).
 
     With no path, the catalog shipped with the package is used.
@@ -106,185 +59,54 @@ def load_catalog(path: str | Path | None = None) -> PrimitiveOpSet:
         except ValueError:
             raise ValueError(f"bad catalog line {lineno}: {line!r}") from None
         ops.append(PrimitiveOp(kind, name))
-    opset = PrimitiveOpSet(ops)
+    opset = frozenset(ops)
     if len(opset) != len(ops):
         raise ValueError("duplicate (kind, name) entries in catalog")
     return opset
 
 
-_default_catalog: PrimitiveOpSet | None = None
+_default_catalog: frozenset[PrimitiveOp] | None = None
 
 
-def default_catalog() -> PrimitiveOpSet:
+def default_catalog() -> frozenset[PrimitiveOp]:
     global _default_catalog
     if _default_catalog is None:
         _default_catalog = load_catalog()
     return _default_catalog
 
 
-def _clause(name: str) -> PrimitiveOp:
-    return PrimitiveOp("clause", name)
-
-
-def _op(name: str) -> PrimitiveOp:
-    return PrimitiveOp("operator", OPERATOR_ALIASES.get(name, name))
-
-
-def _func(name: str) -> PrimitiveOp:
-    return PrimitiveOp("function", name)
-
-
-class _OpCollector:
-    """Walks the AST collecting candidate (kind, name) claims."""
-
-    def __init__(self):
-        self.claims: set[PrimitiveOp] = set()
-
-    def query(self, q: ast.Query) -> None:
-        self.body(q.body)
-        if q.order_by:
-            self.claims.add(_clause("ORDER BY"))
-            for key in q.order_by:
-                self.expr(key.expr)
-        if q.limit:
-            self.claims.add(_clause("LIMIT"))
-            for e in q.limit:
-                self.expr(e)
-
-    def body(self, body) -> None:
-        if isinstance(body, ast.Compound):
-            self.claims.add(_clause(body.op))
-            self.body(body.left)
-            self.body(body.right)
-        else:
-            self.core(body)
-
-    def core(self, core: ast.SelectCore) -> None:
-        self.claims.add(_clause("SELECT"))
-        if core.distinct:
-            self.claims.add(_clause("DISTINCT"))
-        for item in core.items:
-            self.expr(item)
-        if core.sources:
-            self.claims.add(_clause("FROM"))
-            for src in core.sources:
-                if src.joined:
-                    self.claims.add(_clause("JOIN"))
-                if src.subquery is not None:
-                    self.subquery(src.subquery)
-                if src.on is not None:
-                    self.expr(src.on)
-        if core.where is not None:
-            self.claims.add(_clause("WHERE"))
-            self.expr(core.where)
-        if core.group_by:
-            self.claims.add(_clause("GROUP BY"))
-            for e in core.group_by:
-                self.expr(e)
-        if core.having is not None:
-            self.claims.add(_clause("HAVING"))
-            self.expr(core.having)
-
-    def subquery(self, sub: ast.Subquery) -> None:
-        self.claims.add(_clause("SUBQUERY"))
-        self.query(sub.query)
-
-    def expr(self, e) -> None:
-        if e is None or isinstance(e, (ast.Lit, ast.Col)):
-            return
-        if isinstance(e, ast.Bin):
-            self.claims.add(_op(e.op))
-            self.expr(e.left)
-            self.expr(e.right)
-        elif isinstance(e, ast.Unary):
-            self.claims.add(_op(e.op))
-            self.expr(e.operand)
-        elif isinstance(e, ast.Func):
-            self.claims.add(_func(e.name))
-            if e.distinct:
-                self.claims.add(_clause("DISTINCT"))
-            for a in e.args:
-                self.expr(a)
-        elif isinstance(e, ast.InExpr):
-            if e.negated:
-                self.claims.add(_op("NOT"))
-            self.claims.add(_op("IN"))
-            self.expr(e.lhs)
-            for v in e.values:
-                self.expr(v)
-            if e.subquery is not None:
-                self.subquery(e.subquery)
-        elif isinstance(e, ast.LikeExpr):
-            if e.negated:
-                self.claims.add(_op("NOT"))
-            self.claims.add(_op("LIKE"))
-            self.expr(e.lhs)
-            self.expr(e.pattern)
-        elif isinstance(e, ast.BetweenExpr):
-            if e.negated:
-                self.claims.add(_op("NOT"))
-            # the AND token is syntactically present in BETWEEN ... AND ...
-            self.claims.add(_op("BETWEEN"))
-            self.claims.add(_op("AND"))
-            self.expr(e.lhs)
-            self.expr(e.low)
-            self.expr(e.high)
-        elif isinstance(e, ast.IsExpr):
-            if e.negated:
-                self.claims.add(_op("NOT"))
-            self.claims.add(_op("IS"))
-            self.expr(e.lhs)
-            self.expr(e.rhs)
-        elif isinstance(e, ast.ExistsExpr):
-            if e.negated:
-                self.claims.add(_op("NOT"))
-            self.claims.add(_op("EXISTS"))
-            self.subquery(e.subquery)
-        elif isinstance(e, ast.Subquery):
-            self.subquery(e)
-        elif isinstance(e, ast.CaseExpr):
-            self.claims.add(_clause("CASE"))
-            self.expr(e.operand)
-            for cond, result in e.whens:
-                self.expr(cond)
-                self.expr(result)
-            self.expr(e.default)
-        else:  # pragma: no cover - parser produces no other node types
-            raise TypeError(f"unhandled AST node {type(e).__name__}")
-
-
-SUPPORTED_DIALECTS = ("sqlite",)
+@functools.lru_cache(maxsize=1024)
+def _canonical(kind: str, name: str) -> PrimitiveOp:
+    """The op a skeleton claim stands for, comparison aliases folded."""
+    return PrimitiveOp(kind, OPERATOR_ALIASES.get(name, name) if kind == "operator" else name)
 
 
 def extract_operators_detailed(
-    sql: str, catalog: PrimitiveOpSet | None = None, dialect: str = "sqlite"
-) -> tuple[PrimitiveOpSet, list[PrimitiveOp]]:
+    sql: str, catalog: frozenset[PrimitiveOp] | None = None
+) -> tuple[frozenset[PrimitiveOp], list[PrimitiveOp]]:
     """Extract catalog members present in *sql*, plus uncatalogued claims.
 
     Returns (ops, unknowns). Unknown constructs are also logged at WARNING.
     Raises ParseError when the SQL does not parse.
     """
-    if dialect not in SUPPORTED_DIALECTS:
-        raise ValueError(f"unsupported dialect {dialect!r}")
     if catalog is None:
         catalog = default_catalog()
-    collector = _OpCollector()
-    collector.query(parse_sql(sql))
-    known = [c for c in collector.claims if c in catalog]
-    unknown = sorted(c for c in collector.claims if c not in catalog)
+    claims = frozenset(_canonical(*claim) for claim in skeletonize(sql).claims())
+    known = claims & catalog
+    unknown = sorted(claims - known)
     if unknown:
         logger.warning(
             "constructs outside the primitive-op catalog in %r: %s",
             sql, ", ".join(str(u) for u in unknown),
         )
-    return PrimitiveOpSet(known), unknown
+    return known, unknown
 
 
-def extract_operators(sql: str, catalog: PrimitiveOpSet | None = None,
-                      dialect: str = "sqlite") -> PrimitiveOpSet:
+def extract_operators(sql: str,
+                      catalog: frozenset[PrimitiveOp] | None = None) -> frozenset[PrimitiveOp]:
     """The set of canonical catalog members syntactically present in *sql*.
 
     Deterministic and idempotent; subqueries are included.
     """
-    ops, _ = extract_operators_detailed(sql, catalog, dialect)
+    ops, _ = extract_operators_detailed(sql, catalog)
     return ops

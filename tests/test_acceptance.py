@@ -133,7 +133,7 @@ def test_c5_extraction_ground_truth():
     mismatches = []
     for label, index in zip(GP_QUERY_LABELS, fixturelib.GP_PINNED_INDICES):
         _, nl, sql = fixturelib.TRAIN_EXAMPLES[index]
-        got = set(extract_operators(sql).names())
+        got = {op.name for op in extract_operators(sql)}
         if got != label:
             mismatches.append((nl, sorted(got), sorted(label)))
     assert not mismatches, mismatches

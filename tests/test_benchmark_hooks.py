@@ -66,3 +66,27 @@ def test_every_prompt_builder_has_span_info(spans):
     assert builders
     for name in builders:
         assert f"promptforge.{name}" in spans.INFO, name
+
+
+def test_sampling_extracts_ops_under_the_traced_name(spans, train_dataset, caplog):
+    """``sampler.ops_per_example`` counts ``sqlanalysis.extract_operators``
+    spans under ``sampler.sample_exemplars``; if the sampler reached op
+    extraction by another name, the metric would silently read 0."""
+    from psmith import sampler
+
+    tracer = spans.Tracer()
+    undo = spans.instrument(tracer)
+    try:
+        with caplog.at_level("WARNING", logger="psmith.sampler"):
+            sampler.sample_exemplars(train_dataset)
+    finally:
+        undo()
+    up = spans.ancestors(tracer.spans)
+    extractions = [s for s in tracer.spans if s.name == "sqlanalysis.extract_operators"
+                   and "sampler.sample_exemplars" in up(s)]
+    unparseable = caplog.text.count("skipping unparseable training SQL")
+    assert 0 < unparseable < len(train_dataset.examples)
+    # one span per parseable example, and one per unparseable example,
+    # whose extraction raises inside its span
+    assert len(extractions) == len(train_dataset.examples)
+    assert spans.layer_metrics(tracer.spans)["sampler.ops_per_example"] == 1.0

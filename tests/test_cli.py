@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -37,6 +38,19 @@ def test_config_rejects_unknown_key(tmp_path):
                                   "--out", str(tmp_path / "r.jsonl"),
                                   "--config", str(path)])
     assert result.exit_code != 0
+
+
+def test_config_rejects_mode_key(runner, kaggledbqa_dir, tmp_path):
+    path = tmp_path / "mode.conf"
+    path.write_text("ted_threshold = 3\nmode = da-gp\n")
+    with pytest.raises(click.ClickException, match="run --mode"):
+        read_config_file(path)
+    result = runner.invoke(main, [
+        "run", "--mode", "gp", "--config", str(path), "--test", str(kaggledbqa_dir),
+        "--runs", str(tmp_path / "runs"), "--run-id", "R", "--replay", str(STORE)])
+    assert result.exit_code != 0
+    assert "run --mode" in result.output + result.stderr
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sample_command(runner, spider_dir, tmp_path):

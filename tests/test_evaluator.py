@@ -66,6 +66,25 @@ def test_execute_rejects_writes(scores_db):
     assert hashlib.sha256(scores_db.read_bytes()).hexdigest() == before
 
 
+def test_execute_allows_semicolon_in_literal_and_trailing_comment(scores_db):
+    assert execute_sql(scores_db, "SELECT name FROM scores WHERE name = 'a;b'").rows == ()
+    table = execute_sql(scores_db, "SELECT name FROM scores WHERE points = 7; -- done")
+    assert table == ResultTable(1, (("dee",),))
+
+
+def test_execute_rejects_attach_temp_objects_and_blank_input(scores_db, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    for statement in ["ATTACH 'other.sqlite' AS other",
+                      f"ATTACH '{tmp_path / 'abs.sqlite'}' AS other",
+                      "CREATE TEMP TABLE copy AS SELECT * FROM scores",
+                      "CREATE TEMP VIEW v AS SELECT name FROM scores",
+                      "", "-- no query here"]:
+        with pytest.raises(SqlRejected):
+            execute_sql(scores_db, statement)
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_execute_timeout(scores_db):
     # cross join explosion; must abort quickly rather than hang
     slow = ("SELECT count(*) FROM scores a, scores b, scores c, scores d, scores e, "

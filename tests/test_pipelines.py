@@ -516,13 +516,6 @@ def test_cot_flag_changes_stage_prompt(train_dataset, test_dataset):
     assert without.text.endswith("A:")
 
 
-def test_extract_operators_rejects_unknown_dialect():
-    from psmith.sqlanalysis import extract_operators
-
-    with pytest.raises(ValueError):
-        extract_operators("SELECT 1", dialect="postgres")
-
-
 def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
                                          spider_ss_dir):
     """ltmp-gp through run_pipeline: three stages per query, each persisted

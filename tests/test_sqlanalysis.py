@@ -10,7 +10,6 @@ from oracles import ted_oracle
 from psmith.errors import ParseError
 from psmith.sqlanalysis import (
     PrimitiveOp,
-    PrimitiveOpSet,
     default_catalog,
     extract_operators,
     extract_operators_detailed,
@@ -25,8 +24,8 @@ def ops(*names: str) -> set[str]:
     return set(names)
 
 
-def names_of(opset: PrimitiveOpSet) -> set[str]:
-    return set(opset.names())
+def names_of(opset: frozenset[PrimitiveOp]) -> set[str]:
+    return {op.name for op in opset}
 
 
 # --- catalog -----------------------------------------------------------------
@@ -128,6 +127,74 @@ def test_star_disambiguation():
 def test_signed_literal_is_not_subtraction():
     assert "-" not in names_of(extract_operators("SELECT a FROM t WHERE b = -5"))
     assert "-" in names_of(extract_operators("SELECT a - b FROM t"))
+
+
+# Exact (ops, unknowns) per construct whose counting rule is easy to get wrong.
+EXTRACTION_CASES = {
+    "SELECT a FROM t WHERE b NOT IN (1, 2)":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:NOT", "operator:IN"}, []),
+    "SELECT a FROM t WHERE b NOT LIKE '%x%'":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:NOT", "operator:LIKE"}, []),
+    "SELECT a FROM t WHERE b NOT BETWEEN 1 AND 5":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:NOT",
+          "operator:BETWEEN", "operator:AND"}, []),
+    "SELECT a FROM t WHERE b IS NOT NULL":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:NOT"}, ["operator:IS"]),
+    "SELECT a FROM t WHERE NOT EXISTS (SELECT 1 FROM u)":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "clause:SUBQUERY", "operator:NOT"},
+         ["operator:EXISTS"]),
+    "SELECT a FROM t WHERE b BETWEEN 1 AND 5":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:BETWEEN", "operator:AND"}, []),
+    "SELECT DISTINCT a FROM t":
+        ({"clause:SELECT", "clause:DISTINCT", "clause:FROM"}, []),
+    "SELECT count(DISTINCT a) FROM t":
+        ({"clause:SELECT", "clause:DISTINCT", "function:COUNT", "clause:FROM"}, []),
+    "SELECT a FROM t, u WHERE t.id = u.id":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:="}, []),
+    "SELECT a FROM t JOIN u ON t.id = u.id":
+        ({"clause:SELECT", "clause:FROM", "clause:JOIN", "operator:="}, []),
+    "SELECT a FROM (SELECT a FROM t) AS s":
+        ({"clause:SELECT", "clause:FROM", "clause:SUBQUERY"}, []),
+    "SELECT a FROM t WHERE b > (SELECT avg(b) FROM t)":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "clause:SUBQUERY", "operator:>",
+          "function:AVG"}, []),
+    "SELECT a FROM t WHERE b IN (SELECT b FROM u)":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "clause:SUBQUERY", "operator:IN"}, []),
+    "SELECT a FROM t UNION ALL SELECT b FROM u INTERSECT SELECT c FROM v "
+    "ORDER BY a DESC LIMIT 3":
+        ({"clause:SELECT", "clause:FROM", "clause:UNION", "clause:INTERSECT",
+          "clause:ORDER BY", "clause:LIMIT"}, []),
+    "SELECT CASE WHEN a > 1 THEN 'x' ELSE 'y' END FROM t":
+        ({"clause:SELECT", "clause:FROM", "operator:>"}, ["clause:CASE"]),
+    "SELECT -a FROM t":
+        ({"clause:SELECT", "clause:FROM", "operator:-"}, []),
+    "SELECT a FROM t WHERE b = -5":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:="}, []),
+    "SELECT a FROM t WHERE b <= 1 AND c >= 2 OR d <> 3":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:<", "operator:>",
+          "operator:!=", "operator:AND", "operator:OR"}, []),
+    "SELECT subquery(a) FROM t":
+        ({"clause:SELECT", "clause:FROM"}, ["function:SUBQUERY"]),
+    "SELECT query(a) FROM t":
+        ({"clause:SELECT", "clause:FROM"}, ["function:QUERY"]),
+    "SELECT groupby(b) FROM t":
+        ({"clause:SELECT", "clause:FROM"}, ["function:GROUPBY"]),
+}
+
+
+@pytest.mark.parametrize("sql", EXTRACTION_CASES)
+def test_extract_operators_detailed_exact(sql, caplog):
+    expected_ops, expected_unknowns = EXTRACTION_CASES[sql]
+    with caplog.at_level("WARNING", logger="psmith.sqlanalysis.ops"):
+        found, unknown = extract_operators_detailed(sql)
+    assert {str(op) for op in found} == expected_ops
+    assert [str(op) for op in unknown] == expected_unknowns
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    if expected_unknowns:
+        assert warnings == [f"constructs outside the primitive-op catalog in {sql!r}: "
+                            + ", ".join(expected_unknowns)]
+    else:
+        assert warnings == []
 
 
 # --- skeletons -------------------------------------------------------------------
