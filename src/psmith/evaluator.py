@@ -2,10 +2,14 @@
 
 Predictions are untrusted input: databases are opened read-only, an
 authorizer refuses every action but reading when a statement is prepared,
-sqlite refuses a second statement, and a statement timeout bounds
-pathological queries. Result comparison uses multiset
-semantics by default and row-sequence semantics when the gold query has a
-top-level ORDER BY.
+sqlite refuses a second statement, a statement timeout bounds
+pathological queries, and a prediction is fetched only up to one row more
+than its gold result. Result comparison uses row-sequence semantics when the
+gold query has a top-level ORDER BY and multiset semantics otherwise: two
+results are equivalent when a perfect matching pairs their rows, at any row
+count. Cells match by type and value; ints compare with floats, and a pair
+with a float in it matches within 1e-6 relative tolerance, while two ints
+match only when equal.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 import re
 import sqlite3
 import time
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,10 +32,6 @@ logger = logging.getLogger(__name__)
 
 STATEMENT_TIMEOUT_S = 30.0
 REL_TOLERANCE = 1e-6
-
-# O(n^2) tolerant matching is only attempted below this row count; larger
-# result sets fall back to exact multiset comparison
-_TOLERANT_MATCH_LIMIT = 5000
 
 _PROGRESS_GRANULARITY = 10_000
 
@@ -50,9 +52,10 @@ class ResultTable:
                 raise ValueError("all rows must share the arity")
 
 
-def execute_sql(db_path: str | Path, sql: str,
-                timeout_s: float = STATEMENT_TIMEOUT_S) -> ResultTable:
-    """Execute one query on a read-only connection and materialize the result.
+def execute_sql(db_path: str | Path, sql: str, timeout_s: float = STATEMENT_TIMEOUT_S,
+                max_rows: int | None = None) -> ResultTable:
+    """Execute one query on a read-only connection and materialize the result,
+    or only its first max_rows rows when max_rows is given.
 
     Raises SqlRejected for anything but a single read-only statement,
     SqlTimeout past the statement timeout, and SqlError for syntax/semantic
@@ -83,7 +86,7 @@ def execute_sql(db_path: str | Path, sql: str,
         cursor = conn.execute(sql)
         if cursor.description is None:  # blank or comment-only input
             raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
-        rows = tuple(tuple(row) for row in cursor.fetchall())
+        rows = tuple(cursor.fetchall() if max_rows is None else cursor.fetchmany(max_rows))
         columns = len(cursor.description)
     except sqlite3.ProgrammingError as exc:
         # e.g. "You can only execute one statement at a time."
@@ -102,16 +105,16 @@ def execute_sql(db_path: str | Path, sql: str,
 
 # --- result comparison ---------------------------------------------------------
 
+_NUMBER = (int, float)
+_NUMERIC_CELL = object()  # stands for a numeric cell in a row's bucket key
+
+
 def _cells_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
-    b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
-    if a_num and b_num:
-        return math.isclose(a, b, rel_tol=REL_TOLERANCE, abs_tol=0.0) or a == b
-    if type(a) is not type(b):
-        return False
-    return a == b
+    if isinstance(a, _NUMBER) and isinstance(b, _NUMBER):
+        return a == b or (
+            (type(a) is float or type(b) is float)
+            and math.isclose(a, b, rel_tol=REL_TOLERANCE, abs_tol=0.0))
+    return type(a) is type(b) and a == b
 
 
 def _rows_equal(row_a: tuple, row_b: tuple) -> bool:
@@ -119,42 +122,78 @@ def _rows_equal(row_a: tuple, row_b: tuple) -> bool:
         _cells_equal(x, y) for x, y in zip(row_a, row_b))
 
 
-def _canonical_cell(value):
-    if isinstance(value, bool):
-        return ("other", value)
-    if isinstance(value, (int, float)):
-        return ("num", float(value))
-    return (type(value).__name__, value)
-
-
 def _multiset_equal(rows_a: tuple, rows_b: tuple) -> bool:
-    from collections import Counter
-
-    exact_a = Counter(tuple(_canonical_cell(c) for c in row) for row in rows_a)
-    exact_b = Counter(tuple(_canonical_cell(c) for c in row) for row in rows_b)
-    if exact_a == exact_b:
+    """Whether a perfect matching under _rows_equal pairs rows_a with rows_b."""
+    # equal rows match; 1 == 1.0 with equal hashes covers ints against floats
+    if Counter(rows_a) == Counter(rows_b):
         return True
-    has_floats = any(
-        isinstance(c, float) for row in rows_a + rows_b for c in row)
-    if not has_floats or len(rows_a) > _TOLERANT_MATCH_LIMIT:
+    # without a float in sight _rows_equal is plain equality, decided above
+    if not any(type(c) is float for rows in (rows_a, rows_b) for row in rows for c in row):
         return False
-    remaining = list(rows_b)
-    for row in rows_a:
-        for i, other in enumerate(remaining):
-            if _rows_equal(row, other):
-                del remaining[i]
-                break
+    # a row can only match a row with the same non-numeric cells at the same
+    # positions; buckets pair up such rows and keep only their numeric cells
+    buckets: dict[tuple, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for side, rows in enumerate((rows_a, rows_b)):
+        for row in rows:
+            key = tuple(_NUMERIC_CELL if isinstance(c, _NUMBER) else c for c in row)
+            buckets[key][side].append(tuple(c for c in row if isinstance(c, _NUMBER)))
+    return all(_bucket_matches(nums_a, nums_b) for nums_a, nums_b in buckets.values())
+
+
+def _bucket_matches(nums_a: list, nums_b: list) -> bool:
+    """Whether a perfect matching under _rows_equal pairs the numeric cells
+    of one bucket. Both sides are sorted and paired in order first; only when
+    a pair fails do augmenting paths (Kuhn's algorithm) decide, starting from
+    the in-order pairs that hold.
+    """
+    if len(nums_a) != len(nums_b):
+        return False
+    nums_a.sort()
+    nums_b.sort()
+    owner = [j if _rows_equal(x, y) else None for j, (x, y) in enumerate(zip(nums_a, nums_b))]
+    if None not in owner:
+        return True
+    # the b rows a row can match have their first cell within twice the
+    # tolerance of its own, so they are a slice of the sorted nums_b
+    firsts = [row[0] for row in nums_b]
+
+    def candidates(i: int):
+        x = nums_a[i][0]
+        slack = 2 * REL_TOLERANCE * abs(x)
+        return (j for j in range(bisect_left(firsts, x - slack), bisect_right(firsts, x + slack))
+                if _rows_equal(nums_a[i], nums_b[j]))
+
+    for start in [i for i, j in enumerate(owner) if j is None]:
+        # depth-first search for an alternating path to a free b row: path[k]
+        # takes chosen[k], and the owner of chosen[k] is path[k + 1]
+        path, chosen, options, seen = [start], [], [candidates(start)], set()
+        while options:
+            j = next(options[-1], None)
+            if j is None:  # path[-1] is a dead end: back up one step
+                path.pop()
+                options.pop()
+                del chosen[-1:]
+            elif j not in seen:
+                seen.add(j)
+                chosen.append(j)
+                if owner[j] is None:
+                    for i, j in zip(path, chosen):
+                        owner[j] = i
+                    break
+                path.append(owner[j])
+                options.append(candidates(owner[j]))
         else:
             return False
-    return not remaining
+    return True
 
 
 def results_equivalent(a: ResultTable, b: ResultTable, ordered: bool) -> bool:
     """Compare result tables; symmetric in its arguments.
 
-    ordered=True compares row sequences, ordered=False row multisets. Cell
-    comparison is type-aware with 1e-6 relative tolerance on reals; column
-    order within rows is always significant.
+    ordered=True compares row sequences, ordered=False row multisets (a
+    perfect matching of rows). Cell comparison is type-aware with 1e-6
+    relative tolerance when either cell is a float; column order within rows
+    is always significant.
     """
     if a.columns != b.columns or len(a.rows) != len(b.rows):
         return False
@@ -234,7 +273,9 @@ def evaluate(predictions: dict[tuple[str, str], str],
             failures.append((example.nl, FAIL_EMPTY))
             continue
         try:
-            predicted_result = execute_sql(schema.sqlite_path, predicted, timeout_s)
+            # a prediction with more rows than gold is wrong however many it has
+            predicted_result = execute_sql(schema.sqlite_path, predicted, timeout_s,
+                                           max_rows=len(gold_result.rows) + 1)
         except SqlError:
             failures.append((example.nl, FAIL_EXEC))
             continue
@@ -271,7 +312,6 @@ def format_report(report: EvalReport) -> str:
     if report.failures:
         lines.append("")
         lines.append(f"failures: {len(report.failures)}")
-        from collections import Counter
         for kind, count in sorted(Counter(k for _, k in report.failures).items()):
             lines.append(f"  {kind}: {count}")
     return "\n".join(lines)

@@ -2,13 +2,15 @@
 
 These are written straight from definitions and stay deliberately naive:
 the tree-edit-distance oracle enumerates every order- and ancestry-
-consistent node mapping; the coverage oracle enumerates every subset.
+consistent node mapping; the coverage oracle enumerates every subset; the
+multiset-match oracle tries every pairing of rows.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
+from psmith.evaluator import _rows_equal
 from psmith.sqlanalysis.skeleton import SkeletonNode
 
 
@@ -94,3 +96,11 @@ def max_coverage_oracle(items: list[frozenset], catalog: frozenset) -> int:
                 union = union | items[i]
         best = max(best, len(union & catalog))
     return best
+
+
+def multiset_match_oracle(rows_a: tuple, rows_b: tuple) -> bool:
+    """Whether some ordering of rows_b pairs every row with the row of rows_a
+    at the same index under _rows_equal. Factorial; use only on tiny tables."""
+    return len(rows_a) == len(rows_b) and any(
+        all(_rows_equal(x, y) for x, y in zip(rows_a, ordering))
+        for ordering in permutations(rows_b))

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import sqlite3
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fixturelib
+from oracles import multiset_match_oracle
 from psmith.corpus.types import AnnotatedDataset, AnnotatedExample, SchemaProfile
 from psmith.errors import MissingGold, SqlError, SqlRejected, SqlTimeout
 from psmith.evaluator import (
@@ -149,6 +154,75 @@ def test_column_order_significant():
     assert not results_equivalent(a, b, ordered=False)
 
 
+def test_ints_compare_exactly_on_both_paths():
+    a = ResultTable(1, ((1000000,),))
+    for ordered in (False, True):
+        assert not results_equivalent(a, ResultTable(1, ((1000001,),)), ordered)
+        assert results_equivalent(a, ResultTable(1, ((1000001.0,),)), ordered)
+
+
+def test_unordered_match_is_not_greedy():
+    # first-fit would pair 1.0 with 1.0000008 and leave 1.0000015 with 1.0
+    a = ResultTable(1, ((1.0,), (1.0000015,)))
+    b = ResultTable(1, ((1.0000008,), (1.0,)))
+    assert results_equivalent(a, b, ordered=False)
+    # sorted in-order pairing puts (1.0, 5) against (1.0000001, 3)
+    a = ResultTable(2, ((1.0, 5), (1.0000005, 3)))
+    b = ResultTable(2, ((1.0000001, 3), (1.0000004, 5)))
+    assert results_equivalent(a, b, ordered=False)
+
+
+def test_unordered_tolerant_match_has_no_row_cliff():
+    rng = random.Random(7)
+    gold, predicted = [], []
+    for group in range(3000):
+        # each group needs the matching: sorted in-order pairs do not hold
+        base = 1.0 + group * 1e-5
+        name = f"county{group % 20}"
+        gold += [(name, base, 5), (name, base * (1 + 5e-7), 3)]
+        predicted += [(name, base * (1 + 1e-7), 3), (name, base * (1 + 4e-7), 5)]
+    rng.shuffle(predicted)
+    a, b = ResultTable(3, tuple(gold)), ResultTable(3, tuple(predicted))
+    started = time.perf_counter()
+    assert results_equivalent(a, b, ordered=False)
+    assert results_equivalent(b, a, ordered=False)
+    predicted[0] = predicted[0][:2] + (4,)
+    assert not results_equivalent(a, ResultTable(3, tuple(predicted)), ordered=False)
+    assert time.perf_counter() - started < 1.0
+
+
+# floats whose neighbours in this list lie within 1e-6 of each other, and
+# whose next-but-one neighbours lie just outside
+_NEAR_FLOATS = [1.0, 1.0000006, 1.0000012, 1.000002]
+_CELLS = st.sampled_from(_NEAR_FLOATS * 2 + [0, 1, 2, None, "a", "b"])
+
+
+@st.composite
+def table_pairs(draw):
+    columns = draw(st.integers(1, 3))
+    row = st.tuples(*[_CELLS] * columns)
+    rows_a = draw(st.lists(row, max_size=6))
+    if draw(st.booleans()):
+        rows_b = draw(st.lists(row, min_size=len(rows_a), max_size=len(rows_a)))
+    else:  # a shuffle of rows_a with its floats moved to nearby floats
+        rows_b = [tuple(draw(st.sampled_from(_NEAR_FLOATS)) if isinstance(c, float) else c
+                        for c in r) for r in draw(st.permutations(rows_a))]
+    return ResultTable(columns, tuple(rows_a)), ResultTable(columns, tuple(rows_b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_pairs())
+@example((  # the matching backs out of a dead end before it finds a free row
+    ResultTable(2, ((1.0, 1.0), (1.0, 1.0000012), (1.0000006, 1.0000006),
+                    (1.0000006, 1.0000006))),
+    ResultTable(2, ((1.0, 1.0000012), (1.000002, 1.0), (1.0, 1.000002), (1.0, 1.0)))))
+def test_unordered_comparison_matches_brute_force(pair):
+    a, b = pair
+    expected = multiset_match_oracle(a.rows, b.rows)
+    assert results_equivalent(a, b, ordered=False) == expected
+    assert results_equivalent(b, a, ordered=False) == expected
+
+
 def test_gold_is_ordered():
     assert gold_is_ordered("SELECT a FROM t ORDER BY a")
     assert not gold_is_ordered("SELECT a FROM t")
@@ -232,6 +306,14 @@ def test_evaluate_gold_defect_excluded(tmp_path):
     report = evaluate(predictions, dataset)
     assert report.per_db["db"][:2] == (1, 1)  # defect excluded from denominator
     assert report.dataset_defects
+
+
+def test_evaluate_fetches_at_most_one_row_past_gold(tmp_path):
+    dataset = mini_dataset(tmp_path, {"db": [("q", "SELECT a FROM t WHERE b = 'x'")]})
+    cross_join = "SELECT t1.a FROM " + ", ".join(f"t t{i}" for i in range(1, 16))  # 3**15 rows
+    assert len(execute_sql(tmp_path / "db.sqlite", cross_join, max_rows=3).rows) == 3
+    report = evaluate({("db", "q"): cross_join}, dataset, timeout_s=2.0)
+    assert report.failures == [("q", "Mismatch")]
 
 
 def test_evaluate_ordered_gold_catches_misordered_prediction(tmp_path):
