@@ -2,14 +2,12 @@
 
 Predictions are untrusted input: databases are opened read-only, an
 authorizer refuses every action but reading when a statement is prepared,
-sqlite refuses a second statement, a statement timeout bounds
-pathological queries, and a prediction is fetched only up to one row more
-than its gold result. Result comparison uses row-sequence semantics when the
-gold query has a top-level ORDER BY and multiset semantics otherwise: two
-results are equivalent when a perfect matching pairs their rows, at any row
-count. Cells match by type and value; ints compare with floats, and a pair
-with a float in it matches within 1e-6 relative tolerance, while two ints
-match only when equal.
+sqlite refuses a second statement, a statement timeout bounds pathological
+queries, and a prediction is fetched only up to one row more than its gold
+result. Results are compared as row sequences when the gold query has a
+top-level ORDER BY and otherwise as multisets: equivalent when a perfect
+matching pairs their rows, with no row threshold. Two ints match only when
+equal; a pair with a float in it matches within 1e-6 relative tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import math
 import re
 import sqlite3
 import time
-from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,7 +120,10 @@ def _rows_equal(row_a: tuple, row_b: tuple) -> bool:
 
 
 def _multiset_equal(rows_a: tuple, rows_b: tuple) -> bool:
-    """Whether a perfect matching under _rows_equal pairs rows_a with rows_b."""
+    """Whether a perfect matching under _rows_equal pairs rows_a with rows_b.
+    Time is near-linear while sorted in-order pairing mostly holds; cells
+    within tolerance that sort differently on the two sides send a bucket to
+    augmenting paths, whose time can grow cubic in the bucket's size."""
     # equal rows match; 1 == 1.0 with equal hashes covers ints against floats
     if Counter(rows_a) == Counter(rows_b):
         return True
@@ -142,28 +142,19 @@ def _multiset_equal(rows_a: tuple, rows_b: tuple) -> bool:
 
 def _bucket_matches(nums_a: list, nums_b: list) -> bool:
     """Whether a perfect matching under _rows_equal pairs the numeric cells
-    of one bucket. Both sides are sorted and paired in order first; only when
-    a pair fails do augmenting paths (Kuhn's algorithm) decide, starting from
-    the in-order pairs that hold.
-    """
+    of one bucket: the sorted sides paired in order, completed by augmenting
+    paths (Kuhn's algorithm) for the a rows whose in-order pair fails."""
     if len(nums_a) != len(nums_b):
         return False
     nums_a.sort()
     nums_b.sort()
+    # owner[j] is the a row matched to b row j; a row i starts on b row i
     owner = [j if _rows_equal(x, y) else None for j, (x, y) in enumerate(zip(nums_a, nums_b))]
-    if None not in owner:
-        return True
-    # the b rows a row can match have their first cell within twice the
-    # tolerance of its own, so they are a slice of the sorted nums_b
-    firsts = [row[0] for row in nums_b]
 
     def candidates(i: int):
-        x = nums_a[i][0]
-        slack = 2 * REL_TOLERANCE * abs(x)
-        return (j for j in range(bisect_left(firsts, x - slack), bisect_right(firsts, x + slack))
-                if _rows_equal(nums_a[i], nums_b[j]))
+        return (j for j, y in enumerate(nums_b) if _rows_equal(nums_a[i], y))
 
-    for start in [i for i, j in enumerate(owner) if j is None]:
+    for start in [j for j, i in enumerate(owner) if i is None]:
         # depth-first search for an alternating path to a free b row: path[k]
         # takes chosen[k], and the owner of chosen[k] is path[k + 1]
         path, chosen, options, seen = [start], [], [candidates(start)], set()

@@ -173,21 +173,21 @@ def test_unordered_match_is_not_greedy():
 
 
 def test_unordered_tolerant_match_has_no_row_cliff():
+    # 6,000 rows shaped like a fires table; the prediction's floats differ
+    # from gold within tolerance and its rows come back shuffled
     rng = random.Random(7)
-    gold, predicted = [], []
-    for group in range(3000):
-        # each group needs the matching: sorted in-order pairs do not hold
-        base = 1.0 + group * 1e-5
-        name = f"county{group % 20}"
-        gold += [(name, base, 5), (name, base * (1 + 5e-7), 3)]
-        predicted += [(name, base * (1 + 1e-7), 3), (name, base * (1 + 4e-7), 5)]
+    gold = [(f"county{rng.randrange(40)}", rng.randrange(1992, 2016),
+             rng.uniform(25.0, 49.0), rng.uniform(-124.0, -67.0)) for _ in range(6000)]
+    predicted = [(name, year, lat * (1 + 4e-7), lon * (1 - 4e-7))
+                 for name, year, lat, lon in gold]
     rng.shuffle(predicted)
-    a, b = ResultTable(3, tuple(gold)), ResultTable(3, tuple(predicted))
+    a, b = ResultTable(4, tuple(gold)), ResultTable(4, tuple(predicted))
     started = time.perf_counter()
     assert results_equivalent(a, b, ordered=False)
     assert results_equivalent(b, a, ordered=False)
-    predicted[0] = predicted[0][:2] + (4,)
-    assert not results_equivalent(a, ResultTable(3, tuple(predicted)), ordered=False)
+    name, year, lat, lon = predicted[0]
+    predicted[0] = (name, year, lat * (1 + 3e-6), lon)
+    assert not results_equivalent(a, ResultTable(4, tuple(predicted)), ordered=False)
     assert time.perf_counter() - started < 1.0
 
 
@@ -216,6 +216,9 @@ def table_pairs(draw):
     ResultTable(2, ((1.0, 1.0), (1.0, 1.0000012), (1.0000006, 1.0000006),
                     (1.0000006, 1.0000006))),
     ResultTable(2, ((1.0, 1.0000012), (1.000002, 1.0), (1.0, 1.000002), (1.0, 1.0)))))
+@example((  # a match exists, and the search reaches it only by backing out
+    ResultTable(2, ((1.0000012, 1.0000012), (1.000002, 1.000002), (1.0, 1.0))),
+    ResultTable(2, ((1.000002, 1.0000006), (1.0000006, 1.0000006), (1.0000012, 1.0000012)))))
 def test_unordered_comparison_matches_brute_force(pair):
     a, b = pair
     expected = multiset_match_oracle(a.rows, b.rows)
