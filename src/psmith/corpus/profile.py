@@ -3,14 +3,20 @@
 Profiles are deterministic functions of (database file, seed): categorical
 and date-time columns get up to four seeded-random distinct values, numeric
 columns get their (min, max) range. NULLs never appear in either form.
+Columns are profiled concurrently, each on its own read-only connection
+(sqlite releases the interpreter lock while it scans), and merged in column
+order, so the result does not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import random
 import re
 import sqlite3
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 from ..errors import NotADatabase
@@ -95,7 +101,6 @@ def profile_schema(path: str | Path, seed: int,
     tables: list[Table] = []
     primary_keys: dict[str, tuple[str, ...]] = {}
     foreign_keys: list[ForeignKey] = []
-    value_profile: dict[tuple[str, str], SampledValues | NumericRange] = {}
 
     try:
         table_names = [
@@ -133,13 +138,19 @@ def profile_schema(path: str | Path, seed: int,
                     to_table=rows[0][2],
                     to_columns=tuple(r[4] for r in rows),
                 ))
-
-            for column in columns:
-                profile = _profile_column(conn, db_id, table_name, column, seed, numeric_render)
-                if profile is not None:
-                    value_profile[(table_name, column.name)] = profile
     finally:
         conn.close()
+
+    def profile_alone(job: tuple[str, Column]):
+        with closing(sqlite3.connect(uri, uri=True)) as own:
+            return _profile_column(own, db_id, *job, seed, numeric_render)
+
+    jobs = [(table.name, column) for table in tables for column in table.columns]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(max(1, min(len(jobs), cpus))) as pool:
+        profiles = list(pool.map(profile_alone, jobs))
+    value_profile = {(table_name, column.name): profile
+                     for (table_name, column), profile in zip(jobs, profiles) if profile is not None}
 
     fks = tuple(fk for fk in foreign_keys
                 if fk.to_table in {t.name for t in tables})

@@ -18,6 +18,7 @@ import re
 import sqlite3
 import time
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,7 @@ STATEMENT_TIMEOUT_S = 30.0
 REL_TOLERANCE = 1e-6
 
 _PROGRESS_GRANULARITY = 10_000
+_CHECK_BATCH = 1_000  # rows check_executes steps per fetch
 
 # the only actions a query needs; writes, ATTACH, PRAGMA, temp objects and
 # transactions are all denied when the statement is prepared
@@ -49,15 +51,11 @@ class ResultTable:
                 raise ValueError("all rows must share the arity")
 
 
-def execute_sql(db_path: str | Path, sql: str, timeout_s: float = STATEMENT_TIMEOUT_S,
-                max_rows: int | None = None) -> ResultTable:
-    """Execute one query on a read-only connection and materialize the result,
-    or only its first max_rows rows when max_rows is given.
-
-    Raises SqlRejected for anything but a single read-only statement,
-    SqlTimeout past the statement timeout, and SqlError for syntax/semantic
-    failures (message attached).
-    """
+@contextmanager
+def _read_only_cursor(db_path: str | Path, sql: str, timeout_s: float):
+    """Yield the cursor of one query on a read-only connection; sqlite's
+    errors map as execute_sql documents, also those raised while the caller
+    steps the cursor."""
     db_path = Path(db_path)
     if not db_path.exists():
         raise SqlError(f"database file not found: {db_path}")
@@ -83,8 +81,7 @@ def execute_sql(db_path: str | Path, sql: str, timeout_s: float = STATEMENT_TIME
         cursor = conn.execute(sql)
         if cursor.description is None:  # blank or comment-only input
             raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
-        rows = tuple(cursor.fetchall() if max_rows is None else cursor.fetchmany(max_rows))
-        columns = len(cursor.description)
+        yield cursor
     except sqlite3.ProgrammingError as exc:
         # e.g. "You can only execute one statement at a time."
         raise SqlRejected(f"refusing {sql[:80]!r}: {exc}") from None
@@ -97,7 +94,30 @@ def execute_sql(db_path: str | Path, sql: str, timeout_s: float = STATEMENT_TIME
         raise SqlError(str(exc)) from None
     finally:
         conn.close()
-    return ResultTable(columns, rows)
+
+
+def execute_sql(db_path: str | Path, sql: str, timeout_s: float = STATEMENT_TIMEOUT_S,
+                max_rows: int | None = None) -> ResultTable:
+    """Execute one query on a read-only connection and materialize the result,
+    or only its first max_rows rows when max_rows is given.
+
+    Raises SqlRejected for anything but a single read-only statement,
+    SqlTimeout past the statement timeout, and SqlError for syntax/semantic
+    failures (message attached).
+    """
+    with _read_only_cursor(db_path, sql, timeout_s) as cursor:
+        rows = tuple(cursor.fetchall() if max_rows is None else cursor.fetchmany(max_rows))
+        return ResultTable(len(cursor.description), rows)
+
+
+def check_executes(db_path: str | Path, sql: str,
+                   timeout_s: float = STATEMENT_TIMEOUT_S) -> None:
+    """Execute one query as execute_sql does and step through every row of
+    its result while keeping none, so an error or the timeout on any row
+    raises as it would there."""
+    with _read_only_cursor(db_path, sql, timeout_s) as cursor:
+        while cursor.fetchmany(_CHECK_BATCH):
+            pass
 
 
 # --- result comparison ---------------------------------------------------------

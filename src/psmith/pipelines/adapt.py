@@ -23,7 +23,7 @@ from ..errors import (
     SqlError,
     UnparseableSteps,
 )
-from ..evaluator import execute_sql
+from ..evaluator import check_executes
 from ..llmclient import LlmClient
 from ..promptforge.prompts import (
     PromptArtifact,
@@ -143,7 +143,7 @@ def da_stage1_transfer(
         except NoSelectFound:
             continue
         try:
-            execute_sql(target_schema.sqlite_path, candidate)
+            check_executes(target_schema.sqlite_path, candidate)
         except SqlError as exc:
             logger.debug("candidate does not execute (%s): %r", exc, candidate)
             continue
@@ -184,7 +184,7 @@ def verify_bundle(bundle: AdaptationBundle, target_schema: SchemaProfile) -> lis
     problems: list[str] = []
     for entry in bundle.exemplars:
         try:
-            execute_sql(target_schema.sqlite_path, entry.adapted_sql)
+            check_executes(target_schema.sqlite_path, entry.adapted_sql)
         except SqlError as exc:
             problems.append(f"{exemplar_id(entry.source)}: does not execute: {exc}")
             continue

@@ -3,13 +3,19 @@
 These are written straight from definitions and stay deliberately naive:
 the tree-edit-distance oracle enumerates every order- and ancestry-
 consistent node mapping; the coverage oracle enumerates every subset; the
-multiset-match oracle tries every pairing of rows.
+multiset-match oracle tries every pairing of rows; the profile oracle
+profiles one column after another on one connection.
 """
 
 from __future__ import annotations
 
+import sqlite3
+from contextlib import closing
 from itertools import combinations, permutations
+from pathlib import Path
 
+from psmith.corpus.profile import _profile_column, _quote_ident
+from psmith.corpus.types import Column
 from psmith.evaluator import _rows_equal
 from psmith.sqlanalysis.skeleton import SkeletonNode
 
@@ -104,3 +110,22 @@ def multiset_match_oracle(rows_a: tuple, rows_b: tuple) -> bool:
     return len(rows_a) == len(rows_b) and any(
         all(_rows_equal(x, y) for x, y in zip(rows_a, ordering))
         for ordering in permutations(rows_b))
+
+
+def sequential_profile_oracle(path, seed: int, numeric_render: str) -> dict:
+    """Value profile of every column of the SQLite file at *path*: tables in
+    rowid order, columns in declared order, each profiled by _profile_column
+    on one shared connection, one after another."""
+    db_id = Path(path).stem
+    profiles: dict = {}
+    with closing(sqlite3.connect(f"file:{path}?mode=ro", uri=True)) as conn:
+        tables = [row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='table' "
+            "AND name NOT LIKE 'sqlite_%' ORDER BY rowid")]
+        for table in tables:
+            for row in conn.execute(f"PRAGMA table_info({_quote_ident(table)})").fetchall():
+                column = Column(name=row[1], declared_type=row[2] or "")
+                profile = _profile_column(conn, db_id, table, column, seed, numeric_render)
+                if profile is not None:
+                    profiles[(table, column.name)] = profile
+    return profiles

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
+import sqlite3
 
 import pytest
 
 import fixturelib
+from oracles import sequential_profile_oracle
 from psmith.corpus import (
     NumericRange,
     SampledValues,
@@ -14,6 +17,7 @@ from psmith.corpus import (
     load_spider_ss,
     profile_schema,
 )
+from psmith.corpus import profile as profile_module
 from psmith.corpus.types import DecompositionRecord
 from psmith.errors import LengthMismatch, MalformedManifest, MissingFile, NotADatabase
 
@@ -193,3 +197,64 @@ def test_profile_reads_keys(spider_dir):
     teaches_fk = [fk for fk in profile.foreign_keys
                   if fk.from_table == "teaches" and fk.to_table == "section"]
     assert teaches_fk and len(teaches_fk[0].from_columns) == 4
+
+
+# --- concurrent profiling against the sequential oracle ------------------------
+
+QUOTED_TABLE = 'fire "events" log'
+
+
+def build_mixed_db(path, seed: int):
+    """Two tables holding what profiling treats apart: a table name that
+    needs quoting, columns with more than 512 distinct values, an all-NULL
+    column, a text value inside an INTEGER column and ISO-date text."""
+    rng = random.Random(seed)
+    conn = sqlite3.connect(path)
+    conn.execute('CREATE TABLE "fire ""events"" log" (id INTEGER PRIMARY KEY, county TEXT, '
+                 'acres REAL, discovered TEXT, cause_code INTEGER, note TEXT)')
+    conn.execute("CREATE TABLE agency (name TEXT, budget INTEGER, founded DATE)")
+    counties = [f"County {i}" for i in range(40)]
+    fires = [(i, rng.choice(counties), round(rng.uniform(0, 5000), 2),
+              f"{rng.randint(1992, 2015)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
+              rng.randint(-20, 20), None) for i in range(1200)]
+    fires[rng.randrange(len(fires))] = (1200, "County 0", 1.5, "2001-01-01", "unknown", None)
+    conn.executemany('INSERT INTO "fire ""events"" log" VALUES (?, ?, ?, ?, ?, ?)', fires)
+    conn.executemany("INSERT INTO agency VALUES (?, ?, ?)",
+                     [(f"agency {i}", rng.randint(10, 10_000), f"19{rng.randint(10, 99)}")
+                      for i in range(30)])
+    conn.commit()
+    conn.close()
+    return path
+
+
+@pytest.mark.parametrize("seed", [0, 7, 101])
+@pytest.mark.parametrize("numeric_render", profile_module.NUMERIC_RENDER_MODES)
+def test_parallel_profile_matches_sequential_oracle(tmp_path, monkeypatch, seed,
+                                                    numeric_render):
+    path = build_mixed_db(tmp_path / "mixed.sqlite", seed)
+    expected = list(sequential_profile_oracle(path, seed, numeric_render).items())
+    # the data holds each case it is built for
+    profiles = dict(expected)
+    assert (QUOTED_TABLE, "note") not in profiles
+    assert isinstance(profiles[(QUOTED_TABLE, "cause_code")], SampledValues)
+    assert all(v.startswith(("19", "20")) for v in profiles[(QUOTED_TABLE, "discovered")].values)
+    conn = sqlite3.connect(path)
+    assert conn.execute('SELECT COUNT(DISTINCT acres) FROM "fire ""events"" log"').fetchone()[0] > 512
+    conn.close()
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(profile_module.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        profiled = profile_schema(path, seed, numeric_render).value_profile
+        assert list(profiled.items()) == expected  # same profiles in the same order
+
+
+@pytest.mark.parametrize("numeric_render", profile_module.NUMERIC_RENDER_MODES)
+def test_parallel_profile_matches_sequential_oracle_on_fixtures(
+        spider_dir, kaggledbqa_dir, numeric_render):
+    paths = sorted(spider_dir.rglob("*.sqlite")) + sorted(kaggledbqa_dir.rglob("*.sqlite"))
+    assert len(paths) > 5
+    for path in paths:
+        for seed in (0, 3):
+            profiled = profile_schema(path, seed, numeric_render).value_profile
+            expected = sequential_profile_oracle(path, seed, numeric_render)
+            assert list(profiled.items()) == list(expected.items()), path

@@ -15,6 +15,7 @@ from psmith.corpus.types import AnnotatedDataset, AnnotatedExample, SchemaProfil
 from psmith.errors import MissingGold, SqlError, SqlRejected, SqlTimeout
 from psmith.evaluator import (
     ResultTable,
+    check_executes,
     evaluate,
     execute_sql,
     format_report,
@@ -96,6 +97,31 @@ def test_execute_timeout(scores_db):
             "scores f, scores g, scores h, scores i, scores j, scores k, scores l")
     with pytest.raises(SqlTimeout):
         execute_sql(scores_db, slow, timeout_s=0.1)
+
+
+def test_check_executes_fails_on_a_late_row(tmp_path):
+    path = tmp_path / "overflow.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript("CREATE TABLE t (x INTEGER);"
+                       "INSERT INTO t VALUES (1), (2), (-9223372036854775808);")
+    conn.close()
+    # abs() overflows on the third row only
+    assert check_executes(path, "SELECT abs(x) FROM t LIMIT 2") is None
+    with pytest.raises(SqlError, match="overflow"):
+        check_executes(path, "SELECT abs(x) FROM t")
+    # past the first batch of rows the check fetches
+    late = ("WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n WHERE i < 5000) "
+            "SELECT abs(CASE WHEN i = 5000 THEN -9223372036854775808 ELSE i END) FROM n")
+    with pytest.raises(SqlError, match="overflow"):
+        check_executes(path, late)
+    check_executes(path, late.replace("i = 5000", "i = 5001"))
+    # the read-only guard and the timeout hold as in execute_sql
+    with pytest.raises(SqlRejected):
+        check_executes(path, "DELETE FROM t")
+    with pytest.raises(SqlTimeout):
+        check_executes(path, "SELECT count(*) FROM t a, t b, t c, t d, t e, t f, t g, t h, "
+                             "t i, t j, t k, t l, t m, t n, t o, t p, t q, t r, t s, t u",
+                       timeout_s=0.1)
 
 
 def test_gold_nuclear_query(kaggledbqa_dir):

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import shutil
+import sqlite3
+
 import pytest
 
 import fixturelib
@@ -31,7 +35,7 @@ from psmith.pipelines import (
 )
 from psmith.promptforge import build_adapt_nl_prompt, build_adapt_sql_prompt
 from psmith.sampler import Exemplar
-from psmith.sqlanalysis import extract_operators
+from psmith.sqlanalysis import extract_operators, skeletonize, tree_edit_distance
 
 
 # --- normalize_sql ------------------------------------------------------------------
@@ -202,6 +206,40 @@ def test_da_stage1_all_non_executable(tmp_path, train_dataset, target_schema):
     assert excinfo.value.best_ted is None
 
 
+# abs() overflows on the third row of t only
+LATE_ERROR_SQL = "SELECT DISTINCT abs(x) FROM t WHERE x < 50"
+
+
+def with_overflow_table(tmp_path, target_schema):
+    """A copy of the target whose database also holds t(x) = 1, 2, -2^63."""
+    path = tmp_path / "target.sqlite"
+    shutil.copy(target_schema.sqlite_path, path)
+    conn = sqlite3.connect(path)
+    conn.executescript("CREATE TABLE t (x INTEGER);"
+                       "INSERT INTO t VALUES (1), (2), (-9223372036854775808);")
+    conn.close()
+    return dataclasses.replace(target_schema, sqlite_path=path)
+
+
+def test_da_stage1_skips_candidate_failing_on_a_late_row(tmp_path, train_dataset,
+                                                         target_schema):
+    target = with_overflow_table(tmp_path, target_schema)
+    exemplar = source_exemplar(train_dataset)
+    # within the threshold, so only the executability check can refuse it
+    assert tree_edit_distance(skeletonize(exemplar.sql), skeletonize(LATE_ERROR_SQL)) <= 2
+    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    request = stage1_request(probe, train_dataset, target, exemplar)
+    client = scripted_client(tmp_path, [(request, [
+        LATE_ERROR_SQL.removeprefix("SELECT"),
+        " DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50",
+    ])])
+    sql, ted, attempts, _ = da_stage1_transfer(
+        exemplar, train_dataset.databases[exemplar.db_id], target, client,
+        ted_threshold=2, max_beam_samples=8)
+    assert sql == "SELECT DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50"
+    assert attempts == 2
+
+
 def test_da_stage2_generates_question(tmp_path, target_schema):
     sql = "SELECT DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50"
     probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
@@ -264,6 +302,16 @@ def test_verify_bundle_flags_violations(train_dataset, target_schema):
     drifted = make_bundle(train_dataset)
     drifted.exemplars[0].ted = 1  # recorded distance disagrees
     assert any("disagrees" in p for p in verify_bundle(drifted, target_schema))
+
+
+def test_verify_bundle_reports_a_late_row_error(tmp_path, train_dataset, target_schema):
+    target = with_overflow_table(tmp_path, target_schema)
+    bundle = make_bundle(train_dataset)
+    assert verify_bundle(bundle, target) == []
+    bundle.exemplars[0].adapted_sql = LATE_ERROR_SQL
+    bundle.exemplars[0].ted = 2
+    problems = verify_bundle(bundle, target)
+    assert len(problems) == 1 and "does not execute: integer overflow" in problems[0]
 
 
 def test_chains_require_decompositions(train_dataset):
