@@ -57,7 +57,7 @@ EXIT_DEFECTS = 5
 
 _FIELDS = {key.name: key for key in fields(PipelineConfig)}
 _TYPES = typing.get_type_hints(PipelineConfig)
-# every key but mode, which only run --mode sets, can come from a file or a flag
+# a file may set every key but mode, which only run --mode sets
 _FILE_KEYS = tuple(key for key in _FIELDS if key != "mode")
 
 
@@ -123,9 +123,10 @@ def _config_option(key: str):
                         help=metadata.get("help"))
 
 
-def _config_options(*keys: str, sources: bool = False):
-    """The configuration file option and the flags of the named keys; with
-    ``sources``, also the options naming where generations come from."""
+def _config_options(command: str, sources: bool = False):
+    """The configuration file option and the flags of the keys *command*
+    reads; with ``sources``, also the options naming where generations come
+    from. A file may set every key: one file serves all commands."""
     options = [click.option("--config", "config_path", type=click.Path(exists=True),
                             default=None, help="key = value configuration file")]
     if sources:
@@ -137,16 +138,14 @@ def _config_options(*keys: str, sources: bool = False):
             click.option("--cache-dir", type=click.Path(), default=None,
                          help="content-addressed completion cache directory"),
         ]
-    options += [_config_option(key) for key in keys]
+    options += [_config_option(key) for key in _FILE_KEYS
+                if command in _FIELDS[key].metadata["commands"]]
 
     def decorate(fn):
         for option in reversed(options):
             fn = option(fn)
         return fn
     return decorate
-
-
-_generation_options = _config_options(*_FILE_KEYS, sources=True)
 
 
 def _load_test_dataset(test_dir: str):
@@ -188,7 +187,7 @@ def main(verbose: bool):
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True), default=None,
               help="primitive-op catalog file (default: the packaged catalog)")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_config_options("budget_limit", "token_counter")
+@_config_options("sample")
 def sample(train_dir, catalog_path, out_path, config_path, **overrides):
     """Sample a minimal operator-complete exemplar set from a train corpus."""
     cfg = resolve_config(config_path, **overrides)
@@ -222,7 +221,7 @@ def sample(train_dir, catalog_path, out_path, config_path, **overrides):
 @click.option("--dry-run", is_flag=True, help="write prompts, skip generation")
 @click.option("--prompts-dir", type=click.Path(), default=None,
               help="where --dry-run writes prompt artifacts")
-@_generation_options
+@_config_options("adapt", sources=True)
 def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
           draft_decompositions, dry_run, prompts_dir, config_path, replay,
           record, cache_dir, **overrides):
@@ -261,6 +260,7 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
         max_beam_samples=cfg.max_beam_samples,
         budget=cfg.budget,
         max_output_tokens=cfg.max_output_tokens,
+        cot_enabled=cfg.cot_enabled,
         draft_records=draft_records,
         draft_context=train.databases)
 
@@ -282,7 +282,7 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
 @click.option("--spider-ss", "spider_ss_dir", type=click.Path(exists=True), default=None)
 @click.option("--runs", "runs_root", type=click.Path(), default="runs")
 @click.option("--run-id", default=None, help="resumable run identifier")
-@_generation_options
+@_config_options("run", sources=True)
 def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
             runs_root, run_id, config_path, replay, record, cache_dir, **overrides):
     """Run a prompting pipeline over the test set and persist predictions."""

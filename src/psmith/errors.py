@@ -41,10 +41,6 @@ class BudgetExceeded(PsmithError):
 
 # --- prompt rendering -----------------------------------------------------
 
-class UnknownCounter(PsmithError):
-    pass
-
-
 class MissingProfile(PsmithError):
     """Domain rendering requested for a schema without value profiles."""
 

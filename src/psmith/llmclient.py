@@ -165,52 +165,17 @@ def forbidden_transport(url, payload, headers, timeout):
 
 # --- the client -------------------------------------------------------------------
 
-class TokenBucket:
-    """Serializes admission of live requests across workers.
-
-    Capacity refills at ``rate`` tokens per second; acquire() blocks until a
-    token is available. The clock is injectable so tests stay deterministic.
-    """
-
-    def __init__(self, rate: float, capacity: float | None = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 sleep: Callable[[float], None] = time.sleep):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
-        self.capacity = capacity if capacity is not None else max(1.0, rate)
-        self._tokens = self.capacity
-        self._updated = clock()
-        self._clock = clock
-        self._sleep = sleep
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(self.capacity,
-                                   self._tokens + (now - self._updated) * self.rate)
-                self._updated = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
-            self._sleep(wait)
-
-
 class LlmClient:
     """Uniform generation front-end.
 
     Modes: ``live`` (HTTP with retry/backoff under a spend cap), ``cache``
     (live calls memoized on a content hash of model+params+prompt), and
     ``replay`` (recorded completions only; zero network operations).
-    A shared TokenBucket, when configured, serializes admission of live
-    calls across concurrent workers.
+    One client may serve concurrent workers.
     """
 
     def __init__(self, mode: str = "replay",
-                 replay_store: ReplayStore | str | Path | None = None,
+                 replay_store: ReplayStore | None = None,
                  cache_dir: str | Path | None = None,
                  api_base: str | None = None,
                  api_key: str | None = None,
@@ -218,16 +183,13 @@ class LlmClient:
                  spend_cap: int = DEFAULT_SPEND_CAP,
                  transport: Callable = http_transport,
                  record_path: str | Path | None = None,
-                 api_surface: str = "completions",
-                 limiter: "TokenBucket | None" = None):
+                 api_surface: str = "completions"):
         if mode not in ("live", "cache", "replay"):
             raise ValueError(f"unknown client mode {mode!r}")
         if api_surface not in ("completions", "chat"):
             raise ValueError(f"unknown api surface {api_surface!r}")
         self.mode = mode
         self.api_surface = api_surface
-        if isinstance(replay_store, (str, Path)):
-            replay_store = ReplayStore.load(replay_store)
         self.replay_store = replay_store
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.api_base = (api_base or os.environ.get("PSMITH_API_BASE", "")).rstrip("/")
@@ -236,21 +198,20 @@ class LlmClient:
         self.spend_cap = spend_cap
         self.transport = transport
         self.record_path = Path(record_path) if record_path else None
-        self.limiter = limiter
         self._lock = threading.Lock()
+        # tokens spent, plus the estimates of live calls still in flight
         self._spent_tokens = 0
         if mode == "replay" and self.replay_store is None:
             raise ValueError("replay mode needs a replay store")
 
     # -- public API --
 
-    def request(self, prompt: str, *, temperature: float = 0.0,
-                max_output_tokens: int = 256, n_samples: int = 1,
+    def request(self, prompt: str, *, max_output_tokens: int = 256,
+                n_samples: int = 1,
                 stop: Sequence[str] | None = None) -> GenerationRequest:
         return GenerationRequest(
             prompt=prompt,
             model=self.model,
-            temperature=temperature,
             max_output_tokens=max_output_tokens,
             n_samples=n_samples,
             stop=tuple(DEFAULT_STOP if stop is None else stop),
@@ -295,13 +256,27 @@ class LlmClient:
         return result
 
     def _live(self, request: GenerationRequest) -> GenerationResult:
+        """Reserve the request's estimate against the spend cap, so calls in
+        flight on other workers count, then settle it to the reported usage
+        (to nothing if the call fails)."""
         estimate = count_tokens(request.prompt) \
             + request.max_output_tokens * request.n_samples
         with self._lock:
             if self._spent_tokens + estimate > self.spend_cap:
                 raise BudgetRefused(
                     f"request (~{estimate} tokens) would exceed the spend cap "
-                    f"({self._spent_tokens}/{self.spend_cap} used)")
+                    f"({self._spent_tokens}/{self.spend_cap} spent or reserved)")
+            self._spent_tokens += estimate
+        used = 0
+        try:
+            result = self._post(request)
+            used = sum(result.usage)
+            return result
+        finally:
+            with self._lock:
+                self._spent_tokens += used - estimate
+
+    def _post(self, request: GenerationRequest) -> GenerationResult:
         payload = {
             "model": request.model,
             "temperature": request.temperature,
@@ -319,8 +294,6 @@ class LlmClient:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        if self.limiter is not None:
-            self.limiter.acquire()
         backoff = 1.0
         last_error: Exception | None = None
         for attempt in range(MAX_RETRIES + 1):
@@ -357,8 +330,6 @@ class LlmClient:
             used = (usage.get("prompt_tokens", count_tokens(request.prompt)),
                     usage.get("completion_tokens",
                               sum(count_tokens(c) for c in completions)))
-            with self._lock:
-                self._spent_tokens += used[0] + used[1]
             return GenerationResult(completions, used, "live")
         if isinstance(last_error, RateLimited):
             raise last_error

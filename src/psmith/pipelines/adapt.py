@@ -207,14 +207,16 @@ def verify_bundle(bundle: AdaptationBundle, target_schema: SchemaProfile) -> lis
 
 def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
                     ted_threshold: int, max_beam_samples: int, budget=None,
-                    max_output_tokens: int = 256,
+                    max_output_tokens: int = 256, cot_enabled: bool = True,
                     draft_records=None, draft_context=None):
     """Adapt every exemplar to the target database (stage 1 then stage 2).
 
     Per-exemplar failures are collected, not fatal. With ``draft_records``
     (NL -> DecompositionRecord) and ``draft_context`` (train databases for
     the few-shot schemas), machine drafts of the decompositions are also
-    generated for each adapted exemplar; a human reviewer finalizes those.
+    generated for each adapted exemplar, from prompts whose exemplars end in
+    the chain-of-thought line when ``cot_enabled`` holds and in the plain
+    answer line otherwise; a human reviewer finalizes those.
     Returns (bundle, failure descriptions).
     """
     from ..promptforge.prompts import build_ltmp_prompt
@@ -244,13 +246,13 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
         for entry in bundle.exemplars:
             stage1 = build_ltmp_prompt(
                 "ltmp-gp", 1, chains, entry.adapted_nl, databases=draft_context,
-                budget=budget, test_schema=target_schema)
+                budget=budget, cot_enabled=cot_enabled, test_schema=target_schema)
             try:
                 subs, _ = run_stage1_decompose(stage1, client, max_output_tokens)
                 stage2 = build_ltmp_prompt(
                     "ltmp-gp", 2, chains, entry.adapted_nl, databases=draft_context,
                     test_sub_questions=subs, budget=budget,
-                    test_schema=target_schema)
+                    cot_enabled=cot_enabled, test_schema=target_schema)
                 # drafts skip the strict arity check of the run-time stage;
                 # the reviewer reconciles sub-questions and steps by hand
                 steps, _ = _generate_list(stage2, client, max_output_tokens,

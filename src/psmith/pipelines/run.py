@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -43,52 +43,63 @@ from .normalize import normalize_sql
 logger = logging.getLogger(__name__)
 
 
-def _key(default, **metadata):
-    """A configuration key with its default. Metadata: ``choices`` limits its
-    values; ``runtime`` marks a key that changes how a run's outputs are
-    generated, not what they are; ``help`` describes its flag."""
-    return field(default=default, metadata=metadata)
+def _key(default, commands: tuple[str, ...], **metadata):
+    """A configuration key with its default and the commands that read it.
+    Metadata: ``choices`` limits its values; ``runtime`` marks a key that
+    changes how a run's outputs are generated, not what they are; ``help``
+    describes its flag."""
+    return field(default=default, metadata={"commands": commands, **metadata})
+
+
+_CLIENT = ("adapt", "run")  # the commands that generate
 
 
 @dataclass
 class PipelineConfig:
     """Every setting of a run, each declared once: the fields are the keys
-    of the configuration file and the ``adapt``/``run`` flags."""
-    mode: str = _key("gp", choices=tuple(MODES))
-    ted_threshold: int = 2
-    max_beam_samples: int = 8
-    seed: int = 0
-    budget_limit: int = DEFAULT_LIMIT
-    token_counter: str = "heuristic"
-    numeric_render: str = _key("range", choices=NUMERIC_RENDER_MODES)
-    cot_enabled: bool = True
-    max_output_tokens: int = 256
-    workers: int = _key(1, runtime=True)
+    of the configuration file, and each command takes the flags of the keys
+    it reads."""
+    mode: str = _key("gp", ("run",), choices=tuple(MODES))
+    ted_threshold: int = _key(2, ("adapt",))
+    max_beam_samples: int = _key(8, ("adapt",))
+    seed: int = _key(0, ("run",))
+    budget_limit: int = _key(DEFAULT_LIMIT, ("sample", *_CLIENT))
+    numeric_render: str = _key("range", ("run",), choices=NUMERIC_RENDER_MODES)
+    cot_enabled: bool = _key(True, _CLIENT)
+    max_output_tokens: int = _key(256, _CLIENT)
+    # adapt generates one exemplar at a time; it takes --workers only because
+    # the benchmark (perfbench/run.py) passes the same client flags to adapt
+    # and run
+    workers: int = _key(1, _CLIENT, runtime=True)
     model: str = field(default_factory=default_model, metadata={
-        "help": "model id (default: PSMITH_MODEL, else offline-model)"})
-    llm_mode: str = _key("live", choices=("live", "cache", "replay"), runtime=True)
-    api_surface: str = _key("completions", choices=("completions", "chat"))
-    spend_cap: int = _key(DEFAULT_SPEND_CAP, runtime=True)
+        "commands": _CLIENT, "help": "model id (default: PSMITH_MODEL, else offline-model)"})
+    llm_mode: str = _key("live", _CLIENT, choices=("live", "cache"), runtime=True,
+                         help="live or cache; --replay PATH replays a store")
+    api_surface: str = _key("completions", _CLIENT, choices=("completions", "chat"))
+    spend_cap: int = _key(DEFAULT_SPEND_CAP, _CLIENT, runtime=True)
 
     def __post_init__(self):
         if self.ted_threshold < 0:
             raise ValueError("ted_threshold must be non-negative")
         if self.max_beam_samples < 1:
             raise ValueError("max_beam_samples must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         for key in fields(self):
             choices = key.metadata.get("choices")
             if choices and getattr(self, key.name) not in choices:
                 raise ValueError(f"{key.name} must be one of {choices}")
-        self.budget  # raises on a bad budget_limit or token_counter
+        self.budget  # raises on a bad budget_limit
 
     @property
     def budget(self) -> TokenBudget:
-        return TokenBudget(self.budget_limit, self.token_counter)
+        return TokenBudget(self.budget_limit)
 
     def output_settings(self) -> dict:
-        """The keys that decide what a run outputs: all but the runtime ones."""
+        """The keys that decide what ``run`` outputs: those it reads, but
+        not the runtime ones."""
         return {key.name: getattr(self, key.name) for key in fields(self)
-                if not key.metadata.get("runtime")}
+                if "run" in key.metadata["commands"] and not key.metadata.get("runtime")}
 
 
 @dataclass
@@ -131,7 +142,7 @@ class _QueryRunner:
                  exemplars: ExemplarSet | None,
                  ss_records: dict[str, DecompositionRecord] | None,
                  bundle: AdaptationBundle | None,
-                 target_profile, out_dir: Path | None, resume: bool):
+                 target_profile, out_dir: Path | None):
         self.cfg = cfg
         self.spec = MODES[cfg.mode]
         self.client = client
@@ -139,7 +150,6 @@ class _QueryRunner:
         self.test = test
         self.target_profile = target_profile
         self.out_dir = out_dir
-        self.resume = resume
         self.exemplars = exemplars
         if self.spec.domain and not bundle.exemplars:
             logger.warning("adaptation bundle is empty; running a zero-shot "
@@ -161,7 +171,7 @@ class _QueryRunner:
         return path
 
     def _stored(self, qdir: Path | None) -> str | None:
-        if qdir is None or not self.resume:
+        if qdir is None:
             return None
         final = qdir / "final.sql"
         if final.exists():
@@ -253,8 +263,7 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
                  ss_records: dict[str, DecompositionRecord] | None = None,
                  bundle: AdaptationBundle | None = None,
                  target_profile=None,
-                 out_dir: str | Path | None = None,
-                 resume: bool = True) -> PipelineOutcome:
+                 out_dir: str | Path | None = None) -> PipelineOutcome:
     """Run one pipeline mode over the test set.
 
     The generic modes need sampled ``exemplars`` (plus ``ss_records`` for
@@ -274,7 +283,7 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
 
     out_path = Path(out_dir) if out_dir is not None else None
     runner = _QueryRunner(cfg, client, train, test, exemplars, ss_records,
-                          bundle, target_profile, out_path, resume)
+                          bundle, target_profile, out_path)
 
     indexed: list[tuple[AnnotatedExample, int]] = []
     seen_per_db: dict[str, int] = {}
@@ -284,12 +293,12 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
         indexed.append((example, idx))
 
     outcome = PipelineOutcome(predictions={})
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                lambda pair: runner.run_one(*pair), indexed))
-    else:
-        results = [runner.run_one(example, idx) for example, idx in indexed]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        futures = [pool.submit(runner.run_one, example, idx) for example, idx in indexed]
+        # wake once, when all are done: waiting on each result in turn would
+        # take the interpreter lock from the workers after every query
+        wait(futures)
+    results = [future.result() for future in futures]
 
     for (example, _), (sql, trace, error) in zip(indexed, results):
         outcome.predictions[(example.db_id, example.nl)] = sql

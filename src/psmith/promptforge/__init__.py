@@ -1,6 +1,6 @@
 """Prompt rendering: schema serialization, token budgets, prompt assembly."""
 
-from .budget import DEFAULT_LIMIT, TokenBudget, count_tokens, register_counter
+from .budget import DEFAULT_LIMIT, TokenBudget, count_tokens
 from .prompts import (
     MODES,
     LtmpChain,
@@ -34,7 +34,6 @@ __all__ = [
     "exemplar_id",
     "load_artifact",
     "load_template",
-    "register_counter",
     "render_schema_basic",
     "render_schema_domain",
     "save_artifact",

@@ -1,46 +1,21 @@
-"""Token budgets and pluggable token counting."""
+"""Token budgets, counted at 4 characters per token."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-from ..errors import UnknownCounter
-
-# Offline default: 4 characters per token. Exact BPE counters can be
-# registered by callers that have one available.
-_COUNTERS: dict[str, Callable[[str], int]] = {
-    "heuristic": lambda text: (len(text) + 3) // 4,
-}
 
 DEFAULT_LIMIT = 4096
 
 
-def register_counter(name: str, fn: Callable[[str], int]) -> None:
-    _COUNTERS[name] = fn
-
-
-def count_tokens(text: str, counter: str = "heuristic") -> int:
-    try:
-        fn = _COUNTERS[counter]
-    except KeyError:
-        raise UnknownCounter(counter) from None
-    return fn(text)
+def count_tokens(text: str) -> int:
+    """ceil(chars / 4): an offline estimate that needs no tokenizer."""
+    return (len(text) + 3) // 4
 
 
 @dataclass(frozen=True)
 class TokenBudget:
     limit: int = DEFAULT_LIMIT
-    counter: str = "heuristic"
 
     def __post_init__(self):
         if self.limit <= 0:
             raise ValueError("token budget limit must be positive")
-        if self.counter not in _COUNTERS:
-            raise UnknownCounter(self.counter)
-
-    def measure(self, text: str) -> int:
-        return count_tokens(text, self.counter)
-
-    def fits(self, text: str) -> bool:
-        return self.measure(text) <= self.limit

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..corpus.types import AnnotatedExample, SchemaProfile
 from ..errors import BudgetExceeded
-from .budget import TokenBudget
+from .budget import TokenBudget, count_tokens
 from .schema_render import render_schema_basic, render_schema_domain
 from .templates import Template, load_template
 
@@ -56,7 +56,7 @@ class PromptArtifact:
 def _make_artifact(mode: str, text: str, exemplar_ids: Sequence[str],
                    budget: TokenBudget | None) -> PromptArtifact:
     budget = budget or TokenBudget()
-    count = budget.measure(text)
+    count = count_tokens(text)
     if count > budget.limit:
         raise BudgetExceeded(
             f"{mode} prompt needs {count} tokens, budget is {budget.limit}")

@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 
 from .corpus.types import AnnotatedDataset, Role
 from .errors import BudgetExceeded, ParseError
-from .promptforge.budget import TokenBudget
+from .promptforge.budget import TokenBudget, count_tokens
 from .sqlanalysis.ops import PrimitiveOp, default_catalog, extract_operators
 
 logger = logging.getLogger(__name__)
@@ -176,7 +176,7 @@ def _prune_to_budget(exemplars: ExemplarSet, dataset: AnnotatedDataset,
         for db_id in exemplars.db_ids():
             parts.append(render_schema_basic(dataset.databases[db_id]))
             parts.extend(f"### {e.nl}\n{e.sql}" for e in exemplars if e.db_id == db_id)
-        return budget.measure("\n#\n".join(parts))
+        return count_tokens("\n#\n".join(parts))
 
     pruned: list[Exemplar] = []
     while rendered_size() > budget.limit:

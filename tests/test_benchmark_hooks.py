@@ -90,3 +90,53 @@ def test_sampling_extracts_ops_under_the_traced_name(spans, train_dataset, caplo
     # whose extraction raises inside its span
     assert len(extractions) == len(train_dataset.examples)
     assert spans.layer_metrics(tracer.spans)["sampler.ops_per_example"] == 1.0
+
+
+@pytest.fixture()
+def bench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    before = set(sys.modules)
+    import run as module
+
+    yield module
+    for name in set(sys.modules) - before:
+        if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == PERFBENCH:
+            del sys.modules[name]
+
+
+def _make_paths(args) -> None:
+    """Create every path a command line names, so that options checking that
+    an input exists parse: paths with a suffix as files, others as dirs."""
+    for arg in args:
+        if isinstance(arg, Path):
+            if arg.suffix:
+                arg.parent.mkdir(parents=True, exist_ok=True)
+                arg.touch()
+            else:
+                arg.mkdir(parents=True, exist_ok=True)
+
+
+@pytest.mark.parametrize("workload", ["spider-replay", "kaggle-large", "live-cold-cache"])
+def test_benchmark_command_lines_parse(bench_run, workload, tmp_path):
+    """Every command line of the benchmark's workloads parses under the CLI,
+    configuration file included, so a removed or renamed flag fails here.
+    The script names all four modes, covering every step a workload builds."""
+    import json
+
+    from psmith.cli import main, resolve_config
+
+    assert workload in bench_run.WORKLOADS
+    inputs, work = tmp_path / "inputs", tmp_path / "work"
+    inputs.mkdir()
+    work.mkdir()
+    (inputs / "script.json").write_text(json.dumps({
+        "db_id": "target", "modes": ["gp", "da-gp", "ltmp-gp", "ltmp-da-gp"],
+        "script": {}, "verdicts": {f"question {i}": {} for i in range(8)}}))
+    steps = bench_run.Workload(workload, inputs, work).steps(work / "it0")
+    assert {args[0] for _, args in steps} >= {"adapt", "run", "eval"}
+    for _, args in steps:
+        _make_paths(args)
+        command = main.commands[args[0]]
+        ctx = command.make_context(args[0], [str(a) for a in args[1:]])
+        if ctx.params.get("config_path"):
+            resolve_config(ctx.params["config_path"])

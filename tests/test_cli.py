@@ -130,8 +130,9 @@ def test_run_manifest_guards_config(runner, kaggledbqa_dir, tmp_path):
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
     # changed config, same run id -> refuse
-    conflicting = runner.invoke(main, args + ["--ted-threshold", "9"])
+    conflicting = runner.invoke(main, args + ["--seed", "9"])
     assert conflicting.exit_code != 0
+    assert "different configuration" in conflicting.output + conflicting.stderr
     # a different model changes what the run outputs -> refuse
     other_model = runner.invoke(main, args + ["--model", "another-model"])
     assert other_model.exit_code != 0
@@ -200,3 +201,65 @@ def test_run_same_config_rerun_resumes(runner, kaggledbqa_dir, tmp_path):
     assert second.exit_code == 0, second.output
     predictions = (tmp_path / "runs" / "resume-me" / "predictions.jsonl")
     assert predictions.exists()
+
+
+def test_run_resumes_under_a_file_setting_only_adapt_reads(runner, kaggledbqa_dir,
+                                                             tmp_path):
+    from psmith.pipelines import AdaptationBundle
+
+    bundle = tmp_path / "bundle.json"
+    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    args = ["run", "--mode", "da-gp", "--bundle", str(bundle),
+            "--test", str(kaggledbqa_dir), "--runs", str(tmp_path / "runs"),
+            "--run-id", "shared-conf", "--replay", str(STORE),
+            "--model", "offline-model"]
+    assert runner.invoke(main, args).exit_code == 0
+    # one file serves adapt and run; a key only adapt reads leaves the run's
+    # configuration as it was
+    conf = tmp_path / "shared.conf"
+    conf.write_text("ted_threshold = 7\nmax_beam_samples = 3\n")
+    again = runner.invoke(main, args + ["--config", str(conf)])
+    assert again.exit_code == 0, again.output + again.stderr
+    assert runner.invoke(main, args + ["--ted-threshold", "7"]).exit_code == 2
+
+
+def test_adapt_drafts_follow_the_cot_setting(runner, spider_dir, spider_ss_dir,
+                                             kaggledbqa_dir, tmp_path, monkeypatch):
+    from psmith.promptforge import prompts
+    from psmith.promptforge.templates import load_template
+
+    drafts = []
+
+    def recording(*args, **kwargs):
+        artifact = build(*args, **kwargs)
+        drafts.append(artifact.text)
+        return artifact
+
+    build = prompts.build_ltmp_prompt
+    monkeypatch.setattr(prompts, "build_ltmp_prompt", recording)
+    report = tmp_path / "report.jsonl"
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(report)]).exit_code == 0
+    result = runner.invoke(main, [
+        "adapt", "--report", str(report), "--train", str(spider_dir),
+        "--test", str(kaggledbqa_dir), "--db", fixturelib.NUCLEAR_DB,
+        "--out", str(tmp_path / "bundle.json"), "--spider-ss", str(spider_ss_dir),
+        "--draft-decompositions", "--no-cot", "--replay", str(STORE),
+        "--model", "offline-model"])
+    assert result.exit_code == 0, result.output + result.stderr
+    template = load_template("ltmp_gp")
+    assert drafts
+    for text in drafts:
+        assert template["plain_answer_line"] in text.splitlines()
+        assert template["cot_line"] not in text
+
+
+def test_config_llm_mode_replay_is_a_usage_error(runner, kaggledbqa_dir, tmp_path):
+    conf = tmp_path / "replay.conf"
+    conf.write_text("llm_mode = replay\n")
+    result = runner.invoke(main, [
+        "run", "--mode", "gp", "--config", str(conf), "--test", str(kaggledbqa_dir),
+        "--runs", str(tmp_path / "runs"), "--run-id", "R"])
+    assert result.exit_code == 2
+    assert not isinstance(result.exception, ValueError)
+    assert "llm_mode" in result.output + result.stderr

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -216,33 +219,103 @@ def test_unknown_surface_rejected():
         LlmClient(mode="live", api_surface="telepathy")
 
 
-def test_token_bucket_admission():
-    from psmith.llmclient import TokenBucket
+# --- the spend cap under concurrent workers ------------------------------------------
 
-    clock = [0.0]
-    sleeps = []
+def _spend_ledger(threads: int, cap: int, usage: int):
+    """Send 64 equal-sized requests from *threads* workers; return (calls,
+    tokens spent, refusals). The transport reports *usage* tokens a call.
+    Each worker's first request waits on a barrier, in the transport or
+    after its refusal, so every worker decides before any call settles."""
+    calls = []
+    barrier = threading.Barrier(threads, timeout=10)
+    first_round = threading.local()
 
-    def fake_sleep(s):
-        sleeps.append(s)
-        clock[0] += s
+    def transport(url, payload, headers, timeout):
+        calls.append(payload["prompt"])
+        if first_round.value:
+            barrier.wait()
+        return 200, {"choices": [{"text": "SELECT 1"}],
+                     "usage": {"prompt_tokens": usage - 1, "completion_tokens": 1}}, None
 
-    bucket = TokenBucket(rate=2.0, capacity=1.0, clock=lambda: clock[0],
-                         sleep=fake_sleep)
-    bucket.acquire()          # takes the initial token instantly
-    bucket.acquire()          # must wait for a refill at 2 tokens/sec
-    assert sleeps and abs(sum(sleeps) - 0.5) < 1e-9
-
-
-def test_limiter_gates_live_calls():
-    from psmith.llmclient import TokenBucket
-
-    clock = [0.0]
-    waited = []
-    bucket = TokenBucket(rate=1.0, capacity=1.0, clock=lambda: clock[0],
-                         sleep=lambda s: (waited.append(s), clock.__setitem__(0, clock[0] + s)))
-    transport = fake_transport(["SELECT 1"])
     client = LlmClient(mode="live", transport=transport, model="test-model",
-                       api_base="http://example.invalid", limiter=bucket)
-    client.generate(make_request())
-    client.generate(make_request(prompt="another"))
-    assert waited, "second live call should have waited on the bucket"
+                       api_base="http://example.invalid", spend_cap=cap)
+
+    def one(i):
+        first_round.value = i < threads
+        try:
+            client.generate(make_request(prompt=f"question {i:02d}", max_output_tokens=96))
+        except BudgetRefused:
+            if first_round.value:
+                barrier.wait()
+            return 1
+        return 0
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        refused = sum(pool.map(one, range(64)))
+    return len(calls), client._spent_tokens, refused
+
+
+@pytest.mark.parametrize("threads", [2, 4, 8, 16])
+@pytest.mark.parametrize("admitted", [1, 2, 4])
+def test_spend_cap_holds_across_workers(monkeypatch, threads, admitted):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    # each request is estimated at 3 prompt + 96 output tokens
+    estimate = 99
+    cap = admitted * estimate + estimate // 2
+    ledger = _spend_ledger(threads, cap, estimate)
+    assert ledger[1] <= cap
+    assert ledger == _spend_ledger(1, cap, estimate)
+    assert ledger == (admitted, admitted * estimate, 64 - admitted)
+
+
+def test_spend_ledger_under_thread_switching_stress():
+    """Unequal requests from more workers than cores, switching threads as
+    often as the interpreter allows: a lost update of the ledger would leave
+    it unequal to the usage of the calls that were made."""
+    made = []
+
+    def transport(url, payload, headers, timeout):
+        used = len(payload["prompt"]) // 4 + payload["max_tokens"]
+        made.append(used)
+        return 200, {"choices": [{"text": "SELECT 1"}],
+                     "usage": {"prompt_tokens": used - 1, "completion_tokens": 1}}, None
+
+    client = LlmClient(mode="live", transport=transport, model="test-model",
+                       api_base="http://example.invalid", spend_cap=5_000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def one(i):
+            try:
+                client.generate(make_request(prompt="x" * (4 * (i % 7)),
+                                             max_output_tokens=10 + i % 5))
+            except BudgetRefused:
+                pass
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(one, range(2_000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert client._spent_tokens == sum(made) <= 5_000
+    assert len(made) < 2_000
+
+
+def test_spend_cap_settles_to_reported_usage():
+    # each call reserves 99 tokens and spends 20, so a 100-token cap admits
+    # calls until 20 * n + 99 > 100: a reservation is released, not kept
+    assert _spend_ledger(1, 100, 20) == (1, 20, 63)
+    assert _spend_ledger(1, 1000, 20) == (46, 920, 18)
+
+
+def test_spend_cap_releases_a_failed_call(monkeypatch):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+
+    def always_down(url, payload, headers, timeout):
+        raise OSError("no route to host")
+
+    client = LlmClient(mode="live", transport=always_down, model="test-model",
+                       api_base="http://example.invalid", spend_cap=300)
+    for _ in range(3):
+        with pytest.raises(TransportError):
+            client.generate(make_request(max_output_tokens=200))
+    assert client._spent_tokens == 0

@@ -372,6 +372,10 @@ def test_pipeline_config_validation():
         PipelineConfig(ted_threshold=-1)
     with pytest.raises(ValueError):
         PipelineConfig(max_beam_samples=0)
+    with pytest.raises(ValueError):
+        PipelineConfig(workers=0)
+    with pytest.raises(ValueError):
+        PipelineConfig(llm_mode="replay")  # replay is --replay PATH
 
 
 def build_gp_identity_store(tmp_path, train_dataset, test_dataset, examples):

@@ -4,7 +4,7 @@ import pytest
 
 import fixturelib
 from psmith.corpus.types import Column, SchemaProfile, Table
-from psmith.errors import BudgetExceeded, MissingProfile, UnknownCounter
+from psmith.errors import BudgetExceeded, MissingProfile
 from psmith.promptforge import (
     LtmpChain,
     TokenBudget,
@@ -13,7 +13,6 @@ from psmith.promptforge import (
     build_ltmp_prompt,
     count_tokens,
     load_artifact,
-    register_counter,
     render_schema_basic,
     render_schema_domain,
     save_artifact,
@@ -53,21 +52,9 @@ def test_count_tokens_heuristic():
     assert count_tokens("x" * 401) == 101
 
 
-def test_count_tokens_unknown_counter():
-    with pytest.raises(UnknownCounter):
-        count_tokens("abc", "no-such-counter")
-
-
-def test_register_counter():
-    register_counter("words", lambda text: len(text.split()))
-    assert count_tokens("a b c", "words") == 3
-
-
 def test_budget_validation():
     with pytest.raises(ValueError):
         TokenBudget(limit=0)
-    with pytest.raises(UnknownCounter):
-        TokenBudget(counter="bogus")
 
 
 # --- schema rendering -------------------------------------------------------------
