@@ -32,7 +32,7 @@ from .corpus import (
     load_spider,
     load_spider_ss,
 )
-from .errors import BudgetExceeded, PsmithError
+from .errors import BudgetExceeded, MissingAdaptation, PsmithError
 from .llmclient import LlmClient, ReplayStore, forbidden_transport, write_records
 from .pipelines import (
     AdaptationBundle,
@@ -330,9 +330,13 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
     })
 
     client = build_client(cfg, replay, record, cache_dir)
-    outcome = run_pipeline(cfg, client, test, train=train, exemplars=exemplars,
-                           ss_records=ss_records, bundle=bundle,
-                           target_profile=target_profile, out_dir=run_dir)
+    try:
+        outcome = run_pipeline(cfg, client, test, train=train, exemplars=exemplars,
+                               ss_records=ss_records, bundle=bundle,
+                               target_profile=target_profile, out_dir=run_dir)
+    except MissingAdaptation as exc:
+        click.echo(f"Error: {exc}", err=True)
+        raise SystemExit(EXIT_USAGE) from None
     click.echo(f"{len(outcome.predictions)} predictions "
                f"({len(outcome.errors)} per-query failures) -> "
                f"{run_dir / 'predictions.jsonl'}")

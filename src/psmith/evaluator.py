@@ -44,6 +44,7 @@ _READ_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
 class ResultTable:
     columns: int
     rows: tuple[tuple, ...]
+    truncated: bool = False  # more rows follow than execute_sql's max_rows kept
 
     def __post_init__(self):
         for row in self.rows:
@@ -99,15 +100,25 @@ def _read_only_cursor(db_path: str | Path, sql: str, timeout_s: float):
 def execute_sql(db_path: str | Path, sql: str, timeout_s: float = STATEMENT_TIMEOUT_S,
                 max_rows: int | None = None) -> ResultTable:
     """Execute one query on a read-only connection and materialize the result,
-    or only its first max_rows rows when max_rows is given.
+    or only its first max_rows rows when max_rows is given, marked truncated
+    when another row follows.
 
     Raises SqlRejected for anything but a single read-only statement,
     SqlTimeout past the statement timeout, and SqlError for syntax/semantic
-    failures (message attached).
+    failures (message attached). With max_rows, only an error on one of the
+    first max_rows + 1 rows raises: sqlite3 steps the row after each row it
+    returns, so the row after those is stepped and its error ignored.
     """
     with _read_only_cursor(db_path, sql, timeout_s) as cursor:
-        rows = tuple(cursor.fetchall() if max_rows is None else cursor.fetchmany(max_rows))
-        return ResultTable(len(cursor.description), rows)
+        if max_rows is None:
+            return ResultTable(len(cursor.description), tuple(cursor.fetchall()))
+        # fetchmany(0) would fetch every row
+        rows = tuple(cursor.fetchmany(max_rows)) if max_rows else ()
+        try:
+            truncated = cursor.fetchone() is not None
+        except sqlite3.DatabaseError:  # stepping past a row that exists
+            truncated = True
+        return ResultTable(len(cursor.description), rows, truncated)
 
 
 def check_executes(db_path: str | Path, sql: str,
@@ -286,12 +297,13 @@ def evaluate(predictions: dict[tuple[str, str], str],
         try:
             # a prediction with more rows than gold is wrong however many it has
             predicted_result = execute_sql(schema.sqlite_path, predicted, timeout_s,
-                                           max_rows=len(gold_result.rows) + 1)
+                                           max_rows=len(gold_result.rows))
         except SqlError:
             failures.append((example.nl, FAIL_EXEC))
             continue
         ordered = gold_is_ordered(example.sql)
-        if results_equivalent(gold_result, predicted_result, ordered):
+        if (not predicted_result.truncated
+                and results_equivalent(gold_result, predicted_result, ordered)):
             bucket[0] += 1
         else:
             failures.append((example.nl, FAIL_MISMATCH))

@@ -7,22 +7,14 @@ from .adapt import (
     da_stage2_generate_nl,
     verify_bundle,
 )
-from .ltmp import (
-    LtmpTrace,
-    extract_final_sql,
-    parse_item_list,
-    run_stage1_decompose,
-    run_stage2_map_natsql,
-    run_stage3_compose_sql,
-)
+from .ltmp import LtmpTrace, extract_final_sql, parse_item_list
 from .normalize import normalize_question, normalize_sql
 from .run import (
     PipelineConfig,
     PipelineOutcome,
-    chains_from_bundle,
-    chains_from_records,
     read_predictions,
     run_pipeline,
+    shots_for,
     write_predictions,
 )
 
@@ -32,8 +24,6 @@ __all__ = [
     "LtmpTrace",
     "PipelineConfig",
     "PipelineOutcome",
-    "chains_from_bundle",
-    "chains_from_records",
     "da_stage1_transfer",
     "da_stage2_generate_nl",
     "extract_final_sql",
@@ -42,9 +32,7 @@ __all__ = [
     "parse_item_list",
     "read_predictions",
     "run_pipeline",
-    "run_stage1_decompose",
-    "run_stage2_map_natsql",
-    "run_stage3_compose_sql",
+    "shots_for",
     "verify_bundle",
     "write_predictions",
 ]

@@ -21,7 +21,6 @@ from ..errors import (
     ParseError,
     PsmithError,
     SqlError,
-    UnparseableSteps,
 )
 from ..evaluator import check_executes
 from ..llmclient import LlmClient
@@ -33,6 +32,7 @@ from ..promptforge.prompts import (
 )
 from ..sampler import Exemplar
 from ..sqlanalysis import skeletonize, tree_edit_distance
+from .ltmp import read_steps, read_sub_questions
 from .normalize import normalize_question, normalize_sql
 
 logger = logging.getLogger(__name__)
@@ -211,7 +211,8 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
                     draft_records=None, draft_context=None):
     """Adapt every exemplar to the target database (stage 1 then stage 2).
 
-    Per-exemplar failures are collected, not fatal. With ``draft_records``
+    Per-exemplar failures, of an adaptation or of a decomposition draft,
+    are collected, not fatal. With ``draft_records``
     (NL -> DecompositionRecord) and ``draft_context`` (train databases for
     the few-shot schemas), machine drafts of the decompositions are also
     generated for each adapted exemplar, from prompts whose exemplars end in
@@ -220,8 +221,7 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
     Returns (bundle, failure descriptions).
     """
     from ..promptforge.prompts import build_ltmp_prompt
-    from .ltmp import _generate_list, run_stage1_decompose
-    from .run import chains_from_records
+    from .run import shots_for
 
     bundle = AdaptationBundle(target_schema.db_id, ted_threshold)
     failures: list[str] = []
@@ -242,24 +242,28 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
             ted=ted, attempts=attempts))
 
     if draft_records is not None:
-        chains = chains_from_records(exemplars, draft_records)
+        shots = shots_for("ltmp-gp", exemplars, draft_records)
+
+        def complete(stage: int, nl: str, subs: tuple[str, ...] = ()) -> str:
+            prompt = build_ltmp_prompt(
+                "ltmp-gp", stage, shots, nl, databases=draft_context,
+                test_sub_questions=subs, budget=budget, cot_enabled=cot_enabled,
+                test_schema=target_schema)
+            request = client.request(prompt.text, max_output_tokens=max_output_tokens,
+                                     stop=["\n"])
+            return client.generate(request).text
+
         for entry in bundle.exemplars:
-            stage1 = build_ltmp_prompt(
-                "ltmp-gp", 1, chains, entry.adapted_nl, databases=draft_context,
-                budget=budget, cot_enabled=cot_enabled, test_schema=target_schema)
             try:
-                subs, _ = run_stage1_decompose(stage1, client, max_output_tokens)
-                stage2 = build_ltmp_prompt(
-                    "ltmp-gp", 2, chains, entry.adapted_nl, databases=draft_context,
-                    test_sub_questions=subs, budget=budget,
-                    cot_enabled=cot_enabled, test_schema=target_schema)
+                subs = read_sub_questions(complete(1, entry.adapted_nl))
                 # drafts skip the strict arity check of the run-time stage;
                 # the reviewer reconciles sub-questions and steps by hand
-                steps, _ = _generate_list(stage2, client, max_output_tokens,
-                                          UnparseableSteps)
+                steps = read_steps(complete(2, entry.adapted_nl, subs))
             except PsmithError as exc:
                 logger.warning("decomposition draft failed for %r: %s",
                                entry.adapted_nl, exc)
+                failures.append(f"{entry.source.db_id}: {entry.source.nl}: "
+                                f"decomposition draft: {exc}")
                 continue
             entry.sub_questions = subs
             entry.natsql_steps = steps

@@ -1,8 +1,13 @@
-"""Least-to-most stages: decompose, map to intermediate steps, compose SQL."""
+"""Reading least-to-most completions: the sub-question and intermediate-step
+lists, their arity, and the final SQL.
+
+The stages themselves (prompt, generate, persist, read) run in
+``pipelines.run``; the decomposition drafts of ``adapt`` read their
+completions here too.
+"""
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 
@@ -10,14 +15,11 @@ from ..errors import (
     ArityMismatch,
     EmptyGeneration,
     NoSelectFound,
+    PsmithError,
     UnparseableDecomposition,
     UnparseableSteps,
 )
-from ..llmclient import LlmClient
-from ..promptforge.prompts import PromptArtifact
 from .normalize import normalize_sql
-
-logger = logging.getLogger(__name__)
 
 _QUOTED_ITEM_RE = re.compile(r"'([^']*)'|\"([^\"]*)\"")
 
@@ -53,59 +55,39 @@ def parse_item_list(raw: str) -> list[str]:
     return [piece.strip() for piece in inner.split(",") if piece.strip()]
 
 
-def _generate_list(artifact: PromptArtifact, client: LlmClient, max_output_tokens: int,
-                   unparseable: type[Exception]) -> tuple[tuple[str, ...], str]:
-    """Generate a one-line bracketed list and parse it; raise *unparseable*
-    with the completion when no item parses. Returns (items, completion)."""
-    request = client.request(artifact.text, max_output_tokens=max_output_tokens,
-                             stop=["\n"])
-    result = client.generate(request)
-    items = parse_item_list(result.text)
+def _read_list(completion: str, unparseable: type[PsmithError]) -> tuple[str, ...]:
+    items = parse_item_list(completion)
     if not items:
-        raise unparseable(result.text)
-    return tuple(items), result.text
+        raise unparseable(completion)
+    return tuple(items)
 
 
-def run_stage1_decompose(artifact: PromptArtifact, client: LlmClient,
-                         max_output_tokens: int = 256) -> tuple[tuple[str, ...], str]:
-    """Generate and parse the test question's sub-question list."""
-    return _generate_list(artifact, client, max_output_tokens, UnparseableDecomposition)
+def read_sub_questions(completion: str) -> tuple[str, ...]:
+    """The sub-questions of a stage-1 completion; UnparseableDecomposition
+    when none parses."""
+    return _read_list(completion, UnparseableDecomposition)
 
 
-def run_stage2_map_natsql(artifact: PromptArtifact, client: LlmClient,
-                          sub_questions: tuple[str, ...],
-                          max_output_tokens: int = 256) -> tuple[tuple[str, ...], str]:
-    """Generate one intermediate-representation step per sub-question.
+def read_steps(completion: str) -> tuple[str, ...]:
+    """The intermediate steps of a stage-2 completion; UnparseableSteps when
+    none parses."""
+    return _read_list(completion, UnparseableSteps)
 
-    Single-segment questions may legitimately map to more than one step, so
-    the arity check enforces >= 1 for that case and equality otherwise.
-    """
-    if not sub_questions:
-        raise ValueError("stage 2 needs at least one sub-question")
-    items, text = _generate_list(artifact, client, max_output_tokens, UnparseableSteps)
-    if len(sub_questions) > 1 and len(items) != len(sub_questions):
+
+def check_arity(sub_questions: tuple[str, ...], steps: tuple[str, ...]) -> None:
+    """One intermediate step per sub-question. Single-segment questions may
+    legitimately map to more than one step, so that case needs only one."""
+    if len(sub_questions) > 1 and len(steps) != len(sub_questions):
         raise ArityMismatch(
-            f"{len(sub_questions)} sub-questions but {len(items)} steps")
-    return items, text
-
-
-def run_stage3_compose_sql(artifact: PromptArtifact, client: LlmClient,
-                           max_output_tokens: int = 256) -> tuple[str, str]:
-    """Generate the final SQL from the full reasoning context."""
-    request = client.request(artifact.text, max_output_tokens=max_output_tokens,
-                             stop=["#"])
-    result = client.generate(request)
-    sql = extract_final_sql(result.text)
-    if not sql.strip():
-        raise EmptyGeneration(result.text[:120])
-    return sql, result.text
+            f"{len(sub_questions)} sub-questions but {len(steps)} steps")
 
 
 def extract_final_sql(completion: str) -> str:
     """Pull the SQL out of a stage-3 completion.
 
     The expected surface is a chain-of-thought line followed by
-    ``SQL: <query>`` (bracketed in the domain-adapted family).
+    ``SQL: <query>`` (bracketed in the domain-adapted family). Raises
+    EmptyGeneration when the completion holds no SELECT.
     """
     text = completion
     marker = re.search(r"SQL\s*:\s*", text)

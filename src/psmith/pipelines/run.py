@@ -1,10 +1,13 @@
 """Pipeline orchestration over a test set.
 
-Four modes: ``gp``, ``da-gp``, ``ltmp-gp``, ``ltmp-da-gp``. Per-query
-failures are recorded as empty predictions (scored wrong downstream) and
-never abort the batch. Every prompt artifact and reasoning trace can be
-persisted for audit, and completed per-query artifacts are skipped on
-resume.
+Four modes: ``gp``, ``da-gp``, ``ltmp-gp``, ``ltmp-da-gp``. A run resolves
+its shots once (``shots_for``: from the sampling report, or from the
+adaptation bundle) and answers every query through one stage loop: one
+stage for the one-shot modes, three (decompose, map to intermediate steps,
+compose the SQL) for the least-to-most modes. Per-query failures are
+recorded as empty predictions (scored wrong downstream) and never abort the
+batch. Every prompt, completion and reasoning trace can be persisted for
+audit, and completed per-query artifacts are skipped on resume.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..corpus.profile import NUMERIC_RENDER_MODES
@@ -22,8 +25,8 @@ from ..llmclient import DEFAULT_SPEND_CAP, LlmClient, default_model
 from ..promptforge.budget import DEFAULT_LIMIT, TokenBudget
 from ..promptforge.prompts import (
     MODES,
-    LtmpChain,
     PromptArtifact,
+    Shot,
     build_da_prompt,
     build_generic_prompt,
     build_ltmp_prompt,
@@ -34,9 +37,10 @@ from ..sampler import ExemplarSet
 from .adapt import AdaptationBundle
 from .ltmp import (
     LtmpTrace,
-    run_stage1_decompose,
-    run_stage2_map_natsql,
-    run_stage3_compose_sql,
+    check_arity,
+    extract_final_sql,
+    read_steps,
+    read_sub_questions,
 )
 from .normalize import normalize_sql
 
@@ -109,29 +113,61 @@ class PipelineOutcome:
     errors: list[tuple[tuple[str, str], str]] = field(default_factory=list)
 
 
-def chains_from_records(exemplars: ExemplarSet,
-                        records: dict[str, DecompositionRecord]) -> list[LtmpChain]:
-    chains = []
+def shots_for(mode: str, exemplars: ExemplarSet | None = None,
+              ss_records: dict[str, DecompositionRecord] | None = None,
+              bundle: AdaptationBundle | None = None) -> list[Shot]:
+    """The shots every query of a *mode* run shows: the report's exemplars
+    in the generic modes, with their Spider-SS decompositions (``ss_records``,
+    by NL) in ltmp-gp; the bundle's adapted exemplars in the domain modes,
+    which ltmp-da-gp needs decomposed. Each shot's id is the exemplar_id of
+    the training query it came from."""
+    spec = MODES[mode]
+    shots = []
+    if spec.domain:
+        for entry in bundle.exemplars:
+            if spec.ltmp and (entry.sub_questions is None or entry.natsql_steps is None):
+                raise MissingAdaptation(
+                    f"bundle entry {exemplar_id(entry.source)} lacks decompositions; "
+                    "draft them with adapt --draft-decompositions and finalize by hand")
+            shots.append(Shot(exemplar_id(entry.source), bundle.target_db_id,
+                              entry.adapted_nl, entry.adapted_sql,
+                              entry.sub_questions or (), entry.natsql_steps or ()))
+        return shots
     for item in exemplars:
-        record = records.get(item.nl)
-        if record is None:
-            raise ValueError(f"no decomposition record for exemplar NL {item.nl!r}")
-        chains.append(LtmpChain(item.db_id, item.nl, record.sub_questions,
-                                record.natsql_steps, item.sql))
-    return chains
+        chain = ()
+        if spec.ltmp:
+            record = (ss_records or {}).get(item.nl)
+            if record is None:
+                raise ValueError(f"no decomposition record for exemplar NL {item.nl!r}")
+            chain = (record.sub_questions, record.natsql_steps)
+        shots.append(Shot(exemplar_id(item), item.db_id, item.nl, item.sql, *chain))
+    return shots
 
 
-def chains_from_bundle(bundle: AdaptationBundle) -> list[LtmpChain]:
-    chains = []
-    for entry in bundle.exemplars:
-        if entry.sub_questions is None or entry.natsql_steps is None:
-            raise MissingAdaptation(
-                f"bundle entry {exemplar_id(entry.source)} lacks decompositions; "
-                "draft them with adapt --draft-decompositions and finalize by hand")
-        chains.append(LtmpChain(bundle.target_db_id, entry.adapted_nl,
-                                entry.sub_questions, entry.natsql_steps,
-                                entry.adapted_sql))
-    return chains
+# --- the stages, each reading its completion into the trace -------------------
+
+def _answer(trace: LtmpTrace, completion: str) -> None:
+    trace.final_sql = normalize_sql(completion, cue="SELECT")
+
+
+def _decompose(trace: LtmpTrace, completion: str) -> None:
+    trace.sub_questions = read_sub_questions(completion)
+
+
+def _map_steps(trace: LtmpTrace, completion: str) -> None:
+    trace.natsql_steps = read_steps(completion)
+    check_arity(trace.sub_questions, trace.natsql_steps)
+
+
+def _compose(trace: LtmpTrace, completion: str) -> None:
+    trace.final_sql = extract_final_sql(completion)
+
+
+# a stage: (file stem of its prompt and completion, its stop sequences or
+# None for the client's default, the reader of its completion)
+_LTMP_STAGES = (("stage1", ("\n",), _decompose),
+                ("stage2", ("\n",), _map_steps),
+                ("stage3", ("#",), _compose))
 
 
 class _QueryRunner:
@@ -139,121 +175,69 @@ class _QueryRunner:
 
     def __init__(self, cfg: PipelineConfig, client: LlmClient,
                  train: AnnotatedDataset | None, test: AnnotatedDataset,
-                 exemplars: ExemplarSet | None,
-                 ss_records: dict[str, DecompositionRecord] | None,
-                 bundle: AdaptationBundle | None,
-                 target_profile, out_dir: Path | None):
+                 shots: list[Shot], target_profile, out_dir: Path | None):
         self.cfg = cfg
         self.spec = MODES[cfg.mode]
         self.client = client
         self.train_databases = train.databases if train is not None else None
         self.test = test
+        self.shots = shots
         self.target_profile = target_profile
         self.out_dir = out_dir
-        self.exemplars = exemplars
-        if self.spec.domain and not bundle.exemplars:
-            logger.warning("adaptation bundle is empty; running a zero-shot "
-                           "domain prompt")
+        self.stages = (_LTMP_STAGES if self.spec.ltmp
+                       else ((self.spec.template, None, _answer),))
+
+    def _prompt(self, stage: int, example: AnnotatedExample,
+                trace: LtmpTrace) -> PromptArtifact:
+        test_schema = self.test.databases[example.db_id]
         if self.spec.ltmp:
-            self.chains = (chains_from_bundle(bundle) if self.spec.domain
-                           else chains_from_records(exemplars, ss_records))
-        elif self.spec.domain:
-            self.pairs = [(e.adapted_nl, e.adapted_sql) for e in bundle.exemplars]
-            self.pair_ids = [exemplar_id(e.source) for e in bundle.exemplars]
-
-    # -- persistence helpers --
-
-    def _qdir(self, example: AnnotatedExample, index: int) -> Path | None:
-        if self.out_dir is None:
-            return None
-        path = self.out_dir / example.db_id / str(index)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def _stored(self, qdir: Path | None) -> str | None:
-        if qdir is None:
-            return None
-        final = qdir / "final.sql"
-        if final.exists():
-            return final.read_text(encoding="utf-8")
-        return None
-
-    def _persist(self, qdir: Path | None, name: str,
-                 artifact: PromptArtifact | None = None,
-                 text: str | None = None) -> None:
-        if qdir is None:
-            return
-        if artifact is not None:
-            save_artifact(artifact, qdir / f"{name}.prompt")
-        if text is not None:
-            (qdir / name).write_text(text, encoding="utf-8")
-
-    # -- per-mode work --
-
-    def run_one(self, example: AnnotatedExample, index: int) -> tuple[str, LtmpTrace | None, str | None]:
-        """Returns (prediction sql, trace or None, error or None)."""
-        qdir = self._qdir(example, index)
-        stored = self._stored(qdir)
-        if stored is not None:
-            return stored, None, None
-        try:
-            if self.spec.ltmp:
-                sql, trace = self._run_ltmp_query(example, qdir)
-            else:
-                sql, trace = self._run_one_shot_query(example, qdir), None
-        except PsmithError as exc:
-            logger.warning("query failed (%s / %r): %s", example.db_id, example.nl, exc)
-            self._persist(qdir, "error.txt", text=f"{type(exc).__name__}: {exc}\n")
-            return "", None, f"{type(exc).__name__}: {exc}"
-        self._persist(qdir, "final.sql", text=sql)
-        return sql, trace, None
-
-    def _run_one_shot_query(self, example: AnnotatedExample, qdir: Path | None) -> str:
-        if self.spec.domain:
-            artifact = build_da_prompt(self.target_profile, self.pairs, example.nl,
-                                       self.cfg.budget, exemplar_ids=self.pair_ids)
-        else:
-            artifact = build_generic_prompt(
-                self.exemplars, self.train_databases, example, self.cfg.budget,
-                test_schema=self.test.databases[example.db_id])
-        name = self.spec.template
-        self._persist(qdir, name, artifact=artifact)
-        request = self.client.request(
-            artifact.text, max_output_tokens=self.cfg.max_output_tokens)
-        result = self.client.generate(request)
-        self._persist(qdir, f"{name}.out", text=result.text)
-        return normalize_sql(result.text, cue="SELECT")
-
-    def _run_ltmp_query(self, example: AnnotatedExample,
-                        qdir: Path | None) -> tuple[str, LtmpTrace]:
-        trace = LtmpTrace(test_nl=example.nl)
-
-        def prompt(stage: int) -> PromptArtifact:
-            artifact = build_ltmp_prompt(
-                self.cfg.mode, stage, self.chains, example.nl,
+            return build_ltmp_prompt(
+                self.cfg.mode, stage, self.shots, example.nl,
                 databases=self.train_databases, target=self.target_profile,
                 test_sub_questions=trace.sub_questions, test_steps=trace.natsql_steps,
                 budget=self.cfg.budget, cot_enabled=self.cfg.cot_enabled,
-                test_schema=self.test.databases[example.db_id])
-            self._persist(qdir, f"stage{stage}", artifact=artifact)
-            trace.stage_prompts.append(artifact.digest)
-            return artifact
+                test_schema=test_schema)
+        if self.spec.domain:
+            return build_da_prompt(self.target_profile, self.shots, example.nl,
+                                   self.cfg.budget)
+        return build_generic_prompt(self.shots, self.train_databases, example.nl,
+                                    test_schema, self.cfg.budget)
 
-        subs, raw1 = run_stage1_decompose(prompt(1), self.client,
-                                          self.cfg.max_output_tokens)
-        self._persist(qdir, "stage1.out", text=raw1)
-        trace.sub_questions = subs
+    def run_one(self, example: AnnotatedExample, index: int) -> tuple[str, LtmpTrace | None, str | None]:
+        """Walk the mode's stages for one query: each builds and persists its
+        prompt, generates, persists the completion and reads it into the
+        trace. Returns (prediction sql, trace in the least-to-most modes or
+        None, error or None)."""
+        qdir = None
+        if self.out_dir is not None:
+            qdir = self.out_dir / example.db_id / str(index)
+            if (qdir / "final.sql").exists():
+                return (qdir / "final.sql").read_text(encoding="utf-8"), None, None
+            qdir.mkdir(parents=True, exist_ok=True)
 
-        steps, raw2 = run_stage2_map_natsql(prompt(2), self.client, subs,
-                                            self.cfg.max_output_tokens)
-        self._persist(qdir, "stage2.out", text=raw2)
-        trace.natsql_steps = steps
+        def persist(name: str, text: str) -> None:
+            if qdir is not None:
+                (qdir / name).write_text(text, encoding="utf-8")
 
-        sql, raw3 = run_stage3_compose_sql(prompt(3), self.client,
-                                           self.cfg.max_output_tokens)
-        self._persist(qdir, "stage3.out", text=raw3)
-        trace.final_sql = sql
-        return sql, trace
+        trace = LtmpTrace(test_nl=example.nl)
+        try:
+            for number, (name, stop, read) in enumerate(self.stages, 1):
+                artifact = self._prompt(number, example, trace)
+                if qdir is not None:
+                    save_artifact(artifact, qdir / f"{name}.prompt")
+                trace.stage_prompts.append(artifact.digest)
+                request = self.client.request(
+                    artifact.text, max_output_tokens=self.cfg.max_output_tokens, stop=stop)
+                completion = self.client.generate(request).text
+                # kept before it is read, so a completion that fails to parse stays
+                persist(f"{name}.out", completion)
+                read(trace, completion)
+        except PsmithError as exc:
+            logger.warning("query failed (%s / %r): %s", example.db_id, example.nl, exc)
+            persist("error.txt", f"{type(exc).__name__}: {exc}\n")
+            return "", None, f"{type(exc).__name__}: {exc}"
+        persist("final.sql", trace.final_sql)
+        return trace.final_sql, trace if self.spec.ltmp else None, None
 
 
 def run_pipeline(cfg: PipelineConfig, client: LlmClient,
@@ -275,6 +259,9 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
     if MODES[cfg.mode].domain:
         if bundle is None or target_profile is None:
             raise ValueError(f"{cfg.mode} needs an adaptation bundle and target profile")
+        if not bundle.exemplars:
+            logger.warning("adaptation bundle is empty; running a zero-shot "
+                           "domain prompt")
         queries = [ex for ex in test.examples if ex.db_id == bundle.target_db_id]
     else:
         if exemplars is None or train is None:
@@ -282,8 +269,9 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
         queries = list(test.examples)
 
     out_path = Path(out_dir) if out_dir is not None else None
-    runner = _QueryRunner(cfg, client, train, test, exemplars, ss_records,
-                          bundle, target_profile, out_path)
+    runner = _QueryRunner(cfg, client, train, test,
+                          shots_for(cfg.mode, exemplars, ss_records, bundle),
+                          target_profile, out_path)
 
     indexed: list[tuple[AnnotatedExample, int]] = []
     seen_per_db: dict[str, int] = {}
@@ -311,13 +299,7 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
         write_predictions(outcome.predictions, out_path / "predictions.jsonl")
         with open(out_path / "traces.jsonl", "w", encoding="utf-8") as f:
             for trace in outcome.traces:
-                f.write(json.dumps({
-                    "test_nl": trace.test_nl,
-                    "sub_questions": list(trace.sub_questions),
-                    "natsql_steps": list(trace.natsql_steps),
-                    "final_sql": trace.final_sql,
-                    "stage_prompts": trace.stage_prompts,
-                }, ensure_ascii=False, sort_keys=True) + "\n")
+                f.write(json.dumps(asdict(trace), ensure_ascii=False, sort_keys=True) + "\n")
     return outcome
 
 

@@ -3,9 +3,9 @@
 from .budget import DEFAULT_LIMIT, TokenBudget, count_tokens
 from .prompts import (
     MODES,
-    LtmpChain,
     PipelineMode,
     PromptArtifact,
+    Shot,
     build_adapt_nl_prompt,
     build_adapt_sql_prompt,
     build_da_prompt,
@@ -20,10 +20,10 @@ from .templates import load_template
 
 __all__ = [
     "DEFAULT_LIMIT",
-    "LtmpChain",
     "MODES",
     "PipelineMode",
     "PromptArtifact",
+    "Shot",
     "TokenBudget",
     "build_adapt_nl_prompt",
     "build_adapt_sql_prompt",

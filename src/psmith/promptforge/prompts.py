@@ -11,9 +11,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from ..corpus.types import AnnotatedExample, SchemaProfile
+from ..corpus.types import SchemaProfile
 from ..errors import BudgetExceeded
 from .budget import TokenBudget, count_tokens
 from .schema_render import render_schema_basic, render_schema_domain
@@ -38,6 +38,19 @@ MODES: dict[str, PipelineMode] = {
 }
 
 LTMP_STAGES = (1, 2, 3)
+
+
+@dataclass(frozen=True)
+class Shot:
+    """One exemplar as a prompt shows it: a question and its SQL, and for
+    the least-to-most modes its sub-questions and intermediate steps. ``id``
+    is the exemplar_id of the training query the shot came from."""
+    id: str
+    db_id: str
+    nl: str
+    sql: str
+    sub_questions: tuple[str, ...] = ()
+    natsql_steps: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -85,20 +98,20 @@ def load_artifact(path: str | Path) -> PromptArtifact:
 
 # --- shared assembly helpers ------------------------------------------------
 
-def _group_by_db(items) -> list[tuple[str, list]]:
-    """Group exemplar-like records by db_id, preserving first-use order."""
-    groups: dict[str, list] = {}
-    for item in items:
-        groups.setdefault(item.db_id, []).append(item)
+def _group_by_db(shots: Sequence[Shot]) -> list[tuple[str, list[Shot]]]:
+    """Group shots by db_id, preserving first-use order."""
+    groups: dict[str, list[Shot]] = {}
+    for shot in shots:
+        groups.setdefault(shot.db_id, []).append(shot)
     return list(groups.items())
 
 
-def _schema_for(databases, db_id: str) -> SchemaProfile:
-    mapping = getattr(databases, "databases", databases)
-    if mapping is None:
+def _schema_for(databases: Mapping[str, SchemaProfile] | None,
+                db_id: str) -> SchemaProfile:
+    if databases is None:
         raise ValueError("generic prompts need the exemplar schemas")
     try:
-        return mapping[db_id]
+        return databases[db_id]
     except KeyError:
         raise KeyError(f"db_id {db_id!r} does not resolve to a schema") from None
 
@@ -122,16 +135,11 @@ def _decomposition_lines(tpl: Template, sub_questions: Sequence[str],
             tpl["steps_prefix"] + _bracketed(steps, tpl["step_item"])]
 
 
-class _Shot(NamedTuple):
-    nl: str
-    sql: str
-
-
-def _assemble(mode: str, items: Sequence, test_nl: str, budget: TokenBudget | None,
-              *, stage: int = 1, databases=None, test_schema: SchemaProfile | None = None,
+def _assemble(mode: str, shots: Sequence[Shot], test_nl: str, budget: TokenBudget | None,
+              *, stage: int = 1, databases: Mapping[str, SchemaProfile] | None = None,
+              test_schema: SchemaProfile | None = None,
               target: SchemaProfile | None = None, test_sub_questions: Sequence[str] = (),
-              test_steps: Sequence[str] = (), cot_enabled: bool = True,
-              exemplar_ids: Sequence[str] | None = None) -> PromptArtifact:
+              test_steps: Sequence[str] = (), cot_enabled: bool = True) -> PromptArtifact:
     """Lay out the prompt of one pipeline mode (and stage).
 
     The domain axis picks the schema context: a generic prompt opens with a
@@ -148,24 +156,24 @@ def _assemble(mode: str, items: Sequence, test_nl: str, budget: TokenBudget | No
             raise ValueError(f"{mode} prompts need the target schema")
         lines = [tpl["schema_header"], tpl["separator"],
                  *render_schema_domain(target).splitlines(), tpl["separator"]]
-        groups = [(None, items)]
+        groups = [(None, shots)]
     else:
         if test_schema is None:
             raise ValueError(f"{mode} prompts need the test schema")
         lines = [tpl["note"]]
-        groups = _group_by_db(items)
+        groups = _group_by_db(shots)
     for db_id, group in groups:
         if db_id is not None:
             lines += _basic_block(tpl["schema_header"], _schema_for(databases, db_id),
                                   tpl["separator"])
-        for item in group:
-            lines.append(tpl["question_prefix"] + item.nl)
+        for shot in group:
+            lines.append(tpl["question_prefix"] + shot.nl)
             if spec.ltmp:
-                lines += _decomposition_lines(tpl, item.sub_questions, item.natsql_steps)
+                lines += _decomposition_lines(tpl, shot.sub_questions, shot.natsql_steps)
                 lines.append(tpl["cot_line"] if cot_enabled else tpl["plain_answer_line"])
-                lines.append(tpl["sql_line"].replace("{sql}", item.sql))
+                lines.append(tpl["sql_line"].replace("{sql}", shot.sql))
             else:
-                lines.append(item.sql)
+                lines.append(shot.sql)
             lines.append(tpl["separator"])
     if not spec.domain:
         lines += _basic_block(tpl["schema_header"], test_schema, tpl["separator"])
@@ -180,52 +188,31 @@ def _assemble(mode: str, items: Sequence, test_nl: str, budget: TokenBudget | No
     else:
         lines.append(tpl["cue"])
         name = spec.template
-    if exemplar_ids is None:
-        exemplar_ids = [exemplar_id(item) for item in items]
-    return _make_artifact(name, "\n".join(lines), exemplar_ids, budget)
+    return _make_artifact(name, "\n".join(lines), [shot.id for shot in shots], budget)
 
 
 # --- one-shot prompts ----------------------------------------------------------
 
-def build_generic_prompt(exemplars, databases, test: AnnotatedExample,
-                         budget: TokenBudget | None = None,
-                         test_schema: SchemaProfile | None = None) -> PromptArtifact:
+def build_generic_prompt(shots: Sequence[Shot], databases: Mapping[str, SchemaProfile],
+                         test_nl: str, test_schema: SchemaProfile,
+                         budget: TokenBudget | None = None) -> PromptArtifact:
     """Assemble the Generic Prompt: exemplar schemas and NL/SQL pairs grouped
     per database in first-use order, then the test schema, question and the
-    trailing SELECT cue.
-
-    ``databases`` must resolve every exemplar db_id (and the test db_id,
-    unless ``test_schema`` is given explicitly).
-    """
-    if test_schema is None:
-        test_schema = _schema_for(databases, test.db_id)
-    return _assemble("gp", list(getattr(exemplars, "items", exemplars)), test.nl, budget,
-                     databases=databases, test_schema=test_schema)
+    trailing SELECT cue. ``databases`` must resolve every shot's db_id."""
+    return _assemble("gp", shots, test_nl, budget, databases=databases,
+                     test_schema=test_schema)
 
 
-def build_da_prompt(target: SchemaProfile, pairs: Sequence[tuple[str, str]],
-                    test_nl: str, budget: TokenBudget | None = None,
-                    exemplar_ids: Sequence[str] = ()) -> PromptArtifact:
+def build_da_prompt(target: SchemaProfile, shots: Sequence[Shot], test_nl: str,
+                    budget: TokenBudget | None = None) -> PromptArtifact:
     """Assemble the domain-adapted prompt: the single target schema in the
     domain-enriched format, adapted NL/SQL pairs, then the test question."""
-    return _assemble("da-gp", [_Shot(*pair) for pair in pairs], test_nl, budget,
-                     target=target, exemplar_ids=exemplar_ids)
+    return _assemble("da-gp", shots, test_nl, budget, target=target)
 
 
 # --- Least-to-Most prompts ---------------------------------------------------
 
-@dataclass(frozen=True)
-class LtmpChain:
-    """One few-shot reasoning chain: question, decomposition, intermediate
-    representation steps, and the final SQL."""
-    db_id: str
-    nl: str
-    sub_questions: tuple[str, ...]
-    natsql_steps: tuple[str, ...]
-    sql: str
-
-
-def build_ltmp_prompt(mode: str, stage: int, chains: Sequence[LtmpChain],
+def build_ltmp_prompt(mode: str, stage: int, shots: Sequence[Shot],
                       test_nl: str,
                       databases: Mapping[str, SchemaProfile] | None = None,
                       target: SchemaProfile | None = None,
@@ -237,17 +224,17 @@ def build_ltmp_prompt(mode: str, stage: int, chains: Sequence[LtmpChain],
     """Assemble a least-to-most stage prompt.
 
     ``mode`` is ``ltmp-gp`` (multi-database exemplar schemas, basic format)
-    or ``ltmp-da-gp`` (single target schema, domain format). Exemplar chains
-    are shown in full at every stage; the test block grows recursively:
-    stage 1 ends at the sub-question cue, stage 2 adds the generated
-    sub-questions and ends at the intermediate-representation cue, stage 3
-    adds both and ends at the answer cue.
+    or ``ltmp-da-gp`` (single target schema, domain format). Every shot's
+    reasoning chain is shown in full at every stage; the test block grows
+    recursively: stage 1 ends at the sub-question cue, stage 2 adds the
+    generated sub-questions and ends at the intermediate-representation cue,
+    stage 3 adds both and ends at the answer cue.
     """
     if mode not in MODES or not MODES[mode].ltmp:
         raise ValueError(f"{mode!r} is not a least-to-most mode")
     if stage not in LTMP_STAGES:
         raise ValueError(f"LTMP stage must be one of {LTMP_STAGES}")
-    return _assemble(mode, chains, test_nl, budget, stage=stage, databases=databases,
+    return _assemble(mode, shots, test_nl, budget, stage=stage, databases=databases,
                      test_schema=test_schema, target=target,
                      test_sub_questions=test_sub_questions, test_steps=test_steps,
                      cot_enabled=cot_enabled)

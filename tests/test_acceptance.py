@@ -145,8 +145,9 @@ def test_c5_extraction_ground_truth():
 def test_c6_golden_prompts(train_dataset, test_dataset):
     from test_promptforge import (
         da_chains,
+        da_shots,
         gp_chains,
-        gp_exemplars,
+        gp_shots,
         nuclear_test_example,
     )
     from psmith.promptforge import (
@@ -158,11 +159,11 @@ def test_c6_golden_prompts(train_dataset, test_dataset):
     budget = TokenBudget(limit=4096)
     artifacts = {
         "gp.txt": build_generic_prompt(
-            gp_exemplars(train_dataset), train_dataset.databases,
-            nuclear_test_example(test_dataset), budget,
-            test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB]),
+            gp_shots(train_dataset), train_dataset.databases,
+            nuclear_test_example(test_dataset).nl,
+            test_dataset.databases[fixturelib.NUCLEAR_DB], budget),
         "da_gp.txt": build_da_prompt(
-            fixturelib.nuclear_pinned_profile(), fixturelib.DA_PINNED_PAIRS,
+            fixturelib.nuclear_pinned_profile(), da_shots(),
             fixturelib.TEST_QUESTION, budget),
         "ltmp_gp_stage1.txt": build_ltmp_prompt(
             "ltmp-gp", 1, gp_chains(train_dataset), test_nl=fixturelib.TEST_QUESTION,

@@ -246,7 +246,8 @@ def test_adapt_drafts_follow_the_cot_setting(runner, spider_dir, spider_ss_dir,
         "--out", str(tmp_path / "bundle.json"), "--spider-ss", str(spider_ss_dir),
         "--draft-decompositions", "--no-cot", "--replay", str(STORE),
         "--model", "offline-model"])
-    assert result.exit_code == 0, result.output + result.stderr
+    # the store holds the chain-of-thought drafts only, so every draft misses
+    assert result.exit_code == 1, result.output + result.stderr
     template = load_template("ltmp_gp")
     assert drafts
     for text in drafts:
@@ -263,3 +264,35 @@ def test_config_llm_mode_replay_is_a_usage_error(runner, kaggledbqa_dir, tmp_pat
     assert result.exit_code == 2
     assert not isinstance(result.exception, ValueError)
     assert "llm_mode" in result.output + result.stderr
+
+
+def test_failed_drafts_fail_adapt_and_run_refuses_the_gap(runner, spider_dir, spider_ss_dir,
+                                                          kaggledbqa_dir, tmp_path):
+    from psmith.pipelines import AdaptationBundle
+
+    report, bundle = tmp_path / "report.jsonl", tmp_path / "bundle.json"
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(report)]).exit_code == 0
+    # the store holds the chain-of-thought drafts only, so every plain draft misses
+    adapt = runner.invoke(main, [
+        "adapt", "--report", str(report), "--train", str(spider_dir),
+        "--test", str(kaggledbqa_dir), "--db", fixturelib.NUCLEAR_DB,
+        "--out", str(bundle), "--spider-ss", str(spider_ss_dir),
+        "--draft-decompositions", "--no-cot", "--replay", str(STORE),
+        "--model", "offline-model"])
+    assert adapt.exit_code == 1
+    failed = [line for line in adapt.stderr.splitlines() if line.startswith("failed: ")]
+    assert len(failed) == 18
+    assert all("decomposition draft: no replay record" in line for line in failed)
+    # the bundle is still written: every exemplar adapted, none decomposed
+    entries = AdaptationBundle.load(bundle).exemplars
+    assert len(entries) == 18 and all(e.sub_questions is None for e in entries)
+
+    run = runner.invoke(main, [
+        "run", "--mode", "ltmp-da-gp", "--bundle", str(bundle),
+        "--test", str(kaggledbqa_dir), "--runs", str(tmp_path / "runs"),
+        "--run-id", "gap", "--replay", str(STORE), "--model", "offline-model"])
+    assert run.exit_code == 2
+    assert isinstance(run.exception, SystemExit)
+    assert "lacks decompositions" in run.stderr
+    assert "Traceback" not in run.output + run.stderr

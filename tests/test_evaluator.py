@@ -345,6 +345,27 @@ def test_evaluate_fetches_at_most_one_row_past_gold(tmp_path):
     assert report.failures == [("q", "Mismatch")]
 
 
+def test_evaluate_an_error_past_the_row_bound_is_a_mismatch(tmp_path):
+    """A prediction is read up to one row past its gold result, and an error
+    on a later row scores Mismatch wherever it falls."""
+    one_row, two_rows = "SELECT x FROM u WHERE x = 1", "SELECT x FROM u WHERE x > 0 AND x < 3"
+    dataset = mini_dataset(tmp_path, {"db": [
+        ("row 3 fails", one_row), ("row 4 fails", one_row),
+        ("row 3 fails, gold has 2", two_rows), ("row 3 fails, gold has 0", "SELECT 1 LIMIT 0")]})
+    conn = sqlite3.connect(dataset.databases["db"].sqlite_path)
+    overflow = -2**63  # abs() overflows on this row only
+    conn.executescript(f"CREATE TABLE u (x INTEGER); CREATE TABLE w (x INTEGER);"
+                       f"INSERT INTO u VALUES (1), (2), ({overflow}), (3);"
+                       f"INSERT INTO w VALUES (1), (2), (3), ({overflow});")
+    conn.close()
+    predictions = {("db", ex.nl): "SELECT abs(x) FROM u" for ex in dataset.examples}
+    predictions["db", "row 4 fails"] = "SELECT abs(x) FROM w"
+    report = evaluate(predictions, dataset)
+    assert dict(report.failures) == {
+        "row 3 fails": "Mismatch", "row 4 fails": "Mismatch",
+        "row 3 fails, gold has 2": "ExecError", "row 3 fails, gold has 0": "Mismatch"}
+
+
 def test_evaluate_ordered_gold_catches_misordered_prediction(tmp_path):
     dataset = mini_dataset(tmp_path, {"db": [
         ("sorted", "SELECT a FROM t ORDER BY a")]})

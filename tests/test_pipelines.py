@@ -21,7 +21,6 @@ from psmith.pipelines import (
     AdaptationBundle,
     AdaptedExemplar,
     PipelineConfig,
-    chains_from_bundle,
     da_stage1_transfer,
     da_stage2_generate_nl,
     extract_final_sql,
@@ -30,6 +29,7 @@ from psmith.pipelines import (
     parse_item_list,
     read_predictions,
     run_pipeline,
+    shots_for,
     verify_bundle,
     write_predictions,
 )
@@ -316,7 +316,7 @@ def test_verify_bundle_reports_a_late_row_error(tmp_path, train_dataset, target_
 
 def test_chains_require_decompositions(train_dataset):
     with pytest.raises(MissingAdaptation):
-        chains_from_bundle(make_bundle(train_dataset, with_decompositions=False))
+        shots_for("ltmp-da-gp", bundle=make_bundle(train_dataset, with_decompositions=False))
 
 
 # --- run_pipeline plumbed end to end on a scripted store ---------------------------------
@@ -334,8 +334,8 @@ def test_run_gp_pipeline_identity(tmp_path, train_dataset, test_dataset):
     store_path = tmp_path / "gp-store.jsonl"
     for example in nuclear:
         artifact = build_generic_prompt(
-            exemplars, train_dataset.databases, example, TokenBudget(),
-            test_schema=test_dataset.databases[example.db_id])
+            shots_for("gp", exemplars), train_dataset.databases, example.nl,
+            test_dataset.databases[example.db_id], TokenBudget())
         request = probe.request(artifact.text, max_output_tokens=256)
         completion = example.sql[len("SELECT"):] if example.sql.upper().startswith("SELECT") else example.sql
         append_record(store_path, request, [completion])
@@ -388,8 +388,8 @@ def build_gp_identity_store(tmp_path, train_dataset, test_dataset, examples):
     store_path = tmp_path / "gp-identity.jsonl"
     for example in examples:
         artifact = build_generic_prompt(
-            exemplars, train_dataset.databases, example, TokenBudget(),
-            test_schema=test_dataset.databases[example.db_id])
+            shots_for("gp", exemplars), train_dataset.databases, example.nl,
+            test_dataset.databases[example.db_id], TokenBudget())
         request = probe.request(artifact.text, max_output_tokens=256)
         append_record(store_path, request, [example.sql[len("SELECT"):]])
     return exemplars, store_path
@@ -454,55 +454,27 @@ def test_run_pipeline_resume_skips_completed(tmp_path, train_dataset, test_datas
     assert not second.errors
 
 
-def test_stage1_rejects_empty_list(tmp_path, train_dataset, test_dataset):
-    from psmith.pipelines.ltmp import run_stage1_decompose
-    from psmith.promptforge import build_ltmp_prompt
-    from test_promptforge import gp_chains
+def test_stage1_rejects_empty_list():
+    from psmith.pipelines.ltmp import read_sub_questions
 
-    prompt = build_ltmp_prompt(
-        "ltmp-gp", 1, gp_chains(train_dataset), test_nl=fixturelib.TEST_QUESTION,
-        databases=train_dataset.databases,
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB])
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
-    request = probe.request(prompt.text, max_output_tokens=256, stop=["\n"])
-    client = scripted_client(tmp_path, [(request, ["[]"])])
     with pytest.raises(UnparseableDecomposition):
-        run_stage1_decompose(prompt, client)
+        read_sub_questions("[]")
 
 
-def test_stage2_arity_mismatch(tmp_path, train_dataset, test_dataset):
-    from psmith.pipelines.ltmp import run_stage2_map_natsql
-    from psmith.promptforge import build_ltmp_prompt
-    from test_promptforge import gp_chains
+def test_stage2_arity_mismatch():
+    from psmith.pipelines.ltmp import check_arity, read_steps
 
     subs = ("first part", "second part")
-    prompt = build_ltmp_prompt(
-        "ltmp-gp", 2, gp_chains(train_dataset), test_nl="a two part question",
-        databases=train_dataset.databases,
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
-        test_sub_questions=subs)
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
-    request = probe.request(prompt.text, max_output_tokens=256, stop=["\n"])
-    client = scripted_client(tmp_path, [(request, [" ['only one step']"])])
     with pytest.raises(ArityMismatch):
-        run_stage2_map_natsql(prompt, client, subs)
+        check_arity(subs, read_steps(" ['only one step']"))
 
 
-def test_stage2_single_segment_allows_extra_steps(tmp_path, train_dataset, test_dataset):
-    from psmith.pipelines.ltmp import run_stage2_map_natsql
-    from psmith.promptforge import build_ltmp_prompt
-    from test_promptforge import gp_chains
+def test_stage2_single_segment_allows_extra_steps():
+    from psmith.pipelines.ltmp import check_arity, read_steps
 
     subs = ("one segment",)
-    prompt = build_ltmp_prompt(
-        "ltmp-gp", 2, gp_chains(train_dataset), test_nl="one segment",
-        databases=train_dataset.databases,
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
-        test_sub_questions=subs)
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
-    request = probe.request(prompt.text, max_output_tokens=256, stop=["\n"])
-    client = scripted_client(tmp_path, [(request, [" ['select a', 'select order by b']"])])
-    steps, _ = run_stage2_map_natsql(prompt, client, subs)
+    steps = read_steps(" ['select a', 'select order by b']")
+    check_arity(subs, steps)
     assert len(steps) == 2
 
 
@@ -554,7 +526,7 @@ def test_cot_flag_changes_stage_prompt(train_dataset, test_dataset):
     from test_promptforge import gp_chains
 
     common = dict(
-        chains=gp_chains(train_dataset),
+        shots=gp_chains(train_dataset),
         test_nl=fixturelib.TEST_QUESTION,
         databases=train_dataset.databases,
         test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
@@ -574,13 +546,12 @@ def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
     prompt equal to the one build_ltmp_prompt gives for the same inputs."""
     from psmith.corpus import load_spider_ss
     from psmith.corpus.types import AnnotatedDataset
-    from psmith.pipelines import chains_from_records
     from psmith.promptforge import TokenBudget, build_ltmp_prompt, load_artifact
     from psmith.sampler import sample_exemplars
 
     exemplars = sample_exemplars(train_dataset).exemplars
     records = load_spider_ss(spider_ss_dir)
-    chains = chains_from_records(exemplars, records)
+    chains = shots_for("ltmp-gp", exemplars, records)
     queries = [ex for ex in test_dataset.examples
                if ex.db_id == fixturelib.NUCLEAR_DB][:3]
     dataset = AnnotatedDataset(databases=test_dataset.databases,
@@ -627,3 +598,87 @@ def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
             assert persisted.text == expected.text
             assert persisted.mode == f"ltmp_gp_stage{stage}"
         assert (qdir / "final.sql").read_text() == normalize_sql(queries[index].sql)
+
+
+def test_run_stage2_checks_arity_and_keeps_the_completion(tmp_path, train_dataset,
+                                                          test_dataset, spider_ss_dir):
+    from psmith.corpus import load_spider_ss
+    from psmith.corpus.types import AnnotatedDataset
+    from psmith.promptforge import build_ltmp_prompt
+    from psmith.sampler import sample_exemplars
+
+    exemplars = sample_exemplars(train_dataset).exemplars
+    records = load_spider_ss(spider_ss_dir)
+    example = next(ex for ex in test_dataset.examples if ex.db_id == fixturelib.NUCLEAR_DB)
+    subs = ("first part", "second part")
+    common = dict(databases=train_dataset.databases,
+                  test_schema=test_dataset.databases[example.db_id])
+    shots = shots_for("ltmp-gp", exemplars, records)
+    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    client = scripted_client(tmp_path, [
+        (probe.request(build_ltmp_prompt("ltmp-gp", 1, shots, example.nl, **common).text,
+                       stop=["\n"]), ["['first part', 'second part']"]),
+        (probe.request(build_ltmp_prompt("ltmp-gp", 2, shots, example.nl,
+                                         test_sub_questions=subs, **common).text,
+                       stop=["\n"]), [" ['only one step']"]),
+    ])
+    outcome = run_pipeline(PipelineConfig(mode="ltmp-gp"), client,
+                           AnnotatedDataset(test_dataset.databases, [example], "test"),
+                           train=train_dataset, exemplars=exemplars, ss_records=records,
+                           out_dir=tmp_path / "run")
+    assert [error.split(":")[0] for _, error in outcome.errors] == ["ArityMismatch"]
+    qdir = tmp_path / "run" / example.db_id / "0"
+    assert (qdir / "stage2.out").read_text() == " ['only one step']"
+    assert not (qdir / "stage3.prompt").exists()
+
+
+def committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir):
+    """Adapt and draft from the committed replay store, as the store's own
+    session did; returns the bundle and a run(mode) giving the run directory."""
+    from conftest import REPLAY_DIR
+    from psmith.corpus import load_spider_ss
+    from psmith.pipelines.adapt import adapt_exemplars
+    from psmith.sampler import sample_exemplars
+
+    client = LlmClient(mode="replay", model="offline-model",
+                       replay_store=ReplayStore.load(REPLAY_DIR / "nuclear_ltmp_da_gp.jsonl"))
+    cfg = PipelineConfig()
+    target = test_dataset.databases[fixturelib.NUCLEAR_DB]
+    bundle, failures = adapt_exemplars(
+        sample_exemplars(train_dataset).exemplars, train_dataset.databases, target,
+        client, ted_threshold=cfg.ted_threshold, max_beam_samples=cfg.max_beam_samples,
+        draft_records=load_spider_ss(spider_ss_dir), draft_context=train_dataset.databases)
+    assert not failures
+    profile = attach_value_profile(target, cfg.seed, cfg.numeric_render)
+
+    def run(mode: str):
+        out_dir = tmp_path / mode
+        run_pipeline(PipelineConfig(mode=mode), client, test_dataset, bundle=bundle,
+                     target_profile=profile, out_dir=out_dir)
+        return out_dir / fixturelib.NUCLEAR_DB
+    return bundle, run
+
+
+def test_bundle_runs_name_each_shot_by_its_training_query(tmp_path, train_dataset,
+                                                          test_dataset, spider_ss_dir):
+    from psmith.promptforge import exemplar_id, load_artifact
+
+    bundle, run = committed_bundle_run(tmp_path, train_dataset, test_dataset,
+                                       spider_ss_dir)
+    expected = tuple(exemplar_id(entry.source) for entry in bundle.exemplars)
+    for mode in ("da-gp", "ltmp-da-gp"):
+        prompts = sorted(run(mode).glob("*/*.prompt"))
+        assert len(prompts) >= 22
+        for path in prompts:
+            assert load_artifact(path).exemplar_ids == expected, (mode, path)
+
+
+def test_a_stage_completion_that_fails_to_parse_is_kept(tmp_path, train_dataset,
+                                                        test_dataset, spider_ss_dir):
+    _, run = committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir)
+    questions = [ex.nl for ex in test_dataset.examples if ex.db_id == fixturelib.NUCLEAR_DB]
+    qdir = run("ltmp-da-gp") / str(questions.index(
+        "List the names of plants sourced from wikipedia."))
+    assert (qdir / "error.txt").read_text().startswith("EmptyGeneration:")
+    assert (qdir / "stage3.out").read_text() == " I am not able to answer this question."
+    assert not (qdir / "final.sql").exists()

@@ -3,35 +3,39 @@ from __future__ import annotations
 import pytest
 
 import fixturelib
-from psmith.corpus.types import Column, SchemaProfile, Table
+from psmith.corpus.types import AnnotatedExample, Column, SchemaProfile, Table
 from psmith.errors import BudgetExceeded, MissingProfile
 from psmith.promptforge import (
-    LtmpChain,
+    Shot,
     TokenBudget,
     build_da_prompt,
     build_generic_prompt,
     build_ltmp_prompt,
     count_tokens,
+    exemplar_id,
     load_artifact,
     render_schema_basic,
     render_schema_domain,
     save_artifact,
 )
-from psmith.sampler import Exemplar
-from psmith.sqlanalysis import extract_operators
 
 # Pinned heuristic token count of the full generic-prompt fixture; guards
 # against template drift.
 GP_FIXTURE_TOKENS = 1888
 
 
-def gp_exemplars(train_dataset):
-    by_nl = {(db, nl): sql for db, nl, sql in fixturelib.TRAIN_EXAMPLES}
-    items = []
-    for index in fixturelib.GP_PINNED_INDICES:
-        db_id, nl, sql = fixturelib.TRAIN_EXAMPLES[index]
-        items.append(Exemplar(db_id, nl, sql, extract_operators(sql)))
-    return items
+def shot(db_id, nl, sql, subs=(), steps=()):
+    return Shot(exemplar_id(AnnotatedExample(db_id, nl, sql)), db_id, nl, sql,
+                tuple(subs), tuple(steps))
+
+
+def gp_shots(train_dataset):
+    return [shot(*fixturelib.TRAIN_EXAMPLES[index])
+            for index in fixturelib.GP_PINNED_INDICES]
+
+
+def da_shots():
+    return [shot(fixturelib.NUCLEAR_DB, nl, sql) for nl, sql in fixturelib.DA_PINNED_PAIRS]
 
 
 def nuclear_test_example(test_dataset):
@@ -103,11 +107,11 @@ def test_render_domain_range_form(kaggledbqa_dir, test_dataset):
 
 def test_generic_prompt_matches_golden(golden, train_dataset, test_dataset):
     artifact = build_generic_prompt(
-        gp_exemplars(train_dataset),
+        gp_shots(train_dataset),
         train_dataset.databases,
-        nuclear_test_example(test_dataset),
+        nuclear_test_example(test_dataset).nl,
+        test_dataset.databases[fixturelib.NUCLEAR_DB],
         TokenBudget(),
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
     )
     assert artifact.text == golden("gp.txt")
     assert artifact.text.endswith("SELECT")
@@ -120,24 +124,24 @@ def test_generic_prompt_token_count_pinned(golden):
 
 def test_generic_prompt_zero_shot(train_dataset, test_dataset):
     artifact = build_generic_prompt(
-        [], train_dataset.databases, nuclear_test_example(test_dataset),
-        TokenBudget(), test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB])
+        [], train_dataset.databases, nuclear_test_example(test_dataset).nl,
+        test_dataset.databases[fixturelib.NUCLEAR_DB], TokenBudget())
     assert "classroom" not in artifact.text
     assert artifact.text.endswith("SELECT")
 
 
 def test_generic_prompt_deterministic(golden, train_dataset, test_dataset):
     build = lambda: build_generic_prompt(  # noqa: E731
-        gp_exemplars(train_dataset), train_dataset.databases,
-        nuclear_test_example(test_dataset), TokenBudget(),
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB])
+        gp_shots(train_dataset), train_dataset.databases,
+        nuclear_test_example(test_dataset).nl,
+        test_dataset.databases[fixturelib.NUCLEAR_DB], TokenBudget())
     assert build().text == build().text
 
 
 def test_da_prompt_matches_golden(golden):
     artifact = build_da_prompt(
         fixturelib.nuclear_pinned_profile(),
-        fixturelib.DA_PINNED_PAIRS,
+        da_shots(),
         fixturelib.TEST_QUESTION,
         TokenBudget(),
     )
@@ -146,19 +150,14 @@ def test_da_prompt_matches_golden(golden):
 
 
 def da_chains():
-    return [
-        LtmpChain(fixturelib.NUCLEAR_DB, nl, tuple(subs), tuple(steps), sql)
-        for nl, subs, steps, sql in fixturelib.LTMP_DA_PINNED_CHAINS
-    ]
+    return [shot(fixturelib.NUCLEAR_DB, nl, sql, subs, steps)
+            for nl, subs, steps, sql in fixturelib.LTMP_DA_PINNED_CHAINS]
 
 
 def gp_chains(train_dataset):
     by_nl = {nl: (subs, steps) for nl, subs, steps in fixturelib.SPIDER_SS_RECORDS}
-    chains = []
-    for item in gp_exemplars(train_dataset):
-        subs, steps = by_nl[item.nl]
-        chains.append(LtmpChain(item.db_id, item.nl, tuple(subs), tuple(steps), item.sql))
-    return chains
+    return [shot(item.db_id, item.nl, item.sql, *by_nl[item.nl])
+            for item in gp_shots(train_dataset)]
 
 
 def test_ltmp_gp_stage1_matches_golden(golden, train_dataset, test_dataset):
@@ -205,16 +204,16 @@ def test_ltmp_stage2_cue(golden):
 def test_budget_enforced_at_construction(train_dataset, test_dataset):
     with pytest.raises(BudgetExceeded):
         build_generic_prompt(
-            gp_exemplars(train_dataset), train_dataset.databases,
-            nuclear_test_example(test_dataset), TokenBudget(limit=10),
-            test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB])
+            gp_shots(train_dataset), train_dataset.databases,
+            nuclear_test_example(test_dataset).nl,
+            test_dataset.databases[fixturelib.NUCLEAR_DB], TokenBudget(limit=10))
 
 
 def test_artifact_round_trip(tmp_path, train_dataset, test_dataset):
     artifact = build_generic_prompt(
-        gp_exemplars(train_dataset), train_dataset.databases,
-        nuclear_test_example(test_dataset), TokenBudget(),
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB])
+        gp_shots(train_dataset), train_dataset.databases,
+        nuclear_test_example(test_dataset).nl,
+        test_dataset.databases[fixturelib.NUCLEAR_DB], TokenBudget())
     path = tmp_path / "gp.prompt"
     save_artifact(artifact, path)
     loaded = load_artifact(path)
