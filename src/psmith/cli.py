@@ -39,6 +39,7 @@ from .pipelines import (
     PipelineConfig,
     read_predictions,
     run_pipeline,
+    shots_for,
 )
 from .pipelines.adapt import adapt_exemplars
 from .promptforge import MODES, save_artifact
@@ -47,7 +48,6 @@ from .sqlanalysis.ops import load_catalog
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_COVERAGE = 3
 EXIT_BUDGET = 4
 EXIT_DEFECTS = 5
@@ -61,11 +61,16 @@ _TYPES = typing.get_type_hints(PipelineConfig)
 _FILE_KEYS = tuple(key for key in _FIELDS if key != "mode")
 
 
-def _parse_value(key: str, value: str):
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse_value(key: str, value: str, where: str):
     kind = _TYPES[key]
-    if kind is bool:
-        return value.lower() in ("1", "true", "yes", "on")
-    return kind(value)
+    try:
+        return _BOOLEANS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        raise click.ClickException(f"{where}: bad {kind.__name__} {value!r} for {key}") from None
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -83,7 +88,7 @@ def read_config_file(path: str | Path) -> dict:
             raise click.ClickException(f"{path}:{lineno}: mode is set by run --mode only")
         if key not in _FILE_KEYS:
             raise click.ClickException(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, value)
+        values[key] = _parse_value(key, value, f"{path}:{lineno}")
     return values
 
 
@@ -310,6 +315,10 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
                 f"bundle targets {bundle.target_db_id!r}, absent from {test_dir}")
         target_profile = attach_value_profile(
             test.databases[bundle.target_db_id], cfg.seed, cfg.numeric_render)
+    try:  # refuse a run whose shots cannot be built before its directory exists
+        shots_for(mode, exemplars, ss_records, bundle)
+    except (MissingAdaptation, ValueError) as exc:  # a shot lacks its decomposition
+        raise click.UsageError(str(exc)) from None
 
     if run_id is None:
         run_id = _dt.datetime.now().strftime("run-%Y%m%d-%H%M%S")
@@ -330,13 +339,9 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
     })
 
     client = build_client(cfg, replay, record, cache_dir)
-    try:
-        outcome = run_pipeline(cfg, client, test, train=train, exemplars=exemplars,
-                               ss_records=ss_records, bundle=bundle,
-                               target_profile=target_profile, out_dir=run_dir)
-    except MissingAdaptation as exc:
-        click.echo(f"Error: {exc}", err=True)
-        raise SystemExit(EXIT_USAGE) from None
+    outcome = run_pipeline(cfg, client, test, train=train, exemplars=exemplars,
+                           ss_records=ss_records, bundle=bundle,
+                           target_profile=target_profile, out_dir=run_dir)
     click.echo(f"{len(outcome.predictions)} predictions "
                f"({len(outcome.errors)} per-query failures) -> "
                f"{run_dir / 'predictions.jsonl'}")

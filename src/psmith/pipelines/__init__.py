@@ -7,11 +7,12 @@ from .adapt import (
     da_stage2_generate_nl,
     verify_bundle,
 )
-from .ltmp import LtmpTrace, extract_final_sql, parse_item_list
+from .ltmp import extract_final_sql, parse_item_list
 from .normalize import normalize_question, normalize_sql
 from .run import (
     PipelineConfig,
     PipelineOutcome,
+    QueryRecord,
     read_predictions,
     run_pipeline,
     shots_for,
@@ -21,9 +22,9 @@ from .run import (
 __all__ = [
     "AdaptationBundle",
     "AdaptedExemplar",
-    "LtmpTrace",
     "PipelineConfig",
     "PipelineOutcome",
+    "QueryRecord",
     "da_stage1_transfer",
     "da_stage2_generate_nl",
     "extract_final_sql",

@@ -212,13 +212,13 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
     """Adapt every exemplar to the target database (stage 1 then stage 2).
 
     Per-exemplar failures, of an adaptation or of a decomposition draft,
-    are collected, not fatal. With ``draft_records``
-    (NL -> DecompositionRecord) and ``draft_context`` (train databases for
-    the few-shot schemas), machine drafts of the decompositions are also
-    generated for each adapted exemplar, from prompts whose exemplars end in
-    the chain-of-thought line when ``cot_enabled`` holds and in the plain
-    answer line otherwise; a human reviewer finalizes those.
-    Returns (bundle, failure descriptions).
+    are returned for the caller to report, neither logged nor fatal. With
+    ``draft_records`` (NL -> DecompositionRecord) and ``draft_context``
+    (train databases for the few-shot schemas), machine drafts of the
+    decompositions are also generated for each adapted exemplar, from
+    prompts whose exemplars end in the chain-of-thought line when
+    ``cot_enabled`` holds and in the plain answer line otherwise; a human
+    reviewer finalizes those. Returns (bundle, failure descriptions).
     """
     from ..promptforge.prompts import build_ltmp_prompt
     from .run import shots_for
@@ -234,7 +234,6 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
             adapted_nl, _ = da_stage2_generate_nl(
                 adapted_sql, target_schema, client, budget=budget)
         except PsmithError as exc:
-            logger.warning("adaptation failed: %s", exc)
             failures.append(f"{item.db_id}: {item.nl}: {exc}")
             continue
         bundle.exemplars.append(AdaptedExemplar(
@@ -260,8 +259,6 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
                 # the reviewer reconciles sub-questions and steps by hand
                 steps = read_steps(complete(2, entry.adapted_nl, subs))
             except PsmithError as exc:
-                logger.warning("decomposition draft failed for %r: %s",
-                               entry.adapted_nl, exc)
                 failures.append(f"{entry.source.db_id}: {entry.source.nl}: "
                                 f"decomposition draft: {exc}")
                 continue

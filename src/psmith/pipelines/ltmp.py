@@ -1,7 +1,7 @@
 """Reading least-to-most completions: the sub-question and intermediate-step
 lists, their arity, and the final SQL.
 
-The stages themselves (prompt, generate, persist, read) run in
+The stages themselves (prompt, generate, read, journal) run in
 ``pipelines.run``; the decomposition drafts of ``adapt`` read their
 completions here too.
 """
@@ -9,7 +9,6 @@ completions here too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from ..errors import (
     ArityMismatch,
@@ -22,15 +21,6 @@ from ..errors import (
 from .normalize import normalize_sql
 
 _QUOTED_ITEM_RE = re.compile(r"'([^']*)'|\"([^\"]*)\"")
-
-
-@dataclass
-class LtmpTrace:
-    test_nl: str
-    sub_questions: tuple[str, ...] = ()
-    natsql_steps: tuple[str, ...] = ()
-    final_sql: str = ""
-    stage_prompts: list[str] = field(default_factory=list)  # artifact digests
 
 
 def parse_item_list(raw: str) -> list[str]:

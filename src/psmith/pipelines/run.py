@@ -6,16 +6,19 @@ adaptation bundle) and answers every query through one stage loop: one
 stage for the one-shot modes, three (decompose, map to intermediate steps,
 compose the SQL) for the least-to-most modes. Per-query failures are
 recorded as empty predictions (scored wrong downstream) and never abort the
-batch. Every prompt, completion and reasoning trace can be persisted for
-audit, and completed per-query artifacts are skipped on resume.
+batch. In a run directory, each finished query appends its ``QueryRecord``
+to the journal ``queries.jsonl``, from which a rerun resumes.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from itertools import count
 from pathlib import Path
 
 from ..corpus.profile import NUMERIC_RENDER_MODES
@@ -31,12 +34,10 @@ from ..promptforge.prompts import (
     build_generic_prompt,
     build_ltmp_prompt,
     exemplar_id,
-    save_artifact,
 )
 from ..sampler import ExemplarSet
 from .adapt import AdaptationBundle
 from .ltmp import (
-    LtmpTrace,
     check_arity,
     extract_final_sql,
     read_steps,
@@ -107,10 +108,35 @@ class PipelineConfig:
 
 
 @dataclass
+class QueryRecord:
+    """One test query as its run answered it: each stage's prompt artifact
+    fields with its sha256 and, once generated, its ``completion``; what the
+    completions read into; the final SQL, or the error that stopped it."""
+    db_id: str
+    index: int  # counts the queries of db_id from 0
+    question: str
+    stages: list[dict] = field(default_factory=list)
+    sub_questions: tuple[str, ...] = ()
+    natsql_steps: tuple[str, ...] = ()
+    final_sql: str = ""
+    error: str | None = None
+
+    def __post_init__(self):  # a record read back from JSON holds lists
+        self.sub_questions = tuple(self.sub_questions)
+        self.natsql_steps = tuple(self.natsql_steps)
+
+
+@dataclass
 class PipelineOutcome:
-    predictions: dict[tuple[str, str], str]
-    traces: list[LtmpTrace] = field(default_factory=list)
-    errors: list[tuple[tuple[str, str], str]] = field(default_factory=list)
+    traces: list[QueryRecord]  # one per query, in test order, without prompt texts
+
+    @property
+    def predictions(self) -> dict[tuple[str, str], str]:
+        return {(r.db_id, r.question): r.final_sql for r in self.traces}
+
+    @property
+    def errors(self) -> list[tuple[tuple[str, str], str]]:
+        return [((r.db_id, r.question), r.error) for r in self.traces if r.error is not None]
 
 
 def shots_for(mode: str, exemplars: ExemplarSet | None = None,
@@ -144,30 +170,46 @@ def shots_for(mode: str, exemplars: ExemplarSet | None = None,
     return shots
 
 
-# --- the stages, each reading its completion into the trace -------------------
+# --- the stages, each reading its completion into the record ------------------
 
-def _answer(trace: LtmpTrace, completion: str) -> None:
-    trace.final_sql = normalize_sql(completion, cue="SELECT")
-
-
-def _decompose(trace: LtmpTrace, completion: str) -> None:
-    trace.sub_questions = read_sub_questions(completion)
+def _answer(record: QueryRecord, completion: str) -> None:
+    record.final_sql = normalize_sql(completion, cue="SELECT")
 
 
-def _map_steps(trace: LtmpTrace, completion: str) -> None:
-    trace.natsql_steps = read_steps(completion)
-    check_arity(trace.sub_questions, trace.natsql_steps)
+def _decompose(record: QueryRecord, completion: str) -> None:
+    record.sub_questions = read_sub_questions(completion)
 
 
-def _compose(trace: LtmpTrace, completion: str) -> None:
-    trace.final_sql = extract_final_sql(completion)
+def _map_steps(record: QueryRecord, completion: str) -> None:
+    record.natsql_steps = read_steps(completion)
+    check_arity(record.sub_questions, record.natsql_steps)
 
 
-# a stage: (file stem of its prompt and completion, its stop sequences or
-# None for the client's default, the reader of its completion)
-_LTMP_STAGES = (("stage1", ("\n",), _decompose),
-                ("stage2", ("\n",), _map_steps),
-                ("stage3", ("#",), _compose))
+def _compose(record: QueryRecord, completion: str) -> None:
+    record.final_sql = extract_final_sql(completion)
+
+
+# a stage: (its stop sequences or None for the client's default, the reader
+# of its completion)
+_LTMP_STAGES = ((("\n",), _decompose), (("\n",), _map_steps), (("#",), _compose))
+
+
+def _read_journal(path: Path) -> dict[tuple[str, int, str], QueryRecord]:
+    """The queries a journal records as done, by (db_id, index, question):
+    those whose last record holds no error, without their prompt texts. A
+    torn last line, from an interrupted write, is cut off."""
+    records = {}
+    with open(path, "a+b") as f:
+        f.seek(0)
+        for line in f:
+            if not line.endswith(b"\n"):
+                f.truncate(f.tell() - len(line))
+                break
+            record = QueryRecord(**json.loads(line))
+            for stage in record.stages:
+                del stage["text"]
+            records[(record.db_id, record.index, record.question)] = record
+    return {key: record for key, record in records.items() if record.error is None}
 
 
 class _QueryRunner:
@@ -175,7 +217,7 @@ class _QueryRunner:
 
     def __init__(self, cfg: PipelineConfig, client: LlmClient,
                  train: AnnotatedDataset | None, test: AnnotatedDataset,
-                 shots: list[Shot], target_profile, out_dir: Path | None):
+                 shots: list[Shot], target_profile, journal: Path | None):
         self.cfg = cfg
         self.spec = MODES[cfg.mode]
         self.client = client
@@ -183,18 +225,19 @@ class _QueryRunner:
         self.test = test
         self.shots = shots
         self.target_profile = target_profile
-        self.out_dir = out_dir
-        self.stages = (_LTMP_STAGES if self.spec.ltmp
-                       else ((self.spec.template, None, _answer),))
+        self.journal = journal
+        self.journal_lock = threading.Lock()
+        self.done = _read_journal(journal) if journal is not None else {}
+        self.stages = _LTMP_STAGES if self.spec.ltmp else ((None, _answer),)
 
     def _prompt(self, stage: int, example: AnnotatedExample,
-                trace: LtmpTrace) -> PromptArtifact:
+                record: QueryRecord) -> PromptArtifact:
         test_schema = self.test.databases[example.db_id]
         if self.spec.ltmp:
             return build_ltmp_prompt(
                 self.cfg.mode, stage, self.shots, example.nl,
                 databases=self.train_databases, target=self.target_profile,
-                test_sub_questions=trace.sub_questions, test_steps=trace.natsql_steps,
+                test_sub_questions=record.sub_questions, test_steps=record.natsql_steps,
                 budget=self.cfg.budget, cot_enabled=self.cfg.cot_enabled,
                 test_schema=test_schema)
         if self.spec.domain:
@@ -203,41 +246,32 @@ class _QueryRunner:
         return build_generic_prompt(self.shots, self.train_databases, example.nl,
                                     test_schema, self.cfg.budget)
 
-    def run_one(self, example: AnnotatedExample, index: int) -> tuple[str, LtmpTrace | None, str | None]:
-        """Walk the mode's stages for one query: each builds and persists its
-        prompt, generates, persists the completion and reads it into the
-        trace. Returns (prediction sql, trace in the least-to-most modes or
-        None, error or None)."""
-        qdir = None
-        if self.out_dir is not None:
-            qdir = self.out_dir / example.db_id / str(index)
-            if (qdir / "final.sql").exists():
-                return (qdir / "final.sql").read_text(encoding="utf-8"), None, None
-            qdir.mkdir(parents=True, exist_ok=True)
-
-        def persist(name: str, text: str) -> None:
-            if qdir is not None:
-                (qdir / name).write_text(text, encoding="utf-8")
-
-        trace = LtmpTrace(test_nl=example.nl)
+    def run_one(self, example: AnnotatedExample, index: int) -> QueryRecord:
+        """The query's record: from the journal when it is done, else from the
+        mode's stages, each building its prompt, generating and reading the
+        completion. A new record is journaled, then kept without prompt texts."""
+        if (example.db_id, index, example.nl) in self.done:
+            return self.done[(example.db_id, index, example.nl)]
+        record = QueryRecord(example.db_id, index, example.nl)
         try:
-            for number, (name, stop, read) in enumerate(self.stages, 1):
-                artifact = self._prompt(number, example, trace)
-                if qdir is not None:
-                    save_artifact(artifact, qdir / f"{name}.prompt")
-                trace.stage_prompts.append(artifact.digest)
+            for number, (stop, read) in enumerate(self.stages, 1):
+                artifact = self._prompt(number, example, record)
+                stage = {**vars(artifact), "sha256": artifact.digest}
+                record.stages.append(stage)
                 request = self.client.request(
                     artifact.text, max_output_tokens=self.cfg.max_output_tokens, stop=stop)
-                completion = self.client.generate(request).text
                 # kept before it is read, so a completion that fails to parse stays
-                persist(f"{name}.out", completion)
-                read(trace, completion)
-        except PsmithError as exc:
-            logger.warning("query failed (%s / %r): %s", example.db_id, example.nl, exc)
-            persist("error.txt", f"{type(exc).__name__}: {exc}\n")
-            return "", None, f"{type(exc).__name__}: {exc}"
-        persist("final.sql", trace.final_sql)
-        return trace.final_sql, trace if self.spec.ltmp else None, None
+                stage["completion"] = self.client.generate(request).text
+                read(record, stage["completion"])
+        except PsmithError as exc:  # reported by the caller, from the record
+            record.error = f"{type(exc).__name__}: {exc}"
+        if self.journal is not None:
+            line = json.dumps(vars(record), ensure_ascii=False, sort_keys=True) + "\n"
+            with self.journal_lock, open(self.journal, "a", encoding="utf-8") as f:
+                f.write(line)
+        for stage in record.stages:
+            del stage["text"]
+        return record
 
 
 def run_pipeline(cfg: PipelineConfig, client: LlmClient,
@@ -254,7 +288,7 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
     ltmp-gp) and the train dataset for exemplar schemas; the domain-adapted
     modes need the adaptation ``bundle`` and the profiled target schema, and
     only process test queries of the bundle's target database. Stage outputs
-    are threaded into the next stage's prompt; artifacts are append-only.
+    are threaded into the next stage's prompt; ``out_dir`` holds the journal.
     """
     if MODES[cfg.mode].domain:
         if bundle is None or target_profile is None:
@@ -268,38 +302,21 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
             raise ValueError(f"{cfg.mode} needs sampled exemplars and the train dataset")
         queries = list(test.examples)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    runner = _QueryRunner(cfg, client, train, test,
-                          shots_for(cfg.mode, exemplars, ss_records, bundle),
-                          target_profile, out_path)
-
-    indexed: list[tuple[AnnotatedExample, int]] = []
-    seen_per_db: dict[str, int] = {}
-    for example in queries:
-        idx = seen_per_db.get(example.db_id, 0)
-        seen_per_db[example.db_id] = idx + 1
-        indexed.append((example, idx))
-
-    outcome = PipelineOutcome(predictions={})
+    shots = shots_for(cfg.mode, exemplars, ss_records, bundle)
+    indexes = defaultdict(count)  # each database's queries count from 0
+    indexed = [(example, next(indexes[example.db_id])) for example in queries]
+    journal = Path(out_dir) / "queries.jsonl" if out_dir is not None else None
+    if journal is not None:
+        journal.parent.mkdir(parents=True, exist_ok=True)
+    runner = _QueryRunner(cfg, client, train, test, shots, target_profile, journal)
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         futures = [pool.submit(runner.run_one, example, idx) for example, idx in indexed]
         # wake once, when all are done: waiting on each result in turn would
         # take the interpreter lock from the workers after every query
         wait(futures)
-    results = [future.result() for future in futures]
-
-    for (example, _), (sql, trace, error) in zip(indexed, results):
-        outcome.predictions[(example.db_id, example.nl)] = sql
-        if trace is not None:
-            outcome.traces.append(trace)
-        if error is not None:
-            outcome.errors.append(((example.db_id, example.nl), error))
-
-    if out_path is not None:
-        write_predictions(outcome.predictions, out_path / "predictions.jsonl")
-        with open(out_path / "traces.jsonl", "w", encoding="utf-8") as f:
-            for trace in outcome.traces:
-                f.write(json.dumps(asdict(trace), ensure_ascii=False, sort_keys=True) + "\n")
+    outcome = PipelineOutcome([future.result() for future in futures])
+    if out_dir is not None:
+        write_predictions(outcome.predictions, Path(out_dir) / "predictions.jsonl")
     return outcome
 
 

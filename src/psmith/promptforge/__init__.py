@@ -12,7 +12,6 @@ from .prompts import (
     build_generic_prompt,
     build_ltmp_prompt,
     exemplar_id,
-    load_artifact,
     save_artifact,
 )
 from .schema_render import render_schema_basic, render_schema_domain
@@ -32,7 +31,6 @@ __all__ = [
     "build_ltmp_prompt",
     "count_tokens",
     "exemplar_id",
-    "load_artifact",
     "load_template",
     "render_schema_basic",
     "render_schema_domain",

@@ -88,14 +88,6 @@ def save_artifact(artifact: PromptArtifact, path: str | Path) -> None:
     Path(path).write_text(header + "\n" + artifact.text, encoding="utf-8")
 
 
-def load_artifact(path: str | Path) -> PromptArtifact:
-    raw = Path(path).read_text(encoding="utf-8")
-    header, _, text = raw.partition("\n")
-    meta = json.loads(header)
-    return PromptArtifact(meta["mode"], text, tuple(meta["exemplar_ids"]),
-                          meta["token_count"], meta["budget"])
-
-
 # --- shared assembly helpers ------------------------------------------------
 
 def _group_by_db(shots: Sequence[Shot]) -> list[tuple[str, list[Shot]]]:

@@ -294,3 +294,12 @@ def test_c9_safety(kaggledbqa_dir, test_dataset):
     checksum_after = hashlib.sha256(db_path.read_bytes()).hexdigest()
     assert checksum_before == checksum_after
     announce("C9 safety", "database checksum unchanged")
+
+
+def test_replay_store_regenerates_byte_for_byte(tmp_path):
+    """tests/make_replay_store.py, which drives adapt and run_pipeline with a
+    scripted transport, still writes the committed store."""
+    import make_replay_store
+
+    generated = make_replay_store.generate(tmp_path / "store.jsonl")
+    assert generated.read_bytes() == STORE.read_bytes()

@@ -28,6 +28,13 @@ def test_config_file_parsing(tmp_path):
         "model = offline-model  # inline comment\n")
     values = read_config_file(path)
     assert values == {"ted_threshold": 3, "cot_enabled": False, "model": "offline-model"}
+    path.write_text("cot_enabled = OFF\nworkers = 2\n")
+    assert read_config_file(path) == {"cot_enabled": False, "workers": 2}
+    # a value its key cannot take is refused, naming where it stands
+    for line in ("seed = abc", "cot_enabled = ture", "budget_limit = 1.5"):
+        path.write_text(f"# comment\n{line}\n")
+        with pytest.raises(click.ClickException, match=f"{path}:2: "):
+            read_config_file(path)
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -116,6 +123,23 @@ def test_run_requires_mode_inputs(runner, kaggledbqa_dir, tmp_path):
                                   "--test", str(kaggledbqa_dir),
                                   "--runs", str(tmp_path / "runs")])
     assert result.exit_code != 0
+
+
+def test_run_refuses_exemplars_missing_from_spider_ss(runner, spider_dir, spider_ss_dir,
+                                                      kaggledbqa_dir, tmp_path):
+    report, ss = tmp_path / "report.jsonl", tmp_path / "ss"
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(report)]).exit_code == 0
+    ss.mkdir()
+    rows = json.loads((spider_ss_dir / "spider_ss.json").read_text(encoding="utf-8"))
+    (ss / "spider_ss.json").write_text(json.dumps(rows[:1]), encoding="utf-8")
+    result = runner.invoke(main, [
+        "run", "--mode", "ltmp-gp", "--report", str(report), "--train", str(spider_dir),
+        "--spider-ss", str(ss), "--test", str(kaggledbqa_dir),
+        "--runs", str(tmp_path / "runs"), "--run-id", "R", "--replay", str(STORE)])
+    assert result.exit_code == 2
+    assert "no decomposition record" in result.stderr
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_manifest_guards_config(runner, kaggledbqa_dir, tmp_path):
@@ -296,3 +320,4 @@ def test_failed_drafts_fail_adapt_and_run_refuses_the_gap(runner, spider_dir, sp
     assert isinstance(run.exception, SystemExit)
     assert "lacks decompositions" in run.stderr
     assert "Traceback" not in run.output + run.stderr
+    assert not (tmp_path / "runs" / "gap").exists()

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import logging
 import shutil
 import sqlite3
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,12 @@ def scripted_client(tmp_path, entries) -> LlmClient:
         append_record(store_path, request, completions)
     return LlmClient(mode="replay", replay_store=ReplayStore.load(store_path),
                      model="offline-model")
+
+
+def journal(run_dir) -> dict[tuple[str, int], dict]:
+    """A run's journal records by (db_id, index), the last of each winning."""
+    lines = (run_dir / "queries.jsonl").read_text(encoding="utf-8").splitlines()
+    return {(r["db_id"], r["index"]): r for r in map(json.loads, lines)}
 
 
 def stage1_request(client, train_dataset, target_schema, exemplar, n=8):
@@ -353,8 +363,10 @@ def test_run_gp_pipeline_identity(tmp_path, train_dataset, test_dataset):
     assert not outcome.errors
     report = evaluate(outcome.predictions, nuclear_only)
     assert report.overall_ex == 100.0
-    # artifacts persisted per query
-    assert (tmp_path / "run" / fixturelib.NUCLEAR_DB / "0" / "final.sql").exists()
+    # one journal record per query
+    records = journal(tmp_path / "run")
+    assert len(records) == 22
+    assert records[(fixturelib.NUCLEAR_DB, 0)]["final_sql"] == normalize_sql(nuclear[0].sql)
     assert (tmp_path / "run" / "predictions.jsonl").exists()
 
 
@@ -454,6 +466,53 @@ def test_run_pipeline_resume_skips_completed(tmp_path, train_dataset, test_datas
     assert not second.errors
 
 
+def nuclear_gp_run(tmp_path, train_dataset, test_dataset):
+    """The Nuclear test queries, and run(out_dir, workers=1, answered=all of
+    them) giving the outcome of a gp run over them, replayed from a store
+    that echoes the gold SQL of the ``answered`` queries only."""
+    from psmith.corpus.types import AnnotatedDataset
+
+    nuclear = [ex for ex in test_dataset.examples if ex.db_id == fixturelib.NUCLEAR_DB]
+    dataset = AnnotatedDataset(databases=test_dataset.databases, examples=nuclear,
+                               role="test")
+
+    def run(out_dir, workers=1, answered=None):
+        exemplars, store_path = build_gp_identity_store(
+            Path(tempfile.mkdtemp(dir=tmp_path)), train_dataset, test_dataset,
+            answered or nuclear)
+        client = LlmClient(mode="replay", replay_store=ReplayStore.load(store_path),
+                           model="offline-model")
+        return run_pipeline(PipelineConfig(mode="gp", workers=workers), client, dataset,
+                            train=train_dataset, exemplars=exemplars, out_dir=out_dir)
+    return nuclear, run
+
+
+def test_a_torn_last_journal_line_reruns_only_its_query(tmp_path, train_dataset,
+                                                        test_dataset):
+    nuclear, run = nuclear_gp_run(tmp_path, train_dataset, test_dataset)
+    out_dir = tmp_path / "run"
+    first = run(out_dir)
+    path = out_dir / "queries.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 22
+    path.write_text("".join(lines[:-1]) + lines[-1][:40], encoding="utf-8")
+    # only the torn query is in the store: any other regeneration would miss
+    second = run(out_dir, answered=nuclear[-1:])
+    assert not second.errors
+    assert second.predictions == first.predictions
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == lines
+
+
+def test_run_pipeline_workers_write_the_same_run(tmp_path, train_dataset, test_dataset):
+    _, run = nuclear_gp_run(tmp_path, train_dataset, test_dataset)
+    run(tmp_path / "one", workers=1)
+    run(tmp_path / "two", workers=2)
+    assert (tmp_path / "one" / "predictions.jsonl").read_bytes() == \
+        (tmp_path / "two" / "predictions.jsonl").read_bytes()
+    # finished concurrently, the records may be journaled in another order
+    assert journal(tmp_path / "one") == journal(tmp_path / "two")
+
+
 def test_stage1_rejects_empty_list():
     from psmith.pipelines.ltmp import read_sub_questions
 
@@ -542,11 +601,11 @@ def test_cot_flag_changes_stage_prompt(train_dataset, test_dataset):
 
 def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
                                          spider_ss_dir):
-    """ltmp-gp through run_pipeline: three stages per query, each persisted
+    """ltmp-gp through run_pipeline: three stages per query, each journaled
     prompt equal to the one build_ltmp_prompt gives for the same inputs."""
     from psmith.corpus import load_spider_ss
     from psmith.corpus.types import AnnotatedDataset
-    from psmith.promptforge import TokenBudget, build_ltmp_prompt, load_artifact
+    from psmith.promptforge import TokenBudget, build_ltmp_prompt
     from psmith.sampler import sample_exemplars
 
     exemplars = sample_exemplars(train_dataset).exemplars
@@ -590,14 +649,17 @@ def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
     assert not outcome.errors
     assert outcome.predictions == {(ex.db_id, ex.nl): normalize_sql(ex.sql)
                                    for ex in queries}
-    assert [t.test_nl for t in outcome.traces] == [ex.nl for ex in queries]
+    assert [t.question for t in outcome.traces] == [ex.nl for ex in queries]
+    records = journal(out_dir)
     for index, stages in expected_prompts.items():
-        qdir = out_dir / fixturelib.NUCLEAR_DB / str(index)
-        for stage, expected in enumerate(stages, 1):
-            persisted = load_artifact(qdir / f"stage{stage}.prompt")
-            assert persisted.text == expected.text
-            assert persisted.mode == f"ltmp_gp_stage{stage}"
-        assert (qdir / "final.sql").read_text() == normalize_sql(queries[index].sql)
+        record = records[(fixturelib.NUCLEAR_DB, index)]
+        for stage, expected in zip(record["stages"], stages):
+            assert stage["text"] == expected.text
+            assert stage["sha256"] == expected.digest
+            assert stage["mode"] == expected.mode
+        assert [stage["mode"] for stage in record["stages"]] == \
+            ["ltmp_gp_stage1", "ltmp_gp_stage2", "ltmp_gp_stage3"]
+        assert record["final_sql"] == normalize_sql(queries[index].sql)
 
 
 def test_run_stage2_checks_arity_and_keeps_the_completion(tmp_path, train_dataset,
@@ -627,14 +689,15 @@ def test_run_stage2_checks_arity_and_keeps_the_completion(tmp_path, train_datase
                            train=train_dataset, exemplars=exemplars, ss_records=records,
                            out_dir=tmp_path / "run")
     assert [error.split(":")[0] for _, error in outcome.errors] == ["ArityMismatch"]
-    qdir = tmp_path / "run" / example.db_id / "0"
-    assert (qdir / "stage2.out").read_text() == " ['only one step']"
-    assert not (qdir / "stage3.prompt").exists()
+    stages = journal(tmp_path / "run")[(example.db_id, 0)]["stages"]
+    assert stages[1]["completion"] == " ['only one step']"
+    assert len(stages) == 2  # no stage-3 prompt
 
 
 def committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir):
     """Adapt and draft from the committed replay store, as the store's own
-    session did; returns the bundle and a run(mode) giving the run directory."""
+    session did; returns the bundle and a run(mode, client=the store's)
+    giving the outcome of a run in tmp_path / mode."""
     from conftest import REPLAY_DIR
     from psmith.corpus import load_spider_ss
     from psmith.pipelines.adapt import adapt_exemplars
@@ -651,34 +714,86 @@ def committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir):
     assert not failures
     profile = attach_value_profile(target, cfg.seed, cfg.numeric_render)
 
-    def run(mode: str):
-        out_dir = tmp_path / mode
-        run_pipeline(PipelineConfig(mode=mode), client, test_dataset, bundle=bundle,
-                     target_profile=profile, out_dir=out_dir)
-        return out_dir / fixturelib.NUCLEAR_DB
+    def run(mode: str, run_client: LlmClient = client):
+        return run_pipeline(PipelineConfig(mode=mode), run_client, test_dataset,
+                            bundle=bundle, target_profile=profile, out_dir=tmp_path / mode)
     return bundle, run
 
 
 def test_bundle_runs_name_each_shot_by_its_training_query(tmp_path, train_dataset,
                                                           test_dataset, spider_ss_dir):
-    from psmith.promptforge import exemplar_id, load_artifact
+    from psmith.promptforge import exemplar_id
 
     bundle, run = committed_bundle_run(tmp_path, train_dataset, test_dataset,
                                        spider_ss_dir)
-    expected = tuple(exemplar_id(entry.source) for entry in bundle.exemplars)
+    expected = [exemplar_id(entry.source) for entry in bundle.exemplars]
     for mode in ("da-gp", "ltmp-da-gp"):
-        prompts = sorted(run(mode).glob("*/*.prompt"))
-        assert len(prompts) >= 22
-        for path in prompts:
-            assert load_artifact(path).exemplar_ids == expected, (mode, path)
+        run(mode)
+        stages = [(key, stage) for key, record in journal(tmp_path / mode).items()
+                  for stage in record["stages"]]
+        assert len(stages) >= 22
+        for key, stage in stages:
+            assert stage["exemplar_ids"] == expected, (mode, key)
 
 
 def test_a_stage_completion_that_fails_to_parse_is_kept(tmp_path, train_dataset,
                                                         test_dataset, spider_ss_dir):
     _, run = committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir)
     questions = [ex.nl for ex in test_dataset.examples if ex.db_id == fixturelib.NUCLEAR_DB]
-    qdir = run("ltmp-da-gp") / str(questions.index(
-        "List the names of plants sourced from wikipedia."))
-    assert (qdir / "error.txt").read_text().startswith("EmptyGeneration:")
-    assert (qdir / "stage3.out").read_text() == " I am not able to answer this question."
-    assert not (qdir / "final.sql").exists()
+    run("ltmp-da-gp")
+    record = journal(tmp_path / "ltmp-da-gp")[(fixturelib.NUCLEAR_DB, questions.index(
+        "List the names of plants sourced from wikipedia."))]
+    assert record["error"].startswith("EmptyGeneration:")
+    assert record["stages"][2]["completion"] == " I am not able to answer this question."
+    assert record["final_sql"] == ""
+
+
+def test_a_finished_run_resumes_from_its_journal(tmp_path, train_dataset, test_dataset,
+                                                 spider_ss_dir):
+    """A rerun regenerates no query its journal records as done, and returns
+    the done queries' records; the failed query runs again."""
+    _, run = committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir)
+    run("ltmp-da-gp")
+    run_dir = tmp_path / "ltmp-da-gp"
+    first = journal(run_dir)
+    predictions = (run_dir / "predictions.jsonl").read_bytes()
+    done = {key: record for key, record in first.items() if record["error"] is None}
+    assert len(done) == 21 and len(first) == 22
+
+    # an empty store misses on any generation
+    empty = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    outcome = run("ltmp-da-gp", empty)
+    assert [error.split(":")[0] for _, error in outcome.errors] == ["ReplayMiss"]
+    kept = [t for t in outcome.traces if t.error is None]
+    assert [(t.db_id, t.index) for t in kept] == list(done)
+    for trace in kept:
+        expected = done[(trace.db_id, trace.index)]
+        assert trace.final_sql == expected["final_sql"]
+        assert list(trace.sub_questions) == expected["sub_questions"]
+        assert [s["sha256"] for s in trace.stages] == \
+            [s["sha256"] for s in expected["stages"]]
+    assert len((run_dir / "queries.jsonl").read_text().splitlines()) == 23
+    assert (run_dir / "predictions.jsonl").read_bytes() == predictions
+
+
+def test_adapt_returns_failures_without_logging_them(tmp_path, train_dataset,
+                                                     test_dataset, spider_ss_dir, caplog):
+    from conftest import REPLAY_DIR
+    from psmith.corpus import load_spider_ss
+    from psmith.pipelines.adapt import adapt_exemplars
+    from psmith.sampler import sample_exemplars
+
+    client = LlmClient(mode="replay", model="offline-model",
+                       replay_store=ReplayStore.load(REPLAY_DIR / "nuclear_ltmp_da_gp.jsonl"))
+    exemplars = sample_exemplars(train_dataset).exemplars
+    caplog.clear()
+    # the store holds the chain-of-thought drafts only, so every plain draft misses
+    with caplog.at_level(logging.WARNING):
+        _, failures = adapt_exemplars(
+            exemplars, train_dataset.databases,
+            test_dataset.databases[fixturelib.NUCLEAR_DB], client, ted_threshold=2,
+            max_beam_samples=8, cot_enabled=False,
+            draft_records=load_spider_ss(spider_ss_dir),
+            draft_context=train_dataset.databases)
+    assert len(failures) == 18
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []

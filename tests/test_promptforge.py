@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import fixturelib
@@ -13,7 +15,6 @@ from psmith.promptforge import (
     build_ltmp_prompt,
     count_tokens,
     exemplar_id,
-    load_artifact,
     render_schema_basic,
     render_schema_domain,
     save_artifact,
@@ -216,10 +217,12 @@ def test_artifact_round_trip(tmp_path, train_dataset, test_dataset):
         test_dataset.databases[fixturelib.NUCLEAR_DB], TokenBudget())
     path = tmp_path / "gp.prompt"
     save_artifact(artifact, path)
-    loaded = load_artifact(path)
-    assert loaded.text == artifact.text
-    assert loaded.mode == artifact.mode
-    assert loaded.token_count == artifact.token_count
+    header, _, text = path.read_text(encoding="utf-8").partition("\n")
+    assert text == artifact.text
+    assert json.loads(header) == {
+        "mode": artifact.mode, "exemplar_ids": list(artifact.exemplar_ids),
+        "token_count": artifact.token_count, "budget": artifact.budget,
+        "sha256": artifact.digest}
 
 
 def test_render_domain_multiple_tables(test_dataset):
