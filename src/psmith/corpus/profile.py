@@ -169,12 +169,14 @@ def _profile_column(conn: sqlite3.Connection, db_id: str, table: str,
                     numeric_render: str) -> SampledValues | NumericRange | None:
     qt, qc = _quote_ident(table), _quote_ident(column.name)
     try:
-        pool = [
+        # DISTINCT keeps 1 and '1' apart in an untyped column; their texts
+        # are one value, so duplicates go, first occurrence kept
+        pool = list(dict.fromkeys(
             _as_text(row[0]) for row in conn.execute(
                 f"SELECT DISTINCT {qc} FROM {qt} WHERE {qc} IS NOT NULL "
                 f"ORDER BY 1 LIMIT {_POOL_LIMIT}"
             )
-        ]
+        ))
     except sqlite3.DatabaseError as exc:
         logger.warning("%s: cannot profile %s.%s: %s", db_id, table, column.name, exc)
         return None

@@ -227,7 +227,7 @@ def results_equivalent(a: ResultTable, b: ResultTable, ordered: bool) -> bool:
 def gold_is_ordered(sql: str) -> bool:
     """True when the gold query carries a top-level ORDER BY."""
     try:
-        return bool(parse_sql(sql).order_by)
+        return any(clause.label == "ORDERBY" for clause in parse_sql(sql).children)
     except ParseError:
         # unparseable gold: fall back to a conservative text check
         return re.search(r"\bORDER\s+BY\b", sql, re.IGNORECASE) is not None

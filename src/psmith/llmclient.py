@@ -14,6 +14,7 @@ import logging
 import os
 import threading
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -249,8 +250,10 @@ class LlmClient:
             completions = record["completions"]
             return GenerationResult(tuple(completions), self._usage(request, completions), "cache")
         result = self._live(request)
-        # a cache file is a one-record replay store, written whole then renamed
-        tmp = path.with_suffix(".tmp")
+        # a cache file is a one-record replay store, written whole then
+        # renamed; each writer has its own temporary file, so two workers (or
+        # two processes sharing the cache) may store one key at once
+        tmp = path.with_suffix(f".{uuid.uuid4().hex}.tmp")
         write_records(tmp, [_record(request, result.completions)], append=False)
         tmp.replace(path)
         return result

@@ -31,7 +31,7 @@ from ..promptforge.prompts import (
     exemplar_id,
 )
 from ..sampler import Exemplar
-from ..sqlanalysis import skeletonize, tree_edit_distance
+from ..sqlanalysis import parse_sql, tree_edit_distance
 from .ltmp import read_steps, read_sub_questions
 from .normalize import normalize_question, normalize_sql
 
@@ -132,7 +132,7 @@ def da_stage1_transfer(
         stop=["#", "\n\n"],
     )
     result = client.generate(request)
-    source_skeleton = skeletonize(exemplar.sql)
+    source_skeleton = parse_sql(exemplar.sql)
 
     best_ted: int | None = None
     attempts = 0
@@ -148,7 +148,7 @@ def da_stage1_transfer(
             logger.debug("candidate does not execute (%s): %r", exc, candidate)
             continue
         try:
-            ted = tree_edit_distance(source_skeleton, skeletonize(candidate))
+            ted = tree_edit_distance(source_skeleton, parse_sql(candidate))
         except ParseError:
             continue
         if best_ted is None or ted < best_ted:
@@ -189,8 +189,7 @@ def verify_bundle(bundle: AdaptationBundle, target_schema: SchemaProfile) -> lis
             problems.append(f"{exemplar_id(entry.source)}: does not execute: {exc}")
             continue
         try:
-            ted = tree_edit_distance(
-                skeletonize(entry.source.sql), skeletonize(entry.adapted_sql))
+            ted = tree_edit_distance(parse_sql(entry.source.sql), parse_sql(entry.adapted_sql))
         except ParseError as exc:
             problems.append(f"{exemplar_id(entry.source)}: unparseable: {exc}")
             continue

@@ -8,18 +8,16 @@ from .ops import (
     load_catalog,
 )
 from .parser import parse_sql
-from .skeleton import SkeletonNode, SqlSkeleton, skeletonize
+from .skeleton import SkeletonNode
 from .ted import tree_edit_distance
 
 __all__ = [
     "PrimitiveOp",
     "SkeletonNode",
-    "SqlSkeleton",
     "default_catalog",
     "extract_operators",
     "extract_operators_detailed",
     "load_catalog",
     "parse_sql",
-    "skeletonize",
     "tree_edit_distance",
 ]

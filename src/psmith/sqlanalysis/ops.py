@@ -3,7 +3,7 @@
 The catalog of tracked clauses/operators/functions lives in a versioned
 data file (``data/primitive_ops.tsv``); extraction returns exactly the
 catalog members syntactically present in a query. It reads the claims the
-query's skeleton records (see ``skeleton``), so the rules for what a
+query's skeleton records (see ``parser``), so the rules for what a
 construct counts as are written down once. Parsed constructs with no
 catalog mapping (e.g. ``%``, ``IS``, uncatalogued functions) are logged,
 never silently dropped.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .skeleton import skeletonize
+from .parser import parse_sql
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +91,13 @@ def extract_operators_detailed(
     """
     if catalog is None:
         catalog = default_catalog()
-    claims = frozenset(_canonical(*claim) for claim in skeletonize(sql).claims())
+    found: set[tuple[str, str]] = set()
+    stack = [parse_sql(sql)]
+    while stack:
+        node = stack.pop()
+        found.update(node.claims)
+        stack.extend(node.children)
+    claims = frozenset(_canonical(*claim) for claim in found)
     known = claims & catalog
     unknown = sorted(claims - known)
     if unknown:

@@ -1,141 +1,23 @@
 """Recursive-descent parser for the SELECT subset of SQLite found in
 Spider-style corpora.
 
-The AST is deliberately small: it carries exactly what operator extraction
-and skeleton abstraction need, nothing more. DML/DDL is out of scope here
-(the evaluator rejects it before execution).
+The parser builds the query's skeleton directly (see ``skeleton``):
+identifiers and literals become placeholder leaves, and every node records
+the primitive operations of the construct it was built from. Nothing else
+of the SQL is kept. DML/DDL is out of scope here (the evaluator rejects it
+before execution).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ParseError
+from .skeleton import PLACEHOLDER, SkeletonNode, _clause, _negated, _node, _operator
 from .tokenizer import Token, tokenize
 
-
-# --- expression nodes -----------------------------------------------------
-
-@dataclass(frozen=True)
-class Lit:
-    """String/number/NULL literal or a bare ``*`` wildcard."""
-    text: str
-
-
-@dataclass(frozen=True)
-class Col:
-    name: str  # possibly dotted (alias.column) or "t.*"
-
-
-@dataclass(frozen=True)
-class Func:
-    name: str  # upper-cased
-    distinct: bool
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str  # canonical token: = != < > <= >= + - * / % ||
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # NOT or -
-    operand: object
-
-
-@dataclass(frozen=True)
-class InExpr:
-    lhs: object
-    negated: bool
-    values: tuple          # () when subquery is set
-    subquery: object
-
-
-@dataclass(frozen=True)
-class LikeExpr:
-    lhs: object
-    negated: bool
-    pattern: object
-
-
-@dataclass(frozen=True)
-class BetweenExpr:
-    lhs: object
-    negated: bool
-    low: object
-    high: object
-
-
-@dataclass(frozen=True)
-class IsExpr:
-    lhs: object
-    negated: bool
-    rhs: object
-
-
-@dataclass(frozen=True)
-class ExistsExpr:
-    negated: bool
-    subquery: object
-
-
-@dataclass(frozen=True)
-class CaseExpr:
-    operand: object
-    whens: tuple  # ((cond, result), ...)
-    default: object
-
-
-@dataclass(frozen=True)
-class Subquery:
-    query: "Query"
-
-
-# --- statement nodes ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Source:
-    """One entry in a FROM list: a table name or a parenthesized subquery."""
-    table: str | None
-    subquery: Subquery | None
-    joined: bool          # preceded by a JOIN keyword (comma-joins are not)
-    on: object            # ON condition, when present
-
-
-@dataclass(frozen=True)
-class SelectCore:
-    distinct: bool
-    items: tuple
-    sources: tuple        # of Source
-    where: object
-    group_by: tuple
-    having: object
-
-
-@dataclass(frozen=True)
-class Compound:
-    op: str               # UNION | INTERSECT | EXCEPT
-    all: bool
-    left: object          # SelectCore or Compound
-    right: SelectCore
-
-
-@dataclass(frozen=True)
-class OrderKey:
-    expr: object
-    direction: str | None  # ASC / DESC when explicit
-
-
-@dataclass(frozen=True)
-class Query:
-    body: object          # SelectCore or Compound
-    order_by: tuple = ()
-    limit: tuple = ()     # (limit,) or (limit, offset)
-
+# Identifiers and literals render alike; a literal is always this one leaf,
+# so a sign in front of it can be told from arithmetic negation.
+_NAME = SkeletonNode(PLACEHOLDER)
+_LITERAL = SkeletonNode(PLACEHOLDER)
 
 JOIN_INTRO = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "CROSS", "NATURAL"}
 COMPOUND_OPS = {"UNION", "INTERSECT", "EXCEPT"}
@@ -196,60 +78,67 @@ class _Parser:
 
     # -- grammar --
 
-    def parse_query(self) -> Query:
-        body: object = self.parse_select_core()
-        while self.at_keyword(*COMPOUND_OPS):
-            op = self.next().value
-            all_ = self.accept_keyword("ALL")
-            right = self.parse_select_core()
-            body = Compound(op, all_, body, right)
-        order_by: list[OrderKey] = []
+    def parse_query(self) -> SkeletonNode:
+        return _node("QUERY", self.parse_query_children())
+
+    def parse_subquery(self) -> SkeletonNode:
+        """A SELECT whose opening parenthesis was consumed, through its close."""
+        node = _clause("SUBQUERY", self.parse_query_children())
+        self.expect_punct(")")
+        return node
+
+    def parse_query_children(self) -> list[SkeletonNode]:
+        children = self.parse_select_core()
+        if self.at_keyword(*COMPOUND_OPS):
+            body = _node("QUERY", children)
+            while self.at_keyword(*COMPOUND_OPS):
+                op = self.next().value
+                self.accept_keyword("ALL")
+                body = _clause(op, [body, _node("QUERY", self.parse_select_core())])
+            children = [body]
         if self.accept_keyword("ORDER"):
             self.expect_keyword("BY")
+            keys: list[SkeletonNode] = []
             while True:
-                expr = self.parse_expr()
-                direction = None
+                keys.append(self.parse_expr())
                 if self.at_keyword("ASC", "DESC"):
-                    direction = self.next().value
-                order_by.append(OrderKey(expr, direction))
+                    keys.append(SkeletonNode(self.next().value))
                 if not self.accept_punct(","):
                     break
-        limit: list[object] = []
+            children.append(_clause("ORDERBY", keys, "ORDER BY"))
         if self.accept_keyword("LIMIT"):
-            limit.append(self.parse_expr())
+            limit = [self.parse_expr()]
             if self.accept_keyword("OFFSET") or self.accept_punct(","):
                 limit.append(self.parse_expr())
-        return Query(body, tuple(order_by), tuple(limit))
+            children.append(_clause("LIMIT", limit))
+        return children
 
-    def parse_select_core(self) -> SelectCore:
+    def parse_select_core(self) -> list[SkeletonNode]:
         self.expect_keyword("SELECT")
-        distinct = False
+        items: list[SkeletonNode] = []
         if self.accept_keyword("DISTINCT"):
-            distinct = True
+            items.append(_clause("DISTINCT", []))
         else:
             self.accept_keyword("ALL")
-        items = [self.parse_select_item()]
+        items.append(self.parse_select_item())
         while self.accept_punct(","):
             items.append(self.parse_select_item())
-        sources: list[Source] = []
-        where = None
-        group_by: list[object] = []
+        children = [_clause("SELECT", items)]
         if self.accept_keyword("FROM"):
-            sources = self.parse_sources()
+            children.append(_clause("FROM", self.parse_sources()))
         if self.accept_keyword("WHERE"):
-            where = self.parse_expr()
+            children.append(_clause("WHERE", [self.parse_expr()]))
         if self.accept_keyword("GROUP"):
             self.expect_keyword("BY")
-            group_by.append(self.parse_expr())
+            group_by = [self.parse_expr()]
             while self.accept_punct(","):
                 group_by.append(self.parse_expr())
-        having = None
+            children.append(_clause("GROUPBY", group_by, "GROUP BY"))
         if self.accept_keyword("HAVING"):
-            having = self.parse_expr()
-        return SelectCore(distinct, tuple(items), tuple(sources), where,
-                          tuple(group_by), having)
+            children.append(_clause("HAVING", [self.parse_expr()]))
+        return children
 
-    def parse_select_item(self):
+    def parse_select_item(self) -> SkeletonNode:
         expr = self.parse_expr()
         if self.accept_keyword("AS"):
             self.next()  # alias, discarded
@@ -259,7 +148,7 @@ class _Parser:
             self.i += 1
         return expr
 
-    def parse_sources(self) -> list[Source]:
+    def parse_sources(self) -> list[SkeletonNode]:
         sources = [self.parse_one_source(joined=False)]
         while True:
             if self.accept_punct(","):
@@ -269,29 +158,28 @@ class _Parser:
                     self.next()           # INNER/LEFT/OUTER/... qualifiers
                     self.accept_keyword("OUTER")
                 self.expect_keyword("JOIN")
-                src = self.parse_one_source(joined=True)
-                sources.append(src)
+                sources.append(self.parse_one_source(joined=True))
             else:
                 break
         return sources
 
-    def parse_one_source(self, joined: bool) -> Source:
-        on = None
+    def parse_one_source(self, joined: bool) -> SkeletonNode:
+        """A table name or a parenthesized subquery; a JOIN node holding it
+        (and its ON condition) when a JOIN keyword preceded it."""
         if self.accept_punct("("):
-            sub = Subquery(self.parse_query())
-            self.expect_punct(")")
-            self._accept_alias()
-            if joined and self.accept_keyword("ON"):
-                on = self.parse_expr()
-            return Source(None, sub, joined, on)
-        tok = self.next()
-        if tok.kind not in ("IDENT", "KEYWORD"):
-            raise ParseError(f"expected table name at offset {tok.pos} in {self.sql!r}")
-        name = tok.value
+            source = self.parse_subquery()
+        else:
+            tok = self.next()
+            if tok.kind not in ("IDENT", "KEYWORD"):
+                raise ParseError(f"expected table name at offset {tok.pos} in {self.sql!r}")
+            source = _NAME
         self._accept_alias()
-        if joined and self.accept_keyword("ON"):
-            on = self.parse_expr()
-        return Source(name, None, joined, on)
+        if not joined:
+            return source
+        join = [source]
+        if self.accept_keyword("ON"):
+            join.append(self.parse_expr())
+        return _clause("JOIN", join)
 
     def _accept_alias(self) -> None:
         if self.accept_keyword("AS"):
@@ -301,34 +189,34 @@ class _Parser:
 
     # -- expressions, lowest to highest precedence --
 
-    def parse_expr(self):
+    def parse_expr(self) -> SkeletonNode:
         return self.parse_or()
 
-    def parse_or(self):
+    def parse_or(self) -> SkeletonNode:
         left = self.parse_and()
         while self.accept_keyword("OR"):
-            left = Bin("OR", left, self.parse_and())
+            left = _operator("OR", [left, self.parse_and()])
         return left
 
-    def parse_and(self):
+    def parse_and(self) -> SkeletonNode:
         left = self.parse_not()
         while self.accept_keyword("AND"):
-            left = Bin("AND", left, self.parse_not())
+            left = _operator("AND", [left, self.parse_not()])
         return left
 
-    def parse_not(self):
+    def parse_not(self) -> SkeletonNode:
         if self.accept_keyword("NOT"):
-            return Unary("NOT", self.parse_not())
+            return _operator("NOT", [self.parse_not()])
         return self.parse_predicate()
 
-    def parse_predicate(self):
+    def parse_predicate(self) -> SkeletonNode:
         left = self.parse_additive()
         tok = self.peek()
         if tok is None:
             return left
         if tok.kind == "OP" and tok.value in ("=", "!=", "<", ">", "<=", ">="):
             self.next()
-            return Bin(tok.value, left, self.parse_additive())
+            return _operator(tok.value, [left, self.parse_additive()])
         negated = False
         if self.at_keyword("NOT"):
             follow = self.peek(1)
@@ -338,92 +226,90 @@ class _Parser:
                 negated = True
         if self.accept_keyword("IN"):
             self.expect_punct("(")
+            members = [left]
             if self.at_keyword("SELECT"):
-                sub = Subquery(self.parse_query())
+                members.append(self.parse_subquery())
+            else:
+                members.append(self.parse_expr())
+                while self.accept_punct(","):
+                    members.append(self.parse_expr())
                 self.expect_punct(")")
-                return InExpr(left, negated, (), sub)
-            values = [self.parse_expr()]
-            while self.accept_punct(","):
-                values.append(self.parse_expr())
-            self.expect_punct(")")
-            return InExpr(left, negated, tuple(values), None)
+            return _negated(negated, _operator("IN", members))
         if self.accept_keyword("LIKE"):
-            return LikeExpr(left, negated, self.parse_additive())
+            return _negated(negated, _operator("LIKE", [left, self.parse_additive()]))
         if self.accept_keyword("BETWEEN"):
             low = self.parse_additive()
             self.expect_keyword("AND")
             high = self.parse_additive()
-            return BetweenExpr(left, negated, low, high)
+            # the AND token is syntactically present in BETWEEN ... AND ...
+            return _negated(negated, _node("BETWEEN", [left, low, high],
+                                           ("operator", "BETWEEN"), ("operator", "AND")))
         if self.accept_keyword("IS"):
             neg = self.accept_keyword("NOT")
-            rhs = Lit("NULL") if self.accept_keyword("NULL") else self.parse_additive()
-            return IsExpr(left, neg, rhs)
+            rhs = _LITERAL if self.accept_keyword("NULL") else self.parse_additive()
+            return _negated(neg, _operator("IS", [left, rhs]))
         return left
 
-    def parse_additive(self):
+    def parse_additive(self) -> SkeletonNode:
         left = self.parse_multiplicative()
         while True:
             tok = self.peek()
             if tok is not None and tok.kind == "OP" and tok.value in ("+", "-"):
                 self.next()
-                left = Bin(tok.value, left, self.parse_multiplicative())
+                left = _operator(tok.value, [left, self.parse_multiplicative()])
             else:
                 return left
 
-    def parse_multiplicative(self):
+    def parse_multiplicative(self) -> SkeletonNode:
         left = self.parse_unary()
         while True:
             tok = self.peek()
             if tok is not None and tok.kind == "OP" and tok.value in ("*", "/", "%", "||"):
                 self.next()
-                left = Bin(tok.value, left, self.parse_unary())
+                left = _operator(tok.value, [left, self.parse_unary()])
             else:
                 return left
 
-    def parse_unary(self):
+    def parse_unary(self) -> SkeletonNode:
         tok = self.peek()
         if tok is not None and tok.kind == "OP" and tok.value in ("-", "+"):
             self.next()
             operand = self.parse_unary()
-            if isinstance(operand, Lit):
-                # signed literal, not an arithmetic operation
-                return Lit(tok.value + operand.text) if tok.value == "-" else operand
-            return operand if tok.value == "+" else Unary("-", operand)
+            if operand is _LITERAL or tok.value == "+":
+                # a signed literal or a unary plus: no arithmetic operation
+                return operand
+            return _operator("-", [operand])
         return self.parse_primary()
 
-    def parse_primary(self):
+    def parse_primary(self) -> SkeletonNode:
         tok = self.peek()
         if tok is None:
             raise ParseError(f"unexpected end of expression in {self.sql!r}")
         if tok.kind == "NUMBER" or tok.kind == "STRING":
             self.next()
-            return Lit(tok.value)
+            return _LITERAL
         if tok.kind == "OP" and tok.value == "*":
             self.next()
-            return Lit("*")
+            return _LITERAL
         if tok.kind == "KEYWORD":
             if tok.value == "NULL":
                 self.next()
-                return Lit("NULL")
+                return _LITERAL
             if tok.value == "EXISTS":
                 self.next()
                 self.expect_punct("(")
-                sub = Subquery(self.parse_query())
-                self.expect_punct(")")
-                return ExistsExpr(False, sub)
+                return _operator("EXISTS", [self.parse_subquery()])
             if tok.value == "CASE":
                 return self.parse_case()
             if tok.value in ("ALL",):
                 # quantifier-ish keyword in value position: treat as identifier
                 self.next()
-                return Col(tok.value)
+                return _NAME
             raise ParseError(f"unexpected keyword {tok.value} at {self._where()}")
         if tok.kind == "PUNCT" and tok.value == "(":
             self.next()
             if self.at_keyword("SELECT"):
-                sub = Subquery(self.parse_query())
-                self.expect_punct(")")
-                return sub
+                return self.parse_subquery()
             inner = self.parse_expr()
             self.expect_punct(")")
             return inner
@@ -432,48 +318,52 @@ class _Parser:
             # function call
             if self.at_punct("("):
                 self.next()
-                distinct = self.accept_keyword("DISTINCT")
-                args: list[object] = []
-                if not self.at_punct(")"):
+                name = tok.value.upper()
+                args = [_clause("DISTINCT", [])] if self.accept_keyword("DISTINCT") else []
+                if self.at_punct(")"):
+                    args.append(_NAME)
+                else:
                     args.append(self.parse_expr())
                     if self.accept_keyword("AS"):  # CAST(expr AS type)
                         self.next()
                     while self.accept_punct(","):
                         args.append(self.parse_expr())
                 self.expect_punct(")")
-                return Func(tok.value.upper(), distinct, tuple(args))
+                return _node(name, args, ("function", name))
             # dotted reference: t.col or t.*
-            name = tok.value
             while self.accept_punct("."):
                 nxt = self.next()
                 if nxt.kind == "OP" and nxt.value == "*":
-                    name += ".*"
                     break
                 if nxt.kind not in ("IDENT", "KEYWORD"):
                     raise ParseError(f"bad column reference at offset {nxt.pos}")
-                name += "." + nxt.value
-            return Col(name)
+            return _NAME
         raise ParseError(f"unexpected token {tok.value!r} at {self._where()}")
 
-    def parse_case(self) -> CaseExpr:
+    def parse_case(self) -> SkeletonNode:
         self.expect_keyword("CASE")
-        operand = None
+        parts: list[SkeletonNode] = []
         if not self.at_keyword("WHEN"):
-            operand = self.parse_expr()
-        whens: list[tuple] = []
+            parts.append(self.parse_expr())
         while self.accept_keyword("WHEN"):
-            cond = self.parse_expr()
+            parts.append(self.parse_expr())
             self.expect_keyword("THEN")
-            whens.append((cond, self.parse_expr()))
-        default = None
+            parts.append(self.parse_expr())
         if self.accept_keyword("ELSE"):
-            default = self.parse_expr()
+            parts.append(self.parse_expr())
         self.expect_keyword("END")
-        return CaseExpr(operand, tuple(whens), default)
+        return _clause("CASE", parts)
 
 
-def parse_sql(sql: str) -> Query:
-    """Parse one SELECT statement (an optional trailing semicolon is allowed)."""
+def parse_sql(sql: str) -> SkeletonNode:
+    """Parse one SELECT statement (an optional trailing semicolon is allowed)
+    into its skeleton, rooted at ``QUERY``.
+
+    Identifiers and literals become ``_``; aggregation and other functions
+    stay as labeled nodes; clauses follow the canonical
+    SELECT-FROM-WHERE-GROUP BY-HAVING-ORDER BY-LIMIT spine.
+    Raises ParseError for SQL outside the supported grammar.
+    """
     if not sql or not sql.strip():
         raise ParseError("empty SQL text")
     tokens = tokenize(sql)

@@ -7,7 +7,7 @@ satisfies the triangle inequality.
 
 from __future__ import annotations
 
-from .skeleton import SkeletonNode, SqlSkeleton
+from .skeleton import SkeletonNode
 
 
 class _Annotated:
@@ -36,12 +36,10 @@ class _Annotated:
         return my_index
 
 
-def tree_edit_distance(a: SqlSkeleton | SkeletonNode, b: SqlSkeleton | SkeletonNode) -> int:
+def tree_edit_distance(a: SkeletonNode, b: SkeletonNode) -> int:
     """Minimal number of unit-cost node insertions, deletions and relabels
     transforming ordered tree *a* into *b*."""
-    ra = a.root if isinstance(a, SqlSkeleton) else a
-    rb = b.root if isinstance(b, SqlSkeleton) else b
-    ta, tb = _Annotated(ra), _Annotated(rb)
+    ta, tb = _Annotated(a), _Annotated(b)
     m, n = len(ta.labels), len(tb.labels)
     treedist = [[0] * n for _ in range(m)]
 

@@ -208,7 +208,7 @@ def test_c7_evaluator_correctness(tmp_path, train_dataset, test_dataset):
 def test_c8_replay_determinism(spider_dir, spider_ss_dir, kaggledbqa_dir, tmp_path):
     from psmith.corpus import load_kaggledbqa
     from psmith.pipelines import AdaptationBundle, verify_bundle
-    from psmith.sqlanalysis import skeletonize
+    from psmith.sqlanalysis import parse_sql
 
     runner = CliRunner()
     report = tmp_path / "report.jsonl"
@@ -254,8 +254,7 @@ def test_c8_replay_determinism(spider_dir, spider_ss_dir, kaggledbqa_dir, tmp_pa
     assert verify_bundle(bundle, target) == []
     for entry in bundle.exemplars:
         assert tree_edit_distance(
-            skeletonize(entry.source.sql), skeletonize(entry.adapted_sql)) \
-            <= bundle.ted_threshold
+            parse_sql(entry.source.sql), parse_sql(entry.adapted_sql)) <= bundle.ted_threshold
 
     # the sabotaged stage-3 query scores as wrong, everything else matches
     overall = json.loads(report_bytes[0].decode().splitlines()[0])

@@ -169,6 +169,18 @@ def test_profile_small_population(tmp_path):
     assert ("t", "empty_col") not in profile.value_profile
 
 
+def test_profile_merges_values_with_one_text(tmp_path):
+    import sqlite3
+
+    # an untyped column keeps the integer 1 and the text '1' apart
+    path = tmp_path / "mixed.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript("CREATE TABLE t (c); INSERT INTO t VALUES (1), ('1'), ('x');")
+    conn.close()
+    profile = profile_schema(path, 0)
+    assert profile.value_profile[("t", "c")] == SampledValues(("1", "x"))
+
+
 def test_profile_excludes_nulls(tmp_path):
     import sqlite3
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import fixturelib
 from oracles import multiset_match_oracle
 from psmith.corpus.types import AnnotatedDataset, AnnotatedExample, SchemaProfile
-from psmith.errors import MissingGold, SqlError, SqlRejected, SqlTimeout
+from psmith.errors import MissingGold, ParseError, SqlError, SqlRejected, SqlTimeout
 from psmith.evaluator import (
     ResultTable,
     check_executes,
@@ -23,6 +23,7 @@ from psmith.evaluator import (
     report_records,
     results_equivalent,
 )
+from psmith.sqlanalysis import parse_sql
 
 
 @pytest.fixture()
@@ -258,6 +259,12 @@ def test_gold_is_ordered():
     assert not gold_is_ordered(
         "SELECT a FROM t WHERE b IN (SELECT c FROM u ORDER BY c LIMIT 1)")
     assert gold_is_ordered("SELECT a FROM t UNION SELECT b FROM u ORDER BY 1")
+    # gold outside the parser's grammar falls back to a text check
+    for unparseable, ordered in [("SELECT a FROM t ORDER BY a NULLS LAST", True),
+                                 ("SELECT a FROM t WHERE a GLOB 'x*'", False)]:
+        with pytest.raises(ParseError):
+            parse_sql(unparseable)
+        assert gold_is_ordered(unparseable) is ordered
 
 
 # --- evaluate -----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from psmith import llmclient
 from psmith.errors import BudgetRefused, RateLimited, ReplayMiss, TransportError
 from psmith.llmclient import (
     GenerationRequest,
@@ -119,6 +120,28 @@ def test_cache_hits_skip_network(tmp_path):
     bomb = LlmClient(mode="cache", cache_dir=tmp_path / "cache",
                      transport=forbidden_transport, model="test-model")
     assert bomb.generate(request).source == "cache"
+
+
+def test_two_writers_store_one_key(monkeypatch, tmp_path):
+    # both writers finish their temporary file before either renames it
+    barrier = threading.Barrier(2)
+    write_records = llmclient.write_records
+
+    def write_then_wait(*args, **kwargs):
+        write_records(*args, **kwargs)
+        barrier.wait(timeout=10)
+
+    monkeypatch.setattr(llmclient, "write_records", write_then_wait)
+    client = LlmClient(mode="cache", cache_dir=tmp_path / "cache",
+                       transport=fake_transport(["SELECT 7"]), model="test-model",
+                       api_base="http://example.invalid")
+    request = make_request()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(client.generate, [request, request]))
+    assert [r.source for r in results] == ["live", "live"]
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{request.key}.json"]
+    assert ReplayStore.load(tmp_path / "cache" / f"{request.key}.json").get(request.key) \
+        == ["SELECT 7"]
 
 
 def test_record_path_appends(tmp_path):

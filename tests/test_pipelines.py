@@ -39,7 +39,7 @@ from psmith.pipelines import (
 )
 from psmith.promptforge import build_adapt_nl_prompt, build_adapt_sql_prompt
 from psmith.sampler import Exemplar
-from psmith.sqlanalysis import extract_operators, skeletonize, tree_edit_distance
+from psmith.sqlanalysis import extract_operators, parse_sql, tree_edit_distance
 
 
 # --- normalize_sql ------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_da_stage1_skips_candidate_failing_on_a_late_row(tmp_path, train_dataset
     target = with_overflow_table(tmp_path, target_schema)
     exemplar = source_exemplar(train_dataset)
     # within the threshold, so only the executability check can refuse it
-    assert tree_edit_distance(skeletonize(exemplar.sql), skeletonize(LATE_ERROR_SQL)) <= 2
+    assert tree_edit_distance(parse_sql(exemplar.sql), parse_sql(LATE_ERROR_SQL)) <= 2
     probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
     request = stage1_request(probe, train_dataset, target, exemplar)
     client = scripted_client(tmp_path, [(request, [

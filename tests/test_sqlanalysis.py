@@ -14,7 +14,7 @@ from psmith.sqlanalysis import (
     extract_operators,
     extract_operators_detailed,
     load_catalog,
-    skeletonize,
+    parse_sql,
     tree_edit_distance,
 )
 from psmith.sqlanalysis.skeleton import SkeletonNode
@@ -170,6 +170,12 @@ EXTRACTION_CASES = {
         ({"clause:SELECT", "clause:FROM", "operator:-"}, []),
     "SELECT a FROM t WHERE b = -5":
         ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:="}, []),
+    "SELECT a FROM t WHERE b = -(5)":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:="}, []),
+    "SELECT a FROM t WHERE b = - -5":
+        ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:="}, []),
+    "SELECT -(a) FROM t":
+        ({"clause:SELECT", "clause:FROM", "operator:-"}, []),
     "SELECT a FROM t WHERE b <= 1 AND c >= 2 OR d <> 3":
         ({"clause:SELECT", "clause:FROM", "clause:WHERE", "operator:<", "operator:>",
           "operator:!=", "operator:AND", "operator:OR"}, []),
@@ -200,23 +206,24 @@ def test_extract_operators_detailed_exact(sql, caplog):
 # --- skeletons -------------------------------------------------------------------
 
 def test_skeleton_rendering_spine():
-    skeleton = skeletonize(
+    skeleton = parse_sql(
         "SELECT Country FROM nuclear_power_plants GROUP BY Country "
         "ORDER BY sum(Capacity) DESC LIMIT 1")
-    assert skeleton.render() == "SELECT(_) FROM(_) GROUPBY(_) ORDERBY(SUM(_) DESC) LIMIT(_)"
+    assert skeleton.render() \
+        == "QUERY(SELECT(_) FROM(_) GROUPBY(_) ORDERBY(SUM(_) DESC) LIMIT(_))"
 
 
 def test_skeleton_erases_identifiers():
-    assert skeletonize("SELECT a FROM t") == skeletonize("SELECT b FROM u")
+    assert parse_sql("SELECT a FROM t") == parse_sql("SELECT b FROM u")
 
 
 def test_skeleton_deterministic():
     sql = "SELECT a, count(*) FROM t WHERE x = 'v' GROUP BY a"
-    assert skeletonize(sql) == skeletonize(sql)
+    assert parse_sql(sql) == parse_sql(sql)
 
 
 def test_skeleton_has_no_identifiers_or_literals():
-    skeleton = skeletonize(
+    skeleton = parse_sql(
         "SELECT name, salary * 2 FROM instructor WHERE dept_name = 'Physics' LIMIT 3")
     rendered = skeleton.render()
     for leaked in ("name", "salary", "instructor", "Physics", "3"):
@@ -224,20 +231,20 @@ def test_skeleton_has_no_identifiers_or_literals():
 
 
 def test_skeleton_same_modulo_renaming():
-    a = skeletonize("SELECT DISTINCT building FROM classroom WHERE capacity > 50")
-    b = skeletonize("SELECT DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50")
+    a = parse_sql("SELECT DISTINCT building FROM classroom WHERE capacity > 50")
+    b = parse_sql("SELECT DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50")
     assert a == b
     assert tree_edit_distance(a, b) == 0
 
 
 def test_skeleton_compound_query():
-    skeleton = skeletonize("SELECT a FROM t UNION SELECT b FROM u")
-    assert skeleton.render() == "UNION(QUERY(SELECT(_) FROM(_)) QUERY(SELECT(_) FROM(_)))"
+    skeleton = parse_sql("SELECT a FROM t UNION SELECT b FROM u")
+    assert skeleton.render() == "QUERY(UNION(QUERY(SELECT(_) FROM(_)) QUERY(SELECT(_) FROM(_))))"
 
 
 def test_skeleton_parse_error():
     with pytest.raises(ParseError):
-        skeletonize("not sql at all")
+        parse_sql("not sql at all")
 
 
 # --- tree edit distance ------------------------------------------------------------
@@ -267,7 +274,7 @@ def test_ted_skeleton_self_distance_zero():
         "SELECT a, max(b) FROM t GROUP BY a HAVING count(*) > 2",
         "SELECT a FROM t WHERE b IN (SELECT c FROM u)",
     ]:
-        skeleton = skeletonize(sql)
+        skeleton = parse_sql(sql)
         assert tree_edit_distance(skeleton, skeleton) == 0
 
 
@@ -318,47 +325,80 @@ def test_ted_triangle_inequality(a, b, c):
 
 # --- robustness over realistic query shapes ------------------------------------
 
-REALISTIC_QUERIES = [
-    "SELECT * FROM singer",
-    "SELECT count(*) FROM head WHERE age > 56",
-    "SELECT name, country, age FROM singer ORDER BY age DESC",
-    "SELECT avg(age), min(age), max(age) FROM singer WHERE country = 'France'",
-    "SELECT DISTINCT country FROM singer WHERE age > 20",
-    "SELECT country, count(*) FROM singer GROUP BY country",
-    "SELECT song_name FROM singer WHERE age > (SELECT avg(age) FROM singer)",
-    "SELECT name FROM stadium WHERE capacity BETWEEN 5000 AND 10000",
+# Each realistic query shape and its skeleton rendering.
+REALISTIC_QUERIES = {
+    "SELECT * FROM singer":
+        "QUERY(SELECT(_) FROM(_))",
+    "SELECT count(*) FROM head WHERE age > 56":
+        "QUERY(SELECT(COUNT(_)) FROM(_) WHERE(>(_ _)))",
+    "SELECT name, country, age FROM singer ORDER BY age DESC":
+        "QUERY(SELECT(_ _ _) FROM(_) ORDERBY(_ DESC))",
+    "SELECT avg(age), min(age), max(age) FROM singer WHERE country = 'France'":
+        "QUERY(SELECT(AVG(_) MIN(_) MAX(_)) FROM(_) WHERE(=(_ _)))",
+    "SELECT DISTINCT country FROM singer WHERE age > 20":
+        "QUERY(SELECT(DISTINCT _) FROM(_) WHERE(>(_ _)))",
+    "SELECT country, count(*) FROM singer GROUP BY country":
+        "QUERY(SELECT(_ COUNT(_)) FROM(_) GROUPBY(_))",
+    "SELECT song_name FROM singer WHERE age > (SELECT avg(age) FROM singer)":
+        "QUERY(SELECT(_) FROM(_) WHERE(>(_ SUBQUERY(SELECT(AVG(_)) FROM(_)))))",
+    "SELECT name FROM stadium WHERE capacity BETWEEN 5000 AND 10000":
+        "QUERY(SELECT(_) FROM(_) WHERE(BETWEEN(_ _ _)))",
     "SELECT T2.name, count(*) FROM concert AS T1 JOIN stadium AS T2 "
-    "ON T1.stadium_id = T2.stadium_id GROUP BY T1.stadium_id",
+    "ON T1.stadium_id = T2.stadium_id GROUP BY T1.stadium_id":
+        "QUERY(SELECT(_ COUNT(_)) FROM(_ JOIN(_ =(_ _))) GROUPBY(_))",
     "SELECT T2.name, T2.capacity FROM concert AS T1 JOIN stadium AS T2 "
     "ON T1.stadium_id = T2.stadium_id WHERE T1.year >= 2014 "
-    "GROUP BY T2.stadium_id ORDER BY count(*) DESC LIMIT 1",
-    "SELECT name FROM stadium WHERE stadium_id NOT IN (SELECT stadium_id FROM concert)",
+    "GROUP BY T2.stadium_id ORDER BY count(*) DESC LIMIT 1":
+        "QUERY(SELECT(_ _) FROM(_ JOIN(_ =(_ _))) WHERE(>=(_ _)) GROUPBY(_) "
+        "ORDERBY(COUNT(_) DESC) LIMIT(_))",
+    "SELECT name FROM stadium WHERE stadium_id NOT IN (SELECT stadium_id FROM concert)":
+        "QUERY(SELECT(_) FROM(_) WHERE(NOT(IN(_ SUBQUERY(SELECT(_) FROM(_))))))",
     "SELECT country FROM singer WHERE age > 40 INTERSECT "
-    "SELECT country FROM singer WHERE age < 30",
+    "SELECT country FROM singer WHERE age < 30":
+        "QUERY(INTERSECT(QUERY(SELECT(_) FROM(_) WHERE(>(_ _))) "
+        "QUERY(SELECT(_) FROM(_) WHERE(<(_ _)))))",
     "SELECT name FROM stadium EXCEPT SELECT T2.name FROM concert AS T1 "
-    "JOIN stadium AS T2 ON T1.stadium_id = T2.stadium_id WHERE T1.year = 2014",
-    "SELECT name, SUBSTR(name, 1, 1) FROM singer",
-    "SELECT CAST(age AS REAL) FROM singer",
-    "SELECT name FROM singer WHERE name LIKE '%a%' AND age IS NOT NULL",
-    "SELECT name FROM singer WHERE NOT name LIKE '%a%'",
-    "SELECT name FROM t1, t2 WHERE t1.id = t2.id",
-    "SELECT a FROM (SELECT a FROM t WHERE b = 1) AS sub WHERE a > 2",
-    "SELECT a FROM t WHERE b IN (1, 2, 3)",
-    "SELECT a FROM t LEFT JOIN u ON t.id = u.id",
-    "SELECT a || b FROM t",
-    "SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t",
-    'SELECT * FROM Fires WHERE STAT_CAUSE_DESCR = "Campfire" AND State = "TX"',
-    "SELECT a FROM t ORDER BY b DESC LIMIT 5 OFFSET 2",
-    "SELECT a FROM t LIMIT 2, 5",
+    "JOIN stadium AS T2 ON T1.stadium_id = T2.stadium_id WHERE T1.year = 2014":
+        "QUERY(EXCEPT(QUERY(SELECT(_) FROM(_)) "
+        "QUERY(SELECT(_) FROM(_ JOIN(_ =(_ _))) WHERE(=(_ _)))))",
+    "SELECT name, SUBSTR(name, 1, 1) FROM singer":
+        "QUERY(SELECT(_ SUBSTR(_ _ _)) FROM(_))",
+    "SELECT CAST(age AS REAL) FROM singer":
+        "QUERY(SELECT(CAST(_)) FROM(_))",
+    "SELECT name FROM singer WHERE name LIKE '%a%' AND age IS NOT NULL":
+        "QUERY(SELECT(_) FROM(_) WHERE(AND(LIKE(_ _) NOT(IS(_ _)))))",
+    "SELECT name FROM singer WHERE NOT name LIKE '%a%'":
+        "QUERY(SELECT(_) FROM(_) WHERE(NOT(LIKE(_ _))))",
+    "SELECT name FROM t1, t2 WHERE t1.id = t2.id":
+        "QUERY(SELECT(_) FROM(_ _) WHERE(=(_ _)))",
+    "SELECT a FROM (SELECT a FROM t WHERE b = 1) AS sub WHERE a > 2":
+        "QUERY(SELECT(_) FROM(SUBQUERY(SELECT(_) FROM(_) WHERE(=(_ _)))) WHERE(>(_ _)))",
+    "SELECT a FROM t WHERE b IN (1, 2, 3)":
+        "QUERY(SELECT(_) FROM(_) WHERE(IN(_ _ _ _)))",
+    "SELECT a FROM t LEFT JOIN u ON t.id = u.id":
+        "QUERY(SELECT(_) FROM(_ JOIN(_ =(_ _))))",
+    "SELECT a || b FROM t":
+        "QUERY(SELECT(||(_ _)) FROM(_))",
+    "SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t":
+        "QUERY(SELECT(CASE(>(_ _) _ _)) FROM(_))",
+    'SELECT * FROM Fires WHERE STAT_CAUSE_DESCR = "Campfire" AND State = "TX"':
+        "QUERY(SELECT(_) FROM(_) WHERE(AND(=(_ _) =(_ _))))",
+    "SELECT a FROM t ORDER BY b DESC LIMIT 5 OFFSET 2":
+        "QUERY(SELECT(_) FROM(_) ORDERBY(_ DESC) LIMIT(_ _))",
+    "SELECT a FROM t LIMIT 2, 5":
+        "QUERY(SELECT(_) FROM(_) LIMIT(_ _))",
     "SELECT year, count(*) FROM concert GROUP BY year HAVING count(*) >= 2 "
-    "ORDER BY count(*) DESC",
-]
+    "ORDER BY count(*) DESC":
+        "QUERY(SELECT(_ COUNT(_)) FROM(_) GROUPBY(_) HAVING(>=(COUNT(_) _)) "
+        "ORDERBY(COUNT(_) DESC))",
+}
 
 
 @pytest.mark.parametrize("sql", REALISTIC_QUERIES)
 def test_realistic_queries_parse_and_abstract(sql):
     ops_found = extract_operators(sql)
     assert ops_found.issubset(default_catalog())
-    skeleton = skeletonize(sql)
-    assert skeleton == skeletonize(sql)
+    skeleton = parse_sql(sql)
+    assert skeleton == parse_sql(sql)
+    assert skeleton.render() == REALISTIC_QUERIES[sql]
     assert tree_edit_distance(skeleton, skeleton) == 0
