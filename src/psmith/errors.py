@@ -120,5 +120,9 @@ class SqlRejected(SqlError):
     """Statement refused before execution (not a single read-only SELECT)."""
 
 
+class CompareTimeout(PsmithError):
+    """Comparing two result tables ran past its time bound."""
+
+
 class MissingGold(PsmithError):
     pass

@@ -7,7 +7,14 @@ queries, and a prediction is fetched only up to one row more than its gold
 result. Results are compared as row sequences when the gold query has a
 top-level ORDER BY and otherwise as multisets: equivalent when a perfect
 matching pairs their rows, with no row threshold. Two ints match only when
-equal; a pair with a float in it matches within 1e-6 relative tolerance.
+equal; a pair with a float in it matches within 1e-6 relative tolerance. A
+comparison that runs past the statement timeout scores CompareTimeout.
+
+Pairs are scored one thread per usable core, each query on its own
+read-only connection with a 512 KiB page cache (sqlite releases the
+interpreter lock while it steps a statement). Verdicts are merged and
+dataset defects logged in test order, so a report does not depend on the
+number of threads.
 """
 
 from __future__ import annotations
@@ -18,12 +25,14 @@ import re
 import sqlite3
 import time
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus.types import AnnotatedDataset
-from .errors import MissingGold, ParseError, SqlError, SqlRejected, SqlTimeout
+from .errors import CompareTimeout, MissingGold, ParseError, SqlError, SqlRejected, SqlTimeout
+from .readonly import connect_read_only, usable_cores
 from .sqlanalysis.parser import parse_sql
 
 logger = logging.getLogger(__name__)
@@ -60,7 +69,10 @@ def _read_only_cursor(db_path: str | Path, sql: str, timeout_s: float):
     db_path = Path(db_path)
     if not db_path.exists():
         raise SqlError(f"database file not found: {db_path}")
-    conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+    try:
+        conn = connect_read_only(db_path)
+    except sqlite3.DatabaseError as exc:  # e.g. not a database
+        raise SqlError(str(exc)) from None
     deadline = time.monotonic() + timeout_s
     timed_out, denied = [], []
 
@@ -150,11 +162,12 @@ def _rows_equal(row_a: tuple, row_b: tuple) -> bool:
         _cells_equal(x, y) for x, y in zip(row_a, row_b))
 
 
-def _multiset_equal(rows_a: tuple, rows_b: tuple) -> bool:
+def _multiset_equal(rows_a: tuple, rows_b: tuple, deadline: float) -> bool:
     """Whether a perfect matching under _rows_equal pairs rows_a with rows_b.
     Time is near-linear while sorted in-order pairing mostly holds; cells
     within tolerance that sort differently on the two sides send a bucket to
-    augmenting paths, whose time can grow cubic in the bucket's size."""
+    augmenting paths, whose time can grow cubic in the bucket's size, so
+    their search raises CompareTimeout once time.monotonic() passes deadline."""
     # equal rows match; 1 == 1.0 with equal hashes covers ints against floats
     if Counter(rows_a) == Counter(rows_b):
         return True
@@ -168,10 +181,10 @@ def _multiset_equal(rows_a: tuple, rows_b: tuple) -> bool:
         for row in rows:
             key = tuple(_NUMERIC_CELL if isinstance(c, _NUMBER) else c for c in row)
             buckets[key][side].append(tuple(c for c in row if isinstance(c, _NUMBER)))
-    return all(_bucket_matches(nums_a, nums_b) for nums_a, nums_b in buckets.values())
+    return all(_bucket_matches(nums_a, nums_b, deadline) for nums_a, nums_b in buckets.values())
 
 
-def _bucket_matches(nums_a: list, nums_b: list) -> bool:
+def _bucket_matches(nums_a: list, nums_b: list, deadline: float) -> bool:
     """Whether a perfect matching under _rows_equal pairs the numeric cells
     of one bucket: the sorted sides paired in order, completed by augmenting
     paths (Kuhn's algorithm) for the a rows whose in-order pair fails."""
@@ -190,6 +203,8 @@ def _bucket_matches(nums_a: list, nums_b: list) -> bool:
         # takes chosen[k], and the owner of chosen[k] is path[k + 1]
         path, chosen, options, seen = [start], [], [candidates(start)], set()
         while options:
+            if time.monotonic() > deadline:
+                raise CompareTimeout(f"comparing {len(nums_a)} rows ran past the timeout")
             j = next(options[-1], None)
             if j is None:  # path[-1] is a dead end: back up one step
                 path.pop()
@@ -209,19 +224,22 @@ def _bucket_matches(nums_a: list, nums_b: list) -> bool:
     return True
 
 
-def results_equivalent(a: ResultTable, b: ResultTable, ordered: bool) -> bool:
+def results_equivalent(a: ResultTable, b: ResultTable, ordered: bool,
+                       timeout_s: float | None = None) -> bool:
     """Compare result tables; symmetric in its arguments.
 
     ordered=True compares row sequences, ordered=False row multisets (a
     perfect matching of rows). Cell comparison is type-aware with 1e-6
     relative tolerance when either cell is a float; column order within rows
-    is always significant.
+    is always significant. With timeout_s, a multiset comparison still
+    searching that long after the call began raises CompareTimeout.
     """
     if a.columns != b.columns or len(a.rows) != len(b.rows):
         return False
     if ordered:
         return all(_rows_equal(x, y) for x, y in zip(a.rows, b.rows))
-    return _multiset_equal(a.rows, b.rows)
+    deadline = math.inf if timeout_s is None else time.monotonic() + timeout_s
+    return _multiset_equal(a.rows, b.rows, deadline)
 
 
 def gold_is_ordered(sql: str) -> bool:
@@ -238,6 +256,7 @@ def gold_is_ordered(sql: str) -> bool:
 FAIL_EXEC = "ExecError"
 FAIL_MISMATCH = "Mismatch"
 FAIL_EMPTY = "EmptyPrediction"
+FAIL_COMPARE_TIMEOUT = "CompareTimeout"
 
 
 @dataclass
@@ -256,14 +275,42 @@ class EvalReport:
         return sum(correct for correct, _, _ in self.per_db.values())
 
 
+def _score_pair(sqlite_path: Path, gold_sql: str, predicted: str,
+                timeout_s: float) -> str | SqlError | None:
+    """Score one prediction against its gold query: None when it is right,
+    its failure kind when it is wrong, or the gold query's SqlError, which
+    makes the pair a dataset defect."""
+    try:
+        gold_result = execute_sql(sqlite_path, gold_sql, timeout_s)
+    except SqlError as exc:
+        return exc
+    if not predicted.strip():
+        return FAIL_EMPTY
+    try:
+        # a prediction with more rows than gold is wrong however many it has
+        predicted_result = execute_sql(sqlite_path, predicted, timeout_s,
+                                       max_rows=len(gold_result.rows))
+    except SqlError:
+        return FAIL_EXEC
+    if predicted_result.truncated:
+        return FAIL_MISMATCH
+    try:
+        equivalent = results_equivalent(gold_result, predicted_result,
+                                        gold_is_ordered(gold_sql), timeout_s)
+    except CompareTimeout:
+        return FAIL_COMPARE_TIMEOUT
+    return None if equivalent else FAIL_MISMATCH
+
+
 def evaluate(predictions: dict[tuple[str, str], str],
              gold: AnnotatedDataset,
              timeout_s: float = STATEMENT_TIMEOUT_S) -> EvalReport:
     """Score predictions keyed by (db_id, question) against gold examples.
 
     Gold queries that fail to execute are dataset defects: reported loudly
-    and excluded from the denominator. Execution errors and empty predictions
-    score as wrong. Percentages are micro-averaged.
+    and excluded from the denominator. Execution errors, empty predictions
+    and comparisons past the timeout score as wrong. Percentages are
+    micro-averaged.
     """
     gold_keys = {(ex.db_id, ex.nl) for ex in gold.examples}
     for key in predictions:
@@ -274,39 +321,30 @@ def evaluate(predictions: dict[tuple[str, str], str],
     failures: list[tuple[str, str]] = []
     defects: list[str] = []
 
-    for example in gold.examples:
-        schema = gold.databases[example.db_id]
-        if schema.sqlite_path is None:
-            defects.append(f"{example.db_id}: no database file")
-            logger.error("dataset defect: no SQLite file for %s", example.db_id)
-            continue
-        try:
-            gold_result = execute_sql(schema.sqlite_path, example.sql, timeout_s)
-        except SqlError as exc:
-            defects.append(f"{example.db_id}: gold failed: {exc}")
-            logger.error("dataset defect: gold SQL failed on %s: %s", example.db_id, exc)
-            continue
+    def score(example) -> str | SqlError | None:
+        return _score_pair(gold.databases[example.db_id].sqlite_path, example.sql,
+                           predictions.get((example.db_id, example.nl), ""), timeout_s)
 
-        bucket = counts.setdefault(example.db_id, [0, 0])
-        bucket[1] += 1
-
-        predicted = predictions.get((example.db_id, example.nl), "")
-        if not predicted.strip():
-            failures.append((example.nl, FAIL_EMPTY))
-            continue
-        try:
-            # a prediction with more rows than gold is wrong however many it has
-            predicted_result = execute_sql(schema.sqlite_path, predicted, timeout_s,
-                                           max_rows=len(gold_result.rows))
-        except SqlError:
-            failures.append((example.nl, FAIL_EXEC))
-            continue
-        ordered = gold_is_ordered(example.sql)
-        if (not predicted_result.truncated
-                and results_equivalent(gold_result, predicted_result, ordered)):
-            bucket[0] += 1
-        else:
-            failures.append((example.nl, FAIL_MISMATCH))
+    scorable = [ex for ex in gold.examples if gold.databases[ex.db_id].sqlite_path is not None]
+    with ThreadPoolExecutor(max(1, min(len(scorable), usable_cores()))) as pool:
+        verdicts = pool.map(score, scorable)  # in test order
+        for example in gold.examples:
+            if gold.databases[example.db_id].sqlite_path is None:
+                defects.append(f"{example.db_id}: no database file")
+                logger.error("dataset defect: no SQLite file for %s", example.db_id)
+                continue
+            verdict = next(verdicts)
+            if isinstance(verdict, SqlError):
+                defects.append(f"{example.db_id}: gold failed: {verdict}")
+                logger.error("dataset defect: gold SQL failed on %s: %s",
+                             example.db_id, verdict)
+                continue
+            bucket = counts.setdefault(example.db_id, [0, 0])
+            bucket[1] += 1
+            if verdict is None:
+                bucket[0] += 1
+            else:
+                failures.append((example.nl, verdict))
 
     per_db = {
         db: (correct, total, 100.0 * correct / total if total else 0.0)

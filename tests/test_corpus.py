@@ -8,6 +8,7 @@ import pytest
 
 import fixturelib
 from oracles import sequential_profile_oracle
+from psmith import readonly
 from psmith.corpus import (
     NumericRange,
     SampledValues,
@@ -254,7 +255,7 @@ def test_parallel_profile_matches_sequential_oracle(tmp_path, monkeypatch, seed,
     assert conn.execute('SELECT COUNT(DISTINCT acres) FROM "fire ""events"" log"').fetchone()[0] > 512
     conn.close()
     for cpus in (1, 2, 5):
-        monkeypatch.setattr(profile_module.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+        monkeypatch.setattr(readonly.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         profiled = profile_schema(path, seed, numeric_render).value_profile
         assert list(profiled.items()) == expected  # same profiles in the same order

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import logging
+import os
 import random
 import sqlite3
 import time
@@ -12,7 +14,15 @@ from hypothesis import strategies as st
 import fixturelib
 from oracles import multiset_match_oracle
 from psmith.corpus.types import AnnotatedDataset, AnnotatedExample, SchemaProfile
-from psmith.errors import MissingGold, ParseError, SqlError, SqlRejected, SqlTimeout
+from psmith import evaluator as evaluator_module
+from psmith.errors import (
+    CompareTimeout,
+    MissingGold,
+    ParseError,
+    SqlError,
+    SqlRejected,
+    SqlTimeout,
+)
 from psmith.evaluator import (
     ResultTable,
     check_executes,
@@ -51,6 +61,13 @@ def test_execute_missing_table(scores_db):
         execute_sql(scores_db, "SELECT * FROM no_such_table")
 
 
+def test_execute_on_a_file_that_is_not_a_database(tmp_path):
+    path = tmp_path / "junk.sqlite"
+    path.write_bytes(b"not a database" * 100)
+    with pytest.raises(SqlError, match="not a database"):
+        execute_sql(path, "SELECT 1")
+
+
 def test_execute_preserves_cell_types(scores_db):
     table = execute_sql(scores_db, "SELECT name, points, ratio FROM scores LIMIT 1")
     name, points, ratio = table.rows[0]
@@ -66,6 +83,9 @@ def test_execute_rejects_writes(scores_db):
         "UPDATE scores SET points = 0",
         "CREATE TABLE other (x)",
         "PRAGMA writable_schema = 1",
+        # the connection sets its own page cache; a prediction may not
+        "PRAGMA cache_size = 100000",
+        "PRAGMA mmap_size = 268435456",
         "SELECT 1; DROP TABLE scores",
     ]:
         with pytest.raises(SqlRejected):
@@ -216,6 +236,27 @@ def test_unordered_tolerant_match_has_no_row_cliff():
     predicted[0] = (name, year, lat * (1 + 3e-6), lon)
     assert not results_equivalent(a, ResultTable(4, tuple(predicted)), ordered=False)
     assert time.perf_counter() - started < 1.0
+
+
+def slow_bucket(n: int = 800) -> tuple[list, list]:
+    """Rows of one bucket whose floats all lie within 1e-6 of each other and
+    sort in opposite orders on the two sides, next to ints of alternating
+    parity. One b row carries an int no a row has, so no perfect matching
+    exists, and the augmenting-path search, cubic in n, runs far past the
+    timeouts it is given below."""
+    a = [(1.0 + i * 1e-9, i % 2) for i in range(n)]
+    b = [(1.0 + (n - i) * 1e-9, i % 2) for i in range(n)]
+    b[0] = (b[0][0], 2)
+    return a, b
+
+
+def test_unordered_comparison_stops_at_its_timeout():
+    a, b = slow_bucket()
+    started = time.perf_counter()
+    with pytest.raises(CompareTimeout):
+        results_equivalent(ResultTable(2, tuple(a)), ResultTable(2, tuple(b)),
+                           ordered=False, timeout_s=0.5)
+    assert time.perf_counter() - started < 1.5
 
 
 # floats whose neighbours in this list lie within 1e-6 of each other, and
@@ -371,6 +412,70 @@ def test_evaluate_an_error_past_the_row_bound_is_a_mismatch(tmp_path):
     assert dict(report.failures) == {
         "row 3 fails": "Mismatch", "row 4 fails": "Mismatch",
         "row 3 fails, gold has 2": "ExecError", "row 3 fails, gold has 0": "Mismatch"}
+
+
+def test_evaluate_scores_a_comparison_past_the_timeout(tmp_path):
+    dataset = mini_dataset(tmp_path, {"db": [("slow", "SELECT x, k FROM ta"),
+                                             ("fast", "SELECT a FROM t")]})
+    conn = sqlite3.connect(dataset.databases["db"].sqlite_path)
+    a, b = slow_bucket()
+    for table, rows in (("ta", a), ("tb", b)):
+        conn.execute(f"CREATE TABLE {table} (x REAL, k INTEGER)")
+        conn.executemany(f"INSERT INTO {table} VALUES (?, ?)", rows)
+    conn.commit()
+    conn.close()
+    predictions = {("db", "slow"): "SELECT x, k FROM tb", ("db", "fast"): "SELECT a FROM t"}
+    started = time.perf_counter()
+    report = evaluate(predictions, dataset, timeout_s=0.5)
+    assert time.perf_counter() - started < 1.5
+    assert report.per_db["db"][:2] == (1, 2)
+    assert report.failures == [("slow", "CompareTimeout")]
+    assert "  CompareTimeout: 1" in format_report(report).splitlines()
+    assert {"kind": "failure", "failure": "CompareTimeout",
+            "question": "slow"} in report_records(report)
+
+
+def test_evaluate_report_does_not_depend_on_the_thread_count(tmp_path, monkeypatch, caplog):
+    # a slow first pair lets later pairs finish first on more than one thread
+    count_up = ("WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n "
+                "WHERE i < 200000) SELECT count(*) FROM n")
+    dataset = mini_dataset(tmp_path, {
+        "one": [("slow", count_up), ("right", "SELECT a FROM t"),
+                ("exec error", "SELECT b FROM t"), ("broken gold", "SELECT nothing FROM t")],
+        "two": [("mismatch", "SELECT a FROM t WHERE b = 'x'"), ("empty", "SELECT b FROM t"),
+                ("right too", "SELECT count(*) FROM t")],
+    })
+    dataset.databases["gone"] = SchemaProfile("gone", (), sqlite_path=None)
+    dataset.examples.insert(3, AnnotatedExample("gone", "no file", "SELECT 1"))
+    predictions = {(ex.db_id, ex.nl): ex.sql for ex in dataset.examples}
+    predictions["one", "exec error"] = "SELECT b FROM nowhere"
+    predictions["two", "mismatch"] = "SELECT a FROM t WHERE b = 'y'"
+    predictions["two", "empty"] = " "
+    pool_sizes = []
+
+    class RecordingPool(evaluator_module.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(evaluator_module, "ThreadPoolExecutor", RecordingPool)
+    outcomes = []
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="psmith.evaluator"):
+            report = evaluate(predictions, dataset)
+        outcomes.append((report, [r.getMessage() for r in caplog.records]))
+    assert pool_sizes == [1, 2, 5]
+    report, lines = outcomes[0]
+    assert report.per_db == {"one": (2, 3, pytest.approx(200 / 3)),
+                             "two": (1, 3, pytest.approx(100 / 3))}
+    assert report.failures == [("exec error", "ExecError"), ("mismatch", "Mismatch"),
+                               ("empty", "EmptyPrediction")]
+    assert [d.split(":")[0] for d in report.dataset_defects] == ["gone", "one"]
+    assert len(lines) == 2 and "gone" in lines[0] and "nothing" in lines[1]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
 def test_evaluate_ordered_gold_catches_misordered_prediction(tmp_path):
