@@ -45,9 +45,6 @@ from .pipelines.adapt import adapt_exemplars
 from .promptforge import MODES, save_artifact
 from .sqlanalysis.ops import load_catalog
 
-logger = logging.getLogger(__name__)
-
-EXIT_OK = 0
 EXIT_COVERAGE = 3
 EXIT_BUDGET = 4
 EXIT_DEFECTS = 5
@@ -267,7 +264,7 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
         max_output_tokens=cfg.max_output_tokens,
         cot_enabled=cfg.cot_enabled,
         draft_records=draft_records,
-        draft_context=train.databases)
+        draft_context=train.databases, workers=cfg.workers)
 
     bundle.save(out_path)
     click.echo(f"adapted {len(bundle.exemplars)} of {len(exemplars)} exemplars "

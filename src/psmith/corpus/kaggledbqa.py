@@ -11,14 +11,11 @@ Expected layout::
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 
 from ..errors import MalformedManifest, MissingFile
 from .spider import _attach_sqlite_paths, _read_json, load_tables_manifest
 from .types import AnnotatedDataset, AnnotatedExample, Role
-
-logger = logging.getLogger(__name__)
 
 
 def load_kaggledbqa(directory: str | Path) -> AnnotatedDataset:

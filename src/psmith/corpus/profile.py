@@ -3,10 +3,9 @@
 Profiles are deterministic functions of (database file, seed): categorical
 and date-time columns get up to four seeded-random distinct values, numeric
 columns get their (min, max) range. NULLs never appear in either form.
-Columns are profiled concurrently, one thread per usable core, each column
-on its own read-only connection with a 512 KiB page cache (sqlite releases
-the interpreter lock while it scans), and merged in column order, so the
-result does not depend on the number of threads.
+Columns are profiled one thread per usable core, each on its own read-only
+connection (psmith.readonly), and merged in column order: the result does
+not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ import logging
 import random
 import re
 import sqlite3
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from pathlib import Path
 
 from ..errors import NotADatabase
-from ..readonly import connect_read_only, usable_cores
+from ..readonly import connect_read_only, map_in_order, usable_cores
 from .types import Column, ForeignKey, NumericRange, SampledValues, SchemaProfile, Table
 
 logger = logging.getLogger(__name__)
@@ -146,8 +144,7 @@ def profile_schema(path: str | Path, seed: int,
             return _profile_column(own, db_id, *job, seed, numeric_render)
 
     jobs = [(table.name, column) for table in tables for column in table.columns]
-    with ThreadPoolExecutor(max(1, min(len(jobs), usable_cores()))) as pool:
-        profiles = list(pool.map(profile_alone, jobs))
+    profiles = map_in_order(profile_alone, jobs, usable_cores())
     value_profile = {(table_name, column.name): profile
                      for (table_name, column), profile in zip(jobs, profiles) if profile is not None}
 

@@ -3,18 +3,17 @@
 Predictions are untrusted input: databases are opened read-only, an
 authorizer refuses every action but reading when a statement is prepared,
 sqlite refuses a second statement, a statement timeout bounds pathological
-queries, and a prediction is fetched only up to one row more than its gold
-result. Results are compared as row sequences when the gold query has a
+queries and a length limit each value they build (psmith.readonly), and a
+prediction is fetched only up to one row more than its gold result.
+Results are compared as row sequences when the gold query has a
 top-level ORDER BY and otherwise as multisets: equivalent when a perfect
 matching pairs their rows, with no row threshold. Two ints match only when
 equal; a pair with a float in it matches within 1e-6 relative tolerance. A
 comparison that runs past the statement timeout scores CompareTimeout.
 
 Pairs are scored one thread per usable core, each query on its own
-read-only connection with a 512 KiB page cache (sqlite releases the
-interpreter lock while it steps a statement). Verdicts are merged and
-dataset defects logged in test order, so a report does not depend on the
-number of threads.
+read-only connection, and merged in test order: a report does not depend on
+the number of threads.
 """
 
 from __future__ import annotations
@@ -25,19 +24,17 @@ import re
 import sqlite3
 import time
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus.types import AnnotatedDataset
 from .errors import CompareTimeout, MissingGold, ParseError, SqlError, SqlRejected, SqlTimeout
-from .readonly import connect_read_only, usable_cores
+from .readonly import STATEMENT_TIMEOUT_S, connect_read_only, map_in_order, usable_cores
 from .sqlanalysis.parser import parse_sql
 
 logger = logging.getLogger(__name__)
 
-STATEMENT_TIMEOUT_S = 30.0
 REL_TOLERANCE = 1e-6
 
 _PROGRESS_GRANULARITY = 10_000
@@ -326,25 +323,24 @@ def evaluate(predictions: dict[tuple[str, str], str],
                            predictions.get((example.db_id, example.nl), ""), timeout_s)
 
     scorable = [ex for ex in gold.examples if gold.databases[ex.db_id].sqlite_path is not None]
-    with ThreadPoolExecutor(max(1, min(len(scorable), usable_cores()))) as pool:
-        verdicts = pool.map(score, scorable)  # in test order
-        for example in gold.examples:
-            if gold.databases[example.db_id].sqlite_path is None:
-                defects.append(f"{example.db_id}: no database file")
-                logger.error("dataset defect: no SQLite file for %s", example.db_id)
-                continue
-            verdict = next(verdicts)
-            if isinstance(verdict, SqlError):
-                defects.append(f"{example.db_id}: gold failed: {verdict}")
-                logger.error("dataset defect: gold SQL failed on %s: %s",
-                             example.db_id, verdict)
-                continue
-            bucket = counts.setdefault(example.db_id, [0, 0])
-            bucket[1] += 1
-            if verdict is None:
-                bucket[0] += 1
-            else:
-                failures.append((example.nl, verdict))
+    verdicts = iter(map_in_order(score, scorable, usable_cores()))  # in test order
+    for example in gold.examples:
+        if gold.databases[example.db_id].sqlite_path is None:
+            defects.append(f"{example.db_id}: no database file")
+            logger.error("dataset defect: no SQLite file for %s", example.db_id)
+            continue
+        verdict = next(verdicts)
+        if isinstance(verdict, SqlError):
+            defects.append(f"{example.db_id}: gold failed: {verdict}")
+            logger.error("dataset defect: gold SQL failed on %s: %s",
+                         example.db_id, verdict)
+            continue
+        bucket = counts.setdefault(example.db_id, [0, 0])
+        bucket[1] += 1
+        if verdict is None:
+            bucket[0] += 1
+        else:
+            failures.append((example.nl, verdict))
 
     per_db = {
         db: (correct, total, 100.0 * correct / total if total else 0.0)

@@ -30,6 +30,7 @@ from ..promptforge.prompts import (
     build_adapt_sql_prompt,
     exemplar_id,
 )
+from ..readonly import map_in_order
 from ..sampler import Exemplar
 from ..sqlanalysis import parse_sql, tree_edit_distance
 from .ltmp import read_steps, read_sub_questions
@@ -207,7 +208,7 @@ def verify_bundle(bundle: AdaptationBundle, target_schema: SchemaProfile) -> lis
 def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
                     ted_threshold: int, max_beam_samples: int, budget=None,
                     max_output_tokens: int = 256, cot_enabled: bool = True,
-                    draft_records=None, draft_context=None):
+                    draft_records=None, draft_context=None, workers: int = 1):
     """Adapt every exemplar to the target database (stage 1 then stage 2).
 
     Per-exemplar failures, of an adaptation or of a decomposition draft,
@@ -217,14 +218,13 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
     decompositions are also generated for each adapted exemplar, from
     prompts whose exemplars end in the chain-of-thought line when
     ``cot_enabled`` holds and in the plain answer line otherwise; a human
-    reviewer finalizes those. Returns (bundle, failure descriptions).
+    reviewer finalizes those. Exemplars are adapted, then drafted, on up to
+    ``workers`` threads, in exemplar order. Returns (bundle, failures).
     """
     from ..promptforge.prompts import build_ltmp_prompt
     from .run import shots_for
 
-    bundle = AdaptationBundle(target_schema.db_id, ted_threshold)
-    failures: list[str] = []
-    for item in exemplars:
+    def adapt_one(item: Exemplar) -> AdaptedExemplar | str:
         try:
             adapted_sql, ted, attempts, _ = da_stage1_transfer(
                 item, train_databases[item.db_id], target_schema, client,
@@ -233,11 +233,14 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
             adapted_nl, _ = da_stage2_generate_nl(
                 adapted_sql, target_schema, client, budget=budget)
         except PsmithError as exc:
-            failures.append(f"{item.db_id}: {item.nl}: {exc}")
-            continue
-        bundle.exemplars.append(AdaptedExemplar(
-            source=item, adapted_sql=adapted_sql, adapted_nl=adapted_nl,
-            ted=ted, attempts=attempts))
+            return f"{item.db_id}: {item.nl}: {exc}"
+        return AdaptedExemplar(source=item, adapted_sql=adapted_sql, adapted_nl=adapted_nl,
+                               ted=ted, attempts=attempts)
+
+    adapted = map_in_order(adapt_one, exemplars, workers)
+    bundle = AdaptationBundle(target_schema.db_id, ted_threshold,
+                              [a for a in adapted if isinstance(a, AdaptedExemplar)])
+    failures = [a for a in adapted if isinstance(a, str)]
 
     if draft_records is not None:
         shots = shots_for("ltmp-gp", exemplars, draft_records)
@@ -251,16 +254,15 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
                                      stop=["\n"])
             return client.generate(request).text
 
-        for entry in bundle.exemplars:
+        def draft(entry: AdaptedExemplar) -> str | None:
             try:
                 subs = read_sub_questions(complete(1, entry.adapted_nl))
                 # drafts skip the strict arity check of the run-time stage;
                 # the reviewer reconciles sub-questions and steps by hand
                 steps = read_steps(complete(2, entry.adapted_nl, subs))
             except PsmithError as exc:
-                failures.append(f"{entry.source.db_id}: {entry.source.nl}: "
-                                f"decomposition draft: {exc}")
-                continue
-            entry.sub_questions = subs
-            entry.natsql_steps = steps
+                return f"{entry.source.db_id}: {entry.source.nl}: decomposition draft: {exc}"
+            entry.sub_questions, entry.natsql_steps = subs, steps
+
+        failures += filter(None, map_in_order(draft, bundle.exemplars, workers))
     return bundle, failures

@@ -16,7 +16,6 @@ import json
 import logging
 import threading
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from itertools import count
 from pathlib import Path
@@ -35,6 +34,7 @@ from ..promptforge.prompts import (
     build_ltmp_prompt,
     exemplar_id,
 )
+from ..readonly import map_in_order
 from ..sampler import ExemplarSet
 from .adapt import AdaptationBundle
 from .ltmp import (
@@ -72,9 +72,6 @@ class PipelineConfig:
     numeric_render: str = _key("range", ("run",), choices=NUMERIC_RENDER_MODES)
     cot_enabled: bool = _key(True, _CLIENT)
     max_output_tokens: int = _key(256, _CLIENT)
-    # adapt generates one exemplar at a time; it takes --workers only because
-    # the benchmark (perfbench/run.py) passes the same client flags to adapt
-    # and run
     workers: int = _key(1, _CLIENT, runtime=True)
     model: str = field(default_factory=default_model, metadata={
         "commands": _CLIENT, "help": "model id (default: PSMITH_MODEL, else offline-model)"})
@@ -309,12 +306,8 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
     if journal is not None:
         journal.parent.mkdir(parents=True, exist_ok=True)
     runner = _QueryRunner(cfg, client, train, test, shots, target_profile, journal)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [pool.submit(runner.run_one, example, idx) for example, idx in indexed]
-        # wake once, when all are done: waiting on each result in turn would
-        # take the interpreter lock from the workers after every query
-        wait(futures)
-    outcome = PipelineOutcome([future.result() for future in futures])
+    outcome = PipelineOutcome(map_in_order(lambda pair: runner.run_one(*pair), indexed,
+                                           cfg.workers))
     if out_dir is not None:
         write_predictions(outcome.predictions, Path(out_dir) / "predictions.jsonl")
     return outcome

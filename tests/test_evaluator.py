@@ -5,7 +5,10 @@ import logging
 import os
 import random
 import sqlite3
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +27,7 @@ from psmith.errors import (
     SqlTimeout,
 )
 from psmith.evaluator import (
+    FAIL_EXEC,
     ResultTable,
     check_executes,
     evaluate,
@@ -33,6 +37,7 @@ from psmith.evaluator import (
     report_records,
     results_equivalent,
 )
+from psmith.readonly import map_in_order
 from psmith.sqlanalysis import parse_sql
 
 
@@ -453,12 +458,11 @@ def test_evaluate_report_does_not_depend_on_the_thread_count(tmp_path, monkeypat
     predictions["two", "empty"] = " "
     pool_sizes = []
 
-    class RecordingPool(evaluator_module.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
-            super().__init__(max_workers)
+    def recording_map(fn, items, threads):
+        pool_sizes.append(threads)
+        return map_in_order(fn, items, threads)
 
-    monkeypatch.setattr(evaluator_module, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluator_module, "map_in_order", recording_map)
     outcomes = []
     for cpus in (1, 2, 5):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -476,6 +480,26 @@ def test_evaluate_report_does_not_depend_on_the_thread_count(tmp_path, monkeypat
     assert [d.split(":")[0] for d in report.dataset_defects] == ["gone", "one"]
     assert len(lines) == 2 and "gone" in lines[0] and "nothing" in lines[1]
     assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+@pytest.mark.skipif(not hasattr(sqlite3.Connection, "setlimit"),
+                    reason="Python 3.10 cannot lower a connection's length limit")
+def test_a_blob_prediction_scores_exec_error_within_a_memory_bound(tmp_path):
+    """Without the length limit this pair peaks near 600 MB; the child that
+    scores it must stay under 100 MB."""
+    path = mini_dataset(tmp_path, {"db": []}).databases["db"].sqlite_path
+    script = ("import resource, sys\n"
+              "from psmith.evaluator import _score_pair\n"
+              "print(_score_pair(sys.argv[1], 'SELECT a FROM t',\n"
+              "                  'SELECT randomblob(150000000) FROM t', 30.0))\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+    src = Path(evaluator_module.__file__).parents[1]
+    child = subprocess.run([sys.executable, "-c", script, str(path)], check=True,
+                           capture_output=True, text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+    verdict, peak_mb = child.stdout.split()
+    assert verdict == FAIL_EXEC
+    assert int(peak_mb) < 100
 
 
 def test_evaluate_ordered_gold_catches_misordered_prediction(tmp_path):

@@ -797,3 +797,71 @@ def test_adapt_returns_failures_without_logging_them(tmp_path, train_dataset,
             draft_context=train_dataset.databases)
     assert len(failures) == 18
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+def test_adapt_writes_the_same_bundle_and_failures_at_any_thread_count(
+        tmp_path, spider_dir, spider_ss_dir, kaggledbqa_dir, monkeypatch):
+    import threading
+
+    from click.testing import CliRunner
+
+    from conftest import REPLAY_DIR
+    from psmith.cli import main
+    from psmith.sampler import read_report
+
+    runner, report = CliRunner(), tmp_path / "report.jsonl"
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(report)]).exit_code == 0
+    exemplars = read_report(report).items
+
+    def adapt(store: Path, workers: int):
+        out = tmp_path / f"bundle-{workers}.json"
+        result = runner.invoke(main, [
+            "adapt", "--report", str(report), "--train", str(spider_dir),
+            "--test", str(kaggledbqa_dir), "--db", fixturelib.NUCLEAR_DB,
+            "--out", str(out), "--spider-ss", str(spider_ss_dir),
+            "--draft-decompositions", "--replay", str(store),
+            "--model", "offline-model", "--workers", str(workers)])
+        failed = [line for line in result.stderr.splitlines() if line.startswith("failed: ")]
+        return result.exit_code, out.read_bytes(), failed
+
+    # the keys adapt asks the store for, on the threads that ask
+    keys, threads = [], set()
+    get = ReplayStore.get
+
+    def recording(store, key):
+        keys.append(key)
+        threads.add(threading.get_ident())
+        return get(store, key)
+
+    monkeypatch.setattr(ReplayStore, "get", recording)
+    committed = REPLAY_DIR / "nuclear_ltmp_da_gp.jsonl"
+    assert adapt(committed, 1)[0] == 0
+    assert threads == {threading.get_ident()}
+    # one thread asks for each exemplar's SQL then its NL, then each
+    # entry's two drafts: drop exemplar 2's SQL and 9's NL, and the first
+    # draft of exemplar 5 and the second of exemplar 12
+    assert len(keys) == len(set(keys)) == 4 * len(exemplars) == 72
+    dropped = {keys[2 * 2], keys[2 * 9 + 1], keys[36 + 2 * 5], keys[36 + 2 * 12 + 1]}
+    store = tmp_path / "store.jsonl"
+    store.write_text("".join(line for line in committed.read_text().splitlines(True)
+                             if json.loads(line)["key"] not in dropped))
+
+    outputs = {}
+    for workers in (1, 2, 5):
+        threads.clear()
+        outputs[workers] = adapt(store, workers)
+        assert (threading.get_ident() in threads) == (workers == 1)
+    assert outputs[1] == outputs[2] == outputs[5]
+    exit_code, bundle, failed = outputs[1]
+    assert exit_code == 1
+    # adaptation failures first, then draft failures, each in exemplar order
+    assert [(exemplars[i].nl in line, "decomposition draft" in line)
+            for i, line in zip((2, 9, 5, 12), failed)] == \
+        [(True, False), (True, False), (True, True), (True, True)]
+    assert len(failed) == 4
+    entries = json.loads(bundle)["exemplars"]
+    assert [e["source_nl"] for e in entries] == \
+        [item.nl for i, item in enumerate(exemplars) if i not in (2, 9)]
+    assert [e["source_nl"] for e in entries if e["sub_questions"] is None] == \
+        [exemplars[5].nl, exemplars[12].nl]
