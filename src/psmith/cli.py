@@ -7,7 +7,9 @@ prompt-validation step falls naturally between ``adapt`` and ``run``:
     psmith adapt   --report report.jsonl --train DIR --test DIR --db ID --out bundle.json
     psmith run     --mode ltmp-da-gp --bundle bundle.json --test DIR --runs runs/ --run-id R1
     psmith eval    --predictions runs/R1/predictions.jsonl --test DIR
-    psmith replay-record --out store.jsonl CACHE_OR_STORE...
+
+``adapt`` and ``run`` generate live, from a cache (``--llm-mode cache
+--cache-dir DIR``) or from a replay store (``--replay DIR/store.jsonl``).
 
 Every reported number is reconstructible: the resolved configuration is
 snapshotted into the run manifest before any generation happens.
@@ -33,7 +35,7 @@ from .corpus import (
     load_spider_ss,
 )
 from .errors import BudgetExceeded, MissingAdaptation, PsmithError
-from .llmclient import LlmClient, ReplayStore, forbidden_transport, write_records
+from .llmclient import LlmClient, ReplayStore, forbidden_transport
 from .pipelines import (
     AdaptationBundle,
     PipelineConfig,
@@ -107,6 +109,8 @@ def build_client(cfg: PipelineConfig, replay: str | None, record: str | None,
         # --replay globally forces replay mode and fails fast on any network use
         return LlmClient(mode="replay", replay_store=ReplayStore.load(replay),
                          transport=forbidden_transport, **options)
+    if cfg.llm_mode == "cache" and not cache_dir:
+        raise click.UsageError("llm_mode = cache needs --cache-dir")
     return LlmClient(mode=cfg.llm_mode, cache_dir=cache_dir, **options)
 
 
@@ -138,7 +142,8 @@ def _config_options(command: str, sources: bool = False):
             click.option("--record", type=click.Path(), default=None,
                          help="append every generation to this replay store"),
             click.option("--cache-dir", type=click.Path(), default=None,
-                         help="content-addressed completion cache directory"),
+                         help="cache directory: its replay store, store.jsonl, "
+                              "serves hits and keeps live results"),
         ]
     options += [_config_option(key) for key in _FILE_KEYS
                 if command in _FIELDS[key].metadata["commands"]]
@@ -317,6 +322,8 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
     except (MissingAdaptation, ValueError) as exc:  # a shot lacks its decomposition
         raise click.UsageError(str(exc)) from None
 
+    client = build_client(cfg, replay, record, cache_dir)
+
     if run_id is None:
         run_id = _dt.datetime.now().strftime("run-%Y%m%d-%H%M%S")
     run_dir = Path(runs_root) / run_id
@@ -335,7 +342,6 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
         },
     })
 
-    client = build_client(cfg, replay, record, cache_dir)
     outcome = run_pipeline(cfg, client, test, train=train, exemplars=exemplars,
                            ss_records=ss_records, bundle=bundle,
                            target_profile=target_profile, out_dir=run_dir)
@@ -380,25 +386,6 @@ def eval_cmd(predictions_path, test_dir, out_dir):
                 f.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
     if report.dataset_defects:
         raise SystemExit(EXIT_DEFECTS)
-
-
-@main.command(name="replay-record")
-@click.argument("inputs", nargs=-1, required=True,
-                type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
-def replay_record(inputs, out_path):
-    """Consolidate cache directories and/or store files into one replay store."""
-    records: dict[str, dict] = {}
-    for source in inputs:
-        path = Path(source)
-        # a cache file holds one record; a store file holds one per line
-        for file in sorted(path.glob("*.json")) if path.is_dir() else [path]:
-            for line in file.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    row = json.loads(line)
-                    records.setdefault(row["key"], row)
-    write_records(out_path, [records[key] for key in sorted(records)], append=False)
-    click.echo(f"{len(records)} records -> {out_path}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
-"""Generation backend: live HTTP, content-addressed cache, deterministic replay.
+"""Generation backend: live HTTP, and stored completions for cache and replay.
 
 All nondeterminism in the toolkit lives behind this boundary. Tests and
 reproduction runs use Replay mode, which never touches the network.
+Generations are stored in one format, the replay store: JSON lines keyed by
+a hash of model+params+prompt, appended one record at a time.
 
 Environment: ``PSMITH_API_BASE``, ``PSMITH_MODEL``, ``PSMITH_API_KEY``.
 """
@@ -14,10 +16,9 @@ import logging
 import os
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetRefused, RateLimited, ReplayMiss, TransportError
 from .promptforge.budget import count_tokens
@@ -85,27 +86,59 @@ class GenerationResult:
         return self.completions[0]
 
 
-# --- replay / cache stores ----------------------------------------------------
+# --- JSON-lines record files: the generation store and the run journal ----------
+
+# the generation store of a cache directory
+STORE_NAME = "store.jsonl"
+
+
+def read_records(path: str | Path, cut: bool = False) -> Iterator[dict]:
+    """The records of a JSON-lines file, in order; none if it is missing. A
+    torn last line, from an interrupted append, is skipped; with *cut*, the
+    file is created if missing and, once read through, the torn line is cut
+    off, so the next append starts a line of its own."""
+    path = Path(path)
+    if not cut and not path.exists():
+        return
+    with open(path, "a+b" if cut else "rb") as f:
+        f.seek(0)
+        for line in f:
+            if not line.endswith(b"\n"):
+                if cut:
+                    f.truncate(f.tell() - len(line))
+                break
+            if line.strip():
+                yield json.loads(line)
+
+
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """The one appender of record files: one sorted-key JSON object per line,
+    all in one write. Concurrent callers hold a lock."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = "".join(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+                   for record in records)
+    with open(path, "ab", buffering=0) as f:
+        f.write(data.encode("utf-8"))
+
 
 class ReplayStore:
-    """Newline-delimited records {key, model, params, prompt_digest, completions}."""
+    """Stored completions by request key, from records {key, model, params,
+    prompt_digest, completions}. The first record of a key wins, so stores
+    merge by concatenation."""
 
-    def __init__(self, records: dict[str, list[str]] | None = None):
-        self._records: dict[str, list[str]] = dict(records or {})
+    def __init__(self, records: Iterable[dict] = ()):
+        self._records: dict[str, list[str]] = {}
+        for record in records:
+            self.add(record)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayStore":
-        records: dict[str, list[str]] = {}
-        path = Path(path)
-        if path.exists():
-            with open(path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    records[record["key"]] = list(record["completions"])
-        return cls(records)
+        """The store a file holds, read without writing to it."""
+        return cls(read_records(path))
+
+    def add(self, record: dict) -> None:
+        self._records.setdefault(record["key"], list(record["completions"]))
 
     def get(self, key: str) -> list[str] | None:
         return self._records.get(key)
@@ -115,15 +148,6 @@ class ReplayStore:
 
     def __contains__(self, key: str) -> bool:
         return key in self._records
-
-
-def write_records(path: str | Path, records: Iterable[dict], append: bool = True) -> None:
-    """The one writer of replay records: one sorted-key JSON object per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a" if append else "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _record(request: GenerationRequest, completions: Sequence[str]) -> dict:
@@ -167,12 +191,12 @@ def forbidden_transport(url, payload, headers, timeout):
 # --- the client -------------------------------------------------------------------
 
 class LlmClient:
-    """Uniform generation front-end.
-
-    Modes: ``live`` (HTTP with retry/backoff under a spend cap), ``cache``
-    (live calls memoized on a content hash of model+params+prompt), and
-    ``replay`` (recorded completions only; zero network operations).
-    One client may serve concurrent workers.
+    """Uniform generation front-end: stored completions, else a live call,
+    else ``ReplayMiss``. Modes: ``live`` (HTTP with retry/backoff under a
+    spend cap), ``cache`` (the store ``<cache_dir>/store.jsonl``, loaded here
+    and appended each live result) and ``replay`` (``replay_store`` only).
+    ``record_path`` appends every generation to a store of its own. One
+    client may serve concurrent workers; it appends under its lock.
     """
 
     def __init__(self, mode: str = "replay",
@@ -189,10 +213,17 @@ class LlmClient:
             raise ValueError(f"unknown client mode {mode!r}")
         if api_surface not in ("completions", "chat"):
             raise ValueError(f"unknown api surface {api_surface!r}")
+        if mode == "replay" and replay_store is None:
+            raise ValueError("replay mode needs a replay store")
+        if mode == "cache" and not cache_dir:
+            raise ValueError("cache mode needs a cache directory")
         self.mode = mode
         self.api_surface = api_surface
-        self.replay_store = replay_store
-        self.cache_dir = Path(cache_dir) if cache_dir else None
+        self.cache_path = Path(cache_dir) / STORE_NAME if mode == "cache" else None
+        if self.cache_path is not None:  # cut a torn last line before appending
+            self.cache_path.parent.mkdir(parents=True, exist_ok=True)
+            replay_store = ReplayStore(read_records(self.cache_path, cut=True))
+        self.replay_store = replay_store if mode != "live" else None
         self.api_base = (api_base or os.environ.get("PSMITH_API_BASE", "")).rstrip("/")
         self.api_key = api_key or os.environ.get("PSMITH_API_KEY", "")
         self.model = model or default_model()
@@ -202,8 +233,6 @@ class LlmClient:
         self._lock = threading.Lock()
         # tokens spent, plus the estimates of live calls still in flight
         self._spent_tokens = 0
-        if mode == "replay" and self.replay_store is None:
-            raise ValueError("replay mode needs a replay store")
 
     # -- public API --
 
@@ -219,44 +248,25 @@ class LlmClient:
         )
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
-        if self.mode == "replay":
-            result = self._from_replay(request)
-        elif self.mode == "cache":
-            result = self._from_cache(request)
+        stored = self.replay_store.get(request.key) if self.replay_store is not None else None
+        if stored is not None:
+            result = GenerationResult(tuple(stored), self._usage(request, stored), self.mode)
+        elif self.mode == "replay":
+            raise ReplayMiss(request.key)
         else:
             result = self._live(request)
-        if self.record_path is not None:
+        cache = self.cache_path if result.source == "live" else None
+        if cache is not None or self.record_path is not None:
+            record = _record(request, result.completions)
             with self._lock:
-                append_record(self.record_path, request, result.completions)
+                if cache is not None:
+                    write_records(cache, [record])
+                    self.replay_store.add(record)
+                if self.record_path is not None:
+                    write_records(self.record_path, [record])
         return result
 
     # -- backends --
-
-    def _from_replay(self, request: GenerationRequest) -> GenerationResult:
-        completions = self.replay_store.get(request.key)
-        if completions is None:
-            raise ReplayMiss(request.key)
-        return GenerationResult(tuple(completions), self._usage(request, completions), "replay")
-
-    def _cache_file(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
-
-    def _from_cache(self, request: GenerationRequest) -> GenerationResult:
-        if self.cache_dir is None:
-            raise ValueError("cache mode needs a cache directory")
-        path = self._cache_file(request.key)
-        if path.exists():
-            record = json.loads(path.read_text(encoding="utf-8"))
-            completions = record["completions"]
-            return GenerationResult(tuple(completions), self._usage(request, completions), "cache")
-        result = self._live(request)
-        # a cache file is a one-record replay store, written whole then
-        # renamed; each writer has its own temporary file, so two workers (or
-        # two processes sharing the cache) may store one key at once
-        tmp = path.with_suffix(f".{uuid.uuid4().hex}.tmp")
-        write_records(tmp, [_record(request, result.completions)], append=False)
-        tmp.replace(path)
-        return result
 
     def _live(self, request: GenerationRequest) -> GenerationResult:
         """Reserve the request's estimate against the spend cap, so calls in

@@ -23,7 +23,8 @@ from pathlib import Path
 from ..corpus.profile import NUMERIC_RENDER_MODES
 from ..corpus.types import AnnotatedDataset, AnnotatedExample, DecompositionRecord
 from ..errors import MissingAdaptation, PsmithError
-from ..llmclient import DEFAULT_SPEND_CAP, LlmClient, default_model
+from ..llmclient import (DEFAULT_SPEND_CAP, LlmClient, default_model, read_records,
+                         write_records)
 from ..promptforge.budget import DEFAULT_LIMIT, TokenBudget
 from ..promptforge.prompts import (
     MODES,
@@ -196,16 +197,11 @@ def _read_journal(path: Path) -> dict[tuple[str, int, str], QueryRecord]:
     those whose last record holds no error, without their prompt texts. A
     torn last line, from an interrupted write, is cut off."""
     records = {}
-    with open(path, "a+b") as f:
-        f.seek(0)
-        for line in f:
-            if not line.endswith(b"\n"):
-                f.truncate(f.tell() - len(line))
-                break
-            record = QueryRecord(**json.loads(line))
-            for stage in record.stages:
-                del stage["text"]
-            records[(record.db_id, record.index, record.question)] = record
+    for row in read_records(path, cut=True):
+        record = QueryRecord(**row)
+        for stage in record.stages:
+            del stage["text"]
+        records[(record.db_id, record.index, record.question)] = record
     return {key: record for key, record in records.items() if record.error is None}
 
 
@@ -263,9 +259,8 @@ class _QueryRunner:
         except PsmithError as exc:  # reported by the caller, from the record
             record.error = f"{type(exc).__name__}: {exc}"
         if self.journal is not None:
-            line = json.dumps(vars(record), ensure_ascii=False, sort_keys=True) + "\n"
-            with self.journal_lock, open(self.journal, "a", encoding="utf-8") as f:
-                f.write(line)
+            with self.journal_lock:
+                write_records(self.journal, [vars(record)])
         for stage in record.stages:
             del stage["text"]
         return record

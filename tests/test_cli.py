@@ -166,23 +166,6 @@ def test_run_manifest_guards_config(runner, kaggledbqa_dir, tmp_path):
     assert more_workers.exit_code == 0, more_workers.output
 
 
-def test_replay_record_merges(runner, tmp_path):
-    a = tmp_path / "a.jsonl"
-    a.write_text(json.dumps({"key": "k1", "model": "m", "params": {},
-                             "prompt_digest": "d", "completions": ["x"]}) + "\n")
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "k2.json").write_text(json.dumps(
-        {"key": "k2", "model": "m", "params": {}, "prompt_digest": "d",
-         "completions": ["y"]}))
-    out = tmp_path / "merged.jsonl"
-    result = runner.invoke(main, ["replay-record", str(a), str(cache),
-                                  "--out", str(out)])
-    assert result.exit_code == 0
-    keys = [json.loads(line)["key"] for line in out.read_text().splitlines()]
-    assert keys == ["k1", "k2"]
-
-
 def test_eval_command(runner, kaggledbqa_dir, tmp_path):
     predictions = tmp_path / "p.jsonl"
     rows = [{"db_id": fixturelib.NUCLEAR_DB, "question": q, "sql": sql}
@@ -288,6 +271,73 @@ def test_config_llm_mode_replay_is_a_usage_error(runner, kaggledbqa_dir, tmp_pat
     assert result.exit_code == 2
     assert not isinstance(result.exception, ValueError)
     assert "llm_mode" in result.output + result.stderr
+
+
+def test_cache_mode_without_cache_dir_is_a_usage_error(runner, spider_dir, kaggledbqa_dir,
+                                                      tmp_path):
+    conf = tmp_path / "cache.conf"
+    conf.write_text("llm_mode = cache\n")
+    report = tmp_path / "report.jsonl"
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(report)]).exit_code == 0
+    run = runner.invoke(main, [
+        "run", "--mode", "gp", "--config", str(conf), "--report", str(report),
+        "--train", str(spider_dir), "--test", str(kaggledbqa_dir),
+        "--runs", str(tmp_path / "runs"), "--run-id", "R"])
+    adapt = runner.invoke(main, [
+        "adapt", "--report", str(report), "--train", str(spider_dir),
+        "--test", str(kaggledbqa_dir), "--db", fixturelib.NUCLEAR_DB,
+        "--out", str(tmp_path / "bundle.json"), "--config", str(conf)])
+    for result in (run, adapt):
+        assert result.exit_code == 2
+        assert "--cache-dir" in result.stderr
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "bundle.json").exists()
+
+
+def test_cache_store_replays_to_a_byte_identical_bundle(runner, spider_dir, spider_ss_dir,
+                                                       kaggledbqa_dir, tmp_path,
+                                                       monkeypatch):
+    import make_replay_store
+    import psmith.cli
+
+    calls = []
+
+    def transport(*args):
+        calls.append(args[1]["prompt"])
+        return make_replay_store.scripted_transport(*args)
+
+    inner = psmith.cli.build_client
+
+    def build_client(cfg, replay, record, cache_dir):
+        client = inner(cfg, replay, record, cache_dir)
+        if client.mode != "replay":
+            client.transport = transport
+        return client
+
+    monkeypatch.setattr(psmith.cli, "build_client", build_client)
+    report, cache = tmp_path / "report.jsonl", tmp_path / "cache"
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(report)]).exit_code == 0
+
+    def adapt(name, *source):
+        result = runner.invoke(main, [
+            "adapt", "--report", str(report), "--train", str(spider_dir),
+            "--test", str(kaggledbqa_dir), "--db", fixturelib.NUCLEAR_DB,
+            "--out", str(tmp_path / name), "--spider-ss", str(spider_ss_dir),
+            "--draft-decompositions", "--model", "offline-model", *source])
+        assert result.exit_code == 0, result.output + result.stderr
+        return (tmp_path / name).read_bytes()
+
+    cached = ["--llm-mode", "cache", "--cache-dir", str(cache), "--spend-cap", "100000000"]
+    first = adapt("first.json", *cached)
+    made = len(calls)
+    assert made
+    assert adapt("second.json", *cached) == first
+    assert len(calls) == made  # a warm cache makes no call
+    # replay reads the cache's store as it is, and refuses the network
+    assert adapt("replayed.json", "--replay", str(cache / "store.jsonl")) == first
+    assert len(calls) == made
 
 
 def test_failed_drafts_fail_adapt_and_run_refuses_the_gap(runner, spider_dir, spider_ss_dir,

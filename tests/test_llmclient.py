@@ -120,28 +120,108 @@ def test_cache_hits_skip_network(tmp_path):
     bomb = LlmClient(mode="cache", cache_dir=tmp_path / "cache",
                      transport=forbidden_transport, model="test-model")
     assert bomb.generate(request).source == "cache"
+    # its store is a replay store
+    assert replay_client(tmp_path / "cache" / "store.jsonl").generate(request).text \
+        == "SELECT 7"
 
 
-def test_two_writers_store_one_key(monkeypatch, tmp_path):
-    # both writers finish their temporary file before either renames it
-    barrier = threading.Barrier(2)
-    write_records = llmclient.write_records
+def _cache_session(cache_dir, threads: int):
+    """Generate 48 distinct keys and one key that every worker requests at
+    once, from *threads* workers of one cache-mode client, switching threads
+    as often as the interpreter allows; return the transport's calls."""
+    shared = make_request(prompt="shared question")
+    requests = [shared] * threads + [make_request(prompt=f"question {i:02d}")
+                                     for i in range(48)]
+    barrier = threading.Barrier(threads, timeout=10)
+    calls = []
 
-    def write_then_wait(*args, **kwargs):
-        write_records(*args, **kwargs)
-        barrier.wait(timeout=10)
+    def transport(url, payload, headers, timeout):
+        calls.append(payload["prompt"])
+        if payload["prompt"] == shared.prompt:
+            barrier.wait()
+        return 200, {"choices": [{"text": f"SELECT '{payload['prompt']}'"}],
+                     "usage": {}}, None
 
-    monkeypatch.setattr(llmclient, "write_records", write_then_wait)
+    client = LlmClient(mode="cache", cache_dir=cache_dir, transport=transport,
+                       model="test-model", api_base="http://example.invalid")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(client.generate, requests))
+    finally:
+        sys.setswitchinterval(interval)
+    assert {r.source for r in results} == {"live"}
+    # a second pass is served from the loaded copy, which each append extends
+    assert {client.generate(r).source for r in requests} == {"cache"}
+    return calls
+
+
+@pytest.mark.parametrize("threads", [2, 4, 8, 16])
+def test_concurrent_writers_append_whole_records(tmp_path, threads):
+    calls = _cache_session(tmp_path / "cache", threads)
+    assert len(calls) == threads + 48  # every worker generated the shared key
+    lines = (tmp_path / "cache" / llmclient.STORE_NAME).read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == len(calls)
+    assert all(set(json.loads(line)) == {"key", "model", "params", "prompt_digest",
+                                         "completions"} for line in lines)
+    _cache_session(tmp_path / "oracle", 1)
+    store = ReplayStore.load(tmp_path / "cache" / llmclient.STORE_NAME)
+    oracle = ReplayStore.load(tmp_path / "oracle" / llmclient.STORE_NAME)
+    assert store._records == oracle._records and len(store) == 49
+
+
+def test_cache_mode_requires_a_directory():
+    with pytest.raises(ValueError, match="cache directory"):
+        LlmClient(mode="cache")
+
+
+def _torn_store(path, request):
+    """A store whose last append was interrupted mid-line."""
+    append_record(path, request, ["SELECT 1"])
+    with open(path, "ab") as f:
+        f.write(b'{"completions": ["SELECT 2"], "key": "')
+
+
+def test_replay_skips_a_torn_last_line(tmp_path):
+    request = make_request()
+    path = tmp_path / "store.jsonl"
+    _torn_store(path, request)
+    torn = path.read_bytes()
+    store = ReplayStore.load(path)
+    assert len(store) == 1 and store.get(request.key) == ["SELECT 1"]
+    assert replay_client(path).generate(request).text == "SELECT 1"
+    assert path.read_bytes() == torn  # a replay never writes its store
+
+
+def test_cache_cuts_a_torn_last_line(tmp_path):
+    request, other = make_request(), make_request(prompt="other")
+    path = tmp_path / "cache" / llmclient.STORE_NAME
+    path.parent.mkdir()
+    _torn_store(path, request)
     client = LlmClient(mode="cache", cache_dir=tmp_path / "cache",
                        transport=fake_transport(["SELECT 7"]), model="test-model",
                        api_base="http://example.invalid")
-    request = make_request()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(client.generate, [request, request]))
-    assert [r.source for r in results] == ["live", "live"]
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{request.key}.json"]
-    assert ReplayStore.load(tmp_path / "cache" / f"{request.key}.json").get(request.key) \
-        == ["SELECT 7"]
+    assert client.generate(request).source == "cache"
+    assert client.generate(other).source == "live"
+    assert [json.loads(line)["key"] for line in path.read_text().splitlines()] \
+        == [request.key, other.key]
+
+
+def test_first_record_of_a_key_wins(tmp_path):
+    request, other = make_request(), make_request(prompt="other")
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    append_record(first, request, ["SELECT 1"])
+    append_record(second, other, ["SELECT 3"])
+    append_record(second, request, ["SELECT 2"])
+    # stores merge by concatenation
+    for order, expected in (((first, second), "SELECT 1"), ((second, first), "SELECT 2")):
+        merged = tmp_path / "merged.jsonl"
+        merged.write_bytes(b"".join(path.read_bytes() for path in order))
+        store = ReplayStore.load(merged)
+        assert len(store) == 2 and store.get(other.key) == ["SELECT 3"]
+        assert store.get(request.key) == [expected]
 
 
 def test_record_path_appends(tmp_path):

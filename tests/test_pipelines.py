@@ -173,7 +173,7 @@ def stage1_request(client, train_dataset, target_schema, exemplar, n=8):
 
 def test_da_stage1_accepts_first_valid_candidate(tmp_path, train_dataset, target_schema):
     exemplar = source_exemplar(train_dataset)
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     request = stage1_request(probe, train_dataset, target_schema, exemplar)
     client = scripted_client(tmp_path, [(request, [
         " DISTINCT Latitude FROM no_such_table WHERE Capacity > 50",   # not executable
@@ -189,7 +189,7 @@ def test_da_stage1_accepts_first_valid_candidate(tmp_path, train_dataset, target
 
 def test_da_stage1_rejects_far_skeletons(tmp_path, train_dataset, target_schema):
     exemplar = source_exemplar(train_dataset)
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     request = stage1_request(probe, train_dataset, target_schema, exemplar)
     client = scripted_client(tmp_path, [(request, [
         # executable but compositionally distant: grouped aggregation
@@ -205,7 +205,7 @@ def test_da_stage1_rejects_far_skeletons(tmp_path, train_dataset, target_schema)
 
 def test_da_stage1_all_non_executable(tmp_path, train_dataset, target_schema):
     exemplar = source_exemplar(train_dataset)
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     request = stage1_request(probe, train_dataset, target_schema, exemplar, n=3)
     client = scripted_client(tmp_path, [(request, [
         " a FROM missing1", " b FROM missing2", " c FROM missing3"])])
@@ -237,7 +237,7 @@ def test_da_stage1_skips_candidate_failing_on_a_late_row(tmp_path, train_dataset
     exemplar = source_exemplar(train_dataset)
     # within the threshold, so only the executability check can refuse it
     assert tree_edit_distance(parse_sql(exemplar.sql), parse_sql(LATE_ERROR_SQL)) <= 2
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     request = stage1_request(probe, train_dataset, target, exemplar)
     client = scripted_client(tmp_path, [(request, [
         LATE_ERROR_SQL.removeprefix("SELECT"),
@@ -252,7 +252,7 @@ def test_da_stage1_skips_candidate_failing_on_a_late_row(tmp_path, train_dataset
 
 def test_da_stage2_generates_question(tmp_path, target_schema):
     sql = "SELECT DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50"
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     artifact = build_adapt_nl_prompt(target_schema, sql)
     request = probe.request(artifact.text, max_output_tokens=128, stop=["#", "\n"])
     client = scripted_client(tmp_path, [
@@ -263,7 +263,7 @@ def test_da_stage2_generates_question(tmp_path, target_schema):
 
 def test_da_stage2_rejects_blank(tmp_path, target_schema):
     sql = "SELECT Id FROM nuclear_power_plants"
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     artifact = build_adapt_nl_prompt(target_schema, sql)
     request = probe.request(artifact.text, max_output_tokens=128, stop=["#", "\n"])
     client = scripted_client(tmp_path, [(request, ["   "])])
@@ -340,7 +340,7 @@ def test_run_gp_pipeline_identity(tmp_path, train_dataset, test_dataset):
     exemplars = sample_exemplars(train_dataset).exemplars
     nuclear = [ex for ex in test_dataset.examples
                if ex.db_id == fixturelib.NUCLEAR_DB]
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     store_path = tmp_path / "gp-store.jsonl"
     for example in nuclear:
         artifact = build_generic_prompt(
@@ -396,7 +396,7 @@ def build_gp_identity_store(tmp_path, train_dataset, test_dataset, examples):
     from psmith.sampler import sample_exemplars
 
     exemplars = sample_exemplars(train_dataset).exemplars
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     store_path = tmp_path / "gp-identity.jsonl"
     for example in examples:
         artifact = build_generic_prompt(
@@ -458,7 +458,7 @@ def test_run_pipeline_resume_skips_completed(tmp_path, train_dataset, test_datas
     first = run_pipeline(PipelineConfig(mode="gp"), client, nuclear_only,
                          train=train_dataset, exemplars=exemplars, out_dir=out_dir)
     # an empty store would miss on any regeneration; resume must not need one
-    empty_client = LlmClient(mode="replay", replay_store=ReplayStore({}),
+    empty_client = LlmClient(mode="replay", replay_store=ReplayStore(),
                              model="offline-model")
     second = run_pipeline(PipelineConfig(mode="gp"), empty_client, nuclear_only,
                           train=train_dataset, exemplars=exemplars, out_dir=out_dir)
@@ -548,7 +548,7 @@ def test_run_da_gp_empty_bundle_zero_shot(tmp_path, test_dataset, caplog):
     bundle = AdaptationBundle(fixturelib.NUCLEAR_DB, 2)
     nuclear = [ex for ex in test_dataset.examples
                if ex.db_id == fixturelib.NUCLEAR_DB][:2]
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     store = tmp_path / "zero-shot.jsonl"
     for example in nuclear:
         artifact = build_da_prompt(target, [], example.nl, TokenBudget())
@@ -615,7 +615,7 @@ def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
                if ex.db_id == fixturelib.NUCLEAR_DB][:3]
     dataset = AnnotatedDataset(databases=test_dataset.databases,
                                examples=queries, role="test")
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     store_path = tmp_path / "ltmp-gp.jsonl"
     expected_prompts = {}
     for index, example in enumerate(queries):
@@ -676,7 +676,7 @@ def test_run_stage2_checks_arity_and_keeps_the_completion(tmp_path, train_datase
     common = dict(databases=train_dataset.databases,
                   test_schema=test_dataset.databases[example.db_id])
     shots = shots_for("ltmp-gp", exemplars, records)
-    probe = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     client = scripted_client(tmp_path, [
         (probe.request(build_ltmp_prompt("ltmp-gp", 1, shots, example.nl, **common).text,
                        stop=["\n"]), ["['first part', 'second part']"]),
@@ -761,7 +761,7 @@ def test_a_finished_run_resumes_from_its_journal(tmp_path, train_dataset, test_d
     assert len(done) == 21 and len(first) == 22
 
     # an empty store misses on any generation
-    empty = LlmClient(mode="replay", replay_store=ReplayStore({}), model="offline-model")
+    empty = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     outcome = run("ltmp-da-gp", empty)
     assert [error.split(":")[0] for _, error in outcome.errors] == ["ReplayMiss"]
     kept = [t for t in outcome.traces if t.error is None]
