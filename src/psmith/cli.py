@@ -11,22 +11,25 @@ prompt-validation step falls naturally between ``adapt`` and ``run``:
 ``adapt`` and ``run`` generate live, from a cache (``--llm-mode cache
 --cache-dir DIR``) or from a replay store (``--replay DIR/store.jsonl``).
 
-Every reported number is reconstructible: the resolved configuration is
-snapshotted into the run manifest before any generation happens.
+Every reported number is reconstructible: the resolved configuration, the
+package version and the SHA-256 of every input are snapshotted into the run
+manifest before any generation happens.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import hashlib
 import json
 import logging
 import typing
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import click
 
-from . import evaluator, sampler
+from . import __version__, evaluator, sampler
 from .corpus import (
     attach_value_profile,
     ensure_disjoint,
@@ -162,6 +165,36 @@ def _load_test_dataset(test_dir: str):
     if (root / "examples").is_dir():
         return load_kaggledbqa(root)
     return load_spider(root, role="test")
+
+
+def _file_digest(path: str | Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _json_digest(directory: str | Path) -> str:
+    """One digest of the JSON files under *directory* (not its SQLite
+    files): of each file's relative path and digest, in path order."""
+    root = Path(directory)
+    listing = "".join(f"{path.relative_to(root).as_posix()} {_file_digest(path)}\n"
+                      for path in sorted(root.rglob("*.json")))
+    return hashlib.sha256(listing.encode("utf-8")).hexdigest()
+
+
+def _input_digests(mode: str, test_dir, train_dir, report_path, bundle_path,
+                   spider_ss_dir, replay) -> dict:
+    """The SHA-256 of every input of a run (None for one it does not read),
+    and of the template of its mode; no paths, so the manifest does not
+    change with where the inputs live."""
+    template = resources.files("psmith.templates") / f"{MODES[mode].template}.txt"
+    return {
+        "test": _json_digest(test_dir),
+        "train": _json_digest(train_dir) if train_dir else None,
+        "report": _file_digest(report_path) if report_path else None,
+        "bundle": _file_digest(bundle_path) if bundle_path else None,
+        "spider_ss": _json_digest(spider_ss_dir) if spider_ss_dir else None,
+        "replay": _file_digest(replay) if replay else None,
+        "template": hashlib.sha256(template.read_bytes()).hexdigest(),
+    }
 
 
 def _write_manifest(run_dir: Path, payload: dict) -> None:
@@ -331,15 +364,10 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
     _write_manifest(run_dir, {
         "run_id": run_id,
         "mode": mode,
+        "version": __version__,
         "config": cfg.output_settings(),
-        "inputs": {
-            "test": str(test_dir),
-            "train": str(train_dir) if train_dir else None,
-            "report": str(report_path) if report_path else None,
-            "bundle": str(bundle_path) if bundle_path else None,
-            "spider_ss": str(spider_ss_dir) if spider_ss_dir else None,
-            "replay": str(replay) if replay else None,
-        },
+        "inputs": _input_digests(mode, test_dir, train_dir, report_path, bundle_path,
+                                 spider_ss_dir, replay),
     })
 
     outcome = run_pipeline(cfg, client, test, train=train, exemplars=exemplars,

@@ -11,9 +11,9 @@ matching pairs their rows, with no row threshold. Two ints match only when
 equal; a pair with a float in it matches within 1e-6 relative tolerance. A
 comparison that runs past the statement timeout scores CompareTimeout.
 
-Pairs are scored one thread per usable core, each query on its own
-read-only connection, and merged in test order: a report does not depend on
-the number of threads.
+Pairs are scored one thread per usable core, each pair on one read-only
+connection that runs gold and then the prediction, and merged in test
+order: a report does not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -59,17 +59,32 @@ class ResultTable:
 
 
 @contextmanager
-def _read_only_cursor(db_path: str | Path, sql: str, timeout_s: float):
-    """Yield the cursor of one query on a read-only connection; sqlite's
-    errors map as execute_sql documents, also those raised while the caller
-    steps the cursor."""
-    db_path = Path(db_path)
+def _connection(db: str | Path | sqlite3.Connection):
+    """*db* when it is a connection; else a read-only connection to the
+    database file *db*, closed on exit. SqlError when the file is missing or
+    not a database."""
+    if isinstance(db, sqlite3.Connection):
+        yield db
+        return
+    db_path = Path(db)
     if not db_path.exists():
         raise SqlError(f"database file not found: {db_path}")
     try:
         conn = connect_read_only(db_path)
     except sqlite3.DatabaseError as exc:  # e.g. not a database
         raise SqlError(str(exc)) from None
+    try:
+        yield conn
+    finally:
+        conn.close()
+
+
+@contextmanager
+def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: float):
+    """Yield the cursor of one query, under its own deadline and an
+    authorizer that refuses every action but reading; sqlite's errors map as
+    execute_sql documents, also those raised while the caller steps the
+    cursor."""
     deadline = time.monotonic() + timeout_s
     timed_out, denied = [], []
 
@@ -85,32 +100,34 @@ def _read_only_cursor(db_path: str | Path, sql: str, timeout_s: float):
         denied.append(action)
         return sqlite3.SQLITE_DENY
 
-    conn.set_authorizer(authorize)
-    conn.set_progress_handler(guard, _PROGRESS_GRANULARITY)
-    try:
-        cursor = conn.execute(sql)
-        if cursor.description is None:  # blank or comment-only input
-            raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
-        yield cursor
-    except sqlite3.ProgrammingError as exc:
-        # e.g. "You can only execute one statement at a time."
-        raise SqlRejected(f"refusing {sql[:80]!r}: {exc}") from None
-    except sqlite3.DatabaseError as exc:
-        if denied:
-            raise SqlRejected(f"refusing a statement that is not a read-only query: "
-                              f"{sql[:80]!r}") from None
-        if timed_out:
-            raise SqlTimeout(f"statement exceeded {timeout_s}s: {sql[:80]!r}") from None
-        raise SqlError(str(exc)) from None
-    finally:
-        conn.close()
+    with _connection(db) as conn:
+        conn.set_authorizer(authorize)
+        conn.set_progress_handler(guard, _PROGRESS_GRANULARITY)
+        try:
+            cursor = conn.execute(sql)
+            if cursor.description is None:  # blank or comment-only input
+                raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
+            yield cursor
+        except sqlite3.ProgrammingError as exc:
+            # e.g. "You can only execute one statement at a time."
+            raise SqlRejected(f"refusing {sql[:80]!r}: {exc}") from None
+        except sqlite3.DatabaseError as exc:
+            if denied:
+                raise SqlRejected(f"refusing a statement that is not a read-only query: "
+                                  f"{sql[:80]!r}") from None
+            if timed_out:
+                raise SqlTimeout(f"statement exceeded {timeout_s}s: {sql[:80]!r}") from None
+            raise SqlError(str(exc)) from None
 
 
-def execute_sql(db_path: str | Path, sql: str, timeout_s: float = STATEMENT_TIMEOUT_S,
+def execute_sql(db: str | Path | sqlite3.Connection, sql: str,
+                timeout_s: float = STATEMENT_TIMEOUT_S,
                 max_rows: int | None = None) -> ResultTable:
-    """Execute one query on a read-only connection and materialize the result,
-    or only its first max_rows rows when max_rows is given, marked truncated
-    when another row follows.
+    """Execute one query and materialize the result, or only its first
+    max_rows rows when max_rows is given, marked truncated when another row
+    follows. *db* is a database file, opened read-only for the query, or a
+    connection from readonly.connect_read_only; either way the statement
+    runs under its own timeout and read-only authorizer.
 
     Raises SqlRejected for anything but a single read-only statement,
     SqlTimeout past the statement timeout, and SqlError for syntax/semantic
@@ -118,7 +135,7 @@ def execute_sql(db_path: str | Path, sql: str, timeout_s: float = STATEMENT_TIME
     first max_rows + 1 rows raises: sqlite3 steps the row after each row it
     returns, so the row after those is stepped and its error ignored.
     """
-    with _read_only_cursor(db_path, sql, timeout_s) as cursor:
+    with _read_only_cursor(db, sql, timeout_s) as cursor:
         if max_rows is None:
             return ResultTable(len(cursor.description), tuple(cursor.fetchall()))
         # fetchmany(0) would fetch every row
@@ -276,19 +293,21 @@ def _score_pair(sqlite_path: Path, gold_sql: str, predicted: str,
                 timeout_s: float) -> str | SqlError | None:
     """Score one prediction against its gold query: None when it is right,
     its failure kind when it is wrong, or the gold query's SqlError, which
-    makes the pair a dataset defect."""
+    makes the pair a dataset defect. Gold and then the prediction run on one
+    connection, each statement under its own timeout."""
     try:
-        gold_result = execute_sql(sqlite_path, gold_sql, timeout_s)
-    except SqlError as exc:
+        with _connection(sqlite_path) as conn:
+            gold_result = execute_sql(conn, gold_sql, timeout_s)
+            if not predicted.strip():
+                return FAIL_EMPTY
+            try:
+                # a prediction with more rows than gold is wrong however many it has
+                predicted_result = execute_sql(conn, predicted, timeout_s,
+                                               max_rows=len(gold_result.rows))
+            except SqlError:
+                return FAIL_EXEC
+    except SqlError as exc:  # the database or the gold query failed
         return exc
-    if not predicted.strip():
-        return FAIL_EMPTY
-    try:
-        # a prediction with more rows than gold is wrong however many it has
-        predicted_result = execute_sql(sqlite_path, predicted, timeout_s,
-                                       max_rows=len(gold_result.rows))
-    except SqlError:
-        return FAIL_EXEC
     if predicted_result.truncated:
         return FAIL_MISMATCH
     try:

@@ -16,7 +16,8 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -58,17 +59,47 @@ class GenerationRequest:
             "stop": list(self.stop),
         }
 
-    @property
-    def key(self) -> str:
-        payload = json.dumps(
+    def payload(self) -> str:
+        """What the key hashes: model, parameters and prompt as sorted-key
+        JSON, the prompt last."""
+        return json.dumps(
             {"model": self.model, "params": self.params(), "prompt": self.prompt},
             sort_keys=True, ensure_ascii=False,
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    @property
+    @cached_property
+    def key(self) -> str:
+        return hashlib.sha256(self.payload().encode("utf-8")).hexdigest()
+
+    @cached_property
     def prompt_digest(self) -> str:
         return hashlib.sha256(self.prompt.encode("utf-8")).hexdigest()
+
+
+def _escaped(text: str) -> str:
+    """*text* as the body of a JSON string, as the key's payload holds it."""
+    return json.dumps(text, ensure_ascii=False)[1:-1]
+
+
+class SharedPrefix:
+    """Requests like *template* whose prompts all open with *prefix*. The
+    sha256 state of their keys' payload through the prefix is computed once,
+    and each request's key hashes only what follows it. The keys are those
+    of ``GenerationRequest.key`` byte for byte: the prompt ends the payload,
+    and JSON escapes a string one character at a time."""
+
+    def __init__(self, template: GenerationRequest, prefix: str):
+        self.template = replace(template, prompt="")
+        self.prefix = prefix
+        head = self.template.payload()[:-2]  # cut the empty prompt's closing '"}'
+        self._state = hashlib.sha256((head + _escaped(prefix)).encode("utf-8"))
+
+    def request(self, suffix: str) -> GenerationRequest:
+        request = replace(self.template, prompt=self.prefix + suffix)
+        state = self._state.copy()
+        state.update((_escaped(suffix) + '"}').encode("utf-8"))
+        request.__dict__["key"] = state.hexdigest()  # the cached property's slot
+        return request
 
 
 @dataclass(frozen=True)
@@ -196,7 +227,9 @@ class LlmClient:
     spend cap), ``cache`` (the store ``<cache_dir>/store.jsonl``, loaded here
     and appended each live result) and ``replay`` (``replay_store`` only).
     ``record_path`` appends every generation to a store of its own. One
-    client may serve concurrent workers; it appends under its lock.
+    client may serve concurrent workers; it appends under its lock, and in
+    cache mode makes one live call per missing key, however many workers
+    ask for it at once.
     """
 
     def __init__(self, mode: str = "replay",
@@ -231,6 +264,9 @@ class LlmClient:
         self.transport = transport
         self.record_path = Path(record_path) if record_path else None
         self._lock = threading.Lock()
+        # cache mode: the keys whose live call is in flight, each with the
+        # event that its call has ended
+        self._calls: dict[str, threading.Event] = {}
         # tokens spent, plus the estimates of live calls still in flight
         self._spent_tokens = 0
 
@@ -248,23 +284,53 @@ class LlmClient:
         )
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
-        stored = self.replay_store.get(request.key) if self.replay_store is not None else None
-        if stored is not None:
-            result = GenerationResult(tuple(stored), self._usage(request, stored), self.mode)
-        elif self.mode == "replay":
-            raise ReplayMiss(request.key)
-        else:
+        if self.mode == "live":
             result = self._live(request)
-        cache = self.cache_path if result.source == "live" else None
-        if cache is not None or self.record_path is not None:
+        elif self.mode == "cache":
+            result = self._cached(request)
+        else:
+            result = self._stored(request)
+            if result is None:
+                raise ReplayMiss(request.key)
+        if self.record_path is not None:
             record = _record(request, result.completions)
             with self._lock:
-                if cache is not None:
-                    write_records(cache, [record])
-                    self.replay_store.add(record)
-                if self.record_path is not None:
-                    write_records(self.record_path, [record])
+                write_records(self.record_path, [record])
         return result
+
+    def _stored(self, request: GenerationRequest) -> GenerationResult | None:
+        stored = self.replay_store.get(request.key)
+        if stored is None:
+            return None
+        return GenerationResult(tuple(stored), self._usage(request, stored), self.mode)
+
+    def _cached(self, request: GenerationRequest) -> GenerationResult:
+        """The stored result, else a live one appended to the store. The
+        first request for a missing key makes the call; concurrent requests
+        for it wait for that call, then read the store (and if the call
+        failed, the first of them calls again)."""
+        key = request.key
+        while True:
+            with self._lock:
+                stored = self._stored(request)
+                if stored is not None:
+                    return stored
+                call = self._calls.get(key)
+                if call is None:
+                    call = self._calls[key] = threading.Event()
+                    break
+            call.wait()
+        try:
+            result = self._live(request)
+            record = _record(request, result.completions)
+            with self._lock:
+                write_records(self.cache_path, [record])
+                self.replay_store.add(record)
+            return result
+        finally:
+            with self._lock:
+                del self._calls[key]
+            call.set()
 
     # -- backends --
 

@@ -6,8 +6,16 @@ adaptation bundle) and answers every query through one stage loop: one
 stage for the one-shot modes, three (decompose, map to intermediate steps,
 compose the SQL) for the least-to-most modes. Per-query failures are
 recorded as empty predictions (scored wrong downstream) and never abort the
-batch. In a run directory, each finished query appends its ``QueryRecord``
-to the journal ``queries.jsonl``, from which a rerun resumes.
+batch.
+
+Every prompt of a run opens with one prefix, built once from the shots
+(``promptforge.prompt_prefix``; it serves all three least-to-most stages);
+per query and stage, only the suffix is rendered, after the test schema
+block that the generic modes render once per test database. In a run
+directory, the journal ``queries.jsonl`` holds the prefix once, as a
+``{prefix, text, exemplar_ids}`` record, and each finished query appends
+its ``QueryRecord``, whose stages name the prefix by its digest and keep
+their own ``suffix``. A rerun resumes from the journal.
 """
 
 from __future__ import annotations
@@ -23,17 +31,16 @@ from pathlib import Path
 from ..corpus.profile import NUMERIC_RENDER_MODES
 from ..corpus.types import AnnotatedDataset, AnnotatedExample, DecompositionRecord
 from ..errors import MissingAdaptation, PsmithError
-from ..llmclient import (DEFAULT_SPEND_CAP, LlmClient, default_model, read_records,
-                         write_records)
+from ..llmclient import (DEFAULT_SPEND_CAP, LlmClient, SharedPrefix, default_model,
+                         read_records, write_records)
 from ..promptforge.budget import DEFAULT_LIMIT, TokenBudget
 from ..promptforge.prompts import (
     MODES,
-    PromptArtifact,
     Shot,
-    build_da_prompt,
-    build_generic_prompt,
-    build_ltmp_prompt,
     exemplar_id,
+    prompt_prefix,
+    prompt_suffix,
+    schema_block,
 )
 from ..readonly import map_in_order
 from ..sampler import ExemplarSet
@@ -107,9 +114,11 @@ class PipelineConfig:
 
 @dataclass
 class QueryRecord:
-    """One test query as its run answered it: each stage's prompt artifact
-    fields with its sha256 and, once generated, its ``completion``; what the
-    completions read into; the final SQL, or the error that stopped it."""
+    """One test query as its run answered it: each stage's prompt ``mode``,
+    ``token_count``, ``budget`` and ``sha256``, the digest of its ``prefix``
+    (whose record holds the text and the exemplar_ids), its ``suffix`` and,
+    once generated, its ``completion``; what the completions read into; the
+    final SQL, or the error that stopped it."""
     db_id: str
     index: int  # counts the queries of db_id from 0
     question: str
@@ -192,67 +201,77 @@ def _compose(record: QueryRecord, completion: str) -> None:
 _LTMP_STAGES = ((("\n",), _decompose), (("\n",), _map_steps), (("#",), _compose))
 
 
-def _read_journal(path: Path) -> dict[tuple[str, int, str], QueryRecord]:
+def _read_journal(path: Path) -> tuple[dict[tuple[str, int, str], QueryRecord], set[str]]:
     """The queries a journal records as done, by (db_id, index, question):
-    those whose last record holds no error, without their prompt texts. A
-    torn last line, from an interrupted write, is cut off."""
-    records = {}
+    those whose last record holds no error, without their prompt texts; and
+    the digests of the prefixes it holds. A torn last line, from an
+    interrupted write, is cut off. Stages journaled whole, with their
+    ``text``, read as well as those with a ``suffix``."""
+    records, prefixes = {}, set()
     for row in read_records(path, cut=True):
+        if "db_id" not in row:  # a prefix record
+            prefixes.add(row["prefix"])
+            continue
         record = QueryRecord(**row)
         for stage in record.stages:
-            del stage["text"]
+            stage.pop("suffix", None)
+            stage.pop("text", None)
         records[(record.db_id, record.index, record.question)] = record
-    return {key: record for key, record in records.items() if record.error is None}
+    return {key: record for key, record in records.items() if record.error is None}, prefixes
 
 
 class _QueryRunner:
-    """Per-query work shared by all modes; one instance per pipeline run."""
+    """Per-query work shared by all modes; one instance per pipeline run.
+    It builds the run's prompt prefix, the generic modes' test schema blocks
+    and, per stage, the requests' shared key prefix once; and journals the
+    prompt prefix unless the journal holds it already."""
 
     def __init__(self, cfg: PipelineConfig, client: LlmClient,
                  train: AnnotatedDataset | None, test: AnnotatedDataset,
-                 shots: list[Shot], target_profile, journal: Path | None):
+                 queries: list[AnnotatedExample], shots: list[Shot], target_profile,
+                 journal: Path | None):
         self.cfg = cfg
         self.spec = MODES[cfg.mode]
         self.client = client
-        self.train_databases = train.databases if train is not None else None
-        self.test = test
-        self.shots = shots
-        self.target_profile = target_profile
         self.journal = journal
         self.journal_lock = threading.Lock()
-        self.done = _read_journal(journal) if journal is not None else {}
         self.stages = _LTMP_STAGES if self.spec.ltmp else ((None, _answer),)
-
-    def _prompt(self, stage: int, example: AnnotatedExample,
-                record: QueryRecord) -> PromptArtifact:
-        test_schema = self.test.databases[example.db_id]
-        if self.spec.ltmp:
-            return build_ltmp_prompt(
-                self.cfg.mode, stage, self.shots, example.nl,
-                databases=self.train_databases, target=self.target_profile,
-                test_sub_questions=record.sub_questions, test_steps=record.natsql_steps,
-                budget=self.cfg.budget, cot_enabled=self.cfg.cot_enabled,
-                test_schema=test_schema)
-        if self.spec.domain:
-            return build_da_prompt(self.target_profile, self.shots, example.nl,
-                                   self.cfg.budget)
-        return build_generic_prompt(self.shots, self.train_databases, example.nl,
-                                    test_schema, self.cfg.budget)
+        self.prefix = prompt_prefix(
+            cfg.mode, shots, databases=train.databases if train is not None else None,
+            target=target_profile, cot_enabled=cfg.cot_enabled)
+        self.blocks = {} if self.spec.domain else {
+            db_id: schema_block(cfg.mode, test.databases[db_id])
+            for db_id in dict.fromkeys(example.db_id for example in queries)}
+        self.requests = [SharedPrefix(client.request(
+            "", max_output_tokens=cfg.max_output_tokens, stop=stop), self.prefix.text)
+            for stop, _ in self.stages]
+        self.done = {}
+        if journal is not None:
+            self.done, prefixes = _read_journal(journal)
+            if self.prefix.digest not in prefixes:
+                write_records(journal, [{"prefix": self.prefix.digest, "text": self.prefix.text,
+                                         "exemplar_ids": self.prefix.exemplar_ids}])
 
     def run_one(self, example: AnnotatedExample, index: int) -> QueryRecord:
         """The query's record: from the journal when it is done, else from the
-        mode's stages, each building its prompt, generating and reading the
-        completion. A new record is journaled, then kept without prompt texts."""
+        mode's stages, each rendering its prompt suffix, generating and
+        reading the completion. A new record is journaled, then kept without
+        prompt texts."""
         if (example.db_id, index, example.nl) in self.done:
             return self.done[(example.db_id, index, example.nl)]
         record = QueryRecord(example.db_id, index, example.nl)
         try:
-            for number, (stop, read) in enumerate(self.stages, 1):
-                artifact = self._prompt(number, example, record)
-                stage = {**vars(artifact), "sha256": artifact.digest}
+            for number, (_, read) in enumerate(self.stages, 1):
+                suffix = prompt_suffix(
+                    self.cfg.mode, example.nl, stage=number,
+                    block=self.blocks.get(example.db_id, ""),
+                    test_sub_questions=record.sub_questions, test_steps=record.natsql_steps)
+                artifact = self.prefix.join(suffix, self.cfg.budget, number)
+                stage = {"mode": artifact.mode, "token_count": artifact.token_count,
+                         "budget": artifact.budget, "sha256": artifact.digest,
+                         "prefix": self.prefix.digest, "suffix": suffix}
                 record.stages.append(stage)
-                request = self.client.request(
-                    artifact.text, max_output_tokens=self.cfg.max_output_tokens, stop=stop)
+                request = self.requests[number - 1].request(suffix)
                 # kept before it is read, so a completion that fails to parse stays
                 stage["completion"] = self.client.generate(request).text
                 read(record, stage["completion"])
@@ -262,7 +281,7 @@ class _QueryRunner:
             with self.journal_lock:
                 write_records(self.journal, [vars(record)])
         for stage in record.stages:
-            del stage["text"]
+            del stage["suffix"]
         return record
 
 
@@ -300,7 +319,7 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
     journal = Path(out_dir) / "queries.jsonl" if out_dir is not None else None
     if journal is not None:
         journal.parent.mkdir(parents=True, exist_ok=True)
-    runner = _QueryRunner(cfg, client, train, test, shots, target_profile, journal)
+    runner = _QueryRunner(cfg, client, train, test, queries, shots, target_profile, journal)
     outcome = PipelineOutcome(map_in_order(lambda pair: runner.run_one(*pair), indexed,
                                            cfg.workers))
     if out_dir is not None:

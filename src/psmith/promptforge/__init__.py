@@ -5,6 +5,7 @@ from .prompts import (
     MODES,
     PipelineMode,
     PromptArtifact,
+    PromptPrefix,
     Shot,
     build_adapt_nl_prompt,
     build_adapt_sql_prompt,
@@ -12,7 +13,10 @@ from .prompts import (
     build_generic_prompt,
     build_ltmp_prompt,
     exemplar_id,
+    prompt_prefix,
+    prompt_suffix,
     save_artifact,
+    schema_block,
 )
 from .schema_render import render_schema_basic, render_schema_domain
 from .templates import load_template
@@ -22,6 +26,7 @@ __all__ = [
     "MODES",
     "PipelineMode",
     "PromptArtifact",
+    "PromptPrefix",
     "Shot",
     "TokenBudget",
     "build_adapt_nl_prompt",
@@ -32,7 +37,10 @@ __all__ = [
     "count_tokens",
     "exemplar_id",
     "load_template",
+    "prompt_prefix",
+    "prompt_suffix",
     "render_schema_basic",
     "render_schema_domain",
     "save_artifact",
+    "schema_block",
 ]

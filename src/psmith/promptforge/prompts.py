@@ -1,15 +1,26 @@
 """Prompt assembly for every pipeline mode.
 
+A pipeline prompt is a prefix that every test query of a run shares,
+followed by a per-query suffix; the split falls after the last exemplar's
+separator. In ``gp`` and ``ltmp-gp`` the prefix is the note, each exemplar
+database's schema and the exemplars, and the suffix opens with the test
+schema; in ``da-gp`` and ``ltmp-da-gp`` the prefix is the target schema and
+the exemplars, and the suffix is the test block alone. In the least-to-most
+modes one prefix serves all three stages. ``prompt_prefix`` and
+``prompt_suffix`` build the parts, ``PromptPrefix.join`` the artifact, and
+the one-shot builders all three in a row.
+
 All builders are pure functions of their inputs and the mode's template
 file; identical inputs give byte-identical artifacts. Every artifact is
-budget-checked at construction.
+budget-checked at construction, on its whole text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -61,9 +72,40 @@ class PromptArtifact:
     token_count: int
     budget: int
 
-    @property
+    @cached_property
     def digest(self) -> str:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class PromptPrefix:
+    """The part of a mode's prompts that every test query of a run shares,
+    through the last exemplar's separator and the newline after it. A
+    query's prompt is ``text`` followed by its suffix (``prompt_suffix``)."""
+    mode: str  # a MODES key
+    text: str
+    exemplar_ids: tuple[str, ...]
+    # the sha256 state after the prefix: a prompt's digest hashes its suffix only
+    _state: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_state", hashlib.sha256(self.text.encode("utf-8")))
+
+    @cached_property
+    def digest(self) -> str:
+        return self._state.hexdigest()
+
+    def join(self, suffix: str, budget: TokenBudget | None = None,
+             stage: int = 1) -> PromptArtifact:
+        """The artifact of the prompt ``text + suffix`` (of *stage*, in the
+        least-to-most modes), budget-checked on the whole text."""
+        spec = MODES[self.mode]
+        name = f"{spec.template}_stage{stage}" if spec.ltmp else spec.template
+        artifact = _make_artifact(name, self.text + suffix, self.exemplar_ids, budget)
+        state = self._state.copy()
+        state.update(suffix.encode("utf-8"))
+        artifact.__dict__["digest"] = state.hexdigest()  # the cached property's slot
+        return artifact
 
 
 def _make_artifact(mode: str, text: str, exemplar_ids: Sequence[str],
@@ -127,19 +169,18 @@ def _decomposition_lines(tpl: Template, sub_questions: Sequence[str],
             tpl["steps_prefix"] + _bracketed(steps, tpl["step_item"])]
 
 
-def _assemble(mode: str, shots: Sequence[Shot], test_nl: str, budget: TokenBudget | None,
-              *, stage: int = 1, databases: Mapping[str, SchemaProfile] | None = None,
-              test_schema: SchemaProfile | None = None,
-              target: SchemaProfile | None = None, test_sub_questions: Sequence[str] = (),
-              test_steps: Sequence[str] = (), cot_enabled: bool = True) -> PromptArtifact:
-    """Lay out the prompt of one pipeline mode (and stage).
+def prompt_prefix(mode: str, shots: Sequence[Shot], *,
+                  databases: Mapping[str, SchemaProfile] | None = None,
+                  target: SchemaProfile | None = None,
+                  cot_enabled: bool = True) -> PromptPrefix:
+    """The prefix of every prompt of a *mode* run that shows *shots*.
 
-    The domain axis picks the schema context: a generic prompt opens with a
-    note, shows each exemplar database's basic schema before its exemplars
-    (first-use order) and the test schema after them; a domain prompt shows
-    the one target schema in the domain format before all exemplars. The
-    LTMP axis and the stage pick the exemplar lines (question and SQL, or
-    the full reasoning chain) and the tail after the test question.
+    The domain axis picks the schema context: a generic prefix opens with a
+    note and shows each exemplar database's basic schema (from *databases*)
+    before its exemplars, in first-use order; a domain prefix shows the one
+    *target* schema in the domain format before all exemplars. The LTMP
+    axis picks the exemplar lines: question and SQL, or the full reasoning
+    chain, whose answer line *cot_enabled* picks.
     """
     spec = MODES[mode]
     tpl = load_template(spec.template)
@@ -150,8 +191,6 @@ def _assemble(mode: str, shots: Sequence[Shot], test_nl: str, budget: TokenBudge
                  *render_schema_domain(target).splitlines(), tpl["separator"]]
         groups = [(None, shots)]
     else:
-        if test_schema is None:
-            raise ValueError(f"{mode} prompts need the test schema")
         lines = [tpl["note"]]
         groups = _group_by_db(shots)
     for db_id, group in groups:
@@ -167,20 +206,59 @@ def _assemble(mode: str, shots: Sequence[Shot], test_nl: str, budget: TokenBudge
             else:
                 lines.append(shot.sql)
             lines.append(tpl["separator"])
-    if not spec.domain:
-        lines += _basic_block(tpl["schema_header"], test_schema, tpl["separator"])
-    lines.append(tpl["question_prefix"] + test_nl)
+    return PromptPrefix(mode, "\n".join(lines) + "\n", tuple(shot.id for shot in shots))
+
+
+def schema_block(mode: str, schema: SchemaProfile) -> str:
+    """The test database's basic schema under the header of a generic
+    *mode*: the block that opens the suffix of each of its queries."""
+    tpl = load_template(MODES[mode].template)
+    return "\n".join(_basic_block(tpl["schema_header"], schema, tpl["separator"])) + "\n"
+
+
+def prompt_suffix(mode: str, test_nl: str, *, stage: int = 1, block: str = "",
+                  test_sub_questions: Sequence[str] = (),
+                  test_steps: Sequence[str] = ()) -> str:
+    """The part of a *mode* prompt after its prefix: in the generic modes
+    the test schema *block* (``schema_block``), then the test question and
+    the tail. The one-shot modes end at the answer cue; in the
+    least-to-most modes the tail grows with the *stage*: what earlier stages
+    generated, then the cue of the stage's own output."""
+    spec = MODES[mode]
+    if spec.domain == bool(block):
+        raise ValueError(f"{mode} prompts need the test schema" if not block
+                         else f"{mode} prompts show no test schema")
+    tpl = load_template(spec.template)
+    lines = [tpl["question_prefix"] + test_nl]
     if spec.ltmp:
-        # the test block grows with the stage: what earlier stages generated,
-        # then the cue of the stage's own output
+        if stage not in LTMP_STAGES:
+            raise ValueError(f"LTMP stage must be one of {LTMP_STAGES}")
         lines += _decomposition_lines(tpl, test_sub_questions, test_steps)[:stage - 1]
         lines.append((tpl["subquestions_prefix"].rstrip(), tpl["steps_prefix"].rstrip(),
                       tpl["stage3_cue"])[stage - 1])
-        name = f"{spec.template}_stage{stage}"
     else:
         lines.append(tpl["cue"])
-        name = spec.template
-    return _make_artifact(name, "\n".join(lines), [shot.id for shot in shots], budget)
+    return block + "\n".join(lines)
+
+
+def _assemble(mode: str, shots: Sequence[Shot], test_nl: str, budget: TokenBudget | None,
+              *, stage: int = 1, databases: Mapping[str, SchemaProfile] | None = None,
+              test_schema: SchemaProfile | None = None,
+              target: SchemaProfile | None = None, test_sub_questions: Sequence[str] = (),
+              test_steps: Sequence[str] = (), cot_enabled: bool = True) -> PromptArtifact:
+    """The prompt of one pipeline mode (and stage): its prefix joined to
+    its suffix."""
+    if MODES[mode].domain:
+        block = ""
+    elif test_schema is None:
+        raise ValueError(f"{mode} prompts need the test schema")
+    else:
+        block = schema_block(mode, test_schema)
+    prefix = prompt_prefix(mode, shots, databases=databases, target=target,
+                           cot_enabled=cot_enabled)
+    return prefix.join(prompt_suffix(mode, test_nl, stage=stage, block=block,
+                                     test_sub_questions=test_sub_questions,
+                                     test_steps=test_steps), budget, stage)
 
 
 # --- one-shot prompts ----------------------------------------------------------
@@ -224,8 +302,6 @@ def build_ltmp_prompt(mode: str, stage: int, shots: Sequence[Shot],
     """
     if mode not in MODES or not MODES[mode].ltmp:
         raise ValueError(f"{mode!r} is not a least-to-most mode")
-    if stage not in LTMP_STAGES:
-        raise ValueError(f"LTMP stage must be one of {LTMP_STAGES}")
     return _assemble(mode, shots, test_nl, budget, stage=stage, databases=databases,
                      test_schema=test_schema, target=target,
                      test_sub_questions=test_sub_questions, test_steps=test_steps,

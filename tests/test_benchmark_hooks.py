@@ -45,20 +45,20 @@ def test_instrument_wraps_and_undo_restores(spans):
     originals = {
         "run_one": vars(run._QueryRunner)["run_one"],
         "generate": vars(LlmClient)["generate"],
-        "build_ltmp_prompt": prompts.build_ltmp_prompt,
+        "prompt_suffix": prompts.prompt_suffix,
     }
     undo = spans.instrument(spans.Tracer())
     try:
         assert vars(run._QueryRunner)["run_one"] is not originals["run_one"]
         assert vars(LlmClient)["generate"] is not originals["generate"]
-        assert prompts.build_ltmp_prompt is not originals["build_ltmp_prompt"]
-        assert run.build_ltmp_prompt is prompts.build_ltmp_prompt
+        assert prompts.prompt_suffix is not originals["prompt_suffix"]
+        assert run.prompt_suffix is prompts.prompt_suffix
     finally:
         undo()
     assert vars(run._QueryRunner)["run_one"] is originals["run_one"]
     assert vars(LlmClient)["generate"] is originals["generate"]
-    assert prompts.build_ltmp_prompt is originals["build_ltmp_prompt"]
-    assert run.build_ltmp_prompt is originals["build_ltmp_prompt"]
+    assert prompts.prompt_suffix is originals["prompt_suffix"]
+    assert run.prompt_suffix is originals["prompt_suffix"]
 
 
 def test_every_prompt_builder_has_span_info(spans):

@@ -166,6 +166,51 @@ def test_run_manifest_guards_config(runner, kaggledbqa_dir, tmp_path):
     assert more_workers.exit_code == 0, more_workers.output
 
 
+def test_manifests_record_input_digests_not_paths(runner, spider_dir, spider_ss_dir,
+                                                  kaggledbqa_dir, tmp_path):
+    """Runs from two copies of the same inputs, at paths of different
+    lengths, write manifests that differ only in ``created``."""
+    import shutil
+
+    from psmith import __version__
+    from psmith.pipelines import AdaptationBundle
+
+    report = tmp_path / "report.jsonl"
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(report)]).exit_code == 0
+    bundle = tmp_path / "bundle.json"
+    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    manifests = []
+    for copy in (tmp_path / "a", tmp_path / "a-longer-path"):
+        for source in (spider_dir, spider_ss_dir, kaggledbqa_dir):
+            shutil.copytree(source, copy / source.name)
+        for source in (report, bundle, STORE):
+            shutil.copy(source, copy / source.name)
+        common = ["--test", str(copy / kaggledbqa_dir.name), "--runs", str(copy / "runs"),
+                  "--replay", str(copy / STORE.name), "--model", "offline-model"]
+        generic = runner.invoke(main, [
+            "run", "--mode", "ltmp-gp", "--report", str(copy / report.name),
+            "--train", str(copy / spider_dir.name),
+            "--spider-ss", str(copy / spider_ss_dir.name), "--run-id", "generic", *common])
+        assert generic.exit_code == 0, generic.output + generic.stderr
+        domain = runner.invoke(main, ["run", "--mode", "da-gp", "--bundle",
+                                      str(copy / bundle.name), "--run-id", "domain", *common])
+        assert domain.exit_code == 0, domain.output + domain.stderr
+        manifests.append([(copy / "runs" / run_id / "manifest.json").read_text()
+                          for run_id in ("generic", "domain")])
+    for first, second in zip(*manifests):
+        assert [line for line in first.splitlines() if '"created"' not in line] == \
+            [line for line in second.splitlines() if '"created"' not in line]
+        assert str(tmp_path) not in first
+    generic, domain = (json.loads(text) for text in manifests[0])
+    assert generic["version"] == domain["version"] == __version__
+    assert all(len(generic["inputs"][key]) == 64 for key in
+               ("test", "train", "report", "spider_ss", "replay", "template"))
+    assert generic["inputs"]["bundle"] is None and domain["inputs"]["train"] is None
+    assert domain["inputs"]["bundle"] is not None
+    assert generic["inputs"]["template"] != domain["inputs"]["template"]
+
+
 def test_eval_command(runner, kaggledbqa_dir, tmp_path):
     predictions = tmp_path / "p.jsonl"
     rows = [{"db_id": fixturelib.NUCLEAR_DB, "question": q, "sql": sql}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import os
 import random
@@ -8,6 +9,7 @@ import sqlite3
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -123,6 +125,47 @@ def test_execute_timeout(scores_db):
             "scores f, scores g, scores h, scores i, scores j, scores k, scores l")
     with pytest.raises(SqlTimeout):
         execute_sql(scores_db, slow, timeout_s=0.1)
+
+
+def test_statements_on_one_connection_are_each_refused_what_is_not_a_read(scores_db):
+    from psmith.readonly import connect_read_only
+
+    before = hashlib.sha256(scores_db.read_bytes()).hexdigest()
+    conn = connect_read_only(scores_db)
+    try:
+        assert execute_sql(conn, "SELECT count(*) FROM scores").rows == ((4,),)
+        for statement in ["DELETE FROM scores", "PRAGMA query_only = 0",
+                          "ATTACH 'other.sqlite' AS other",
+                          "CREATE TEMP TABLE copy AS SELECT * FROM scores"]:
+            with pytest.raises(SqlRejected):
+                execute_sql(conn, statement)
+        assert execute_sql(conn, "SELECT count(*) FROM scores").rows == ((4,),)
+    finally:
+        conn.close()
+    assert hashlib.sha256(scores_db.read_bytes()).hexdigest() == before
+
+
+def test_gold_time_does_not_shorten_the_prediction_budget(scores_db, monkeypatch):
+    """Gold and the prediction share a connection, not a deadline. The clock
+    here ticks once per reading, and the progress handler reads it every
+    few thousand sqlite instructions, so a statement's ticks count its work:
+    a gold query that uses two thirds of the timeout leaves the prediction,
+    which does the same work, the whole timeout."""
+    ticks = itertools.count()
+    monkeypatch.setattr(evaluator_module, "time",
+                        types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    gold = ("WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n "
+            "WHERE i < 100000) SELECT count(*) FROM n")
+    predicted = gold.replace("count(*)", "count(i)")
+    start = next(ticks)
+    execute_sql(scores_db, gold, timeout_s=10 ** 9)
+    used = next(ticks) - start
+    assert used > 50  # enough readings that a shared deadline would run out
+    timeout = used * 3 // 2
+    assert evaluator_module._score_pair(scores_db, gold, predicted, timeout) is None
+    # the clock is real to the statements: half the gold's work times it out
+    assert isinstance(evaluator_module._score_pair(scores_db, gold, predicted, used // 2),
+                      SqlTimeout)
 
 
 def test_check_executes_fails_on_a_late_row(tmp_path):

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psmith import llmclient
 from psmith.errors import BudgetRefused, RateLimited, ReplayMiss, TransportError
@@ -14,6 +17,7 @@ from psmith.llmclient import (
     GenerationResult,
     LlmClient,
     ReplayStore,
+    SharedPrefix,
     append_record,
     forbidden_transport,
     replay_client,
@@ -38,6 +42,19 @@ def test_key_is_stable_and_binds_all_parts():
     assert base.key != make_request(temperature=0.5).key
     assert base.key != GenerationRequest(prompt=base.prompt, model="another").key
     assert len(base.key) == 64  # sha-256 hex
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix=st.text(max_size=60), suffixes=st.lists(st.text(max_size=30), max_size=4),
+       stop=st.lists(st.text(max_size=3), max_size=2), model=st.text(max_size=8))
+def test_shared_prefix_keys_are_the_whole_prompt_keys(prefix, suffixes, stop, model):
+    shared = SharedPrefix(GenerationRequest(prompt="", model=model, stop=tuple(stop)),
+                          prefix)
+    for suffix in suffixes:
+        request = shared.request(suffix)
+        whole = GenerationRequest(prompt=prefix + suffix, model=model, stop=tuple(stop))
+        assert request == whole
+        assert request.key == whole.key
 
 
 def test_result_requires_completions():
@@ -132,13 +149,12 @@ def _cache_session(cache_dir, threads: int):
     shared = make_request(prompt="shared question")
     requests = [shared] * threads + [make_request(prompt=f"question {i:02d}")
                                      for i in range(48)]
-    barrier = threading.Barrier(threads, timeout=10)
     calls = []
 
     def transport(url, payload, headers, timeout):
         calls.append(payload["prompt"])
         if payload["prompt"] == shared.prompt:
-            barrier.wait()
+            time.sleep(0.05)  # the other workers ask for the key meanwhile
         return 200, {"choices": [{"text": f"SELECT '{payload['prompt']}'"}],
                      "usage": {}}, None
 
@@ -151,7 +167,10 @@ def _cache_session(cache_dir, threads: int):
             results = list(pool.map(client.generate, requests))
     finally:
         sys.setswitchinterval(interval)
-    assert {r.source for r in results} == {"live"}
+    # one live generation per key; a worker that waited on the shared key's
+    # call is served from the store
+    assert sum(r.source == "live" for r in results) == len(calls)
+    assert {r.text for r in results[:threads]} == {"SELECT 'shared question'"}
     # a second pass is served from the loaded copy, which each append extends
     assert {client.generate(r).source for r in requests} == {"cache"}
     return calls
@@ -160,7 +179,7 @@ def _cache_session(cache_dir, threads: int):
 @pytest.mark.parametrize("threads", [2, 4, 8, 16])
 def test_concurrent_writers_append_whole_records(tmp_path, threads):
     calls = _cache_session(tmp_path / "cache", threads)
-    assert len(calls) == threads + 48  # every worker generated the shared key
+    assert len(calls) == 49  # one call per key, the shared one included
     lines = (tmp_path / "cache" / llmclient.STORE_NAME).read_bytes().split(b"\n")
     assert lines.pop() == b""
     assert len(lines) == len(calls)
@@ -170,6 +189,46 @@ def test_concurrent_writers_append_whole_records(tmp_path, threads):
     store = ReplayStore.load(tmp_path / "cache" / llmclient.STORE_NAME)
     oracle = ReplayStore.load(tmp_path / "oracle" / llmclient.STORE_NAME)
     assert store._records == oracle._records and len(store) == 49
+
+
+def test_concurrent_requests_for_one_missing_key_make_one_call(tmp_path):
+    calls = []
+
+    def transport(url, payload, headers, timeout):
+        calls.append(payload["prompt"])
+        time.sleep(0.2)  # every worker asks while the call is in flight
+        return 200, {"choices": [{"text": "SELECT 1"}, {"text": "SELECT 2"}],
+                     "usage": {}}, None
+
+    client = LlmClient(mode="cache", cache_dir=tmp_path / "cache", transport=transport,
+                       model="test-model", api_base="http://example.invalid")
+    request = make_request(n_samples=2)
+    barrier = threading.Barrier(16, timeout=10)
+
+    def ask(_):
+        barrier.wait()
+        return client.generate(request)
+
+    with ThreadPoolExecutor(max_workers=16) as pool:
+        results = list(pool.map(ask, range(16)))
+    assert calls == [request.prompt]
+    assert {r.completions for r in results} == {("SELECT 1", "SELECT 2")}
+    assert sorted(r.source for r in results) == ["cache"] * 15 + ["live"]
+
+
+def test_a_failed_call_leaves_the_key_to_the_next_request(tmp_path):
+    outcomes = iter([(400, {"error": "bad request"}), (200, {"choices": [{"text": "SELECT 3"}]})])
+
+    def transport(url, payload, headers, timeout):
+        status, body = next(outcomes)
+        return status, body, None
+
+    client = LlmClient(mode="cache", cache_dir=tmp_path / "cache", transport=transport,
+                       model="test-model", api_base="http://example.invalid")
+    request = make_request()
+    with pytest.raises(TransportError):
+        client.generate(request)
+    assert client.generate(request).text == "SELECT 3"
 
 
 def test_cache_mode_requires_a_directory():

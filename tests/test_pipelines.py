@@ -158,10 +158,29 @@ def scripted_client(tmp_path, entries) -> LlmClient:
                      model="offline-model")
 
 
+def journal_records(run_dir) -> list[dict]:
+    """A run's journaled query records in order, each stage's prompt
+    reassembled into its ``text`` and ``exemplar_ids``: those of the prefix
+    record its ``prefix`` digest names, the text followed by the stage's
+    ``suffix``. A stage journaled whole keeps its own."""
+    prefixes, records = {}, []
+    lines = (run_dir / "queries.jsonl").read_text(encoding="utf-8").splitlines()
+    for row in map(json.loads, lines):
+        if "db_id" not in row:  # a prefix record
+            prefixes[row["prefix"]] = row
+            continue
+        for stage in row["stages"]:
+            if "suffix" in stage:
+                prefix = prefixes[stage["prefix"]]
+                stage["text"] = prefix["text"] + stage.pop("suffix")
+                stage["exemplar_ids"] = prefix["exemplar_ids"]
+        records.append(row)
+    return records
+
+
 def journal(run_dir) -> dict[tuple[str, int], dict]:
     """A run's journal records by (db_id, index), the last of each winning."""
-    lines = (run_dir / "queries.jsonl").read_text(encoding="utf-8").splitlines()
-    return {(r["db_id"], r["index"]): r for r in map(json.loads, lines)}
+    return {(r["db_id"], r["index"]): r for r in journal_records(run_dir)}
 
 
 def stage1_request(client, train_dataset, target_schema, exemplar, n=8):
@@ -494,7 +513,7 @@ def test_a_torn_last_journal_line_reruns_only_its_query(tmp_path, train_dataset,
     first = run(out_dir)
     path = out_dir / "queries.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    assert len(lines) == 22
+    assert len(journal_records(out_dir)) == 22
     path.write_text("".join(lines[:-1]) + lines[-1][:40], encoding="utf-8")
     # only the torn query is in the store: any other regeneration would miss
     second = run(out_dir, answered=nuclear[-1:])
@@ -772,8 +791,109 @@ def test_a_finished_run_resumes_from_its_journal(tmp_path, train_dataset, test_d
         assert list(trace.sub_questions) == expected["sub_questions"]
         assert [s["sha256"] for s in trace.stages] == \
             [s["sha256"] for s in expected["stages"]]
-    assert len((run_dir / "queries.jsonl").read_text().splitlines()) == 23
+    assert len(journal_records(run_dir)) == 23
     assert (run_dir / "predictions.jsonl").read_bytes() == predictions
+
+
+def scripted_live_client() -> LlmClient:
+    """A live client whose endpoint answers every stage of every mode: two
+    sub-questions, two steps, then SQL; or SQL at the one-shot cue."""
+    def transport(url, payload, headers, timeout):
+        prompt = payload["prompt"]
+        if prompt.endswith("sub-questions:"):
+            text = " ['first part', 'second part']"
+        elif prompt.endswith("Intermediate representation:"):
+            text = " ['select one', 'select two']"
+        elif prompt.endswith("A:"):
+            text = " Lets think step by step.\nSQL: SELECT 1"
+        else:
+            text = " 1"
+        return 200, {"choices": [{"text": text}]}, None
+
+    return LlmClient(mode="live", transport=transport, model="offline-model",
+                     api_base="http://example.invalid", spend_cap=10 ** 9)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_journaled_stage_reassembles_to_its_prompt(tmp_path, train_dataset,
+                                                         test_dataset, spider_ss_dir,
+                                                         workers):
+    """In every mode, each stage entry's prefix record and suffix join into
+    the prompt the one-shot builders give for the same query, stage and
+    generated lists, with the entry's sha256; each journal holds its prefix
+    once."""
+    from psmith.corpus import load_spider_ss
+    from psmith.promptforge import build_da_prompt, build_generic_prompt, build_ltmp_prompt
+    from psmith.sampler import sample_exemplars
+
+    bundle, _ = committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir)
+    exemplars = sample_exemplars(train_dataset).exemplars
+    ss_records = load_spider_ss(spider_ss_dir)
+    cfg = PipelineConfig()
+    target = attach_value_profile(test_dataset.databases[fixturelib.NUCLEAR_DB],
+                                  cfg.seed, cfg.numeric_render)
+    questions = {(ex.db_id, ex.nl): ex for ex in test_dataset.examples}
+    for mode in ("gp", "da-gp", "ltmp-gp", "ltmp-da-gp"):
+        out_dir = tmp_path / f"{mode}-{workers}"
+        outcome = run_pipeline(PipelineConfig(mode=mode, workers=workers),
+                               scripted_live_client(), test_dataset, train=train_dataset,
+                               exemplars=exemplars, ss_records=ss_records, bundle=bundle,
+                               target_profile=target, out_dir=out_dir)
+        assert not outcome.errors
+        shots = shots_for(mode, exemplars, ss_records, bundle)
+        lines = (out_dir / "queries.jsonl").read_text(encoding="utf-8").splitlines()
+        assert sum("db_id" not in json.loads(line) for line in lines) == 1
+        records = journal_records(out_dir)
+        assert len(records) == len(outcome.traces) >= 22
+        for record in records:
+            nl = record["question"]
+            schema = test_dataset.databases[record["db_id"]]
+            assert len(record["stages"]) == (3 if mode.startswith("ltmp") else 1)
+            for number, stage in enumerate(record["stages"], 1):
+                if mode == "gp":
+                    expected = build_generic_prompt(shots, train_dataset.databases, nl,
+                                                    schema)
+                elif mode == "da-gp":
+                    expected = build_da_prompt(target, shots, nl)
+                else:
+                    expected = build_ltmp_prompt(
+                        mode, number, shots, nl, databases=train_dataset.databases,
+                        target=target, test_schema=schema,
+                        test_sub_questions=record["sub_questions"] if number > 1 else (),
+                        test_steps=record["natsql_steps"] if number > 2 else ())
+                assert stage["text"] == expected.text, (mode, nl, number)
+                assert stage["sha256"] == expected.digest
+                assert stage["mode"] == expected.mode
+                assert stage["token_count"] == expected.token_count
+                assert stage["exemplar_ids"] == list(expected.exemplar_ids)
+                assert (record["db_id"], nl) in questions
+
+
+def test_a_journal_of_whole_stage_texts_still_resumes(tmp_path, train_dataset,
+                                                      test_dataset):
+    """A journal written before prompts were split, each stage with its whole
+    ``text`` and no prefix record, resumes: its done queries are not
+    generated again."""
+    nuclear, run = nuclear_gp_run(tmp_path, train_dataset, test_dataset)
+    out_dir = tmp_path / "run"
+    first = run(out_dir)
+    records = journal_records(out_dir)
+    for record in records:
+        for stage in record["stages"]:
+            del stage["prefix"]
+    old_layout = [json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+                  for record in records[:-1]]
+    path = out_dir / "queries.jsonl"
+    path.write_text("".join(old_layout), encoding="utf-8")
+    # only the dropped query is in the store: any other regeneration would miss
+    second = run(out_dir, answered=nuclear[-1:])
+    assert not second.errors
+    assert second.predictions == first.predictions
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[:21] == old_layout and len(lines) == 23  # + a prefix record + one query
+    assert [[stage["text"] for stage in record["stages"]]
+            for record in journal_records(out_dir)] == \
+        [[stage["text"] for stage in record["stages"]] for record in records]
 
 
 def test_adapt_returns_failures_without_logging_them(tmp_path, train_dataset,

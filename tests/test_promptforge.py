@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import fixturelib
 from psmith.corpus.types import AnnotatedExample, Column, SchemaProfile, Table
 from psmith.errors import BudgetExceeded, MissingProfile
 from psmith.promptforge import (
+    PromptPrefix,
     Shot,
     TokenBudget,
     build_da_prompt,
@@ -15,9 +17,12 @@ from psmith.promptforge import (
     build_ltmp_prompt,
     count_tokens,
     exemplar_id,
+    prompt_prefix,
+    prompt_suffix,
     render_schema_basic,
     render_schema_domain,
     save_artifact,
+    schema_block,
 )
 
 # Pinned heuristic token count of the full generic-prompt fixture; guards
@@ -200,6 +205,74 @@ def test_ltmp_stage2_cue(golden):
     stage3 = golden("ltmp_da_gp_stage3.txt")
     # stage 2 is a strict prefix of stage 3 up to the generated-steps line
     assert stage3.startswith(artifact.text[:artifact.text.rfind("\n")])
+
+
+def golden_cases(train_dataset, test_dataset):
+    """(mode, stage, shots, keyword arguments of the suffix and prefix) of
+    the four golden prompts, and their golden file."""
+    test_schema = test_dataset.databases[fixturelib.NUCLEAR_DB]
+    target = fixturelib.nuclear_pinned_profile()
+    return [
+        ("gp", 1, gp_shots(train_dataset), dict(databases=train_dataset.databases),
+         dict(block=schema_block("gp", test_schema)), "gp.txt"),
+        ("da-gp", 1, da_shots(), dict(target=target), {}, "da_gp.txt"),
+        ("ltmp-gp", 1, gp_chains(train_dataset), dict(databases=train_dataset.databases),
+         dict(block=schema_block("ltmp-gp", test_schema)), "ltmp_gp_stage1.txt"),
+        ("ltmp-da-gp", 3, da_chains(), dict(target=target),
+         dict(test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
+              test_steps=fixturelib.LTMP_TEST_STEPS), "ltmp_da_gp_stage3.txt"),
+    ]
+
+
+def test_prefix_and_suffix_join_into_the_golden_prompts(golden, train_dataset, test_dataset):
+    for mode, stage, shots, context, tail, name in golden_cases(train_dataset, test_dataset):
+        prefix = prompt_prefix(mode, shots, **context)
+        suffix = prompt_suffix(mode, fixturelib.TEST_QUESTION, stage=stage, **tail)
+        artifact = prefix.join(suffix, TokenBudget(), stage)
+        assert artifact.text == prefix.text + suffix == golden(name)
+        assert artifact.digest == hashlib.sha256(golden(name).encode("utf-8")).hexdigest()
+        assert artifact.exemplar_ids == tuple(shot.id for shot in shots)
+        assert artifact.mode == name.removesuffix(".txt")
+        # the split falls after the last exemplar's separator
+        assert prefix.text.endswith("\n#\n")
+        assert suffix.startswith("### SQLite SQL tables" if "block" in tail
+                                 else ("Q: " if mode.startswith("ltmp") else "### "))
+        assert prefix.digest == hashlib.sha256(prefix.text.encode("utf-8")).hexdigest()
+
+
+def test_one_prefix_serves_every_ltmp_stage(train_dataset, test_dataset):
+    prefix = prompt_prefix("ltmp-gp", gp_chains(train_dataset),
+                           databases=train_dataset.databases)
+    block = schema_block("ltmp-gp", test_dataset.databases[fixturelib.NUCLEAR_DB])
+    for stage in (1, 2, 3):
+        lists = dict(test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
+                     test_steps=fixturelib.LTMP_TEST_STEPS)
+        expected = build_ltmp_prompt(
+            "ltmp-gp", stage, gp_chains(train_dataset), fixturelib.TEST_QUESTION,
+            databases=train_dataset.databases,
+            test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB], **lists)
+        suffix = prompt_suffix("ltmp-gp", fixturelib.TEST_QUESTION, stage=stage,
+                               block=block, **lists)
+        assert prefix.join(suffix, stage=stage) == expected
+
+
+def test_suffix_takes_a_schema_block_in_the_generic_modes_only(test_dataset):
+    block = schema_block("gp", test_dataset.databases[fixturelib.NUCLEAR_DB])
+    with pytest.raises(ValueError, match="need the test schema"):
+        prompt_suffix("gp", "q")
+    with pytest.raises(ValueError, match="show no test schema"):
+        prompt_suffix("da-gp", "q", block=block)
+    with pytest.raises(ValueError, match="stage"):
+        prompt_suffix("ltmp-da-gp", "q", stage=4)
+
+
+def test_budget_counts_the_whole_prompt_not_its_parts():
+    # ceil(5/4) + ceil(5/4) = 4 tokens for the parts, ceil(10/4) = 3 for the whole
+    prefix = PromptPrefix("da-gp", "x" * 5, ())
+    artifact = prefix.join("y" * 5, TokenBudget(limit=3))
+    assert artifact.token_count == 3 == count_tokens(artifact.text)
+    with pytest.raises(BudgetExceeded):
+        prefix.join("y" * 8, TokenBudget(limit=3))
 
 
 def test_budget_enforced_at_construction(train_dataset, test_dataset):
