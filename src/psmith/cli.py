@@ -37,7 +37,7 @@ from .corpus import (
     load_spider,
     load_spider_ss,
 )
-from .errors import BudgetExceeded, MissingAdaptation, PsmithError
+from .errors import BudgetExceeded, MissingAdaptation, MissingGold, PsmithError
 from .llmclient import LlmClient, ReplayStore, forbidden_transport
 from .pipelines import (
     AdaptationBundle,
@@ -198,6 +198,9 @@ def _input_digests(mode: str, test_dir, train_dir, report_path, bundle_path,
 
 
 def _write_manifest(run_dir: Path, payload: dict) -> None:
+    """Snapshot a new run, or check that a resumed one keeps its
+    configuration and its inputs. The replay store is not compared: like
+    ``llm_mode``, it is where generations come from."""
     manifest = run_dir / "manifest.json"
     if manifest.exists():
         previous = json.loads(manifest.read_text(encoding="utf-8"))
@@ -205,6 +208,13 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
             raise click.ClickException(
                 f"run {payload['run_id']} already exists with a different "
                 "configuration; pick a new --run-id")
+        inputs = previous.get("inputs") or {}
+        changed = [name for name, digest in payload["inputs"].items()
+                   if name != "replay" and inputs.get(name) != digest]
+        if changed:
+            raise click.ClickException(
+                f"run {payload['run_id']} already exists with different inputs "
+                f"({', '.join(changed)}); pick a new --run-id")
         return
     payload["created"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
     manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -402,7 +412,10 @@ def eval_cmd(predictions_path, test_dir, out_dir):
             databases=gold.databases,
             examples=[ex for ex in gold.examples if ex.db_id in covered],
             role=gold.role)
-    report = evaluator.evaluate(predictions, gold)
+    try:
+        report = evaluator.evaluate(predictions, gold)
+    except MissingGold as exc:  # a prediction for a question the test set lacks
+        raise click.UsageError(f"{exc} in {test_dir}") from None
     text = evaluator.format_report(report)
     click.echo(text)
     if out_dir:

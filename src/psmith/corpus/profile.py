@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ..errors import NotADatabase
 from ..readonly import connect_read_only, map_in_order, usable_cores
-from .types import Column, ForeignKey, NumericRange, SampledValues, SchemaProfile, Table
+from .types import Column, NumericRange, SampledValues, SchemaProfile, Table
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +78,8 @@ def _quote_ident(name: str) -> str:
 
 def profile_schema(path: str | Path, seed: int,
                    numeric_render: str = "range") -> SchemaProfile:
-    """Introspect a SQLite file into a SchemaProfile with value profiles.
+    """Introspect a SQLite file into a SchemaProfile of its tables and
+    columns, with value profiles; keys are not read.
 
     ``numeric_render`` selects the profile form for numeric columns:
     ``range`` stores (min, max); ``samples`` stores four seeded values,
@@ -97,9 +98,6 @@ def profile_schema(path: str | Path, seed: int,
 
     db_id = path.stem
     tables: list[Table] = []
-    primary_keys: dict[str, tuple[str, ...]] = {}
-    foreign_keys: list[ForeignKey] = []
-
     try:
         table_names = [
             row[0] for row in conn.execute(
@@ -115,27 +113,6 @@ def profile_schema(path: str | Path, seed: int,
                 continue
             columns = tuple(Column(name=row[1], declared_type=row[2] or "") for row in info)
             tables.append(Table(table_name, columns))
-
-            pk_cols = [(row[5], row[1]) for row in info if row[5] > 0]
-            if pk_cols:
-                primary_keys[table_name] = tuple(name for _, name in sorted(pk_cols))
-
-            try:
-                fk_rows = conn.execute(
-                    f"PRAGMA foreign_key_list({_quote_ident(table_name)})").fetchall()
-            except sqlite3.DatabaseError:
-                fk_rows = []
-            by_id: dict[int, list] = {}
-            for row in fk_rows:
-                by_id.setdefault(row[0], []).append(row)
-            for rows in by_id.values():
-                rows.sort(key=lambda r: r[1])  # seq
-                foreign_keys.append(ForeignKey(
-                    from_table=table_name,
-                    from_columns=tuple(r[3] for r in rows),
-                    to_table=rows[0][2],
-                    to_columns=tuple(r[4] for r in rows),
-                ))
     finally:
         conn.close()
 
@@ -147,17 +124,7 @@ def profile_schema(path: str | Path, seed: int,
     profiles = map_in_order(profile_alone, jobs, usable_cores())
     value_profile = {(table_name, column.name): profile
                      for (table_name, column), profile in zip(jobs, profiles) if profile is not None}
-
-    fks = tuple(fk for fk in foreign_keys
-                if fk.to_table in {t.name for t in tables})
-    return SchemaProfile(
-        db_id=db_id,
-        tables=tuple(tables),
-        primary_keys=primary_keys,
-        foreign_keys=fks,
-        value_profile=value_profile,
-        sqlite_path=path,
-    )
+    return SchemaProfile(db_id, tuple(tables), value_profile=value_profile, sqlite_path=path)
 
 
 def _profile_column(conn: sqlite3.Connection, db_id: str, table: str,

@@ -25,10 +25,12 @@ from ..errors import (
 from ..evaluator import check_executes
 from ..llmclient import LlmClient
 from ..promptforge.prompts import (
-    PromptArtifact,
     build_adapt_nl_prompt,
     build_adapt_sql_prompt,
     exemplar_id,
+    prompt_prefix,
+    prompt_suffix,
+    schema_block,
 )
 from ..readonly import map_in_order
 from ..sampler import Exemplar
@@ -115,10 +117,10 @@ def da_stage1_transfer(
     max_beam_samples: int,
     budget=None,
     max_output_tokens: int = 256,
-) -> tuple[str, int, int, PromptArtifact]:
+) -> tuple[str, int, int]:
     """Generate a compositionally similar SQL on the target schema.
 
-    Returns (adapted_sql, ted, attempts, prompt artifact). Candidates are
+    Returns (adapted_sql, ted, attempts). Candidates are
     taken in order from one n-sample request; the first that executes on the
     target database and whose skeleton is within the tree-edit-distance
     threshold of the source skeleton wins.
@@ -155,7 +157,7 @@ def da_stage1_transfer(
         if best_ted is None or ted < best_ted:
             best_ted = ted
         if ted <= ted_threshold:
-            return candidate, ted, attempts, artifact
+            return candidate, ted, attempts
     raise AdaptationFailed(exemplar_id(exemplar), best_ted, attempts)
 
 
@@ -166,7 +168,7 @@ def da_stage2_generate_nl(
     *,
     budget=None,
     max_output_tokens: int = 128,
-) -> tuple[str, PromptArtifact]:
+) -> str:
     """Generate the NL question describing *adapted_sql* on the target schema."""
     artifact = build_adapt_nl_prompt(target_schema, adapted_sql, budget)
     request = client.request(
@@ -175,7 +177,7 @@ def da_stage2_generate_nl(
     question = normalize_question(result.text)
     if not question:
         raise EmptyGeneration(f"blank question for {adapted_sql!r}")
-    return question, artifact
+    return question
 
 
 def verify_bundle(bundle: AdaptationBundle, target_schema: SchemaProfile) -> list[str]:
@@ -221,16 +223,15 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
     reviewer finalizes those. Exemplars are adapted, then drafted, on up to
     ``workers`` threads, in exemplar order. Returns (bundle, failures).
     """
-    from ..promptforge.prompts import build_ltmp_prompt
     from .run import shots_for
 
     def adapt_one(item: Exemplar) -> AdaptedExemplar | str:
         try:
-            adapted_sql, ted, attempts, _ = da_stage1_transfer(
+            adapted_sql, ted, attempts = da_stage1_transfer(
                 item, train_databases[item.db_id], target_schema, client,
                 ted_threshold=ted_threshold, max_beam_samples=max_beam_samples,
                 budget=budget, max_output_tokens=max_output_tokens)
-            adapted_nl, _ = da_stage2_generate_nl(
+            adapted_nl = da_stage2_generate_nl(
                 adapted_sql, target_schema, client, budget=budget)
         except PsmithError as exc:
             return f"{item.db_id}: {item.nl}: {exc}"
@@ -243,13 +244,13 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
     failures = [a for a in adapted if isinstance(a, str)]
 
     if draft_records is not None:
-        shots = shots_for("ltmp-gp", exemplars, draft_records)
+        prefix = prompt_prefix("ltmp-gp", shots_for("ltmp-gp", exemplars, draft_records),
+                               databases=draft_context, cot_enabled=cot_enabled)
+        block = schema_block("ltmp-gp", target_schema)
 
         def complete(stage: int, nl: str, subs: tuple[str, ...] = ()) -> str:
-            prompt = build_ltmp_prompt(
-                "ltmp-gp", stage, shots, nl, databases=draft_context,
-                test_sub_questions=subs, budget=budget, cot_enabled=cot_enabled,
-                test_schema=target_schema)
+            prompt = prefix.join(prompt_suffix("ltmp-gp", nl, stage=stage, block=block,
+                                               test_sub_questions=subs), budget, stage)
             request = client.request(prompt.text, max_output_tokens=max_output_tokens,
                                      stop=["\n"])
             return client.generate(request).text

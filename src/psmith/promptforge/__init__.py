@@ -9,9 +9,6 @@ from .prompts import (
     Shot,
     build_adapt_nl_prompt,
     build_adapt_sql_prompt,
-    build_da_prompt,
-    build_generic_prompt,
-    build_ltmp_prompt,
     exemplar_id,
     prompt_prefix,
     prompt_suffix,
@@ -31,9 +28,6 @@ __all__ = [
     "TokenBudget",
     "build_adapt_nl_prompt",
     "build_adapt_sql_prompt",
-    "build_da_prompt",
-    "build_generic_prompt",
-    "build_ltmp_prompt",
     "count_tokens",
     "exemplar_id",
     "load_template",

@@ -7,8 +7,8 @@ database's schema and the exemplars, and the suffix opens with the test
 schema; in ``da-gp`` and ``ltmp-da-gp`` the prefix is the target schema and
 the exemplars, and the suffix is the test block alone. In the least-to-most
 modes one prefix serves all three stages. ``prompt_prefix`` and
-``prompt_suffix`` build the parts, ``PromptPrefix.join`` the artifact, and
-the one-shot builders all three in a row.
+``prompt_suffix`` build the parts and ``PromptPrefix.join`` the artifact;
+a caller builds the prefix once and joins it to each query's suffix.
 
 All builders are pure functions of their inputs and the mode's template
 file; identical inputs give byte-identical artifacts. Every artifact is
@@ -239,73 +239,6 @@ def prompt_suffix(mode: str, test_nl: str, *, stage: int = 1, block: str = "",
     else:
         lines.append(tpl["cue"])
     return block + "\n".join(lines)
-
-
-def _assemble(mode: str, shots: Sequence[Shot], test_nl: str, budget: TokenBudget | None,
-              *, stage: int = 1, databases: Mapping[str, SchemaProfile] | None = None,
-              test_schema: SchemaProfile | None = None,
-              target: SchemaProfile | None = None, test_sub_questions: Sequence[str] = (),
-              test_steps: Sequence[str] = (), cot_enabled: bool = True) -> PromptArtifact:
-    """The prompt of one pipeline mode (and stage): its prefix joined to
-    its suffix."""
-    if MODES[mode].domain:
-        block = ""
-    elif test_schema is None:
-        raise ValueError(f"{mode} prompts need the test schema")
-    else:
-        block = schema_block(mode, test_schema)
-    prefix = prompt_prefix(mode, shots, databases=databases, target=target,
-                           cot_enabled=cot_enabled)
-    return prefix.join(prompt_suffix(mode, test_nl, stage=stage, block=block,
-                                     test_sub_questions=test_sub_questions,
-                                     test_steps=test_steps), budget, stage)
-
-
-# --- one-shot prompts ----------------------------------------------------------
-
-def build_generic_prompt(shots: Sequence[Shot], databases: Mapping[str, SchemaProfile],
-                         test_nl: str, test_schema: SchemaProfile,
-                         budget: TokenBudget | None = None) -> PromptArtifact:
-    """Assemble the Generic Prompt: exemplar schemas and NL/SQL pairs grouped
-    per database in first-use order, then the test schema, question and the
-    trailing SELECT cue. ``databases`` must resolve every shot's db_id."""
-    return _assemble("gp", shots, test_nl, budget, databases=databases,
-                     test_schema=test_schema)
-
-
-def build_da_prompt(target: SchemaProfile, shots: Sequence[Shot], test_nl: str,
-                    budget: TokenBudget | None = None) -> PromptArtifact:
-    """Assemble the domain-adapted prompt: the single target schema in the
-    domain-enriched format, adapted NL/SQL pairs, then the test question."""
-    return _assemble("da-gp", shots, test_nl, budget, target=target)
-
-
-# --- Least-to-Most prompts ---------------------------------------------------
-
-def build_ltmp_prompt(mode: str, stage: int, shots: Sequence[Shot],
-                      test_nl: str,
-                      databases: Mapping[str, SchemaProfile] | None = None,
-                      target: SchemaProfile | None = None,
-                      test_sub_questions: Sequence[str] = (),
-                      test_steps: Sequence[str] = (),
-                      budget: TokenBudget | None = None,
-                      cot_enabled: bool = True,
-                      test_schema: SchemaProfile | None = None) -> PromptArtifact:
-    """Assemble a least-to-most stage prompt.
-
-    ``mode`` is ``ltmp-gp`` (multi-database exemplar schemas, basic format)
-    or ``ltmp-da-gp`` (single target schema, domain format). Every shot's
-    reasoning chain is shown in full at every stage; the test block grows
-    recursively: stage 1 ends at the sub-question cue, stage 2 adds the
-    generated sub-questions and ends at the intermediate-representation cue,
-    stage 3 adds both and ends at the answer cue.
-    """
-    if mode not in MODES or not MODES[mode].ltmp:
-        raise ValueError(f"{mode!r} is not a least-to-most mode")
-    return _assemble(mode, shots, test_nl, budget, stage=stage, databases=databases,
-                     test_schema=test_schema, target=target,
-                     test_sub_questions=test_sub_questions, test_steps=test_steps,
-                     cot_enabled=cot_enabled)
 
 
 # --- adaptation prompts -------------------------------------------------------

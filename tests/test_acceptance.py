@@ -144,34 +144,28 @@ def test_c5_extraction_ground_truth():
 
 def test_c6_golden_prompts(train_dataset, test_dataset):
     from test_promptforge import (
+        build_prompt,
         da_chains,
         da_shots,
         gp_chains,
         gp_shots,
         nuclear_test_example,
     )
-    from psmith.promptforge import (
-        build_da_prompt,
-        build_generic_prompt,
-        build_ltmp_prompt,
-    )
 
     budget = TokenBudget(limit=4096)
+    test_schema = test_dataset.databases[fixturelib.NUCLEAR_DB]
     artifacts = {
-        "gp.txt": build_generic_prompt(
-            gp_shots(train_dataset), train_dataset.databases,
-            nuclear_test_example(test_dataset).nl,
-            test_dataset.databases[fixturelib.NUCLEAR_DB], budget),
-        "da_gp.txt": build_da_prompt(
-            fixturelib.nuclear_pinned_profile(), da_shots(),
-            fixturelib.TEST_QUESTION, budget),
-        "ltmp_gp_stage1.txt": build_ltmp_prompt(
-            "ltmp-gp", 1, gp_chains(train_dataset), test_nl=fixturelib.TEST_QUESTION,
-            databases=train_dataset.databases,
-            test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
-            budget=budget),
-        "ltmp_da_gp_stage3.txt": build_ltmp_prompt(
-            "ltmp-da-gp", 3, da_chains(), test_nl=fixturelib.TEST_QUESTION,
+        "gp.txt": build_prompt(
+            "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
+            databases=train_dataset.databases, test_schema=test_schema, budget=budget),
+        "da_gp.txt": build_prompt(
+            "da-gp", da_shots(), fixturelib.TEST_QUESTION,
+            target=fixturelib.nuclear_pinned_profile(), budget=budget),
+        "ltmp_gp_stage1.txt": build_prompt(
+            "ltmp-gp", gp_chains(train_dataset), fixturelib.TEST_QUESTION,
+            databases=train_dataset.databases, test_schema=test_schema, budget=budget),
+        "ltmp_da_gp_stage3.txt": build_prompt(
+            "ltmp-da-gp", da_chains(), fixturelib.TEST_QUESTION, stage=3,
             target=fixturelib.nuclear_pinned_profile(),
             test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
             test_steps=fixturelib.LTMP_TEST_STEPS, budget=budget),

@@ -166,6 +166,34 @@ def test_run_manifest_guards_config(runner, kaggledbqa_dir, tmp_path):
     assert more_workers.exit_code == 0, more_workers.output
 
 
+def test_run_manifest_guards_inputs(runner, kaggledbqa_dir, tmp_path):
+    import shutil
+
+    from psmith.llmclient import GenerationRequest, append_record
+    from psmith.pipelines import AdaptationBundle
+
+    bundle, other = tmp_path / "bundle.json", tmp_path / "other.json"
+    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    AdaptationBundle(fixturelib.NUCLEAR_DB, 3).save(other)
+    args = ["run", "--mode", "da-gp", "--test", str(kaggledbqa_dir),
+            "--runs", str(tmp_path / "runs"), "--run-id", "fixed", "--model", "offline-model"]
+    first = runner.invoke(main, args + ["--bundle", str(bundle), "--replay", str(STORE)])
+    assert first.exit_code == 0, first.output
+    manifest = (tmp_path / "runs" / "fixed" / "manifest.json").read_text()
+    # another bundle under the same run id -> refuse, naming the input
+    refused = runner.invoke(main, args + ["--bundle", str(other), "--replay", str(STORE)])
+    assert refused.exit_code != 0
+    assert "different inputs (bundle)" in refused.output + refused.stderr
+    # the replay store is where generations come from, like the worker count -> resume
+    store = tmp_path / "store.jsonl"
+    shutil.copy(STORE, store)
+    append_record(store, GenerationRequest("unrelated", "offline-model"), ["x"])
+    for extra in (["--replay", str(store)], ["--replay", str(STORE), "--workers", "2"]):
+        resumed = runner.invoke(main, args + ["--bundle", str(bundle), *extra])
+        assert resumed.exit_code == 0, resumed.output + resumed.stderr
+    assert (tmp_path / "runs" / "fixed" / "manifest.json").read_text() == manifest
+
+
 def test_manifests_record_input_digests_not_paths(runner, spider_dir, spider_ss_dir,
                                                   kaggledbqa_dir, tmp_path):
     """Runs from two copies of the same inputs, at paths of different
@@ -224,6 +252,21 @@ def test_eval_command(runner, kaggledbqa_dir, tmp_path):
     assert (tmp_path / "report" / "report.jsonl").exists()
 
 
+def test_eval_refuses_a_prediction_the_test_set_lacks(runner, kaggledbqa_dir, tmp_path):
+    predictions = tmp_path / "p.jsonl"
+    rows = [{"db_id": fixturelib.NUCLEAR_DB, "question": q, "sql": sql}
+            for q, sql in fixturelib.nuclear_questions()]
+    rows.append({"db_id": fixturelib.NUCLEAR_DB, "question": "not a test question?",
+                 "sql": "SELECT 1"})
+    predictions.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    result = runner.invoke(main, ["eval", "--predictions", str(predictions),
+                                  "--test", str(kaggledbqa_dir),
+                                  "--out", str(tmp_path / "report")])
+    assert result.exit_code == 2, result.output
+    assert "not a test question?" in result.stderr
+    assert not (tmp_path / "report").exists()
+
+
 def test_sample_empty_train_manifest(runner, tmp_path):
     train = tmp_path / "train"
     train.mkdir()
@@ -277,18 +320,19 @@ def test_run_resumes_under_a_file_setting_only_adapt_reads(runner, kaggledbqa_di
 
 def test_adapt_drafts_follow_the_cot_setting(runner, spider_dir, spider_ss_dir,
                                              kaggledbqa_dir, tmp_path, monkeypatch):
-    from psmith.promptforge import prompts
+    from psmith.llmclient import LlmClient
     from psmith.promptforge.templates import load_template
 
+    template = load_template("ltmp_gp")
     drafts = []
 
-    def recording(*args, **kwargs):
-        artifact = build(*args, **kwargs)
-        drafts.append(artifact.text)
-        return artifact
+    def recording(client, request):
+        if request.prompt.startswith(template["note"]):  # not an adaptation prompt
+            drafts.append(request.prompt)
+        return generate(client, request)
 
-    build = prompts.build_ltmp_prompt
-    monkeypatch.setattr(prompts, "build_ltmp_prompt", recording)
+    generate = LlmClient.generate
+    monkeypatch.setattr(LlmClient, "generate", recording)
     report = tmp_path / "report.jsonl"
     assert runner.invoke(main, ["sample", "--train", str(spider_dir),
                                 "--out", str(report)]).exit_code == 0
@@ -300,7 +344,6 @@ def test_adapt_drafts_follow_the_cot_setting(runner, spider_dir, spider_ss_dir,
         "--model", "offline-model"])
     # the store holds the chain-of-thought drafts only, so every draft misses
     assert result.exit_code == 1, result.output + result.stderr
-    template = load_template("ltmp_gp")
     assert drafts
     for text in drafts:
         assert template["plain_answer_line"] in text.splitlines()

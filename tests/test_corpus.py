@@ -203,15 +203,6 @@ def test_profile_not_a_database(tmp_path):
         profile_schema(tmp_path / "missing.sqlite", 0)
 
 
-def test_profile_reads_keys(spider_dir):
-    path = spider_dir / "database" / "college_2" / "college_2.sqlite"
-    profile = profile_schema(path, 0)
-    assert profile.primary_keys["classroom"] == ("building", "room_number")
-    teaches_fk = [fk for fk in profile.foreign_keys
-                  if fk.from_table == "teaches" and fk.to_table == "section"]
-    assert teaches_fk and len(teaches_fk[0].from_columns) == 4
-
-
 # --- concurrent profiling against the sequential oracle ------------------------
 
 QUOTED_TABLE = 'fire "events" log'

@@ -198,7 +198,7 @@ def test_da_stage1_accepts_first_valid_candidate(tmp_path, train_dataset, target
         " DISTINCT Latitude FROM no_such_table WHERE Capacity > 50",   # not executable
         " DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50",
     ])])
-    sql, ted, attempts, _ = da_stage1_transfer(
+    sql, ted, attempts = da_stage1_transfer(
         exemplar, train_dataset.databases[exemplar.db_id], target_schema, client,
         ted_threshold=2, max_beam_samples=8)
     assert sql == "SELECT DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50"
@@ -262,7 +262,7 @@ def test_da_stage1_skips_candidate_failing_on_a_late_row(tmp_path, train_dataset
         LATE_ERROR_SQL.removeprefix("SELECT"),
         " DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50",
     ])])
-    sql, ted, attempts, _ = da_stage1_transfer(
+    sql, ted, attempts = da_stage1_transfer(
         exemplar, train_dataset.databases[exemplar.db_id], target, client,
         ted_threshold=2, max_beam_samples=8)
     assert sql == "SELECT DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50"
@@ -276,7 +276,7 @@ def test_da_stage2_generates_question(tmp_path, target_schema):
     request = probe.request(artifact.text, max_output_tokens=128, stop=["#", "\n"])
     client = scripted_client(tmp_path, [
         (request, [" Find the latitudes of nuclear power plants with capacity more than 50."])])
-    question, _ = da_stage2_generate_nl(sql, target_schema, client)
+    question = da_stage2_generate_nl(sql, target_schema, client)
     assert question == "Find the latitudes of nuclear power plants with capacity more than 50."
 
 
@@ -353,8 +353,9 @@ def test_chains_require_decompositions(train_dataset):
 def test_run_gp_pipeline_identity(tmp_path, train_dataset, test_dataset):
     """A store whose completions equal gold yields 100% downstream."""
     from psmith.evaluator import evaluate
-    from psmith.promptforge import TokenBudget, build_generic_prompt
+    from psmith.promptforge import TokenBudget
     from psmith.sampler import sample_exemplars
+    from test_promptforge import build_prompt
 
     exemplars = sample_exemplars(train_dataset).exemplars
     nuclear = [ex for ex in test_dataset.examples
@@ -362,9 +363,9 @@ def test_run_gp_pipeline_identity(tmp_path, train_dataset, test_dataset):
     probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     store_path = tmp_path / "gp-store.jsonl"
     for example in nuclear:
-        artifact = build_generic_prompt(
-            shots_for("gp", exemplars), train_dataset.databases, example.nl,
-            test_dataset.databases[example.db_id], TokenBudget())
+        artifact = build_prompt(
+            "gp", shots_for("gp", exemplars), example.nl, databases=train_dataset.databases,
+            test_schema=test_dataset.databases[example.db_id], budget=TokenBudget())
         request = probe.request(artifact.text, max_output_tokens=256)
         completion = example.sql[len("SELECT"):] if example.sql.upper().startswith("SELECT") else example.sql
         append_record(store_path, request, [completion])
@@ -411,16 +412,17 @@ def test_pipeline_config_validation():
 
 def build_gp_identity_store(tmp_path, train_dataset, test_dataset, examples):
     """Replay store whose GP completions echo each query's gold SQL."""
-    from psmith.promptforge import TokenBudget, build_generic_prompt
+    from psmith.promptforge import TokenBudget
     from psmith.sampler import sample_exemplars
+    from test_promptforge import build_prompt
 
     exemplars = sample_exemplars(train_dataset).exemplars
     probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     store_path = tmp_path / "gp-identity.jsonl"
     for example in examples:
-        artifact = build_generic_prompt(
-            shots_for("gp", exemplars), train_dataset.databases, example.nl,
-            test_dataset.databases[example.db_id], TokenBudget())
+        artifact = build_prompt(
+            "gp", shots_for("gp", exemplars), example.nl, databases=train_dataset.databases,
+            test_schema=test_dataset.databases[example.db_id], budget=TokenBudget())
         request = probe.request(artifact.text, max_output_tokens=256)
         append_record(store_path, request, [example.sql[len("SELECT"):]])
     return exemplars, store_path
@@ -560,7 +562,8 @@ def test_run_da_gp_empty_bundle_zero_shot(tmp_path, test_dataset, caplog):
     """An empty adaptation bundle degrades to a zero-shot domain prompt."""
     from psmith.corpus import attach_value_profile
     from psmith.corpus.types import AnnotatedDataset
-    from psmith.promptforge import TokenBudget, build_da_prompt
+    from psmith.promptforge import TokenBudget
+    from test_promptforge import build_prompt
 
     target = attach_value_profile(
         test_dataset.databases[fixturelib.NUCLEAR_DB], seed=0)
@@ -570,7 +573,7 @@ def test_run_da_gp_empty_bundle_zero_shot(tmp_path, test_dataset, caplog):
     probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     store = tmp_path / "zero-shot.jsonl"
     for example in nuclear:
-        artifact = build_da_prompt(target, [], example.nl, TokenBudget())
+        artifact = build_prompt("da-gp", [], example.nl, target=target, budget=TokenBudget())
         request = probe.request(artifact.text, max_output_tokens=256)
         append_record(store, request, [" 1"])
     client = LlmClient(mode="replay", replay_store=ReplayStore.load(store),
@@ -600,19 +603,20 @@ def test_normalize_idempotent_property(raw, with_cue):
 
 
 def test_cot_flag_changes_stage_prompt(train_dataset, test_dataset):
-    from psmith.promptforge import build_ltmp_prompt
-    from test_promptforge import gp_chains
+    from test_promptforge import build_prompt, gp_chains
 
     common = dict(
+        mode="ltmp-gp",
         shots=gp_chains(train_dataset),
         test_nl=fixturelib.TEST_QUESTION,
+        stage=3,
         databases=train_dataset.databases,
         test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
         test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
         test_steps=fixturelib.LTMP_TEST_STEPS,
     )
-    with_cot = build_ltmp_prompt("ltmp-gp", 3, cot_enabled=True, **common)
-    without = build_ltmp_prompt("ltmp-gp", 3, cot_enabled=False, **common)
+    with_cot = build_prompt(cot_enabled=True, **common)
+    without = build_prompt(cot_enabled=False, **common)
     assert "Lets think step by step" in with_cot.text
     assert "Lets think step by step" not in without.text
     assert without.text.endswith("A:")
@@ -621,11 +625,12 @@ def test_cot_flag_changes_stage_prompt(train_dataset, test_dataset):
 def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
                                          spider_ss_dir):
     """ltmp-gp through run_pipeline: three stages per query, each journaled
-    prompt equal to the one build_ltmp_prompt gives for the same inputs."""
+    prompt equal to one built from scratch for the same inputs."""
     from psmith.corpus import load_spider_ss
     from psmith.corpus.types import AnnotatedDataset
-    from psmith.promptforge import TokenBudget, build_ltmp_prompt
+    from psmith.promptforge import TokenBudget
     from psmith.sampler import sample_exemplars
+    from test_promptforge import build_prompt
 
     exemplars = sample_exemplars(train_dataset).exemplars
     records = load_spider_ss(spider_ss_dir)
@@ -640,14 +645,14 @@ def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
     for index, example in enumerate(queries):
         subs = (f"first part of question {index}", f"second part of question {index}")
         steps = (f"select step one {index}", f"select step two {index}")
-        common = dict(test_nl=example.nl, databases=train_dataset.databases,
+        common = dict(mode="ltmp-gp", shots=chains, test_nl=example.nl,
+                      databases=train_dataset.databases,
                       test_schema=test_dataset.databases[example.db_id],
                       budget=TokenBudget())
         stages = [
-            build_ltmp_prompt("ltmp-gp", 1, chains, **common),
-            build_ltmp_prompt("ltmp-gp", 2, chains, test_sub_questions=subs, **common),
-            build_ltmp_prompt("ltmp-gp", 3, chains, test_sub_questions=subs,
-                              test_steps=steps, **common),
+            build_prompt(stage=1, **common),
+            build_prompt(stage=2, test_sub_questions=subs, **common),
+            build_prompt(stage=3, test_sub_questions=subs, test_steps=steps, **common),
         ]
         expected_prompts[index] = stages
         answers = [
@@ -685,22 +690,21 @@ def test_run_stage2_checks_arity_and_keeps_the_completion(tmp_path, train_datase
                                                           test_dataset, spider_ss_dir):
     from psmith.corpus import load_spider_ss
     from psmith.corpus.types import AnnotatedDataset
-    from psmith.promptforge import build_ltmp_prompt
     from psmith.sampler import sample_exemplars
+    from test_promptforge import build_prompt
 
     exemplars = sample_exemplars(train_dataset).exemplars
     records = load_spider_ss(spider_ss_dir)
     example = next(ex for ex in test_dataset.examples if ex.db_id == fixturelib.NUCLEAR_DB)
     subs = ("first part", "second part")
-    common = dict(databases=train_dataset.databases,
+    common = dict(mode="ltmp-gp", shots=shots_for("ltmp-gp", exemplars, records),
+                  test_nl=example.nl, databases=train_dataset.databases,
                   test_schema=test_dataset.databases[example.db_id])
-    shots = shots_for("ltmp-gp", exemplars, records)
     probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     client = scripted_client(tmp_path, [
-        (probe.request(build_ltmp_prompt("ltmp-gp", 1, shots, example.nl, **common).text,
-                       stop=["\n"]), ["['first part', 'second part']"]),
-        (probe.request(build_ltmp_prompt("ltmp-gp", 2, shots, example.nl,
-                                         test_sub_questions=subs, **common).text,
+        (probe.request(build_prompt(stage=1, **common).text, stop=["\n"]),
+         ["['first part', 'second part']"]),
+        (probe.request(build_prompt(stage=2, test_sub_questions=subs, **common).text,
                        stop=["\n"]), [" ['only one step']"]),
     ])
     outcome = run_pipeline(PipelineConfig(mode="ltmp-gp"), client,
@@ -819,12 +823,11 @@ def test_every_journaled_stage_reassembles_to_its_prompt(tmp_path, train_dataset
                                                          test_dataset, spider_ss_dir,
                                                          workers):
     """In every mode, each stage entry's prefix record and suffix join into
-    the prompt the one-shot builders give for the same query, stage and
-    generated lists, with the entry's sha256; each journal holds its prefix
-    once."""
+    the prompt built from scratch for the same query, stage and generated
+    lists, with the entry's sha256; each journal holds its prefix once."""
     from psmith.corpus import load_spider_ss
-    from psmith.promptforge import build_da_prompt, build_generic_prompt, build_ltmp_prompt
     from psmith.sampler import sample_exemplars
+    from test_promptforge import build_prompt
 
     bundle, _ = committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir)
     exemplars = sample_exemplars(train_dataset).exemplars
@@ -850,17 +853,11 @@ def test_every_journaled_stage_reassembles_to_its_prompt(tmp_path, train_dataset
             schema = test_dataset.databases[record["db_id"]]
             assert len(record["stages"]) == (3 if mode.startswith("ltmp") else 1)
             for number, stage in enumerate(record["stages"], 1):
-                if mode == "gp":
-                    expected = build_generic_prompt(shots, train_dataset.databases, nl,
-                                                    schema)
-                elif mode == "da-gp":
-                    expected = build_da_prompt(target, shots, nl)
-                else:
-                    expected = build_ltmp_prompt(
-                        mode, number, shots, nl, databases=train_dataset.databases,
-                        target=target, test_schema=schema,
-                        test_sub_questions=record["sub_questions"] if number > 1 else (),
-                        test_steps=record["natsql_steps"] if number > 2 else ())
+                expected = build_prompt(
+                    mode, shots, nl, stage=number, databases=train_dataset.databases,
+                    target=target, test_schema=schema,
+                    test_sub_questions=record["sub_questions"] if number > 1 else (),
+                    test_steps=record["natsql_steps"] if number > 2 else ())
                 assert stage["text"] == expected.text, (mode, nl, number)
                 assert stage["sha256"] == expected.digest
                 assert stage["mode"] == expected.mode

@@ -9,12 +9,10 @@ import fixturelib
 from psmith.corpus.types import AnnotatedExample, Column, SchemaProfile, Table
 from psmith.errors import BudgetExceeded, MissingProfile
 from psmith.promptforge import (
+    MODES,
     PromptPrefix,
     Shot,
     TokenBudget,
-    build_da_prompt,
-    build_generic_prompt,
-    build_ltmp_prompt,
     count_tokens,
     exemplar_id,
     prompt_prefix,
@@ -28,6 +26,17 @@ from psmith.promptforge import (
 # Pinned heuristic token count of the full generic-prompt fixture; guards
 # against template drift.
 GP_FIXTURE_TOKENS = 1888
+
+
+def build_prompt(mode, shots, test_nl, *, stage=1, test_schema=None, budget=None,
+                 test_sub_questions=(), test_steps=(), **context):
+    """One *mode* prompt built from scratch: its prefix (*context*:
+    ``databases``, ``target``, ``cot_enabled``) joined to its suffix, which
+    opens with *test_schema*'s block in the generic modes."""
+    block = "" if MODES[mode].domain else schema_block(mode, test_schema)
+    suffix = prompt_suffix(mode, test_nl, stage=stage, block=block,
+                           test_sub_questions=test_sub_questions, test_steps=test_steps)
+    return prompt_prefix(mode, shots, **context).join(suffix, budget, stage)
 
 
 def shot(db_id, nl, sql, subs=(), steps=()):
@@ -112,12 +121,11 @@ def test_render_domain_range_form(kaggledbqa_dir, test_dataset):
 # --- golden prompts ---------------------------------------------------------------
 
 def test_generic_prompt_matches_golden(golden, train_dataset, test_dataset):
-    artifact = build_generic_prompt(
-        gp_shots(train_dataset),
-        train_dataset.databases,
-        nuclear_test_example(test_dataset).nl,
-        test_dataset.databases[fixturelib.NUCLEAR_DB],
-        TokenBudget(),
+    artifact = build_prompt(
+        "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
+        databases=train_dataset.databases,
+        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
+        budget=TokenBudget(),
     )
     assert artifact.text == golden("gp.txt")
     assert artifact.text.endswith("SELECT")
@@ -129,27 +137,26 @@ def test_generic_prompt_token_count_pinned(golden):
 
 
 def test_generic_prompt_zero_shot(train_dataset, test_dataset):
-    artifact = build_generic_prompt(
-        [], train_dataset.databases, nuclear_test_example(test_dataset).nl,
-        test_dataset.databases[fixturelib.NUCLEAR_DB], TokenBudget())
+    artifact = build_prompt(
+        "gp", [], nuclear_test_example(test_dataset).nl, databases=train_dataset.databases,
+        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB], budget=TokenBudget())
     assert "classroom" not in artifact.text
     assert artifact.text.endswith("SELECT")
 
 
 def test_generic_prompt_deterministic(golden, train_dataset, test_dataset):
-    build = lambda: build_generic_prompt(  # noqa: E731
-        gp_shots(train_dataset), train_dataset.databases,
-        nuclear_test_example(test_dataset).nl,
-        test_dataset.databases[fixturelib.NUCLEAR_DB], TokenBudget())
+    build = lambda: build_prompt(  # noqa: E731
+        "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
+        databases=train_dataset.databases,
+        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB], budget=TokenBudget())
     assert build().text == build().text
 
 
 def test_da_prompt_matches_golden(golden):
-    artifact = build_da_prompt(
-        fixturelib.nuclear_pinned_profile(),
-        da_shots(),
-        fixturelib.TEST_QUESTION,
-        TokenBudget(),
+    artifact = build_prompt(
+        "da-gp", da_shots(), fixturelib.TEST_QUESTION,
+        target=fixturelib.nuclear_pinned_profile(),
+        budget=TokenBudget(),
     )
     assert artifact.text == golden("da_gp.txt")
     assert artifact.token_count <= 4096
@@ -167,9 +174,8 @@ def gp_chains(train_dataset):
 
 
 def test_ltmp_gp_stage1_matches_golden(golden, train_dataset, test_dataset):
-    artifact = build_ltmp_prompt(
-        "ltmp-gp", 1, gp_chains(train_dataset),
-        test_nl=fixturelib.TEST_QUESTION,
+    artifact = build_prompt(
+        "ltmp-gp", gp_chains(train_dataset), fixturelib.TEST_QUESTION,
         databases=train_dataset.databases,
         test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
         budget=TokenBudget(),
@@ -180,9 +186,8 @@ def test_ltmp_gp_stage1_matches_golden(golden, train_dataset, test_dataset):
 
 
 def test_ltmp_da_gp_stage3_matches_golden(golden):
-    artifact = build_ltmp_prompt(
-        "ltmp-da-gp", 3, da_chains(),
-        test_nl=fixturelib.TEST_QUESTION,
+    artifact = build_prompt(
+        "ltmp-da-gp", da_chains(), fixturelib.TEST_QUESTION, stage=3,
         target=fixturelib.nuclear_pinned_profile(),
         test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
         test_steps=fixturelib.LTMP_TEST_STEPS,
@@ -194,9 +199,8 @@ def test_ltmp_da_gp_stage3_matches_golden(golden):
 
 
 def test_ltmp_stage2_cue(golden):
-    artifact = build_ltmp_prompt(
-        "ltmp-da-gp", 2, da_chains(),
-        test_nl=fixturelib.TEST_QUESTION,
+    artifact = build_prompt(
+        "ltmp-da-gp", da_chains(), fixturelib.TEST_QUESTION, stage=2,
         target=fixturelib.nuclear_pinned_profile(),
         test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
         budget=TokenBudget(),
@@ -247,13 +251,16 @@ def test_one_prefix_serves_every_ltmp_stage(train_dataset, test_dataset):
     for stage in (1, 2, 3):
         lists = dict(test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
                      test_steps=fixturelib.LTMP_TEST_STEPS)
-        expected = build_ltmp_prompt(
-            "ltmp-gp", stage, gp_chains(train_dataset), fixturelib.TEST_QUESTION,
+        # a prefix built afresh for this stage alone
+        expected = build_prompt(
+            "ltmp-gp", gp_chains(train_dataset), fixturelib.TEST_QUESTION, stage=stage,
             databases=train_dataset.databases,
             test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB], **lists)
         suffix = prompt_suffix("ltmp-gp", fixturelib.TEST_QUESTION, stage=stage,
                                block=block, **lists)
-        assert prefix.join(suffix, stage=stage) == expected
+        artifact = prefix.join(suffix, stage=stage)
+        assert artifact == expected
+        assert artifact.digest == expected.digest
 
 
 def test_suffix_takes_a_schema_block_in_the_generic_modes_only(test_dataset):
@@ -277,17 +284,18 @@ def test_budget_counts_the_whole_prompt_not_its_parts():
 
 def test_budget_enforced_at_construction(train_dataset, test_dataset):
     with pytest.raises(BudgetExceeded):
-        build_generic_prompt(
-            gp_shots(train_dataset), train_dataset.databases,
-            nuclear_test_example(test_dataset).nl,
-            test_dataset.databases[fixturelib.NUCLEAR_DB], TokenBudget(limit=10))
+        build_prompt(
+            "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
+            databases=train_dataset.databases,
+            test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
+            budget=TokenBudget(limit=10))
 
 
 def test_artifact_round_trip(tmp_path, train_dataset, test_dataset):
-    artifact = build_generic_prompt(
-        gp_shots(train_dataset), train_dataset.databases,
-        nuclear_test_example(test_dataset).nl,
-        test_dataset.databases[fixturelib.NUCLEAR_DB], TokenBudget())
+    artifact = build_prompt(
+        "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
+        databases=train_dataset.databases,
+        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB], budget=TokenBudget())
     path = tmp_path / "gp.prompt"
     save_artifact(artifact, path)
     header, _, text = path.read_text(encoding="utf-8").partition("\n")
