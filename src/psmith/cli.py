@@ -200,8 +200,11 @@ def _input_digests(mode: str, test_dir, train_dir, report_path, bundle_path,
 def _write_manifest(run_dir: Path, payload: dict) -> None:
     """Snapshot a new run, or check that a resumed one keeps its
     configuration and its inputs. The replay store is not compared: like
-    ``llm_mode``, it is where generations come from."""
+    ``llm_mode``, it is where generations come from. ``inputs.replay``
+    lists the digest of every store the run's sessions read, first one
+    first, and a resume from another store appends its digest."""
     manifest = run_dir / "manifest.json"
+    replay = payload["inputs"]["replay"]
     if manifest.exists():
         previous = json.loads(manifest.read_text(encoding="utf-8"))
         if previous.get("config") != payload["config"]:
@@ -215,8 +218,16 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
             raise click.ClickException(
                 f"run {payload['run_id']} already exists with different inputs "
                 f"({', '.join(changed)}); pick a new --run-id")
-        return
-    payload["created"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
+        read = inputs.get("replay") or []
+        if isinstance(read, str):  # a manifest from before the list
+            read = [read]
+        if replay is None or replay in read:
+            return
+        inputs["replay"] = read + [replay]
+        payload = previous
+    else:
+        payload["inputs"]["replay"] = [replay] if replay else None
+        payload["created"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
     manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
 

@@ -4,7 +4,10 @@ Predictions are untrusted input: databases are opened read-only, an
 authorizer refuses every action but reading when a statement is prepared,
 sqlite refuses a second statement, a statement timeout bounds pathological
 queries and a length limit each value they build (psmith.readonly), and a
-prediction is fetched only up to one row more than its gold result.
+prediction is fetched only while it can still equal its gold result: it
+holds at most gold's rows plus one, and gold's text and blob length plus
+one row. On Python 3.10, which cannot set the length limit, that one row is
+bounded only by sqlite's default limit of 10^9 bytes a value.
 Results are compared as row sequences when the gold query has a
 top-level ORDER BY and otherwise as multisets: equivalent when a perfect
 matching pairs their rows, with no row threshold. Two ints match only when
@@ -50,7 +53,7 @@ _READ_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
 class ResultTable:
     columns: int
     rows: tuple[tuple, ...]
-    truncated: bool = False  # more rows follow than execute_sql's max_rows kept
+    truncated: bool = False  # execute_sql stopped fetching: the result cannot equal `within`
 
     def __post_init__(self):
         for row in self.rows:
@@ -122,29 +125,44 @@ def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: 
 
 def execute_sql(db: str | Path | sqlite3.Connection, sql: str,
                 timeout_s: float = STATEMENT_TIMEOUT_S,
-                max_rows: int | None = None) -> ResultTable:
-    """Execute one query and materialize the result, or only its first
-    max_rows rows when max_rows is given, marked truncated when another row
-    follows. *db* is a database file, opened read-only for the query, or a
-    connection from readonly.connect_read_only; either way the statement
-    runs under its own timeout and read-only authorizer.
+                within: ResultTable | None = None) -> ResultTable:
+    """Execute one query and materialize the result. With *within*, fetch
+    only while the result can still equal that table: stop, and mark the
+    result truncated, once its column count differs, it has one row more,
+    or its text and blob cells are longer in total. *db* is a database
+    file, opened read-only for the query, or a connection from
+    readonly.connect_read_only; either way the statement runs under its own
+    timeout and read-only authorizer.
 
     Raises SqlRejected for anything but a single read-only statement,
     SqlTimeout past the statement timeout, and SqlError for syntax/semantic
-    failures (message attached). With max_rows, only an error on one of the
-    first max_rows + 1 rows raises: sqlite3 steps the row after each row it
-    returns, so the row after those is stepped and its error ignored.
+    failures (message attached). With *within*, an error while stepping
+    past its last row marks the result truncated instead: sqlite3 steps the
+    row after each row it returns, so that row exists.
     """
     with _read_only_cursor(db, sql, timeout_s) as cursor:
-        if max_rows is None:
-            return ResultTable(len(cursor.description), tuple(cursor.fetchall()))
-        # fetchmany(0) would fetch every row
-        rows = tuple(cursor.fetchmany(max_rows)) if max_rows else ()
+        columns = len(cursor.description)
+        if within is None:
+            return ResultTable(columns, tuple(cursor.fetchall()))
+        if columns != within.columns:
+            return ResultTable(columns, (), truncated=True)
+        # strings and blobs match only when equal, so equivalent results
+        # hold text and blob cells of the same total length
+        rows, room = [], sum(len(cell) for row in within.rows for cell in row
+                             if cell.__class__ is str or cell.__class__ is bytes)
         try:
-            truncated = cursor.fetchone() is not None
-        except sqlite3.DatabaseError:  # stepping past a row that exists
-            truncated = True
-        return ResultTable(len(cursor.description), rows, truncated)
+            for row in cursor:
+                rows.append(row)
+                for cell in row:
+                    if cell.__class__ is str or cell.__class__ is bytes:
+                        room -= len(cell)
+                if room < 0 or len(rows) > len(within.rows):
+                    return ResultTable(columns, tuple(rows), truncated=True)
+        except sqlite3.DatabaseError:
+            if len(rows) < len(within.rows):
+                raise
+            return ResultTable(columns, tuple(rows), truncated=True)
+        return ResultTable(columns, tuple(rows))
 
 
 def check_executes(db_path: str | Path, sql: str,
@@ -301,9 +319,8 @@ def _score_pair(sqlite_path: Path, gold_sql: str, predicted: str,
             if not predicted.strip():
                 return FAIL_EMPTY
             try:
-                # a prediction with more rows than gold is wrong however many it has
                 predicted_result = execute_sql(conn, predicted, timeout_s,
-                                               max_rows=len(gold_result.rows))
+                                               within=gold_result)
             except SqlError:
                 return FAIL_EXEC
     except SqlError as exc:  # the database or the gold query failed

@@ -40,6 +40,9 @@ from .normalize import normalize_question, normalize_sql
 
 logger = logging.getLogger(__name__)
 
+# the output allowance of a stage-2 question; part of every stage-2 replay key
+QUESTION_MAX_TOKENS = 128
+
 
 @dataclass
 class AdaptedExemplar:
@@ -167,12 +170,11 @@ def da_stage2_generate_nl(
     client: LlmClient,
     *,
     budget=None,
-    max_output_tokens: int = 128,
 ) -> str:
     """Generate the NL question describing *adapted_sql* on the target schema."""
     artifact = build_adapt_nl_prompt(target_schema, adapted_sql, budget)
     request = client.request(
-        artifact.text, max_output_tokens=max_output_tokens, stop=["#", "\n"])
+        artifact.text, max_output_tokens=QUESTION_MAX_TOKENS, stop=["#", "\n"])
     result = client.generate(request)
     question = normalize_question(result.text)
     if not question:

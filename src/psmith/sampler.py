@@ -6,19 +6,25 @@ joins the exemplar set iff it covers at least one still-uncovered catalog
 operation; on joining, any existing exemplar whose operation set is a subset
 of the newcomer's is removed. Selection stops once every catalog operation
 attainable from the corpus is covered.
+
+The selection must fit the token budget as the GP prompt prefix that shows
+it: the note, each exemplar database's schema and the exemplars, rendered
+by promptforge as ``run --mode gp`` sends it. Each ``run`` prompt then adds
+its test schema and question and is checked whole, per query.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .corpus.types import AnnotatedDataset, Role
 from .errors import BudgetExceeded, ParseError
 from .promptforge.budget import TokenBudget, count_tokens
+from .promptforge.prompts import Shot, exemplar_id, prompt_prefix
 from .sqlanalysis.ops import PrimitiveOp, default_catalog, extract_operators
 
 logger = logging.getLogger(__name__)
@@ -32,26 +38,14 @@ class Exemplar:
     ops: frozenset[PrimitiveOp]
 
 
-@dataclass
-class ExemplarSet:
-    items: list[Exemplar] = field(default_factory=list)
+def covered(exemplars: Iterable[Exemplar]) -> frozenset[PrimitiveOp]:
+    """The catalog operations the exemplars cover between them."""
+    return frozenset().union(*(item.ops for item in exemplars))
 
-    @property
-    def covered(self) -> frozenset[PrimitiveOp]:
-        return frozenset().union(*(item.ops for item in self.items))
 
-    def db_ids(self) -> list[str]:
-        seen: list[str] = []
-        for item in self.items:
-            if item.db_id not in seen:
-                seen.append(item.db_id)
-        return seen
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
+def db_ids(exemplars: Iterable[Exemplar]) -> list[str]:
+    """The exemplars' databases, in first-use order."""
+    return list(dict.fromkeys(item.db_id for item in exemplars))
 
 
 # --- the greedy core, reusable on abstract (key, opset) items ----------------
@@ -96,7 +90,7 @@ def _safe_extract(sql: str, catalog: frozenset[PrimitiveOp]) -> frozenset[Primit
 
 @dataclass
 class SamplingResult:
-    exemplars: ExemplarSet
+    exemplars: list[Exemplar]
     unattainable: list[PrimitiveOp]
     first_cover: dict[PrimitiveOp, str]
     pruned: list[Exemplar]
@@ -105,7 +99,7 @@ class SamplingResult:
 
     @property
     def covered_count(self) -> int:
-        return len(self.exemplars.covered)
+        return len(covered(self.exemplars))
 
 
 def sample_exemplars(dataset: AnnotatedDataset,
@@ -114,8 +108,11 @@ def sample_exemplars(dataset: AnnotatedDataset,
     """Algorithm: traverse databases in descending order of the operator
     coverage of their queries, ties by ascending db_id, and each database's
     queries in manifest order; apply the replacement-greedy cover, then fit
-    the rendered exemplar blocks into the token budget by redundant-first
-    pruning. Each query's SQL is analysed once; unparseable SQL is skipped.
+    the GP prompt prefix of the selection (the note, each exemplar
+    database's schema and the exemplars) within ``budget.limit`` tokens by
+    redundant-first pruning. A run's prompts add the test schema and
+    question to that prefix and are budget-checked whole, per query. Each
+    query's SQL is analysed once; unparseable SQL is skipped.
 
     Catalog ops unattainable from the corpus are reported, not fatal.
     Raises BudgetExceeded only when a sole-cover exemplar would have to go.
@@ -143,17 +140,15 @@ def sample_exemplars(dataset: AnnotatedDataset,
     ordered_items = [(key, ops_by_key[key]) for db_id in db_order for key in per_db[db_id]]
     selected_keys, first_cover_keys = greedy_cover(ordered_items, catalog)
 
-    exemplars = ExemplarSet([
-        Exemplar(example_by_key[k].db_id, example_by_key[k].nl,
-                 example_by_key[k].sql, ops_by_key[k])
-        for k in selected_keys
-    ])
+    exemplars = [Exemplar(example_by_key[k].db_id, example_by_key[k].nl,
+                          example_by_key[k].sql, ops_by_key[k])
+                 for k in selected_keys]
     first_cover = {
         op: f"{example_by_key[key].db_id}: {example_by_key[key].nl}"
         for op, key in first_cover_keys.items()
     }
 
-    unattainable = sorted(catalog - exemplars.covered)
+    unattainable = sorted(catalog - covered(exemplars))
     if unattainable:
         logger.warning(
             "catalog ops unattainable from the corpus: %s",
@@ -165,25 +160,21 @@ def sample_exemplars(dataset: AnnotatedDataset,
                           db_order, len(catalog))
 
 
-def _prune_to_budget(exemplars: ExemplarSet, dataset: AnnotatedDataset,
+def _prune_to_budget(exemplars: list[Exemplar], dataset: AnnotatedDataset,
                      budget: TokenBudget) -> list[Exemplar]:
-    """Drop set-wise redundant exemplars until the rendered exemplar blocks
-    fit the budget. Sole covers of any op are kept; if one must go, raise."""
-    from .promptforge.schema_render import render_schema_basic
+    """Drop set-wise redundant exemplars, in place, until the GP prompt
+    prefix that shows them fits the budget. Sole covers of any op are kept;
+    if one must go, raise."""
 
-    def rendered_size() -> int:
-        parts = []
-        for db_id in exemplars.db_ids():
-            parts.append(render_schema_basic(dataset.databases[db_id]))
-            parts.extend(f"### {e.nl}\n{e.sql}" for e in exemplars if e.db_id == db_id)
-        return count_tokens("\n#\n".join(parts))
+    def prefix_tokens() -> int:
+        shots = [Shot(exemplar_id(e), e.db_id, e.nl, e.sql) for e in exemplars]
+        return count_tokens(prompt_prefix("gp", shots, databases=dataset.databases).text)
 
     pruned: list[Exemplar] = []
-    while rendered_size() > budget.limit:
+    while prefix_tokens() > budget.limit:
         candidates = []
-        for i, item in enumerate(exemplars.items):
-            others = frozenset().union(
-                *(other.ops for j, other in enumerate(exemplars.items) if j != i))
+        for i, item in enumerate(exemplars):
+            others = covered(other for j, other in enumerate(exemplars) if j != i)
             if item.ops <= others:
                 candidates.append((len(item.ops & others), i))
         if not candidates:
@@ -193,7 +184,7 @@ def _prune_to_budget(exemplars: ExemplarSet, dataset: AnnotatedDataset,
         # redundant-first: largest overlap with the rest; ties drop the later one
         candidates.sort(key=lambda pair: (-pair[0], -pair[1]))
         _, index = candidates[0]
-        victim = exemplars.items.pop(index)
+        victim = exemplars.pop(index)
         pruned.append(victim)
         logger.warning("budget pruning dropped exemplar %s: %r", victim.db_id, victim.nl)
     return pruned
@@ -209,7 +200,7 @@ def write_report(result: SamplingResult, path: str | Path) -> None:
         f.write(json.dumps({
             "kind": "summary",
             "exemplars": len(result.exemplars),
-            "databases": result.exemplars.db_ids(),
+            "databases": db_ids(result.exemplars),
             "ops_covered": result.covered_count,
             "catalog_size": result.catalog_size,
             "unattainable": [str(op) for op in result.unattainable],
@@ -231,8 +222,8 @@ def write_report(result: SamplingResult, path: str | Path) -> None:
             }, sort_keys=True) + "\n")
 
 
-def read_report(path: str | Path) -> ExemplarSet:
-    """Reload the exemplar set from a sampling report."""
+def read_report(path: str | Path) -> list[Exemplar]:
+    """Reload the sampled exemplars from a sampling report."""
     items: list[Exemplar] = []
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -241,15 +232,15 @@ def read_report(path: str | Path) -> ExemplarSet:
                 continue
             ops = frozenset(PrimitiveOp(*entry.split(":", 1)) for entry in record["ops"])
             items.append(Exemplar(record["db_id"], record["nl"], record["sql"], ops))
-    return ExemplarSet(items)
+    return items
 
 
 def summarize(result: SamplingResult) -> str:
     """Human-readable sampling summary."""
+    databases = db_ids(result.exemplars)
     lines = [
         f"exemplars: {len(result.exemplars)}",
-        f"databases: {len(result.exemplars.db_ids())} "
-        f"({', '.join(result.exemplars.db_ids())})",
+        f"databases: {len(databases)} ({', '.join(databases)})",
         f"ops covered: {result.covered_count} of {result.catalog_size}",
     ]
     if result.unattainable:

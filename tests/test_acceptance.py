@@ -22,7 +22,7 @@ from psmith.corpus.types import AnnotatedDataset
 from psmith.evaluator import evaluate, execute_sql
 from psmith.errors import SqlRejected
 from psmith.promptforge import TokenBudget, count_tokens
-from psmith.sampler import greedy_cover, sample_exemplars
+from psmith.sampler import db_ids, greedy_cover, sample_exemplars
 from psmith.sqlanalysis import extract_operators, tree_edit_distance
 
 STORE = REPLAY_DIR / "nuclear_ltmp_da_gp.jsonl"
@@ -55,7 +55,7 @@ def test_c1_catalog_coverage(spider_dir, tmp_path):
 def test_c2_count_reproduction(train_dataset):
     result = sample_exemplars(train_dataset)
     n_exemplars = len(result.exemplars)
-    n_dbs = len(result.exemplars.db_ids())
+    n_dbs = len(db_ids(result.exemplars))
     assert 12 <= n_exemplars <= 20
     assert 3 <= n_dbs <= 6
     # deviation from the reference 16/4 is explained by the documented

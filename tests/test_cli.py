@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import click
@@ -184,14 +185,57 @@ def test_run_manifest_guards_inputs(runner, kaggledbqa_dir, tmp_path):
     refused = runner.invoke(main, args + ["--bundle", str(other), "--replay", str(STORE)])
     assert refused.exit_code != 0
     assert "different inputs (bundle)" in refused.output + refused.stderr
-    # the replay store is where generations come from, like the worker count -> resume
+    # the replay store is where generations come from, like the worker count -> resume,
+    # and the manifest lists each store the run read
     store = tmp_path / "store.jsonl"
     shutil.copy(STORE, store)
     append_record(store, GenerationRequest("unrelated", "offline-model"), ["x"])
-    for extra in (["--replay", str(store)], ["--replay", str(STORE), "--workers", "2"]):
+    resumed = runner.invoke(main, args + ["--bundle", str(bundle), "--replay", str(store)])
+    assert resumed.exit_code == 0, resumed.output + resumed.stderr
+    appended = (tmp_path / "runs" / "fixed" / "manifest.json").read_text()
+    expected = json.loads(manifest)
+    expected["inputs"]["replay"] = [hashlib.sha256(path.read_bytes()).hexdigest()
+                                    for path in (STORE, store)]
+    assert json.loads(appended) == expected
+    # a resume from a store already listed leaves the manifest as it is
+    for extra in (["--replay", str(STORE), "--workers", "2"], ["--replay", str(store)]):
         resumed = runner.invoke(main, args + ["--bundle", str(bundle), *extra])
         assert resumed.exit_code == 0, resumed.output + resumed.stderr
-    assert (tmp_path / "runs" / "fixed" / "manifest.json").read_text() == manifest
+        assert (tmp_path / "runs" / "fixed" / "manifest.json").read_text() == appended
+
+
+def test_run_manifest_names_no_replay_store_until_one_is_read(runner, kaggledbqa_dir,
+                                                              tmp_path, monkeypatch):
+    import psmith.cli
+    from psmith.pipelines import AdaptationBundle
+
+    inner = psmith.cli.build_client
+
+    def transport(url, payload, headers, timeout):
+        return 200, {"choices": [{"text": " 1"}],
+                     "usage": {"prompt_tokens": 1, "completion_tokens": 1}}, None
+
+    def build_client(cfg, replay, record, cache_dir):
+        client = inner(cfg, replay, record, cache_dir)
+        if client.mode != "replay":
+            client.transport = transport
+        return client
+
+    monkeypatch.setattr(psmith.cli, "build_client", build_client)
+    bundle, cache = tmp_path / "bundle.json", tmp_path / "cache"
+    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    args = ["run", "--mode", "da-gp", "--bundle", str(bundle), "--test", str(kaggledbqa_dir),
+            "--runs", str(tmp_path / "runs"), "--run-id", "fixed", "--model", "offline-model"]
+    manifest = tmp_path / "runs" / "fixed" / "manifest.json"
+    cached = runner.invoke(main, args + ["--llm-mode", "cache", "--cache-dir", str(cache),
+                                         "--spend-cap", "100000000"])
+    assert cached.exit_code == 0, cached.output + cached.stderr
+    assert json.loads(manifest.read_text())["inputs"]["replay"] is None
+    store = cache / "store.jsonl"
+    replayed = runner.invoke(main, args + ["--replay", str(store)])
+    assert replayed.exit_code == 0, replayed.output + replayed.stderr
+    assert json.loads(manifest.read_text())["inputs"]["replay"] == \
+        [hashlib.sha256(store.read_bytes()).hexdigest()]
 
 
 def test_manifests_record_input_digests_not_paths(runner, spider_dir, spider_ss_dir,
@@ -233,7 +277,9 @@ def test_manifests_record_input_digests_not_paths(runner, spider_dir, spider_ss_
     generic, domain = (json.loads(text) for text in manifests[0])
     assert generic["version"] == domain["version"] == __version__
     assert all(len(generic["inputs"][key]) == 64 for key in
-               ("test", "train", "report", "spider_ss", "replay", "template"))
+               ("test", "train", "report", "spider_ss", "template"))
+    assert generic["inputs"]["replay"] == domain["inputs"]["replay"] == \
+        [hashlib.sha256(STORE.read_bytes()).hexdigest()]
     assert generic["inputs"]["bundle"] is None and domain["inputs"]["train"] is None
     assert domain["inputs"]["bundle"] is not None
     assert generic["inputs"]["template"] != domain["inputs"]["template"]

@@ -30,6 +30,7 @@ from psmith.errors import (
 )
 from psmith.evaluator import (
     FAIL_EXEC,
+    FAIL_MISMATCH,
     ResultTable,
     check_executes,
     evaluate,
@@ -436,9 +437,41 @@ def test_evaluate_gold_defect_excluded(tmp_path):
 def test_evaluate_fetches_at_most_one_row_past_gold(tmp_path):
     dataset = mini_dataset(tmp_path, {"db": [("q", "SELECT a FROM t WHERE b = 'x'")]})
     cross_join = "SELECT t1.a FROM " + ", ".join(f"t t{i}" for i in range(1, 16))  # 3**15 rows
-    assert len(execute_sql(tmp_path / "db.sqlite", cross_join, max_rows=3).rows) == 3
+    gold = execute_sql(tmp_path / "db.sqlite", dataset.examples[0].sql)
+    cut = execute_sql(tmp_path / "db.sqlite", cross_join, within=gold)
+    assert cut.truncated and len(cut.rows) == len(gold.rows) + 1
     report = evaluate({("db", "q"): cross_join}, dataset, timeout_s=2.0)
     assert report.failures == [("q", "Mismatch")]
+
+
+def test_a_prediction_stops_fetching_once_it_cannot_equal_gold(tmp_path):
+    """A prediction with gold's rows, but a 10^6-byte blob in each, and one
+    with a column more, each score Mismatch while the child that scores them
+    grows by less than 16 MB; fetched whole, either would take about 100 MB."""
+    path = tmp_path / "db.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+    conn.executemany("INSERT INTO t VALUES (?, ?)", [(i, f"row {i}") for i in range(100)])
+    conn.commit()
+    conn.close()
+    script = ("import resource, sys\n"
+              "from psmith.evaluator import _score_pair\n"
+              "def peak():\n"
+              "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024\n"
+              "gold = 'SELECT a, b FROM t'\n"
+              "assert _score_pair(sys.argv[1], gold, gold, 30.0) is None\n"
+              "before = peak()\n"
+              "for predicted in ('SELECT a, randomblob(1000000) FROM t',\n"
+              "                  'SELECT a, b, randomblob(1000000) FROM t'):\n"
+              "    print(_score_pair(sys.argv[1], gold, predicted, 30.0))\n"
+              "print(peak() - before)\n")
+    src = Path(evaluator_module.__file__).parents[1]
+    child = subprocess.run([sys.executable, "-c", script, str(path)], check=True,
+                           capture_output=True, text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+    *verdicts, growth_mb = child.stdout.split()
+    assert verdicts == [FAIL_MISMATCH, FAIL_MISMATCH]
+    assert int(growth_mb) < 16
 
 
 def test_evaluate_an_error_past_the_row_bound_is_a_mismatch(tmp_path):

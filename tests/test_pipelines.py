@@ -929,7 +929,7 @@ def test_adapt_writes_the_same_bundle_and_failures_at_any_thread_count(
     runner, report = CliRunner(), tmp_path / "report.jsonl"
     assert runner.invoke(main, ["sample", "--train", str(spider_dir),
                                 "--out", str(report)]).exit_code == 0
-    exemplars = read_report(report).items
+    exemplars = read_report(report)
 
     def adapt(store: Path, workers: int):
         out = tmp_path / f"bundle-{workers}.json"

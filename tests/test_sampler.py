@@ -7,10 +7,12 @@ import pytest
 import fixturelib
 from oracles import max_coverage_oracle
 from psmith.errors import BudgetExceeded
-from psmith.promptforge import TokenBudget
+from psmith.pipelines import shots_for
+from psmith.promptforge import TokenBudget, count_tokens, prompt_prefix
 from psmith.sampler import (
     Exemplar,
-    ExemplarSet,
+    covered,
+    db_ids,
     greedy_cover,
     read_report,
     sample_exemplars,
@@ -50,13 +52,13 @@ def test_sample_expected_selection(train_dataset):
     actual = [(e.db_id, e.nl, e.sql) for e in result.exemplars]
     assert actual == expected
     assert len(result.exemplars) == 18
-    assert result.exemplars.db_ids() == ["college_2", "hr_1", "inn_1", "product_catalog"]
+    assert db_ids(result.exemplars) == ["college_2", "hr_1", "inn_1", "product_catalog"]
 
 
 def test_sample_counts_in_reported_band(train_dataset):
     result = sample_exemplars(train_dataset)
     assert 12 <= len(result.exemplars) <= 20
-    assert 3 <= len(result.exemplars.db_ids()) <= 6
+    assert 3 <= len(db_ids(result.exemplars)) <= 6
 
 
 def test_sample_deterministic(train_dataset):
@@ -191,12 +193,29 @@ def test_greedy_coverage_never_decreases():
 # --- budget pruning ------------------------------------------------------------------
 
 def test_budget_pruning_drops_redundant_first(train_dataset):
-    # the full 18-exemplar rendering needs 1777 tokens; 1750 forces exactly
+    # the GP prefix of all 18 exemplars needs 1849 tokens; 1825 forces exactly
     # the one set-wise redundant exemplar out while keeping every sole cover
-    result = sample_exemplars(train_dataset, budget=TokenBudget(limit=1750))
+    result = sample_exemplars(train_dataset, budget=TokenBudget(limit=1825))
     assert len(result.pruned) == 1
     assert "two prerequisites" in result.pruned[0].nl
     assert result.covered_count == 32, "pruning must not lose coverage"
+
+
+def test_sampled_gp_prefix_fits_every_budget(train_dataset):
+    """Whatever the budget, the sample either fails or fits the prefix that
+    ``run --mode gp`` sends within it."""
+    outcomes = set()
+    for limit in range(1700, 1905, 5):
+        try:
+            result = sample_exemplars(train_dataset, budget=TokenBudget(limit=limit))
+        except BudgetExceeded:
+            outcomes.add("refused")
+            continue
+        prefix = prompt_prefix("gp", shots_for("gp", result.exemplars),
+                               databases=train_dataset.databases)
+        assert count_tokens(prefix.text) <= limit, limit
+        outcomes.add(len(result.pruned))
+    assert outcomes == {"refused", 0, 1}
 
 
 def test_budget_impossible_raises(train_dataset):
@@ -213,7 +232,7 @@ def test_report_round_trip(tmp_path, train_dataset):
     loaded = read_report(path)
     assert [(e.db_id, e.nl, e.sql) for e in loaded] == \
         [(e.db_id, e.nl, e.sql) for e in result.exemplars]
-    assert loaded.covered == result.exemplars.covered
+    assert covered(loaded) == covered(result.exemplars)
 
 
 def test_report_rerun_identical_bytes(tmp_path, train_dataset):
