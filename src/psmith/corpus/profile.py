@@ -3,6 +3,10 @@
 Profiles are deterministic functions of (database file, seed): categorical
 and date-time columns get up to four seeded-random distinct values, numeric
 columns get their (min, max) range. NULLs never appear in either form.
+SQLite orders NULL < INTEGER/REAL < TEXT < BLOB under any collation, so a
+numeric MAX means the column holds numbers only: in ``range`` mode an
+INTEGER/REAL column is then decided by its one MIN/MAX scan, without
+reading a pool of its distinct values.
 Columns are profiled one thread per usable core, each on its own read-only
 connection (psmith.readonly), and merged in column order: the result does
 not depend on the number of threads.
@@ -65,9 +69,12 @@ def _is_number(text: str) -> bool:
         return False
 
 
+def _datetime_hinted(declared_type: str) -> bool:
+    return any(h in declared_type.upper() for h in _DATETIME_TYPE_HINTS)
+
+
 def _looks_datetime(declared_type: str, samples: list[str]) -> bool:
-    t = declared_type.upper()
-    if any(h in t for h in _DATETIME_TYPE_HINTS):
+    if _datetime_hinted(declared_type):
         return True
     return bool(samples) and all(_ISO_8601.match(s) for s in samples)
 
@@ -131,6 +138,20 @@ def _profile_column(conn: sqlite3.Connection, db_id: str, table: str,
                     column: Column, seed: int,
                     numeric_render: str) -> SampledValues | NumericRange | None:
     qt, qc = _quote_ident(table), _quote_ident(column.name)
+    numeric_type = (_affinity(column.declared_type) in ("INTEGER", "REAL")
+                    and not _datetime_hinted(column.declared_type))
+    if numeric_type and numeric_render == "range":
+        try:
+            low, high = conn.execute(f"SELECT MIN({qc}), MAX({qc}) FROM {qt}").fetchone()
+        except sqlite3.DatabaseError as exc:
+            logger.warning("%s: cannot range %s.%s: %s", db_id, table, column.name, exc)
+            return None
+        if high is None:
+            return None  # empty column: profile stays absent
+        # numbers sort below text and blobs, so a numeric MAX means every
+        # value is a number (and none an ISO date): the pool would say so too
+        if isinstance(high, (int, float)):
+            return NumericRange(_as_text(low), _as_text(high))
     try:
         # DISTINCT keeps 1 and '1' apart in an untyped column; their texts
         # are one value, so duplicates go, first occurrence kept
@@ -147,18 +168,14 @@ def _profile_column(conn: sqlite3.Connection, db_id: str, table: str,
         return None  # empty column: profile stays absent
 
     rng = random.Random(f"{seed}:{db_id}:{table}:{column.name}")
-    is_datetime = _looks_datetime(column.declared_type, pool)
     is_numeric = (
-        not is_datetime
-        and _affinity(column.declared_type) in ("INTEGER", "REAL")
+        numeric_type
+        and not _looks_datetime(column.declared_type, pool)
         and all(_is_number(v) for v in pool)
     )
     if is_numeric and numeric_render == "range":
-        try:
-            low, high = conn.execute(f"SELECT MIN({qc}), MAX({qc}) FROM {qt}").fetchone()
-        except sqlite3.DatabaseError as exc:
-            logger.warning("%s: cannot range %s.%s: %s", db_id, table, column.name, exc)
-            return None
+        # MAX is text or a blob, past the pool or reading as a number: the
+        # range already read runs up to it
         return NumericRange(_as_text(low), _as_text(high))
     if len(pool) <= 4:
         return SampledValues(tuple(pool))

@@ -206,12 +206,15 @@ def http_transport(url: str, payload: dict, headers: dict, timeout: float):
     import requests
 
     response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    retry_after = response.headers.get("Retry-After")
+    try:
+        retry_after = float(response.headers.get("Retry-After") or "")
+    except ValueError:
+        retry_after = None  # absent, or an HTTP-date
     try:
         body = response.json()
     except ValueError:
         body = {"error": response.text[:500]}
-    return response.status_code, body, float(retry_after) if retry_after else None
+    return response.status_code, body, retry_after
 
 
 def forbidden_transport(url, payload, headers, timeout):
@@ -381,7 +384,7 @@ class LlmClient:
                 backoff *= 2
             try:
                 status, body, retry_after = self.transport(url, payload, headers, 120.0)
-            except Exception as exc:  # noqa: BLE001 - transport errors are retryable
+            except OSError as exc:  # requests' errors too; anything else is a bug
                 last_error = exc
                 logger.warning("transport failure (attempt %d): %s", attempt + 1, exc)
                 continue

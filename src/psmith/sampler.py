@@ -112,7 +112,8 @@ def sample_exemplars(dataset: AnnotatedDataset,
     database's schema and the exemplars) within ``budget.limit`` tokens by
     redundant-first pruning. A run's prompts add the test schema and
     question to that prefix and are budget-checked whole, per query. Each
-    query's SQL is analysed once; unparseable SQL is skipped.
+    distinct SQL text is analysed once; unparseable SQL is skipped, with one
+    warning per text.
 
     Catalog ops unattainable from the corpus are reported, not fatal.
     Raises BudgetExceeded only when a sole-cover exemplar would have to go.
@@ -122,12 +123,15 @@ def sample_exemplars(dataset: AnnotatedDataset,
     catalog = catalog or default_catalog()
     budget = budget or TokenBudget()
 
+    ops_by_sql: dict[str, frozenset[PrimitiveOp] | None] = {}
     ops_by_key: dict[tuple[str, int], frozenset[PrimitiveOp]] = {}
     example_by_key: dict[tuple[str, int], object] = {}
     per_db: dict[str, list[tuple[str, int]]] = {db: [] for db in dataset.databases}
     for idx, example in enumerate(dataset.examples):
         key = (example.db_id, idx)
-        ops = _safe_extract(example.sql, catalog)
+        if example.sql not in ops_by_sql:
+            ops_by_sql[example.sql] = _safe_extract(example.sql, catalog)
+        ops = ops_by_sql[example.sql]
         if ops is None:
             continue
         ops_by_key[key] = ops

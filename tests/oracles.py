@@ -4,18 +4,21 @@ These are written straight from definitions and stay deliberately naive:
 the tree-edit-distance oracle enumerates every order- and ancestry-
 consistent node mapping; the coverage oracle enumerates every subset; the
 multiset-match oracle tries every pairing of rows; the profile oracle
-profiles one column after another on one connection.
+profiles one column after another on one connection, reading every
+column's pool of distinct values before it asks for a range.
 """
 
 from __future__ import annotations
 
+import random
 import sqlite3
 from contextlib import closing
 from itertools import combinations, permutations
 from pathlib import Path
 
-from psmith.corpus.profile import _profile_column, _quote_ident
-from psmith.corpus.types import Column
+from psmith.corpus.profile import (
+    _POOL_LIMIT, _affinity, _as_text, _is_number, _looks_datetime, _quote_ident)
+from psmith.corpus.types import NumericRange, SampledValues
 from psmith.evaluator import _rows_equal
 from psmith.sqlanalysis.skeleton import SkeletonNode
 
@@ -112,10 +115,33 @@ def multiset_match_oracle(rows_a: tuple, rows_b: tuple) -> bool:
         for ordering in permutations(rows_b))
 
 
+def _column_profile_oracle(conn, db_id: str, table: str, column: str,
+                           declared_type: str, seed: int, numeric_render: str):
+    """One column's profile the long way: its pool of up to _POOL_LIMIT
+    distinct values first, then, for a numeric column in ``range`` mode, a
+    second scan for MIN and MAX."""
+    qt, qc = _quote_ident(table), _quote_ident(column)
+    pool = list(dict.fromkeys(_as_text(row[0]) for row in conn.execute(
+        f"SELECT DISTINCT {qc} FROM {qt} WHERE {qc} IS NOT NULL "
+        f"ORDER BY 1 LIMIT {_POOL_LIMIT}")))
+    if not pool:
+        return None
+    numeric = (not _looks_datetime(declared_type, pool)
+               and _affinity(declared_type) in ("INTEGER", "REAL")
+               and all(_is_number(v) for v in pool))
+    if numeric and numeric_render == "range":
+        low, high = conn.execute(f"SELECT MIN({qc}), MAX({qc}) FROM {qt}").fetchone()
+        return NumericRange(_as_text(low), _as_text(high))
+    if len(pool) <= 4:
+        return SampledValues(tuple(pool))
+    rng = random.Random(f"{seed}:{db_id}:{table}:{column}")
+    return SampledValues(tuple(rng.sample(pool, 4)))
+
+
 def sequential_profile_oracle(path, seed: int, numeric_render: str) -> dict:
     """Value profile of every column of the SQLite file at *path*: tables in
-    rowid order, columns in declared order, each profiled by _profile_column
-    on one shared connection, one after another."""
+    rowid order, columns in declared order, each profiled by
+    _column_profile_oracle on one shared connection, one after another."""
     db_id = Path(path).stem
     profiles: dict = {}
     with closing(sqlite3.connect(f"file:{path}?mode=ro", uri=True)) as conn:
@@ -124,8 +150,8 @@ def sequential_profile_oracle(path, seed: int, numeric_render: str) -> dict:
             "AND name NOT LIKE 'sqlite_%' ORDER BY rowid")]
         for table in tables:
             for row in conn.execute(f"PRAGMA table_info({_quote_ident(table)})").fetchall():
-                column = Column(name=row[1], declared_type=row[2] or "")
-                profile = _profile_column(conn, db_id, table, column, seed, numeric_render)
+                profile = _column_profile_oracle(conn, db_id, table, row[1], row[2] or "",
+                                                 seed, numeric_render)
                 if profile is not None:
-                    profiles[(table, column.name)] = profile
+                    profiles[(table, row[1])] = profile
     return profiles

@@ -71,7 +71,9 @@ def test_every_prompt_builder_has_span_info(spans):
 def test_sampling_extracts_ops_under_the_traced_name(spans, train_dataset, caplog):
     """``sampler.ops_per_example`` counts ``sqlanalysis.extract_operators``
     spans under ``sampler.sample_exemplars``; if the sampler reached op
-    extraction by another name, the metric would silently read 0."""
+    extraction by another name, the metric would silently read 0. The
+    sampler analyses each distinct SQL text once, and the fixture training
+    texts are all distinct, so the metric reads 1."""
     from psmith import sampler
 
     tracer = spans.Tracer()

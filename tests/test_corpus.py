@@ -3,8 +3,12 @@ from __future__ import annotations
 import json
 import random
 import sqlite3
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fixturelib
 from oracles import sequential_profile_oracle
@@ -262,3 +266,85 @@ def test_parallel_profile_matches_sequential_oracle_on_fixtures(
             profiled = profile_schema(path, seed, numeric_render).value_profile
             expected = sequential_profile_oracle(path, seed, numeric_render)
             assert list(profiled.items()) == list(expected.items()), path
+
+
+# declared column definitions, and cells of each kind profiling tells apart
+_COLUMN_DEFS = ["INTEGER", "REAL", "FLOAT", "NUMERIC", "TEXT", "DATE", "", "INT COLLATE NOCASE"]
+_CELLS = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.integers(-2**63, 2**63 - 1),
+    st.sampled_from([float("inf"), float("-inf"), 0.5, -0.0, 1e20]),
+    st.floats(allow_nan=False),
+    st.sampled_from(["1", " 7 ", "1_0", "nan", "inf", "2001-01-01", "x", "Y", ""]),
+    st.text(max_size=4),
+    st.binary(max_size=3),
+)
+
+
+@st.composite
+def small_tables(draw):
+    """Columns of one table as (definition, cells) pairs of equal length;
+    some columns hold NULL only."""
+    rows = draw(st.integers(0, 8))
+    cells = st.lists(_CELLS, min_size=rows, max_size=rows)
+    return [(draw(st.sampled_from(_COLUMN_DEFS)),
+             [None] * rows if draw(st.integers(0, 3)) == 0 else draw(cells))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=small_tables(), seed=st.integers(0, 3))
+@example(  # the pool holds numbers only, and the range runs up to the text
+    columns=[("INTEGER", list(range(600)) + ["x"])], seed=0)
+def test_profile_matches_oracle_on_mixed_tables(columns, seed):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "mixed.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE t (" + ", ".join(
+            f"c{i} {definition}" for i, (definition, _) in enumerate(columns)) + ")")
+        conn.executemany(f"INSERT INTO t VALUES ({', '.join('?' * len(columns))})",
+                         list(zip(*(cells for _, cells in columns))))
+        conn.commit()
+        conn.close()
+        for numeric_render in profile_module.NUMERIC_RENDER_MODES:
+            expected = sequential_profile_oracle(path, seed, numeric_render)
+            profiled = profile_schema(path, seed, numeric_render).value_profile
+            assert list(profiled.items()) == list(expected.items())
+
+
+def test_numeric_range_costs_one_scan(tmp_path, monkeypatch):
+    """An all-numeric INTEGER/REAL column in range mode runs one MIN/MAX
+    statement and no DISTINCT pool query; a text value in it brings the pool
+    back, and text, date-hinted and samples-mode columns read their pool."""
+    path = tmp_path / "scans.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE facts (num INTEGER, ratio REAL, label TEXT, "
+                 "founded YEAR INT, mixed INTEGER)")
+    conn.executemany("INSERT INTO facts VALUES (?, ?, ?, ?, ?)",
+                     [(i, i / 7, f"label {i}", 1990 + i, "x" if i == 3 else i)
+                      for i in range(20)])
+    conn.commit()
+    conn.close()
+    columns = ("num", "ratio", "label", "founded", "mixed")
+    statements: list[str] = []
+
+    def traced(database):
+        own = readonly.connect_read_only(database)
+        own.set_trace_callback(statements.append)
+        return own
+
+    monkeypatch.setattr(profile_module, "connect_read_only", traced)
+
+    def scans(numeric_render: str) -> dict[str, list[str]]:
+        statements.clear()
+        profile = profile_schema(path, 0, numeric_render).value_profile
+        assert len(profile) == len(columns)
+        return {column: ["MIN" if s.startswith("SELECT MIN(") else
+                         "DISTINCT" if s.startswith("SELECT DISTINCT") else s
+                         for s in statements if f'"{column}"' in s]
+                for column in columns}
+
+    assert scans("range") == {"num": ["MIN"], "ratio": ["MIN"], "label": ["DISTINCT"],
+                              "founded": ["DISTINCT"], "mixed": ["MIN", "DISTINCT"]}
+    assert scans("samples") == {column: ["DISTINCT"] for column in columns}

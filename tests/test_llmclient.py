@@ -336,6 +336,43 @@ def test_live_gives_up_after_bounded_retries(monkeypatch):
         client.generate(make_request())
 
 
+def test_live_does_not_retry_a_programming_error(monkeypatch):
+    """Only OSError (requests' errors included), 429 and 5xx are retried:
+    an exception no retry can mend propagates from the first attempt."""
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    attempts = []
+
+    def broken(url, payload, headers, timeout):
+        attempts.append(1)
+        raise AssertionError("unscripted prompt")
+
+    client = LlmClient(mode="live", transport=broken, model="test-model",
+                       api_base="http://example.invalid")
+    with pytest.raises(AssertionError, match="unscripted prompt"):
+        client.generate(make_request())
+    assert len(attempts) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("header, expected", [
+    ("7", 7.0), (None, None), ("Wed, 21 Oct 2015 07:28:00 GMT", None)])
+def test_http_transport_reads_retry_after_seconds_only(monkeypatch, header, expected):
+    import requests
+
+    class Response:
+        status_code = 429
+        headers = {} if header is None else {"Retry-After": header}
+        text = "slow down"
+
+        def json(self):
+            return {"error": "slow down"}
+
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: Response())
+    assert llmclient.http_transport("http://example.invalid", {}, {}, 1.0) == (
+        429, {"error": "slow down"}, expected)
+
+
 def test_live_rate_limit_honors_hint(monkeypatch):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)

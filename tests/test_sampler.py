@@ -76,6 +76,8 @@ def test_sample_skips_unparseable_rows(train_dataset, caplog):
 
 
 def test_sample_extracts_ops_once_per_example(train_dataset, monkeypatch, caplog):
+    """Each distinct SQL text is analysed once; every fixture training
+    example has its own text, so that is once per example."""
     import psmith.sampler
 
     calls = []
@@ -89,6 +91,28 @@ def test_sample_extracts_ops_once_per_example(train_dataset, monkeypatch, caplog
         sample_exemplars(train_dataset)
     assert sorted(calls) == sorted(ex.sql for ex in train_dataset.examples)
     assert caplog.text.count("skipping unparseable training SQL") == 1
+
+
+def test_sample_analyses_a_repeated_sql_text_once(train_dataset, monkeypatch, caplog):
+    """A training set that holds every example twice analyses each text
+    once, warns once per unparseable text, and samples what it samples once
+    the duplicates go."""
+    import psmith.sampler
+    from psmith.corpus.types import AnnotatedDataset
+
+    doubled = AnnotatedDataset(train_dataset.databases, train_dataset.examples * 2, "train")
+    calls = []
+
+    def counting(sql, *args, **kwargs):
+        calls.append(sql)
+        return extract_operators(sql, *args, **kwargs)
+
+    monkeypatch.setattr(psmith.sampler, "extract_operators", counting)
+    with caplog.at_level("WARNING"):
+        result = sample_exemplars(doubled)
+    assert sorted(calls) == sorted(ex.sql for ex in train_dataset.examples)
+    assert caplog.text.count("skipping unparseable training SQL") == 1
+    assert result.exemplars == sample_exemplars(train_dataset).exemplars
 
 
 def test_single_superset_example():
