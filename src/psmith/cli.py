@@ -37,7 +37,8 @@ from .corpus import (
     load_spider,
     load_spider_ss,
 )
-from .errors import BudgetExceeded, MissingAdaptation, MissingGold, PsmithError
+from .errors import (BudgetExceeded, MalformedManifest, MissingAdaptation, MissingFile,
+                     MissingGold, PsmithError)
 from .llmclient import LlmClient, ReplayStore, forbidden_transport
 from .pipelines import (
     AdaptationBundle,
@@ -232,7 +233,19 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
                         encoding="utf-8")
 
 
-@click.group()
+class _Commands(click.Group):
+    """An input file that is missing or malformed is a usage error (exit 2),
+    named with its row or entry; every command reads its inputs before it
+    writes anything."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (MissingFile, MalformedManifest) as exc:
+            raise click.UsageError(f"{type(exc).__name__}: {exc}") from None
+
+
+@click.group(cls=_Commands)
 @click.option("-v", "--verbose", is_flag=True, help="debug logging")
 def main(verbose: bool):
     """Offline few-shot prompt synthesis and evaluation for cross-domain
@@ -315,15 +328,18 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
         draft_records = load_spider_ss(spider_ss_dir)
 
     client = build_client(cfg, replay, record, cache_dir)
-    bundle, failed = adapt_exemplars(
-        exemplars, train.databases, target, client,
-        ted_threshold=cfg.ted_threshold,
-        max_beam_samples=cfg.max_beam_samples,
-        budget=cfg.budget,
-        max_output_tokens=cfg.max_output_tokens,
-        cot_enabled=cfg.cot_enabled,
-        draft_records=draft_records,
-        draft_context=train.databases, workers=cfg.workers)
+    try:
+        bundle, failed = adapt_exemplars(
+            exemplars, train.databases, target, client,
+            ted_threshold=cfg.ted_threshold,
+            max_beam_samples=cfg.max_beam_samples,
+            budget=cfg.budget,
+            max_output_tokens=cfg.max_output_tokens,
+            cot_enabled=cfg.cot_enabled,
+            draft_records=draft_records,
+            draft_context=train.databases, workers=cfg.workers)
+    except ValueError as exc:  # an exemplar lacks its decomposition record
+        raise click.UsageError(str(exc)) from None
 
     bundle.save(out_path)
     click.echo(f"adapted {len(bundle.exemplars)} of {len(exemplars)} exemplars "

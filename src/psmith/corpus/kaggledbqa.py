@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import MalformedManifest, MissingFile
-from .spider import _attach_sqlite_paths, _read_json, load_tables_manifest
-from .types import AnnotatedDataset, AnnotatedExample, Role
+from ..errors import MissingFile
+from .spider import _attach_sqlite_paths, _read_examples, load_tables_manifest
+from .types import AnnotatedDataset, Role
 
 
 def load_kaggledbqa(directory: str | Path) -> AnnotatedDataset:
@@ -32,15 +32,6 @@ def load_kaggledbqa(directory: str | Path) -> AnnotatedDataset:
     if not examples_dir.is_dir():
         raise MissingFile(f"{examples_dir} (per-database example manifests)")
 
-    examples = []
-    for path in sorted(examples_dir.glob("*.json")):
-        for row, entry in enumerate(_read_json(path)):
-            try:
-                db_id, nl, sql = entry["db_id"], entry["question"], entry["query"]
-            except (KeyError, TypeError) as exc:
-                raise MalformedManifest(f"{path.name}: example missing field: {exc}", row=row) from None
-            if db_id not in schemas:
-                raise MalformedManifest(
-                    f"{path.name}: example references unknown db_id {db_id!r}", row=row)
-            examples.append(AnnotatedExample(db_id, nl, sql))
+    examples = [example for path in sorted(examples_dir.glob("*.json"))
+                for example in _read_examples(path, schemas)]
     return AnnotatedDataset(databases=schemas, examples=examples, role=Role.TEST)

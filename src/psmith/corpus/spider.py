@@ -20,7 +20,7 @@ import json
 import logging
 from pathlib import Path
 
-from ..errors import MalformedManifest, MissingFile
+from ..errors import LengthMismatch, MalformedManifest, MissingFile
 from .types import (
     AnnotatedDataset,
     AnnotatedExample,
@@ -41,10 +41,32 @@ def _read_json(path: Path):
     if not path.exists():
         raise MissingFile(str(path))
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise MalformedManifest(f"not JSON: {exc}", path=path) from None
 
 
-def _schema_from_manifest(entry: dict, row: int,
+def _read_examples(path: Path, schemas: dict[str, SchemaProfile]) -> list[AnnotatedExample]:
+    """The ``{db_id, question, query}`` rows of one examples manifest; each
+    must name a database of *schemas* and hold a question and a non-empty
+    query, both strings."""
+    examples = []
+    for row, entry in enumerate(_read_json(path)):
+        try:
+            db_id, nl, sql = entry["db_id"], entry["question"], entry["query"]
+        except (KeyError, TypeError) as exc:
+            raise MalformedManifest(f"example missing field: {exc}", row, path) from None
+        if db_id not in schemas:
+            raise MalformedManifest(f"example references unknown db_id {db_id!r}", row, path)
+        if not isinstance(nl, str) or not isinstance(sql, str) or not sql.strip():
+            raise MalformedManifest("question and query must be strings, the query "
+                                    "non-empty", row, path)
+        examples.append(AnnotatedExample(db_id, nl, sql))
+    return examples
+
+
+def _schema_from_manifest(entry: dict, row: int, path: Path,
                           descriptions: list[str | None] | None = None) -> SchemaProfile:
     try:
         db_id = entry["db_id"]
@@ -54,7 +76,7 @@ def _schema_from_manifest(entry: dict, row: int,
         pk_indices = entry.get("primary_keys", [])
         fk_pairs = entry.get("foreign_keys", [])
     except (KeyError, TypeError) as exc:
-        raise MalformedManifest(f"schema entry missing field: {exc}", row=row) from None
+        raise MalformedManifest(f"schema entry missing field: {exc}", row, path) from None
 
     per_table: list[list[Column]] = [[] for _ in table_names]
     col_owner: list[tuple[int, str]] = []  # column index -> (table idx, name)
@@ -63,7 +85,7 @@ def _schema_from_manifest(entry: dict, row: int,
         if tidx == -1:  # the '*' pseudo-column
             continue
         if not 0 <= tidx < len(table_names):
-            raise MalformedManifest(f"{db_id}: column {col_name!r} names table index {tidx}", row=row)
+            raise MalformedManifest(f"{db_id}: column {col_name!r} names table index {tidx}", row, path)
         ctype = column_types[i] if i < len(column_types) else ""
         desc = descriptions[i] if descriptions and i < len(descriptions) else None
         per_table[tidx].append(Column(col_name, ctype, desc))
@@ -82,7 +104,7 @@ def _schema_from_manifest(entry: dict, row: int,
         from_idxs = from_spec if isinstance(from_spec, list) else [from_spec]
         to_idxs = to_spec if isinstance(to_spec, list) else [to_spec]
         if len(from_idxs) != len(to_idxs):
-            raise MalformedManifest(f"{db_id}: unbalanced foreign key {from_spec} -> {to_spec}", row=row)
+            raise MalformedManifest(f"{db_id}: unbalanced foreign key {from_spec} -> {to_spec}", row, path)
         ftidx = col_owner[from_idxs[0]][0]
         ttidx = col_owner[to_idxs[0]][0]
         foreign_keys.append(ForeignKey(
@@ -100,7 +122,7 @@ def _schema_from_manifest(entry: dict, row: int,
             foreign_keys=tuple(foreign_keys),
         )
     except ValueError as exc:
-        raise MalformedManifest(str(exc), row=row) from None
+        raise MalformedManifest(str(exc), row, path) from None
 
 
 def load_tables_manifest(path: Path, descriptions_key: str | None = None) -> dict[str, SchemaProfile]:
@@ -108,7 +130,7 @@ def load_tables_manifest(path: Path, descriptions_key: str | None = None) -> dic
     schemas: dict[str, SchemaProfile] = {}
     for row, entry in enumerate(entries):
         descriptions = entry.get(descriptions_key) if descriptions_key else None
-        profile = _schema_from_manifest(entry, row, descriptions)
+        profile = _schema_from_manifest(entry, row, path, descriptions)
         schemas[profile.db_id] = profile
     return schemas
 
@@ -143,17 +165,7 @@ def load_spider(directory: str | Path, role: str = Role.TRAIN) -> AnnotatedDatas
     if manifest is None:
         raise MissingFile(f"no examples manifest in {root} (tried {', '.join(EXAMPLE_MANIFESTS)})")
 
-    examples = []
-    for row, entry in enumerate(_read_json(manifest)):
-        try:
-            db_id, nl, sql = entry["db_id"], entry["question"], entry["query"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedManifest(f"example missing field: {exc}", row=row) from None
-        if db_id not in schemas:
-            raise MalformedManifest(f"example references unknown db_id {db_id!r}", row=row)
-        if not str(sql).strip():
-            raise MalformedManifest("empty gold SQL", row=row)
-        examples.append(AnnotatedExample(db_id, nl, sql))
+    examples = _read_examples(manifest, schemas)
     return AnnotatedDataset(databases=schemas, examples=examples, role=role)
 
 
@@ -168,7 +180,9 @@ def load_spider_ss(directory: str | Path) -> dict[str, DecompositionRecord]:
             subs = tuple(entry["sub_questions"])
             steps = tuple(entry["natsql_steps"])
             gold = entry["query"]
+            records[nl] = DecompositionRecord(nl, subs, steps, gold)
         except (KeyError, TypeError) as exc:
-            raise MalformedManifest(f"spider-ss entry missing field: {exc}", row=row) from None
-        records[nl] = DecompositionRecord(nl, subs, steps, gold)
+            raise MalformedManifest(f"spider-ss entry missing field: {exc}", row, path) from None
+        except LengthMismatch as exc:
+            raise MalformedManifest(str(exc), row, path) from None
     return records

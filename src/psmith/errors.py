@@ -20,8 +20,12 @@ class MissingFile(PsmithError):
 
 
 class MalformedManifest(PsmithError):
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(f"{message} (row {row})" if row is not None else message)
+    """An input file that does not hold what its format says: the message
+    names the file, when given, and the row."""
+
+    def __init__(self, message: str, row: int | None = None, path=None):
+        where = f"{path}: " if path is not None else ""
+        super().__init__(where + (f"{message} (row {row})" if row is not None else message))
         self.row = row
 
 

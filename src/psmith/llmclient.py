@@ -191,11 +191,6 @@ def _record(request: GenerationRequest, completions: Sequence[str]) -> dict:
     }
 
 
-def append_record(path: str | Path, request: GenerationRequest,
-                  completions: Sequence[str]) -> None:
-    write_records(path, [_record(request, completions)])
-
-
 # --- transports -----------------------------------------------------------------
 
 def http_transport(url: str, payload: dict, headers: dict, timeout: float):
@@ -422,9 +417,3 @@ class LlmClient:
         return (count_tokens(request.prompt),
                 sum(count_tokens(c) for c in completions))
 
-
-def replay_client(store_path: str | Path, model: str | None = None) -> LlmClient:
-    """Convenience constructor: replay-only client whose transport refuses
-    any network call outright."""
-    return LlmClient(mode="replay", replay_store=ReplayStore.load(store_path),
-                     model=model, transport=forbidden_transport)

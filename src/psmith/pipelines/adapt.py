@@ -13,10 +13,12 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..corpus.types import SchemaProfile
+from ..corpus.spider import _read_json
+from ..corpus.types import AnnotatedExample, SchemaProfile
 from ..errors import (
     AdaptationFailed,
     EmptyGeneration,
+    MalformedManifest,
     NoSelectFound,
     ParseError,
     PsmithError,
@@ -33,7 +35,6 @@ from ..promptforge.prompts import (
     schema_block,
 )
 from ..readonly import map_in_order
-from ..sampler import Exemplar
 from ..sqlanalysis import parse_sql, tree_edit_distance
 from .ltmp import read_steps, read_sub_questions
 from .normalize import normalize_question, normalize_sql
@@ -46,7 +47,11 @@ QUESTION_MAX_TOKENS = 128
 
 @dataclass
 class AdaptedExemplar:
-    source: Exemplar
+    """One entry of an adaptation bundle; its fields are the entry's keys, in
+    file order. The source fields name the training query it came from."""
+    source_db_id: str
+    source_nl: str
+    source_sql: str
     adapted_sql: str
     adapted_nl: str
     ted: int
@@ -56,6 +61,14 @@ class AdaptedExemplar:
     sub_questions: tuple[str, ...] | None = None
     natsql_steps: tuple[str, ...] | None = None
 
+    def __post_init__(self):  # an entry read back from JSON holds lists
+        self.sub_questions = tuple(self.sub_questions) if self.sub_questions else None
+        self.natsql_steps = tuple(self.natsql_steps) if self.natsql_steps else None
+
+    @property
+    def source(self) -> AnnotatedExample:
+        return AnnotatedExample(self.source_db_id, self.source_nl, self.source_sql)
+
 
 @dataclass
 class AdaptationBundle:
@@ -64,24 +77,7 @@ class AdaptationBundle:
     exemplars: list[AdaptedExemplar] = field(default_factory=list)
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "target_db_id": self.target_db_id,
-            "ted_threshold": self.ted_threshold,
-            "exemplars": [
-                {
-                    "source_db_id": e.source.db_id,
-                    "source_nl": e.source.nl,
-                    "source_sql": e.source.sql,
-                    "adapted_sql": e.adapted_sql,
-                    "adapted_nl": e.adapted_nl,
-                    "ted": e.ted,
-                    "attempts": e.attempts,
-                    "sub_questions": list(e.sub_questions) if e.sub_questions else None,
-                    "natsql_steps": list(e.natsql_steps) if e.natsql_steps else None,
-                }
-                for e in self.exemplars
-            ],
-        }
+        payload = {**vars(self), "exemplars": [vars(e) for e in self.exemplars]}
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
@@ -89,29 +85,30 @@ class AdaptationBundle:
 
     @classmethod
     def load(cls, path: str | Path) -> "AdaptationBundle":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        from ..sqlanalysis.ops import extract_operators
-
-        bundle = cls(payload["target_db_id"], payload["ted_threshold"])
-        for entry in payload["exemplars"]:
-            source = Exemplar(
-                entry["source_db_id"], entry["source_nl"], entry["source_sql"],
-                extract_operators(entry["source_sql"]),
-            )
-            bundle.exemplars.append(AdaptedExemplar(
-                source=source,
-                adapted_sql=entry["adapted_sql"],
-                adapted_nl=entry["adapted_nl"],
-                ted=entry["ted"],
-                attempts=entry["attempts"],
-                sub_questions=tuple(entry["sub_questions"]) if entry.get("sub_questions") else None,
-                natsql_steps=tuple(entry["natsql_steps"]) if entry.get("natsql_steps") else None,
-            ))
+        """Read a bundle as saved or as edited by hand; MalformedManifest names
+        the entry and the key that is missing or unknown. No SQL is parsed:
+        the source fields only name the shots."""
+        bundle, where = _read_json(Path(path)), "bundle"
+        try:
+            bundle = cls(**bundle)
+            for index, entry in enumerate(bundle.exemplars):
+                where = f"exemplar entry {index}"
+                bundle.exemplars[index] = AdaptedExemplar(**entry)
+        except TypeError as exc:
+            raise MalformedManifest(f"{where}: {exc}", path=path) from None
         return bundle
 
 
+def adapted_distance(database: Path, source_sql: str, sql: str) -> int:
+    """The acceptance check of an adapted query: *sql* executes on the
+    *database* through its last row (else SqlError), both queries parse
+    (else ParseError), and the distance of their skeletons is returned."""
+    check_executes(database, sql)
+    return tree_edit_distance(parse_sql(source_sql), parse_sql(sql))
+
+
 def da_stage1_transfer(
-    exemplar: Exemplar,
+    exemplar: AnnotatedExample,
     source_schema: SchemaProfile,
     target_schema: SchemaProfile,
     client: LlmClient,
@@ -123,10 +120,9 @@ def da_stage1_transfer(
 ) -> tuple[str, int, int]:
     """Generate a compositionally similar SQL on the target schema.
 
-    Returns (adapted_sql, ted, attempts). Candidates are
-    taken in order from one n-sample request; the first that executes on the
-    target database and whose skeleton is within the tree-edit-distance
-    threshold of the source skeleton wins.
+    Returns (adapted_sql, ted, attempts). Candidates are taken in order from
+    one n-sample request; the first that passes ``adapted_distance`` within
+    the tree-edit-distance threshold wins.
     """
     if target_schema.sqlite_path is None:
         raise AdaptationFailed(exemplar_id(exemplar), None, 0)
@@ -138,7 +134,6 @@ def da_stage1_transfer(
         stop=["#", "\n\n"],
     )
     result = client.generate(request)
-    source_skeleton = parse_sql(exemplar.sql)
 
     best_ted: int | None = None
     attempts = 0
@@ -146,16 +141,9 @@ def da_stage1_transfer(
         attempts += 1
         try:
             candidate = normalize_sql(completion, cue="SELECT")
-        except NoSelectFound:
-            continue
-        try:
-            check_executes(target_schema.sqlite_path, candidate)
-        except SqlError as exc:
-            logger.debug("candidate does not execute (%s): %r", exc, candidate)
-            continue
-        try:
-            ted = tree_edit_distance(source_skeleton, parse_sql(candidate))
-        except ParseError:
+            ted = adapted_distance(target_schema.sqlite_path, exemplar.sql, candidate)
+        except (NoSelectFound, SqlError, ParseError) as exc:
+            logger.debug("candidate rejected (%s): %r", exc, completion)
             continue
         if best_ted is None or ted < best_ted:
             best_ted = ted
@@ -183,29 +171,24 @@ def da_stage2_generate_nl(
 
 
 def verify_bundle(bundle: AdaptationBundle, target_schema: SchemaProfile) -> list[str]:
-    """Re-check every adapted exemplar: executability on the target database
-    and skeleton distance within the bundle's threshold. Returns a list of
-    violation descriptions (empty when the bundle is sound)."""
+    """Re-check every adapted exemplar with stage 1's acceptance check, and
+    its recorded distance. Returns a list of violation descriptions (empty
+    when the bundle is sound)."""
     problems: list[str] = []
     for entry in bundle.exemplars:
+        name = exemplar_id(entry.source)
         try:
-            check_executes(target_schema.sqlite_path, entry.adapted_sql)
+            ted = adapted_distance(target_schema.sqlite_path, entry.source_sql, entry.adapted_sql)
         except SqlError as exc:
-            problems.append(f"{exemplar_id(entry.source)}: does not execute: {exc}")
+            problems.append(f"{name}: does not execute: {exc}")
             continue
-        try:
-            ted = tree_edit_distance(parse_sql(entry.source.sql), parse_sql(entry.adapted_sql))
         except ParseError as exc:
-            problems.append(f"{exemplar_id(entry.source)}: unparseable: {exc}")
+            problems.append(f"{name}: unparseable: {exc}")
             continue
         if ted > bundle.ted_threshold:
-            problems.append(
-                f"{exemplar_id(entry.source)}: ted {ted} exceeds threshold "
-                f"{bundle.ted_threshold}")
+            problems.append(f"{name}: ted {ted} exceeds threshold {bundle.ted_threshold}")
         if ted != entry.ted:
-            problems.append(
-                f"{exemplar_id(entry.source)}: recorded ted {entry.ted} "
-                f"disagrees with recomputed {ted}")
+            problems.append(f"{name}: recorded ted {entry.ted} disagrees with recomputed {ted}")
     return problems
 
 
@@ -227,7 +210,12 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
     """
     from .run import shots_for
 
-    def adapt_one(item: Exemplar) -> AdaptedExemplar | str:
+    if draft_records is not None:  # built first: a missing record fails before any generation
+        prefix = prompt_prefix("ltmp-gp", shots_for("ltmp-gp", exemplars, draft_records),
+                               databases=draft_context, cot_enabled=cot_enabled)
+        block = schema_block("ltmp-gp", target_schema)
+
+    def adapt_one(item: AnnotatedExample) -> AdaptedExemplar | str:
         try:
             adapted_sql, ted, attempts = da_stage1_transfer(
                 item, train_databases[item.db_id], target_schema, client,
@@ -237,8 +225,8 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
                 adapted_sql, target_schema, client, budget=budget)
         except PsmithError as exc:
             return f"{item.db_id}: {item.nl}: {exc}"
-        return AdaptedExemplar(source=item, adapted_sql=adapted_sql, adapted_nl=adapted_nl,
-                               ted=ted, attempts=attempts)
+        return AdaptedExemplar(item.db_id, item.nl, item.sql, adapted_sql, adapted_nl,
+                               ted, attempts)
 
     adapted = map_in_order(adapt_one, exemplars, workers)
     bundle = AdaptationBundle(target_schema.db_id, ted_threshold,
@@ -246,10 +234,6 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
     failures = [a for a in adapted if isinstance(a, str)]
 
     if draft_records is not None:
-        prefix = prompt_prefix("ltmp-gp", shots_for("ltmp-gp", exemplars, draft_records),
-                               databases=draft_context, cot_enabled=cot_enabled)
-        block = schema_block("ltmp-gp", target_schema)
-
         def complete(stage: int, nl: str, subs: tuple[str, ...] = ()) -> str:
             prompt = prefix.join(prompt_suffix("ltmp-gp", nl, stage=stage, block=block,
                                                test_sub_questions=subs), budget, stage)
@@ -264,7 +248,7 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
                 # the reviewer reconciles sub-questions and steps by hand
                 steps = read_steps(complete(2, entry.adapted_nl, subs))
             except PsmithError as exc:
-                return f"{entry.source.db_id}: {entry.source.nl}: decomposition draft: {exc}"
+                return f"{entry.source_db_id}: {entry.source_nl}: decomposition draft: {exc}"
             entry.sub_questions, entry.natsql_steps = subs, steps
 
         failures += filter(None, map_in_order(draft, bundle.exemplars, workers))

@@ -43,7 +43,6 @@ from ..promptforge.prompts import (
     schema_block,
 )
 from ..readonly import map_in_order
-from ..sampler import Exemplar
 from .adapt import AdaptationBundle
 from .ltmp import (
     check_arity,
@@ -146,7 +145,7 @@ class PipelineOutcome:
         return [((r.db_id, r.question), r.error) for r in self.traces if r.error is not None]
 
 
-def shots_for(mode: str, exemplars: list[Exemplar] | None = None,
+def shots_for(mode: str, exemplars: list[AnnotatedExample] | None = None,
               ss_records: dict[str, DecompositionRecord] | None = None,
               bundle: AdaptationBundle | None = None) -> list[Shot]:
     """The shots every query of a *mode* run shows: the report's exemplars
@@ -288,7 +287,7 @@ class _QueryRunner:
 def run_pipeline(cfg: PipelineConfig, client: LlmClient,
                  test: AnnotatedDataset,
                  train: AnnotatedDataset | None = None,
-                 exemplars: list[Exemplar] | None = None,
+                 exemplars: list[AnnotatedExample] | None = None,
                  ss_records: dict[str, DecompositionRecord] | None = None,
                  bundle: AdaptationBundle | None = None,
                  target_profile=None,

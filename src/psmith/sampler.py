@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
-from .corpus.types import AnnotatedDataset, Role
+from .corpus.types import AnnotatedDataset, AnnotatedExample, Role
 from .errors import BudgetExceeded, ParseError
 from .promptforge.budget import TokenBudget, count_tokens
 from .promptforge.prompts import Shot, exemplar_id, prompt_prefix
@@ -31,10 +31,8 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class Exemplar:
-    db_id: str
-    nl: str
-    sql: str
+class Exemplar(AnnotatedExample):
+    """A training example with the catalog operations its SQL covers."""
     ops: frozenset[PrimitiveOp]
 
 
@@ -124,33 +122,19 @@ def sample_exemplars(dataset: AnnotatedDataset,
     budget = budget or TokenBudget()
 
     ops_by_sql: dict[str, frozenset[PrimitiveOp] | None] = {}
-    ops_by_key: dict[tuple[str, int], frozenset[PrimitiveOp]] = {}
-    example_by_key: dict[tuple[str, int], object] = {}
-    per_db: dict[str, list[tuple[str, int]]] = {db: [] for db in dataset.databases}
-    for idx, example in enumerate(dataset.examples):
-        key = (example.db_id, idx)
+    per_db: dict[str, list[Exemplar]] = {db: [] for db in dataset.databases}
+    for example in dataset.examples:
         if example.sql not in ops_by_sql:
             ops_by_sql[example.sql] = _safe_extract(example.sql, catalog)
         ops = ops_by_sql[example.sql]
-        if ops is None:
-            continue
-        ops_by_key[key] = ops
-        example_by_key[key] = example
-        per_db[example.db_id].append(key)
+        if ops is not None:
+            per_db[example.db_id].append(Exemplar(example.db_id, example.nl, example.sql, ops))
 
-    coverage = {db_id: frozenset().union(*(ops_by_key[key] for key in keys))
-                for db_id, keys in per_db.items()}
+    coverage = {db_id: covered(items) for db_id, items in per_db.items()}
     db_order = sorted(coverage, key=lambda db_id: (-len(coverage[db_id]), db_id))
-    ordered_items = [(key, ops_by_key[key]) for db_id in db_order for key in per_db[db_id]]
-    selected_keys, first_cover_keys = greedy_cover(ordered_items, catalog)
-
-    exemplars = [Exemplar(example_by_key[k].db_id, example_by_key[k].nl,
-                          example_by_key[k].sql, ops_by_key[k])
-                 for k in selected_keys]
-    first_cover = {
-        op: f"{example_by_key[key].db_id}: {example_by_key[key].nl}"
-        for op, key in first_cover_keys.items()
-    }
+    exemplars, first_covers = greedy_cover(
+        [(item, item.ops) for db_id in db_order for item in per_db[db_id]], catalog)
+    first_cover = {op: f"{item.db_id}: {item.nl}" for op, item in first_covers.items()}
 
     unattainable = sorted(catalog - covered(exemplars))
     if unattainable:

@@ -987,6 +987,26 @@ def nuclear_questions() -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
+# replay stores
+# ---------------------------------------------------------------------------
+
+def append_record(path: str | Path, request, completions) -> None:
+    """Append one replay record: *request* and its *completions*."""
+    from psmith.llmclient import _record, write_records
+
+    write_records(path, [_record(request, completions)])
+
+
+def replay_client(store_path: str | Path, model: str | None = None):
+    """A replay-only client over a store, whose transport refuses any
+    network call outright."""
+    from psmith.llmclient import LlmClient, ReplayStore, forbidden_transport
+
+    return LlmClient(mode="replay", replay_store=ReplayStore.load(store_path),
+                     model=model, transport=forbidden_transport)
+
+
+# ---------------------------------------------------------------------------
 # Golden-prompt ingredients: the pinned domain-adapted exemplar material
 # ---------------------------------------------------------------------------
 

@@ -170,7 +170,7 @@ def test_run_manifest_guards_config(runner, kaggledbqa_dir, tmp_path):
 def test_run_manifest_guards_inputs(runner, kaggledbqa_dir, tmp_path):
     import shutil
 
-    from psmith.llmclient import GenerationRequest, append_record
+    from psmith.llmclient import GenerationRequest
     from psmith.pipelines import AdaptationBundle
 
     bundle, other = tmp_path / "bundle.json", tmp_path / "other.json"
@@ -189,7 +189,7 @@ def test_run_manifest_guards_inputs(runner, kaggledbqa_dir, tmp_path):
     # and the manifest lists each store the run read
     store = tmp_path / "store.jsonl"
     shutil.copy(STORE, store)
-    append_record(store, GenerationRequest("unrelated", "offline-model"), ["x"])
+    fixturelib.append_record(store, GenerationRequest("unrelated", "offline-model"), ["x"])
     resumed = runner.invoke(main, args + ["--bundle", str(bundle), "--replay", str(store)])
     assert resumed.exit_code == 0, resumed.output + resumed.stderr
     appended = (tmp_path / "runs" / "fixed" / "manifest.json").read_text()
@@ -505,3 +505,101 @@ def test_failed_drafts_fail_adapt_and_run_refuses_the_gap(runner, spider_dir, sp
     assert "lacks decompositions" in run.stderr
     assert "Traceback" not in run.output + run.stderr
     assert not (tmp_path / "runs" / "gap").exists()
+
+
+def adapted_bundle(runner, spider_dir, spider_ss_dir, kaggledbqa_dir, tmp_path):
+    """The fixture flow's bundle, adapted and drafted from the committed store."""
+    report, bundle = tmp_path / "report.jsonl", tmp_path / "bundle.json"
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(report)]).exit_code == 0
+    result = runner.invoke(main, [
+        "adapt", "--report", str(report), "--train", str(spider_dir),
+        "--test", str(kaggledbqa_dir), "--db", fixturelib.NUCLEAR_DB,
+        "--out", str(bundle), "--spider-ss", str(spider_ss_dir),
+        "--draft-decompositions", "--replay", str(STORE), "--model", "offline-model"])
+    assert result.exit_code == 0, result.output + result.stderr
+    return bundle
+
+
+def run_bundle(runner, bundle, kaggledbqa_dir, tmp_path, run_id="R"):
+    return runner.invoke(main, [
+        "run", "--mode", "ltmp-da-gp", "--bundle", str(bundle),
+        "--test", str(kaggledbqa_dir), "--runs", str(tmp_path / "runs"),
+        "--run-id", run_id, "--replay", str(STORE), "--model", "offline-model"])
+
+
+def test_run_takes_a_bundle_whose_source_sql_does_not_parse(runner, spider_dir, spider_ss_dir,
+                                                             kaggledbqa_dir, tmp_path):
+    bundle = adapted_bundle(runner, spider_dir, spider_ss_dir, kaggledbqa_dir, tmp_path)
+    payload = json.loads(bundle.read_text(encoding="utf-8"))
+    payload["exemplars"][0]["source_sql"] = "SELECT FROM WHERE !!"
+    bundle.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    result = run_bundle(runner, bundle, kaggledbqa_dir, tmp_path)
+    assert result.exit_code == 0, result.output + result.stderr
+    assert (tmp_path / "runs" / "R" / "predictions.jsonl").exists()
+
+
+def test_a_bundle_entry_missing_a_key_is_a_usage_error(runner, spider_dir, spider_ss_dir,
+                                                       kaggledbqa_dir, tmp_path):
+    bundle = adapted_bundle(runner, spider_dir, spider_ss_dir, kaggledbqa_dir, tmp_path)
+    payload = json.loads(bundle.read_text(encoding="utf-8"))
+    del payload["exemplars"][3]["ted"]
+    bundle.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    result = run_bundle(runner, bundle, kaggledbqa_dir, tmp_path)
+    assert result.exit_code == 2
+    assert str(bundle) in result.stderr
+    assert "exemplar entry 3" in result.stderr and "'ted'" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+def test_sample_without_a_tables_manifest_is_a_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["sample", "--train", str(tmp_path),
+                                  "--out", str(tmp_path / "r.jsonl")])
+    assert result.exit_code == 2
+    assert "MissingFile" in result.stderr and "tables.json" in result.stderr
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+@pytest.mark.parametrize("query", ["  ", None])
+def test_eval_refuses_a_blank_or_null_gold_query(runner, kaggledbqa_dir, tmp_path, query):
+    import shutil
+
+    test = tmp_path / "test"
+    shutil.copytree(kaggledbqa_dir, test)
+    examples = test / "examples" / f"{fixturelib.NUCLEAR_DB}.json"
+    rows = json.loads(examples.read_text(encoding="utf-8"))
+    rows[2]["query"] = query
+    examples.write_text(json.dumps(rows), encoding="utf-8")
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text(json.dumps({"db_id": fixturelib.NUCLEAR_DB,
+                                       "question": rows[0]["question"], "sql": "SELECT 1"}))
+    result = runner.invoke(main, ["eval", "--predictions", str(predictions),
+                                  "--test", str(test), "--out", str(tmp_path / "report")])
+    assert result.exit_code == 2
+    assert f"{fixturelib.NUCLEAR_DB}.json" in result.stderr and "(row 2)" in result.stderr
+    assert not (tmp_path / "report").exists()
+
+
+def test_adapt_refuses_a_missing_draft_record_before_generating(runner, spider_dir,
+                                                                spider_ss_dir, kaggledbqa_dir,
+                                                                tmp_path, monkeypatch):
+    from psmith.llmclient import LlmClient
+
+    report, ss, bundle = tmp_path / "report.jsonl", tmp_path / "ss", tmp_path / "bundle.json"
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(report)]).exit_code == 0
+    ss.mkdir()
+    rows = json.loads((spider_ss_dir / "spider_ss.json").read_text(encoding="utf-8"))
+    (ss / "spider_ss.json").write_text(json.dumps(rows[1:]), encoding="utf-8")
+    generated = []
+    monkeypatch.setattr(LlmClient, "generate", lambda client, request: generated.append(1))
+    result = runner.invoke(main, [
+        "adapt", "--report", str(report), "--train", str(spider_dir),
+        "--test", str(kaggledbqa_dir), "--db", fixturelib.NUCLEAR_DB,
+        "--out", str(bundle), "--spider-ss", str(ss), "--draft-decompositions",
+        "--replay", str(STORE), "--model", "offline-model"])
+    assert result.exit_code == 2
+    assert "no decomposition record" in result.stderr
+    assert generated == []
+    assert not bundle.exists()

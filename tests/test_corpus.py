@@ -64,6 +64,16 @@ def test_load_spider_unknown_db_id(tmp_path):
     assert excinfo.value.row == 0
 
 
+def test_load_spider_refuses_a_null_query(tmp_path):
+    (tmp_path / "tables.json").write_text(json.dumps(fixturelib.TRAIN_TABLES))
+    (tmp_path / "train_spider.json").write_text(json.dumps([
+        {"db_id": "college_2", "question": "q", "query": "SELECT 1"},
+        {"db_id": "college_2", "question": "q", "query": None}]))
+    with pytest.raises(MalformedManifest, match="train_spider.json: .*query") as excinfo:
+        load_spider(tmp_path)
+    assert excinfo.value.row == 1
+
+
 def test_load_kaggledbqa_counts(test_dataset):
     assert len(test_dataset.databases) == 8
     assert test_dataset.role == "test"
@@ -115,6 +125,14 @@ def test_decomposition_record_arity():
         DecompositionRecord("q", ("a", "b"), ("s",), "SELECT 1")
     with pytest.raises(LengthMismatch):
         DecompositionRecord("q", (), (), "SELECT 1")
+
+
+def test_load_spider_ss_names_the_row_of_an_arity_mismatch(tmp_path):
+    (tmp_path / "spider_ss.json").write_text(json.dumps([
+        {"question": "q", "query": "SELECT 1", "sub_questions": ["a", "b"],
+         "natsql_steps": ["s"]}]))
+    with pytest.raises(MalformedManifest, match=r"spider_ss.json: .*\(row 0\)"):
+        load_spider_ss(tmp_path)
 
 
 def test_round_trip_determinism(spider_dir):

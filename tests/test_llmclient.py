@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixturelib import append_record, replay_client
 from psmith import llmclient
 from psmith.errors import BudgetRefused, RateLimited, ReplayMiss, TransportError
 from psmith.llmclient import (
@@ -18,9 +19,7 @@ from psmith.llmclient import (
     LlmClient,
     ReplayStore,
     SharedPrefix,
-    append_record,
     forbidden_transport,
-    replay_client,
 )
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fixturelib
+from fixturelib import append_record
 from psmith.corpus import attach_value_profile
 from psmith.errors import (
     AdaptationFailed,
@@ -20,7 +21,7 @@ from psmith.errors import (
     NoSelectFound,
     UnparseableDecomposition,
 )
-from psmith.llmclient import LlmClient, ReplayStore, append_record
+from psmith.llmclient import LlmClient, ReplayStore
 from psmith.pipelines import (
     AdaptationBundle,
     AdaptedExemplar,
@@ -296,7 +297,7 @@ def make_bundle(train_dataset, with_decompositions=True) -> AdaptationBundle:
     bundle = AdaptationBundle(fixturelib.NUCLEAR_DB, ted_threshold=2)
     exemplar = source_exemplar(train_dataset)
     bundle.exemplars.append(AdaptedExemplar(
-        source=exemplar,
+        source_db_id=exemplar.db_id, source_nl=exemplar.nl, source_sql=exemplar.sql,
         adapted_sql="SELECT DISTINCT Latitude FROM nuclear_power_plants WHERE Capacity > 50",
         adapted_nl="Find the latitudes of nuclear power plants with capacity more than 50.",
         ted=0, attempts=1,
@@ -317,7 +318,7 @@ def test_bundle_round_trip(tmp_path, train_dataset):
     entry = loaded.exemplars[0]
     assert entry.adapted_sql == bundle.exemplars[0].adapted_sql
     assert entry.sub_questions == bundle.exemplars[0].sub_questions
-    assert entry.source.ops == bundle.exemplars[0].source.ops
+    assert entry.source == bundle.exemplars[0].source
 
 
 def test_verify_bundle_flags_violations(train_dataset, target_schema):
@@ -341,6 +342,63 @@ def test_verify_bundle_reports_a_late_row_error(tmp_path, train_dataset, target_
     bundle.exemplars[0].ted = 2
     problems = verify_bundle(bundle, target)
     assert len(problems) == 1 and "does not execute: integer overflow" in problems[0]
+
+
+def test_bundle_save_load_save_is_byte_identical(tmp_path, train_dataset):
+    for with_decompositions in (True, False):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        make_bundle(train_dataset, with_decompositions).save(first)
+        AdaptationBundle.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_bundle_load_parses_no_sql(tmp_path, train_dataset, monkeypatch):
+    import psmith.pipelines.adapt
+    import psmith.sqlanalysis
+    import psmith.sqlanalysis.ops
+    import psmith.sqlanalysis.parser
+
+    path = tmp_path / "bundle.json"
+    make_bundle(train_dataset).save(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bundle was parsed as SQL")
+
+    for module in (psmith.sqlanalysis, psmith.sqlanalysis.ops, psmith.sqlanalysis.parser,
+                   psmith.pipelines.adapt):
+        for name in ("parse_sql", "extract_operators"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    entry = AdaptationBundle.load(path).exemplars[0]
+    assert entry.source_sql == fixturelib.TRAIN_EXAMPLES[0][2]
+
+
+def test_bundle_load_names_a_missing_or_unknown_key(tmp_path, train_dataset):
+    from psmith.errors import MalformedManifest
+
+    path = tmp_path / "bundle.json"
+    make_bundle(train_dataset).save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["exemplars"][0]["ted"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(MalformedManifest, match=r"exemplar entry 0: .*'ted'"):
+        AdaptationBundle.load(path)
+    payload["exemplars"][0].update(ted=0, tedd=0)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(MalformedManifest, match=r"exemplar entry 0: .*'tedd'"):
+        AdaptationBundle.load(path)
+
+
+def test_pipelines_do_not_import_the_sampler():
+    import ast
+
+    import psmith.pipelines
+
+    for path in Path(psmith.pipelines.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                assert "sampler" not in (node.module or ""), path.name
+                assert all(alias.name != "sampler" for alias in node.names), path.name
 
 
 def test_chains_require_decompositions(train_dataset):
@@ -757,6 +815,26 @@ def test_bundle_runs_name_each_shot_by_its_training_query(tmp_path, train_datase
         assert len(stages) >= 22
         for key, stage in stages:
             assert stage["exemplar_ids"] == expected, (mode, key)
+
+
+def test_every_adapted_entry_passes_verify_bundle_through_the_same_check(
+        tmp_path, train_dataset, test_dataset, spider_ss_dir, monkeypatch):
+    import psmith.pipelines.adapt as adapt
+
+    checked = []
+    inner = adapt.adapted_distance
+
+    def recording(database, source_sql, sql):
+        checked.append((source_sql, sql))
+        return inner(database, source_sql, sql)
+
+    monkeypatch.setattr(adapt, "adapted_distance", recording)
+    bundle, _ = committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir)
+    accepted = [(entry.source_sql, entry.adapted_sql) for entry in bundle.exemplars]
+    assert len(accepted) == 18 and set(accepted) <= set(checked)
+    checked.clear()
+    assert verify_bundle(bundle, test_dataset.databases[fixturelib.NUCLEAR_DB]) == []
+    assert checked == accepted
 
 
 def test_a_stage_completion_that_fails_to_parse_is_kept(tmp_path, train_dataset,
