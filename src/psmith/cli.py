@@ -49,6 +49,7 @@ from .pipelines import (
 )
 from .pipelines.adapt import adapt_exemplars
 from .promptforge import MODES, save_artifact
+from .records import read_json, write_records
 from .sqlanalysis.ops import load_catalog
 
 EXIT_COVERAGE = 3
@@ -73,7 +74,7 @@ def _parse_value(key: str, value: str, where: str):
     try:
         return _BOOLEANS[value.lower()] if kind is bool else kind(value)
     except (KeyError, ValueError):
-        raise click.ClickException(f"{where}: bad {kind.__name__} {value!r} for {key}") from None
+        raise click.UsageError(f"{where}: bad {kind.__name__} {value!r} for {key}") from None
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -84,13 +85,13 @@ def read_config_file(path: str | Path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise click.ClickException(f"{path}:{lineno}: expected key = value")
+            raise click.UsageError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "mode":
-            raise click.ClickException(f"{path}:{lineno}: mode is set by run --mode only")
+            raise click.UsageError(f"{path}:{lineno}: mode is set by run --mode only")
         if key not in _FILE_KEYS:
-            raise click.ClickException(f"{path}:{lineno}: unknown key {key!r}")
+            raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, value, f"{path}:{lineno}")
     return values
 
@@ -207,7 +208,9 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
     manifest = run_dir / "manifest.json"
     replay = payload["inputs"]["replay"]
     if manifest.exists():
-        previous = json.loads(manifest.read_text(encoding="utf-8"))
+        previous = read_json(manifest)
+        if not isinstance(previous, dict):
+            raise MalformedManifest("not a JSON object", path=manifest)
         if previous.get("config") != payload["config"]:
             raise click.ClickException(
                 f"run {payload['run_id']} already exists with a different "
@@ -234,14 +237,15 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
 
 
 class _Commands(click.Group):
-    """An input file that is missing or malformed is a usage error (exit 2),
-    named with its row or entry; every command reads its inputs before it
-    writes anything."""
+    """An input file that is missing or malformed, a shot that lacks its
+    decomposition and a prediction that the test set lacks are usage errors
+    (exit 2), each named; every command reads its inputs before it writes
+    anything."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (MissingFile, MalformedManifest) as exc:
+        except (MissingFile, MalformedManifest, MissingAdaptation, MissingGold) as exc:
             raise click.UsageError(f"{type(exc).__name__}: {exc}") from None
 
 
@@ -306,7 +310,7 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
     test = _load_test_dataset(test_dir)
     ensure_disjoint(train, test)
     if db_id not in test.databases:
-        raise click.ClickException(f"{db_id!r} is not a database of {test_dir}")
+        raise click.UsageError(f"{db_id!r} is not a database of {test_dir}")
     target = test.databases[db_id]
 
     if dry_run:
@@ -324,22 +328,19 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
     draft_records = None
     if draft_decompositions:
         if spider_ss_dir is None:
-            raise click.ClickException("--draft-decompositions needs --spider-ss")
+            raise click.UsageError("--draft-decompositions needs --spider-ss")
         draft_records = load_spider_ss(spider_ss_dir)
 
     client = build_client(cfg, replay, record, cache_dir)
-    try:
-        bundle, failed = adapt_exemplars(
-            exemplars, train.databases, target, client,
-            ted_threshold=cfg.ted_threshold,
-            max_beam_samples=cfg.max_beam_samples,
-            budget=cfg.budget,
-            max_output_tokens=cfg.max_output_tokens,
-            cot_enabled=cfg.cot_enabled,
-            draft_records=draft_records,
-            draft_context=train.databases, workers=cfg.workers)
-    except ValueError as exc:  # an exemplar lacks its decomposition record
-        raise click.UsageError(str(exc)) from None
+    bundle, failed = adapt_exemplars(
+        exemplars, train.databases, target, client,
+        ted_threshold=cfg.ted_threshold,
+        max_beam_samples=cfg.max_beam_samples,
+        budget=cfg.budget,
+        max_output_tokens=cfg.max_output_tokens,
+        cot_enabled=cfg.cot_enabled,
+        draft_records=draft_records,
+        draft_context=train.databases, workers=cfg.workers)
 
     bundle.save(out_path)
     click.echo(f"adapted {len(bundle.exemplars)} of {len(exemplars)} exemplars "
@@ -370,27 +371,24 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
     exemplars = train = ss_records = bundle = target_profile = None
     if not spec.domain:
         if report_path is None or train_dir is None:
-            raise click.ClickException(f"--mode {mode} needs --report and --train")
+            raise click.UsageError(f"--mode {mode} needs --report and --train")
         exemplars = sampler.read_report(report_path)
         train = load_spider(train_dir)
         ensure_disjoint(train, test)
         if spec.ltmp:
             if spider_ss_dir is None:
-                raise click.ClickException(f"--mode {mode} needs --spider-ss")
+                raise click.UsageError(f"--mode {mode} needs --spider-ss")
             ss_records = load_spider_ss(spider_ss_dir)
     else:
         if bundle_path is None:
-            raise click.ClickException(f"--mode {mode} needs --bundle")
+            raise click.UsageError(f"--mode {mode} needs --bundle")
         bundle = AdaptationBundle.load(bundle_path)
         if bundle.target_db_id not in test.databases:
-            raise click.ClickException(
+            raise click.UsageError(
                 f"bundle targets {bundle.target_db_id!r}, absent from {test_dir}")
         target_profile = attach_value_profile(
             test.databases[bundle.target_db_id], cfg.seed, cfg.numeric_render)
-    try:  # refuse a run whose shots cannot be built before its directory exists
-        shots_for(mode, exemplars, ss_records, bundle)
-    except (MissingAdaptation, ValueError) as exc:  # a shot lacks its decomposition
-        raise click.UsageError(str(exc)) from None
+    shots_for(mode, exemplars, ss_records, bundle)  # refused before the run directory exists
 
     client = build_client(cfg, replay, record, cache_dir)
 
@@ -439,19 +437,14 @@ def eval_cmd(predictions_path, test_dir, out_dir):
             databases=gold.databases,
             examples=[ex for ex in gold.examples if ex.db_id in covered],
             role=gold.role)
-    try:
-        report = evaluator.evaluate(predictions, gold)
-    except MissingGold as exc:  # a prediction for a question the test set lacks
-        raise click.UsageError(f"{exc} in {test_dir}") from None
+    report = evaluator.evaluate(predictions, gold)
     text = evaluator.format_report(report)
     click.echo(text)
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(text + "\n", encoding="utf-8")
-        with open(out / "report.jsonl", "w", encoding="utf-8") as f:
-            for record in evaluator.report_records(report):
-                f.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        write_records(out / "report.jsonl", evaluator.report_records(report))
     if report.dataset_defects:
         raise SystemExit(EXIT_DEFECTS)
 

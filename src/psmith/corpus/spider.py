@@ -16,11 +16,11 @@ question plus parallel ``sub_questions`` and ``natsql_steps`` lists.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 
-from ..errors import LengthMismatch, MalformedManifest, MissingFile
+from ..errors import MissingFile
+from ..records import read_rows
 from .types import (
     AnnotatedDataset,
     AnnotatedExample,
@@ -37,46 +37,28 @@ logger = logging.getLogger(__name__)
 EXAMPLE_MANIFESTS = ("train_spider.json", "train.json", "examples.json")
 
 
-def _read_json(path: Path):
-    if not path.exists():
-        raise MissingFile(str(path))
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except ValueError as exc:
-            raise MalformedManifest(f"not JSON: {exc}", path=path) from None
-
-
 def _read_examples(path: Path, schemas: dict[str, SchemaProfile]) -> list[AnnotatedExample]:
     """The ``{db_id, question, query}`` rows of one examples manifest; each
     must name a database of *schemas* and hold a question and a non-empty
     query, both strings."""
-    examples = []
-    for row, entry in enumerate(_read_json(path)):
-        try:
-            db_id, nl, sql = entry["db_id"], entry["question"], entry["query"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedManifest(f"example missing field: {exc}", row, path) from None
+    def example(entry: dict) -> AnnotatedExample:
+        db_id, nl, sql = entry["db_id"], entry["question"], entry["query"]
         if db_id not in schemas:
-            raise MalformedManifest(f"example references unknown db_id {db_id!r}", row, path)
+            raise ValueError(f"example references unknown db_id {db_id!r}")
         if not isinstance(nl, str) or not isinstance(sql, str) or not sql.strip():
-            raise MalformedManifest("question and query must be strings, the query "
-                                    "non-empty", row, path)
-        examples.append(AnnotatedExample(db_id, nl, sql))
-    return examples
+            raise ValueError("question and query must be strings, the query non-empty")
+        return AnnotatedExample(db_id, nl, sql)
+    return read_rows(path, example)
 
 
-def _schema_from_manifest(entry: dict, row: int, path: Path,
-                          descriptions: list[str | None] | None = None) -> SchemaProfile:
-    try:
-        db_id = entry["db_id"]
-        table_names = entry["table_names_original"]
-        column_entries = entry["column_names_original"]
-        column_types = entry.get("column_types", [])
-        pk_indices = entry.get("primary_keys", [])
-        fk_pairs = entry.get("foreign_keys", [])
-    except (KeyError, TypeError) as exc:
-        raise MalformedManifest(f"schema entry missing field: {exc}", row, path) from None
+def _schema_from_manifest(entry: dict, descriptions_key: str | None) -> SchemaProfile:
+    db_id = entry["db_id"]
+    table_names = entry["table_names_original"]
+    column_entries = entry["column_names_original"]
+    column_types = entry.get("column_types", [])
+    pk_indices = entry.get("primary_keys", [])
+    fk_pairs = entry.get("foreign_keys", [])
+    descriptions = entry.get(descriptions_key) if descriptions_key else None
 
     per_table: list[list[Column]] = [[] for _ in table_names]
     col_owner: list[tuple[int, str]] = []  # column index -> (table idx, name)
@@ -85,7 +67,7 @@ def _schema_from_manifest(entry: dict, row: int, path: Path,
         if tidx == -1:  # the '*' pseudo-column
             continue
         if not 0 <= tidx < len(table_names):
-            raise MalformedManifest(f"{db_id}: column {col_name!r} names table index {tidx}", row, path)
+            raise ValueError(f"{db_id}: column {col_name!r} names table index {tidx}")
         ctype = column_types[i] if i < len(column_types) else ""
         desc = descriptions[i] if descriptions and i < len(descriptions) else None
         per_table[tidx].append(Column(col_name, ctype, desc))
@@ -104,7 +86,7 @@ def _schema_from_manifest(entry: dict, row: int, path: Path,
         from_idxs = from_spec if isinstance(from_spec, list) else [from_spec]
         to_idxs = to_spec if isinstance(to_spec, list) else [to_spec]
         if len(from_idxs) != len(to_idxs):
-            raise MalformedManifest(f"{db_id}: unbalanced foreign key {from_spec} -> {to_spec}", row, path)
+            raise ValueError(f"{db_id}: unbalanced foreign key {from_spec} -> {to_spec}")
         ftidx = col_owner[from_idxs[0]][0]
         ttidx = col_owner[to_idxs[0]][0]
         foreign_keys.append(ForeignKey(
@@ -114,25 +96,17 @@ def _schema_from_manifest(entry: dict, row: int, path: Path,
             tuple(col_owner[i][1] for i in to_idxs),
         ))
 
-    try:
-        return SchemaProfile(
-            db_id=db_id,
-            tables=tables,
-            primary_keys={t: tuple(cols) for t, cols in primary_keys.items()},
-            foreign_keys=tuple(foreign_keys),
-        )
-    except ValueError as exc:
-        raise MalformedManifest(str(exc), row, path) from None
+    return SchemaProfile(
+        db_id=db_id,
+        tables=tables,
+        primary_keys={t: tuple(cols) for t, cols in primary_keys.items()},
+        foreign_keys=tuple(foreign_keys),
+    )
 
 
 def load_tables_manifest(path: Path, descriptions_key: str | None = None) -> dict[str, SchemaProfile]:
-    entries = _read_json(path)
-    schemas: dict[str, SchemaProfile] = {}
-    for row, entry in enumerate(entries):
-        descriptions = entry.get(descriptions_key) if descriptions_key else None
-        profile = _schema_from_manifest(entry, row, path, descriptions)
-        schemas[profile.db_id] = profile
-    return schemas
+    return {profile.db_id: profile for profile in read_rows(
+        path, lambda entry: _schema_from_manifest(entry, descriptions_key))}
 
 
 def _attach_sqlite_paths(schemas: dict[str, SchemaProfile], root: Path,
@@ -157,11 +131,7 @@ def load_spider(directory: str | Path, role: str = Role.TRAIN) -> AnnotatedDatas
     schemas = load_tables_manifest(root / "tables.json")
     _attach_sqlite_paths(schemas, root, ("database",))
 
-    manifest = None
-    for name in EXAMPLE_MANIFESTS:
-        if (root / name).exists():
-            manifest = root / name
-            break
+    manifest = next((root / name for name in EXAMPLE_MANIFESTS if (root / name).exists()), None)
     if manifest is None:
         raise MissingFile(f"no examples manifest in {root} (tried {', '.join(EXAMPLE_MANIFESTS)})")
 
@@ -171,18 +141,7 @@ def load_spider(directory: str | Path, role: str = Role.TRAIN) -> AnnotatedDatas
 
 def load_spider_ss(directory: str | Path) -> dict[str, DecompositionRecord]:
     """Load Spider-SS decompositions keyed by the exact NL question text."""
-    root = Path(directory)
-    path = root / "spider_ss.json"
-    records: dict[str, DecompositionRecord] = {}
-    for row, entry in enumerate(_read_json(path)):
-        try:
-            nl = entry["question"]
-            subs = tuple(entry["sub_questions"])
-            steps = tuple(entry["natsql_steps"])
-            gold = entry["query"]
-            records[nl] = DecompositionRecord(nl, subs, steps, gold)
-        except (KeyError, TypeError) as exc:
-            raise MalformedManifest(f"spider-ss entry missing field: {exc}", row, path) from None
-        except LengthMismatch as exc:
-            raise MalformedManifest(str(exc), row, path) from None
-    return records
+    return {record.nl: record for record in read_rows(
+        Path(directory) / "spider_ss.json",
+        lambda entry: DecompositionRecord(entry["question"], tuple(entry["sub_questions"]),
+                                          tuple(entry["natsql_steps"]), entry["query"]))}

@@ -411,19 +411,12 @@ def format_report(report: EvalReport) -> str:
 
 
 def report_records(report: EvalReport) -> list[dict]:
-    """Machine-readable report records, one dict per line when serialized."""
-    records: list[dict] = [{
-        "kind": "overall",
-        "correct": report.correct,
-        "total": report.total,
-        "ex": round(report.overall_ex, 4),
-        "defects": len(report.dataset_defects),
-    }]
-    for db, (correct, total, ex) in report.per_db.items():
-        records.append({"kind": "db", "db_id": db, "correct": correct,
-                        "total": total, "ex": round(ex, 4)})
-    for question, kind in report.failures:
-        records.append({"kind": "failure", "failure": kind, "question": question})
-    for defect in report.dataset_defects:
-        records.append({"kind": "defect", "detail": defect})
-    return records
+    """The records of ``report.jsonl``: the overall score, then one record
+    per database, failure and dataset defect."""
+    return [{"kind": "overall", "correct": report.correct, "total": report.total,
+             "ex": round(report.overall_ex, 4), "defects": len(report.dataset_defects)},
+            *({"kind": "db", "db_id": db, "correct": correct, "total": total,
+               "ex": round(ex, 4)} for db, (correct, total, ex) in report.per_db.items()),
+            *({"kind": "failure", "failure": kind, "question": question}
+              for question, kind in report.failures),
+            *({"kind": "defect", "detail": defect} for defect in report.dataset_defects)]

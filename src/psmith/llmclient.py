@@ -19,10 +19,11 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetRefused, RateLimited, ReplayMiss, TransportError
 from .promptforge.budget import count_tokens
+from .records import read_records, write_records
 
 logger = logging.getLogger(__name__)
 
@@ -117,40 +118,14 @@ class GenerationResult:
         return self.completions[0]
 
 
-# --- JSON-lines record files: the generation store and the run journal ----------
-
 # the generation store of a cache directory
 STORE_NAME = "store.jsonl"
 
 
-def read_records(path: str | Path, cut: bool = False) -> Iterator[dict]:
-    """The records of a JSON-lines file, in order; none if it is missing. A
-    torn last line, from an interrupted append, is skipped; with *cut*, the
-    file is created if missing and, once read through, the torn line is cut
-    off, so the next append starts a line of its own."""
-    path = Path(path)
-    if not cut and not path.exists():
-        return
-    with open(path, "a+b" if cut else "rb") as f:
-        f.seek(0)
-        for line in f:
-            if not line.endswith(b"\n"):
-                if cut:
-                    f.truncate(f.tell() - len(line))
-                break
-            if line.strip():
-                yield json.loads(line)
-
-
-def write_records(path: str | Path, records: Iterable[dict]) -> None:
-    """The one appender of record files: one sorted-key JSON object per line,
-    all in one write. Concurrent callers hold a lock."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = "".join(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-                   for record in records)
-    with open(path, "ab", buffering=0) as f:
-        f.write(data.encode("utf-8"))
+def _store_record(record: dict) -> dict:
+    if not isinstance(record["key"], str) or not isinstance(record["completions"], list):
+        raise TypeError("a store record's key is a string and its completions a list")
+    return record
 
 
 class ReplayStore:
@@ -166,7 +141,7 @@ class ReplayStore:
     @classmethod
     def load(cls, path: str | Path) -> "ReplayStore":
         """The store a file holds, read without writing to it."""
-        return cls(read_records(path))
+        return cls(read_records(path, _store_record, torn="skip"))
 
     def add(self, record: dict) -> None:
         self._records.setdefault(record["key"], list(record["completions"]))
@@ -252,8 +227,7 @@ class LlmClient:
         self.api_surface = api_surface
         self.cache_path = Path(cache_dir) / STORE_NAME if mode == "cache" else None
         if self.cache_path is not None:  # cut a torn last line before appending
-            self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-            replay_store = ReplayStore(read_records(self.cache_path, cut=True))
+            replay_store = ReplayStore(read_records(self.cache_path, _store_record, torn="cut"))
         self.replay_store = replay_store if mode != "live" else None
         self.api_base = (api_base or os.environ.get("PSMITH_API_BASE", "")).rstrip("/")
         self.api_key = api_key or os.environ.get("PSMITH_API_KEY", "")
@@ -293,7 +267,7 @@ class LlmClient:
         if self.record_path is not None:
             record = _record(request, result.completions)
             with self._lock:
-                write_records(self.record_path, [record])
+                write_records(self.record_path, [record], append=True)
         return result
 
     def _stored(self, request: GenerationRequest) -> GenerationResult | None:
@@ -322,7 +296,7 @@ class LlmClient:
             result = self._live(request)
             record = _record(request, result.completions)
             with self._lock:
-                write_records(self.cache_path, [record])
+                write_records(self.cache_path, [record], append=True)
                 self.replay_store.add(record)
             return result
         finally:

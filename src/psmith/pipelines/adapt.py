@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
-from ..corpus.spider import _read_json
 from ..corpus.types import AnnotatedExample, SchemaProfile
 from ..errors import (
     AdaptationFailed,
     EmptyGeneration,
-    MalformedManifest,
     NoSelectFound,
     ParseError,
     PsmithError,
@@ -35,6 +34,7 @@ from ..promptforge.prompts import (
     schema_block,
 )
 from ..readonly import map_in_order
+from ..records import read_entry, read_json
 from ..sqlanalysis import parse_sql, tree_edit_distance
 from .ltmp import read_steps, read_sub_questions
 from .normalize import normalize_question, normalize_sql
@@ -86,17 +86,33 @@ class AdaptationBundle:
     @classmethod
     def load(cls, path: str | Path) -> "AdaptationBundle":
         """Read a bundle as saved or as edited by hand; MalformedManifest names
-        the entry and the key that is missing or unknown. No SQL is parsed:
-        the source fields only name the shots."""
-        bundle, where = _read_json(Path(path)), "bundle"
-        try:
-            bundle = cls(**bundle)
-            for index, entry in enumerate(bundle.exemplars):
-                where = f"exemplar entry {index}"
-                bundle.exemplars[index] = AdaptedExemplar(**entry)
-        except TypeError as exc:
-            raise MalformedManifest(f"{where}: {exc}", path=path) from None
+        the entry and the key that is missing, unknown or of the wrong type.
+        No SQL is parsed: the source fields only name the shots."""
+        bundle = read_entry(partial(_typed, cls), read_json(path), path)
+        bundle.exemplars = [read_entry(partial(_typed, AdaptedExemplar), entry, path,
+                                       f"exemplar entry {index}: ")
+                            for index, entry in enumerate(bundle.exemplars)]
         return bundle
+
+
+def _typed(cls, raw: dict):
+    """*cls* built from *raw*, whose values its fields take: text is a string,
+    and SQL a non-blank one; a count is an integer; a decomposition is a list
+    of strings, or null; the exemplars are a list. Else TypeError names the
+    key."""
+    for key in fields(cls):
+        value = raw.get(key.name)
+        if key.type == "str":
+            takes = isinstance(value, str) and (value.strip() or not key.name.endswith("_sql"))
+        elif key.type == "int":
+            takes = type(value) is int
+        elif key.type == "list[AdaptedExemplar]":
+            takes = isinstance(value, list)
+        else:
+            takes = value is None or isinstance(value, list) and all(type(s) is str for s in value)
+        if key.name in raw and not takes:
+            raise TypeError(f"bad value {value!r} for {key.name!r}")
+    return cls(**raw)
 
 
 def adapted_distance(database: Path, source_sql: str, sql: str) -> int:

@@ -20,7 +20,6 @@ their own ``suffix``. A rerun resumes from the journal.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from collections import defaultdict
@@ -31,8 +30,7 @@ from pathlib import Path
 from ..corpus.profile import NUMERIC_RENDER_MODES
 from ..corpus.types import AnnotatedDataset, AnnotatedExample, DecompositionRecord
 from ..errors import MissingAdaptation, PsmithError
-from ..llmclient import (DEFAULT_SPEND_CAP, LlmClient, SharedPrefix, default_model,
-                         read_records, write_records)
+from ..llmclient import DEFAULT_SPEND_CAP, LlmClient, SharedPrefix, default_model
 from ..promptforge.budget import DEFAULT_LIMIT, TokenBudget
 from ..promptforge.prompts import (
     MODES,
@@ -43,6 +41,7 @@ from ..promptforge.prompts import (
     schema_block,
 )
 from ..readonly import map_in_order
+from ..records import read_records, write_records
 from .adapt import AdaptationBundle
 from .ltmp import (
     check_arity,
@@ -170,7 +169,7 @@ def shots_for(mode: str, exemplars: list[AnnotatedExample] | None = None,
         if spec.ltmp:
             record = (ss_records or {}).get(item.nl)
             if record is None:
-                raise ValueError(f"no decomposition record for exemplar NL {item.nl!r}")
+                raise MissingAdaptation(f"no decomposition record for exemplar NL {item.nl!r}")
             chain = (record.sub_questions, record.natsql_steps)
         shots.append(Shot(exemplar_id(item), item.db_id, item.nl, item.sql, *chain))
     return shots
@@ -200,23 +199,27 @@ def _compose(record: QueryRecord, completion: str) -> None:
 _LTMP_STAGES = ((("\n",), _decompose), (("\n",), _map_steps), (("#",), _compose))
 
 
+def _journal_entry(row: dict) -> QueryRecord | str:
+    """A journal line: a prefix record's digest, or a query's record without
+    its prompt texts (a stage's ``suffix``, or its whole ``text``)."""
+    if "db_id" not in row:
+        return row["prefix"]
+    record = QueryRecord(**row)
+    for stage in record.stages:
+        stage.pop("suffix", None)
+        stage.pop("text", None)
+    return record
+
+
 def _read_journal(path: Path) -> tuple[dict[tuple[str, int, str], QueryRecord], set[str]]:
     """The queries a journal records as done, by (db_id, index, question):
-    those whose last record holds no error, without their prompt texts; and
-    the digests of the prefixes it holds. A torn last line, from an
-    interrupted write, is cut off. Stages journaled whole, with their
-    ``text``, read as well as those with a ``suffix``."""
-    records, prefixes = {}, set()
-    for row in read_records(path, cut=True):
-        if "db_id" not in row:  # a prefix record
-            prefixes.add(row["prefix"])
-            continue
-        record = QueryRecord(**row)
-        for stage in record.stages:
-            stage.pop("suffix", None)
-            stage.pop("text", None)
-        records[(record.db_id, record.index, record.question)] = record
-    return {key: record for key, record in records.items() if record.error is None}, prefixes
+    those whose last record holds no error; and the digests of the prefixes
+    it holds. A torn last line, from an interrupted write, is cut off."""
+    entries = list(read_records(path, _journal_entry, torn="cut"))
+    records = {(entry.db_id, entry.index, entry.question): entry
+               for entry in entries if isinstance(entry, QueryRecord)}
+    return ({key: record for key, record in records.items() if record.error is None},
+            {entry for entry in entries if not isinstance(entry, QueryRecord)})
 
 
 class _QueryRunner:
@@ -249,7 +252,8 @@ class _QueryRunner:
             self.done, prefixes = _read_journal(journal)
             if self.prefix.digest not in prefixes:
                 write_records(journal, [{"prefix": self.prefix.digest, "text": self.prefix.text,
-                                         "exemplar_ids": self.prefix.exemplar_ids}])
+                                         "exemplar_ids": self.prefix.exemplar_ids}],
+                              append=True)
 
     def run_one(self, example: AnnotatedExample, index: int) -> QueryRecord:
         """The query's record: from the journal when it is done, else from the
@@ -278,7 +282,7 @@ class _QueryRunner:
             record.error = f"{type(exc).__name__}: {exc}"
         if self.journal is not None:
             with self.journal_lock:
-                write_records(self.journal, [vars(record)])
+                write_records(self.journal, [vars(record)], append=True)
         for stage in record.stages:
             del stage["suffix"]
         return record
@@ -316,8 +320,6 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
     indexes = defaultdict(count)  # each database's queries count from 0
     indexed = [(example, next(indexes[example.db_id])) for example in queries]
     journal = Path(out_dir) / "queries.jsonl" if out_dir is not None else None
-    if journal is not None:
-        journal.parent.mkdir(parents=True, exist_ok=True)
     runner = _QueryRunner(cfg, client, train, test, queries, shots, target_profile, journal)
     outcome = PipelineOutcome(map_in_order(lambda pair: runner.run_one(*pair), indexed,
                                            cfg.workers))
@@ -326,24 +328,16 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
     return outcome
 
 
-def write_predictions(predictions: dict[tuple[str, str], str],
-                      path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        for (db_id, nl), sql in predictions.items():
-            f.write(json.dumps({"db_id": db_id, "question": nl, "sql": sql},
-                               ensure_ascii=False, sort_keys=True) + "\n")
+def write_predictions(predictions: dict[tuple[str, str], str], path: str | Path) -> None:
+    write_records(path, ({"db_id": db_id, "question": nl, "sql": sql}
+                         for (db_id, nl), sql in predictions.items()))
+
+
+def _prediction(db_id: str, question: str, sql: str) -> tuple[tuple[str, str], str]:
+    if not all(isinstance(value, str) for value in (db_id, question, sql)):
+        raise TypeError("a prediction's db_id, question and sql are strings")
+    return (db_id, question), sql
 
 
 def read_predictions(path: str | Path) -> dict[tuple[str, str], str]:
-    predictions: dict[tuple[str, str], str] = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            predictions[(record["db_id"], record["question"])] = record["sql"]
-    return predictions
-
+    return dict(read_records(path, lambda record: _prediction(**record)))

@@ -15,7 +15,6 @@ its test schema and question and is checked whole, per query.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ from .corpus.types import AnnotatedDataset, AnnotatedExample, Role
 from .errors import BudgetExceeded, ParseError
 from .promptforge.budget import TokenBudget, count_tokens
 from .promptforge.prompts import Shot, exemplar_id, prompt_prefix
+from .records import read_records, write_records
 from .sqlanalysis.ops import PrimitiveOp, default_catalog, extract_operators
 
 logger = logging.getLogger(__name__)
@@ -181,46 +181,31 @@ def _prune_to_budget(exemplars: list[Exemplar], dataset: AnnotatedDataset,
 # --- sampling report ------------------------------------------------------------
 
 def write_report(result: SamplingResult, path: str | Path) -> None:
-    """Emit the machine-readable sampling report (one JSON record per line)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({
-            "kind": "summary",
-            "exemplars": len(result.exemplars),
-            "databases": db_ids(result.exemplars),
-            "ops_covered": result.covered_count,
-            "catalog_size": result.catalog_size,
-            "unattainable": [str(op) for op in result.unattainable],
-            "pruned_for_budget": len(result.pruned),
-        }, sort_keys=True) + "\n")
-        for item in result.exemplars:
-            f.write(json.dumps({
-                "kind": "exemplar",
-                "db_id": item.db_id,
-                "nl": item.nl,
-                "sql": item.sql,
-                "ops": [str(op) for op in sorted(item.ops)],
-            }, sort_keys=True) + "\n")
-        for op, key in sorted(result.first_cover.items()):
-            f.write(json.dumps({
-                "kind": "first_cover",
-                "op": str(op),
-                "exemplar": key,
-            }, sort_keys=True) + "\n")
+    """Emit the machine-readable sampling report: a summary record, then one
+    record per exemplar and one per first cover."""
+    write_records(path, [
+        {"kind": "summary", "exemplars": len(result.exemplars),
+         "databases": db_ids(result.exemplars), "ops_covered": result.covered_count,
+         "catalog_size": result.catalog_size, "pruned_for_budget": len(result.pruned),
+         "unattainable": [str(op) for op in result.unattainable]},
+        *({"kind": "exemplar", "db_id": item.db_id, "nl": item.nl, "sql": item.sql,
+           "ops": [str(op) for op in sorted(item.ops)]} for item in result.exemplars),
+        *({"kind": "first_cover", "op": str(op), "exemplar": key}
+          for op, key in sorted(result.first_cover.items())),
+    ])
+
+
+def _exemplar(record: dict) -> Exemplar | None:
+    """An exemplar record's exemplar; None for a record of another kind."""
+    if record.pop("kind") != "exemplar":
+        return None
+    ops = record.pop("ops")
+    return Exemplar(**record, ops=frozenset(PrimitiveOp(*op.split(":", 1)) for op in ops))
 
 
 def read_report(path: str | Path) -> list[Exemplar]:
     """Reload the sampled exemplars from a sampling report."""
-    items: list[Exemplar] = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            record = json.loads(line)
-            if record.get("kind") != "exemplar":
-                continue
-            ops = frozenset(PrimitiveOp(*entry.split(":", 1)) for entry in record["ops"])
-            items.append(Exemplar(record["db_id"], record["nl"], record["sql"], ops))
-    return items
+    return [item for item in read_records(path, _exemplar) if item is not None]
 
 
 def summarize(result: SamplingResult) -> str:

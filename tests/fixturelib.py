@@ -992,9 +992,10 @@ def nuclear_questions() -> list[tuple[str, str]]:
 
 def append_record(path: str | Path, request, completions) -> None:
     """Append one replay record: *request* and its *completions*."""
-    from psmith.llmclient import _record, write_records
+    from psmith.llmclient import _record
+    from psmith.records import write_records
 
-    write_records(path, [_record(request, completions)])
+    write_records(path, [_record(request, completions)], append=True)
 
 
 def replay_client(store_path: str | Path, model: str | None = None):

@@ -573,7 +573,7 @@ def test_eval_refuses_a_blank_or_null_gold_query(runner, kaggledbqa_dir, tmp_pat
     examples.write_text(json.dumps(rows), encoding="utf-8")
     predictions = tmp_path / "p.jsonl"
     predictions.write_text(json.dumps({"db_id": fixturelib.NUCLEAR_DB,
-                                       "question": rows[0]["question"], "sql": "SELECT 1"}))
+                                       "question": rows[0]["question"], "sql": "SELECT 1"}) + "\n")
     result = runner.invoke(main, ["eval", "--predictions", str(predictions),
                                   "--test", str(test), "--out", str(tmp_path / "report")])
     assert result.exit_code == 2
@@ -603,3 +603,56 @@ def test_adapt_refuses_a_missing_draft_record_before_generating(runner, spider_d
     assert "no decomposition record" in result.stderr
     assert generated == []
     assert not bundle.exists()
+
+
+@pytest.mark.parametrize("value", [7, ""])
+def test_a_bundle_entry_of_the_wrong_type_is_a_usage_error(runner, spider_dir, spider_ss_dir,
+                                                           kaggledbqa_dir, tmp_path, value):
+    bundle = adapted_bundle(runner, spider_dir, spider_ss_dir, kaggledbqa_dir, tmp_path)
+    payload = json.loads(bundle.read_text(encoding="utf-8"))
+    payload["exemplars"][0]["source_sql"] = value
+    bundle.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    result = run_bundle(runner, bundle, kaggledbqa_dir, tmp_path)
+    assert result.exit_code == 2
+    assert f"MalformedManifest: {bundle}: exemplar entry 0: " in result.stderr
+    assert f"bad value {value!r} for 'source_sql'" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+RUN = ["run", "--runs", "{tmp}/runs", "--run-id", "R"]
+ADAPT = ["adapt", "--report", "{tmp}/report.jsonl", "--train", "{train}", "--out", "{tmp}/out.json"]
+REFUSALS = {  # case: (configuration file, arguments, message)
+    "config value": ("seed = abc", [*RUN, "--mode", "gp"], ":1: bad int 'abc' for seed"),
+    "config key": ("surprise = 1", [*RUN, "--mode", "gp"], ":1: unknown key 'surprise'"),
+    "config line": ("seed", [*RUN, "--mode", "gp"], ":1: expected key = value"),
+    "config mode": ("mode = gp", [*RUN, "--mode", "gp"], ":1: mode is set by run --mode only"),
+    "run report": (None, [*RUN, "--mode", "gp"], "--mode gp needs --report and --train"),
+    "run spider-ss": (None, [*RUN, "--mode", "ltmp-gp", "--report", "{tmp}/report.jsonl",
+                             "--train", "{train}"], "--mode ltmp-gp needs --spider-ss"),
+    "run bundle": (None, [*RUN, "--mode", "da-gp"], "--mode da-gp needs --bundle"),
+    "bundle target": (None, [*RUN, "--mode", "da-gp", "--bundle", "{tmp}/bundle.json"],
+                      "bundle targets 'NoSuchDb', absent from"),
+    "adapt db": (None, [*ADAPT, "--db", "NoSuchDb"], "'NoSuchDb' is not a database of"),
+    "adapt drafts": (None, [*ADAPT, "--db", fixturelib.NUCLEAR_DB, "--draft-decompositions"],
+                     "--draft-decompositions needs --spider-ss"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_a_refused_argument_or_config_file_exits_2(runner, spider_dir, kaggledbqa_dir,
+                                                   tmp_path, case):
+    from psmith.pipelines import AdaptationBundle
+
+    config, args, message = REFUSALS[case]
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(tmp_path / "report.jsonl")]).exit_code == 0
+    AdaptationBundle("NoSuchDb", 2).save(tmp_path / "bundle.json")
+    args = [arg.format(tmp=tmp_path, train=spider_dir) for arg in args]
+    if config is not None:
+        (tmp_path / "bad.conf").write_text(config + "\n")
+        args += ["--config", str(tmp_path / "bad.conf")]
+    result = runner.invoke(main, [*args, "--test", str(kaggledbqa_dir), "--replay", str(STORE)])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert message in result.stderr
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "out.json").exists()

@@ -444,6 +444,16 @@ def test_evaluate_fetches_at_most_one_row_past_gold(tmp_path):
     assert report.failures == [("q", "Mismatch")]
 
 
+# a child process's own peak resident set, in MB, as the child's code that
+# prints it: Linux carries the parent's peak into a child's ru_maxrss across
+# fork and exec, but not into its VmHWM
+PEAK_MB = "int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]) // 1024"
+needs_vmhwm = pytest.mark.skipif(
+    not Path("/proc/self/status").exists() or "VmHWM:" not in Path("/proc/self/status").read_text(),
+    reason="no VmHWM line in /proc/self/status")
+
+
+@needs_vmhwm
 def test_a_prediction_stops_fetching_once_it_cannot_equal_gold(tmp_path):
     """A prediction with gold's rows, but a 10^6-byte blob in each, and one
     with a column more, each score Mismatch while the child that scores them
@@ -454,10 +464,10 @@ def test_a_prediction_stops_fetching_once_it_cannot_equal_gold(tmp_path):
     conn.executemany("INSERT INTO t VALUES (?, ?)", [(i, f"row {i}") for i in range(100)])
     conn.commit()
     conn.close()
-    script = ("import resource, sys\n"
+    script = ("import sys\n"
               "from psmith.evaluator import _score_pair\n"
               "def peak():\n"
-              "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024\n"
+              f"    return {PEAK_MB}\n"
               "gold = 'SELECT a, b FROM t'\n"
               "assert _score_pair(sys.argv[1], gold, gold, 30.0) is None\n"
               "before = peak()\n"
@@ -560,15 +570,16 @@ def test_evaluate_report_does_not_depend_on_the_thread_count(tmp_path, monkeypat
 
 @pytest.mark.skipif(not hasattr(sqlite3.Connection, "setlimit"),
                     reason="Python 3.10 cannot lower a connection's length limit")
+@needs_vmhwm
 def test_a_blob_prediction_scores_exec_error_within_a_memory_bound(tmp_path):
     """Without the length limit this pair peaks near 600 MB; the child that
     scores it must stay under 100 MB."""
     path = mini_dataset(tmp_path, {"db": []}).databases["db"].sqlite_path
-    script = ("import resource, sys\n"
+    script = ("import sys\n"
               "from psmith.evaluator import _score_pair\n"
               "print(_score_pair(sys.argv[1], 'SELECT a FROM t',\n"
               "                  'SELECT randomblob(150000000) FROM t', 30.0))\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+              f"print({PEAK_MB})\n")
     src = Path(evaluator_module.__file__).parents[1]
     child = subprocess.run([sys.executable, "-c", script, str(path)], check=True,
                            capture_output=True, text=True, timeout=60,
