@@ -37,8 +37,7 @@ from .corpus import (
     load_spider,
     load_spider_ss,
 )
-from .errors import (BudgetExceeded, MalformedManifest, MissingAdaptation, MissingFile,
-                     MissingGold, PsmithError)
+from .errors import BudgetExceeded, DatabaseMismatch, MalformedManifest, PsmithError
 from .llmclient import LlmClient, ReplayStore, forbidden_transport
 from .pipelines import (
     AdaptationBundle,
@@ -49,7 +48,7 @@ from .pipelines import (
 )
 from .pipelines.adapt import adapt_exemplars
 from .promptforge import MODES, save_artifact
-from .records import read_json, write_records
+from .records import read_json, read_text, write_records
 from .sqlanalysis.ops import load_catalog
 
 EXIT_COVERAGE = 3
@@ -80,7 +79,7 @@ def _parse_value(key: str, value: str, where: str):
 def read_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` configuration file (# starts a comment)."""
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -102,7 +101,7 @@ def resolve_config(config_path: str | None, **overrides) -> PipelineConfig:
     values.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         return PipelineConfig(**values)
-    except (ValueError, PsmithError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from None
 
 
@@ -167,6 +166,19 @@ def _load_test_dataset(test_dir: str):
     if (root / "examples").is_dir():
         return load_kaggledbqa(root)
     return load_spider(root, role="test")
+
+
+def _sampled_inputs(report_path: str, train_dir: str, test):
+    """The sampling report's exemplars and the train corpus, refused unless
+    the corpus holds every exemplar's database and none of *test*'s."""
+    exemplars = sampler.read_report(report_path)
+    train = load_spider(train_dir)
+    ensure_disjoint(train, test)
+    missing = [db_id for db_id in sampler.db_ids(exemplars) if db_id not in train.databases]
+    if missing:
+        raise DatabaseMismatch(
+            f"{report_path} names databases that {train_dir} lacks: {', '.join(missing)}")
+    return exemplars, train
 
 
 def _file_digest(path: str | Path) -> str:
@@ -237,15 +249,14 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
 
 
 class _Commands(click.Group):
-    """An input file that is missing or malformed, a shot that lacks its
-    decomposition and a prediction that the test set lacks are usage errors
-    (exit 2), each named; every command reads its inputs before it writes
-    anything."""
+    """Every toolkit error that reaches a command, such as an input file that
+    is missing or malformed, is a usage error (exit 2) named by its class;
+    every command reads its inputs before it writes anything."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (MissingFile, MalformedManifest, MissingAdaptation, MissingGold) as exc:
+        except PsmithError as exc:
             raise click.UsageError(f"{type(exc).__name__}: {exc}") from None
 
 
@@ -305,10 +316,8 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
           record, cache_dir, **overrides):
     """Auto-adapt sampled exemplars to the target database domain."""
     cfg = resolve_config(config_path, **overrides)
-    exemplars = sampler.read_report(report_path)
-    train = load_spider(train_dir)
     test = _load_test_dataset(test_dir)
-    ensure_disjoint(train, test)
+    exemplars, train = _sampled_inputs(report_path, train_dir, test)
     if db_id not in test.databases:
         raise click.UsageError(f"{db_id!r} is not a database of {test_dir}")
     target = test.databases[db_id]
@@ -316,11 +325,11 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
     if dry_run:
         from .promptforge import build_adapt_sql_prompt
 
+        artifacts = [build_adapt_sql_prompt(train.databases[item.db_id], item.sql, target,
+                                            cfg.budget) for item in exemplars]
         out_dir = Path(prompts_dir or (Path(out_path).parent / "adapt-prompts"))
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, item in enumerate(exemplars):
-            artifact = build_adapt_sql_prompt(
-                train.databases[item.db_id], item.sql, target, cfg.budget)
+        for i, artifact in enumerate(artifacts):
             save_artifact(artifact, out_dir / f"exemplar{i:02d}.prompt")
         click.echo(f"wrote {len(exemplars)} stage-1 prompts to {out_dir}")
         return
@@ -372,9 +381,7 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
     if not spec.domain:
         if report_path is None or train_dir is None:
             raise click.UsageError(f"--mode {mode} needs --report and --train")
-        exemplars = sampler.read_report(report_path)
-        train = load_spider(train_dir)
-        ensure_disjoint(train, test)
+        exemplars, train = _sampled_inputs(report_path, train_dir, test)
         if spec.ltmp:
             if spider_ss_dir is None:
                 raise click.UsageError(f"--mode {mode} needs --spider-ss")

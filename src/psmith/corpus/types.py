@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import LengthMismatch
+from ..errors import DatabaseMismatch, LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,6 @@ class SchemaProfile:
                     if col not in known[tbl]:
                         raise ValueError(f"{self.db_id}: foreign key names unknown column {tbl}.{col}")
 
-    def table(self, name: str) -> Table:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
     def has_profile(self) -> bool:
         return bool(self.value_profile)
 
@@ -106,15 +100,12 @@ class AnnotatedDataset:
             if ex.db_id not in self.databases:
                 raise ValueError(f"example {i} references unknown db_id {ex.db_id!r}")
 
-    def examples_for(self, db_id: str) -> list[AnnotatedExample]:
-        return [ex for ex in self.examples if ex.db_id == db_id]
-
 
 def ensure_disjoint(train: AnnotatedDataset, test: AnnotatedDataset) -> None:
     """Cross-domain assumption: train and test database ids never intersect."""
     overlap = set(train.databases) & set(test.databases)
     if overlap:
-        raise ValueError(f"train/test database overlap: {sorted(overlap)}")
+        raise DatabaseMismatch(f"train/test database overlap: {sorted(overlap)}")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,10 @@ class NotADatabase(PsmithError):
     pass
 
 
+class DatabaseMismatch(PsmithError):
+    """Train and test share a database, or a report names one train lacks."""
+
+
 # --- sampling -------------------------------------------------------------
 
 class BudgetExceeded(PsmithError):

@@ -31,7 +31,6 @@ from ..promptforge.prompts import (
     exemplar_id,
     prompt_prefix,
     prompt_suffix,
-    schema_block,
 )
 from ..readonly import map_in_order
 from ..records import read_entry, read_json
@@ -228,8 +227,8 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
 
     if draft_records is not None:  # built first: a missing record fails before any generation
         prefix = prompt_prefix("ltmp-gp", shots_for("ltmp-gp", exemplars, draft_records),
-                               databases=draft_context, cot_enabled=cot_enabled)
-        block = schema_block("ltmp-gp", target_schema)
+                               target_schema, databases=draft_context,
+                               cot_enabled=cot_enabled)
 
     def adapt_one(item: AnnotatedExample) -> AdaptedExemplar | str:
         try:
@@ -251,7 +250,7 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
 
     if draft_records is not None:
         def complete(stage: int, nl: str, subs: tuple[str, ...] = ()) -> str:
-            prompt = prefix.join(prompt_suffix("ltmp-gp", nl, stage=stage, block=block,
+            prompt = prefix.join(prompt_suffix("ltmp-gp", nl, stage=stage,
                                                test_sub_questions=subs), budget, stage)
             request = client.request(prompt.text, max_output_tokens=max_output_tokens,
                                      stop=["\n"])

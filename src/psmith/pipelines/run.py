@@ -8,13 +8,13 @@ compose the SQL) for the least-to-most modes. Per-query failures are
 recorded as empty predictions (scored wrong downstream) and never abort the
 batch.
 
-Every prompt of a run opens with one prefix, built once from the shots
+Every prompt of a query opens with its database's prefix, built once from
+the shots and the test schema, or the target's in the domain modes
 (``promptforge.prompt_prefix``; it serves all three least-to-most stages);
-per query and stage, only the suffix is rendered, after the test schema
-block that the generic modes render once per test database. In a run
-directory, the journal ``queries.jsonl`` holds the prefix once, as a
+per query and stage, only the suffix is rendered, from the question on. In
+a run directory, the journal ``queries.jsonl`` holds each prefix once, as a
 ``{prefix, text, exemplar_ids}`` record, and each finished query appends
-its ``QueryRecord``, whose stages name the prefix by its digest and keep
+its ``QueryRecord``, whose stages name their prefix by its digest and keep
 their own ``suffix``. A rerun resumes from the journal.
 """
 
@@ -38,7 +38,6 @@ from ..promptforge.prompts import (
     exemplar_id,
     prompt_prefix,
     prompt_suffix,
-    schema_block,
 )
 from ..readonly import map_in_order
 from ..records import read_records, write_records
@@ -224,36 +223,35 @@ def _read_journal(path: Path) -> tuple[dict[tuple[str, int, str], QueryRecord], 
 
 class _QueryRunner:
     """Per-query work shared by all modes; one instance per pipeline run.
-    It builds the run's prompt prefix, the generic modes' test schema blocks
-    and, per stage, the requests' shared key prefix once; and journals the
-    prompt prefix unless the journal holds it already."""
+    For each database its queries use (the target alone in the domain
+    modes) it builds the prompt prefix and, per stage, the requests' shared
+    key prefix once; and it journals the prefixes the journal lacks."""
 
     def __init__(self, cfg: PipelineConfig, client: LlmClient,
                  train: AnnotatedDataset | None, test: AnnotatedDataset,
                  queries: list[AnnotatedExample], shots: list[Shot], target_profile,
                  journal: Path | None):
         self.cfg = cfg
-        self.spec = MODES[cfg.mode]
         self.client = client
         self.journal = journal
         self.journal_lock = threading.Lock()
-        self.stages = _LTMP_STAGES if self.spec.ltmp else ((None, _answer),)
-        self.prefix = prompt_prefix(
-            cfg.mode, shots, databases=train.databases if train is not None else None,
-            target=target_profile, cot_enabled=cfg.cot_enabled)
-        self.blocks = {} if self.spec.domain else {
-            db_id: schema_block(cfg.mode, test.databases[db_id])
-            for db_id in dict.fromkeys(example.db_id for example in queries)}
-        self.requests = [SharedPrefix(client.request(
-            "", max_output_tokens=cfg.max_output_tokens, stop=stop), self.prefix.text)
-            for stop, _ in self.stages]
+        spec = MODES[cfg.mode]
+        self.stages = _LTMP_STAGES if spec.ltmp else ((None, _answer),)
+        templates = [client.request("", max_output_tokens=cfg.max_output_tokens, stop=stop)
+                     for stop, _ in self.stages]
+        self.prompts = {}  # db_id -> its prefix, and its SharedPrefix per stage
+        for db_id in dict.fromkeys(example.db_id for example in queries):
+            prefix = prompt_prefix(
+                cfg.mode, shots, target_profile if spec.domain else test.databases[db_id],
+                databases=train.databases if train else None, cot_enabled=cfg.cot_enabled)
+            self.prompts[db_id] = prefix, [SharedPrefix(t, prefix.text) for t in templates]
         self.done = {}
         if journal is not None:
-            self.done, prefixes = _read_journal(journal)
-            if self.prefix.digest not in prefixes:
-                write_records(journal, [{"prefix": self.prefix.digest, "text": self.prefix.text,
-                                         "exemplar_ids": self.prefix.exemplar_ids}],
-                              append=True)
+            self.done, journaled = _read_journal(journal)
+            missing = {prefix.digest: {"prefix": prefix.digest, "text": prefix.text,
+                                       "exemplar_ids": prefix.exemplar_ids}
+                       for prefix, _ in self.prompts.values() if prefix.digest not in journaled}
+            write_records(journal, missing.values(), append=True)
 
     def run_one(self, example: AnnotatedExample, index: int) -> QueryRecord:
         """The query's record: from the journal when it is done, else from the
@@ -263,18 +261,18 @@ class _QueryRunner:
         if (example.db_id, index, example.nl) in self.done:
             return self.done[(example.db_id, index, example.nl)]
         record = QueryRecord(example.db_id, index, example.nl)
+        prefix, requests = self.prompts[example.db_id]
         try:
             for number, (_, read) in enumerate(self.stages, 1):
                 suffix = prompt_suffix(
                     self.cfg.mode, example.nl, stage=number,
-                    block=self.blocks.get(example.db_id, ""),
                     test_sub_questions=record.sub_questions, test_steps=record.natsql_steps)
-                artifact = self.prefix.join(suffix, self.cfg.budget, number)
+                artifact = prefix.join(suffix, self.cfg.budget, number)
                 stage = {"mode": artifact.mode, "token_count": artifact.token_count,
                          "budget": artifact.budget, "sha256": artifact.digest,
-                         "prefix": self.prefix.digest, "suffix": suffix}
+                         "prefix": prefix.digest, "suffix": suffix}
                 record.stages.append(stage)
-                request = self.requests[number - 1].request(suffix)
+                request = requests[number - 1].request(suffix)
                 # kept before it is read, so a completion that fails to parse stays
                 stage["completion"] = self.client.generate(request).text
                 read(record, stage["completion"])

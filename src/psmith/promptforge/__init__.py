@@ -13,7 +13,6 @@ from .prompts import (
     prompt_prefix,
     prompt_suffix,
     save_artifact,
-    schema_block,
 )
 from .schema_render import render_schema_basic, render_schema_domain
 from .templates import load_template
@@ -36,5 +35,4 @@ __all__ = [
     "render_schema_basic",
     "render_schema_domain",
     "save_artifact",
-    "schema_block",
 ]

@@ -1,14 +1,14 @@
 """Prompt assembly for every pipeline mode.
 
-A pipeline prompt is a prefix that every test query of a run shares,
-followed by a per-query suffix; the split falls after the last exemplar's
-separator. In ``gp`` and ``ltmp-gp`` the prefix is the note, each exemplar
-database's schema and the exemplars, and the suffix opens with the test
-schema; in ``da-gp`` and ``ltmp-da-gp`` the prefix is the target schema and
-the exemplars, and the suffix is the test block alone. In the least-to-most
-modes one prefix serves all three stages. ``prompt_prefix`` and
-``prompt_suffix`` build the parts and ``PromptPrefix.join`` the artifact;
-a caller builds the prefix once and joins it to each query's suffix.
+A pipeline prompt is a prefix that every test query of one database shares,
+followed by a per-query suffix that starts at the test question. In ``gp``
+and ``ltmp-gp`` the prefix is the note, each exemplar database's schema,
+the exemplars and then the test schema; in ``da-gp`` and ``ltmp-da-gp`` it
+is the target schema and the exemplars. No suffix holds a schema, and in
+the least-to-most modes one prefix serves all three stages.
+``prompt_prefix`` and ``prompt_suffix`` build the parts and
+``PromptPrefix.join`` the artifact; a caller builds each database's prefix
+once and joins it to the suffix of each of its queries.
 
 All builders are pure functions of their inputs and the mode's template
 file; identical inputs give byte-identical artifacts. Every artifact is
@@ -79,9 +79,10 @@ class PromptArtifact:
 
 @dataclass(frozen=True)
 class PromptPrefix:
-    """The part of a mode's prompts that every test query of a run shares,
-    through the last exemplar's separator and the newline after it. A
-    query's prompt is ``text`` followed by its suffix (``prompt_suffix``)."""
+    """The part of a mode's prompts that every test query of one database
+    shares, through the separator before the test question and the newline
+    after it. A query's prompt is ``text`` followed by its suffix
+    (``prompt_suffix``)."""
     mode: str  # a MODES key
     text: str
     exemplar_ids: tuple[str, ...]
@@ -140,16 +141,6 @@ def _group_by_db(shots: Sequence[Shot]) -> list[tuple[str, list[Shot]]]:
     return list(groups.items())
 
 
-def _schema_for(databases: Mapping[str, SchemaProfile] | None,
-                db_id: str) -> SchemaProfile:
-    if databases is None:
-        raise ValueError("generic prompts need the exemplar schemas")
-    try:
-        return databases[db_id]
-    except KeyError:
-        raise KeyError(f"db_id {db_id!r} does not resolve to a schema") from None
-
-
 def exemplar_id(item) -> str:
     content = hashlib.sha256(f"{item.nl}\n{item.sql}".encode("utf-8")).hexdigest()[:8]
     return f"{item.db_id}:{content}"
@@ -169,34 +160,35 @@ def _decomposition_lines(tpl: Template, sub_questions: Sequence[str],
             tpl["steps_prefix"] + _bracketed(steps, tpl["step_item"])]
 
 
-def prompt_prefix(mode: str, shots: Sequence[Shot], *,
+def prompt_prefix(mode: str, shots: Sequence[Shot], schema: SchemaProfile | None, *,
                   databases: Mapping[str, SchemaProfile] | None = None,
-                  target: SchemaProfile | None = None,
                   cot_enabled: bool = True) -> PromptPrefix:
-    """The prefix of every prompt of a *mode* run that shows *shots*.
+    """The prefix of every prompt of a *mode* run that shows *shots* and asks
+    about *schema*'s database.
 
     The domain axis picks the schema context: a generic prefix opens with a
     note and shows each exemplar database's basic schema (from *databases*)
-    before its exemplars, in first-use order; a domain prefix shows the one
-    *target* schema in the domain format before all exemplars. The LTMP
-    axis picks the exemplar lines: question and SQL, or the full reasoning
-    chain, whose answer line *cot_enabled* picks.
+    before its exemplars, in first-use order, then the test *schema*'s basic
+    block (none when *schema* is None, as when the sampler budgets the
+    shared part); a domain prefix shows the target *schema* in the domain
+    format before all exemplars. The LTMP axis picks the exemplar lines:
+    question and SQL, or the full reasoning chain, whose answer line
+    *cot_enabled* picks.
     """
     spec = MODES[mode]
     tpl = load_template(spec.template)
     if spec.domain:
-        if target is None:
+        if schema is None:
             raise ValueError(f"{mode} prompts need the target schema")
         lines = [tpl["schema_header"], tpl["separator"],
-                 *render_schema_domain(target).splitlines(), tpl["separator"]]
+                 *render_schema_domain(schema).splitlines(), tpl["separator"]]
         groups = [(None, shots)]
     else:
         lines = [tpl["note"]]
         groups = _group_by_db(shots)
     for db_id, group in groups:
         if db_id is not None:
-            lines += _basic_block(tpl["schema_header"], _schema_for(databases, db_id),
-                                  tpl["separator"])
+            lines += _basic_block(tpl["schema_header"], databases[db_id], tpl["separator"])
         for shot in group:
             lines.append(tpl["question_prefix"] + shot.nl)
             if spec.ltmp:
@@ -206,28 +198,19 @@ def prompt_prefix(mode: str, shots: Sequence[Shot], *,
             else:
                 lines.append(shot.sql)
             lines.append(tpl["separator"])
+    if not spec.domain and schema is not None:
+        lines += _basic_block(tpl["schema_header"], schema, tpl["separator"])
     return PromptPrefix(mode, "\n".join(lines) + "\n", tuple(shot.id for shot in shots))
 
 
-def schema_block(mode: str, schema: SchemaProfile) -> str:
-    """The test database's basic schema under the header of a generic
-    *mode*: the block that opens the suffix of each of its queries."""
-    tpl = load_template(MODES[mode].template)
-    return "\n".join(_basic_block(tpl["schema_header"], schema, tpl["separator"])) + "\n"
-
-
-def prompt_suffix(mode: str, test_nl: str, *, stage: int = 1, block: str = "",
+def prompt_suffix(mode: str, test_nl: str, *, stage: int = 1,
                   test_sub_questions: Sequence[str] = (),
                   test_steps: Sequence[str] = ()) -> str:
-    """The part of a *mode* prompt after its prefix: in the generic modes
-    the test schema *block* (``schema_block``), then the test question and
-    the tail. The one-shot modes end at the answer cue; in the
-    least-to-most modes the tail grows with the *stage*: what earlier stages
-    generated, then the cue of the stage's own output."""
+    """The part of a *mode* prompt after its prefix: the test question and
+    the tail. The one-shot modes end at the answer cue; in the least-to-most
+    modes the tail grows with the *stage*: what earlier stages generated,
+    then the cue of the stage's own output."""
     spec = MODES[mode]
-    if spec.domain == bool(block):
-        raise ValueError(f"{mode} prompts need the test schema" if not block
-                         else f"{mode} prompts show no test schema")
     tpl = load_template(spec.template)
     lines = [tpl["question_prefix"] + test_nl]
     if spec.ltmp:
@@ -238,7 +221,7 @@ def prompt_suffix(mode: str, test_nl: str, *, stage: int = 1, block: str = "",
                       tpl["stage3_cue"])[stage - 1])
     else:
         lines.append(tpl["cue"])
-    return block + "\n".join(lines)
+    return "\n".join(lines)
 
 
 # --- adaptation prompts -------------------------------------------------------

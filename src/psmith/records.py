@@ -1,8 +1,9 @@
-"""Every JSON file the package reads, and every JSON-lines file it reads or
-writes: one sorted-key JSON object per line, appended to (the replay store
-and the run journal) or written whole (the sampling report, predictions and
-the eval report). An entry that its reader cannot take is a
-``MalformedManifest`` naming the file and where the entry stands."""
+"""Every input file the package reads, and every JSON-lines file it reads
+or writes: one sorted-key JSON object per line, appended to (the replay
+store and the run journal) or written whole (the sampling report,
+predictions and the eval report). A file that is not UTF-8, and an entry
+that its reader cannot take, is a ``MalformedManifest`` naming the file and
+where the entry stands."""
 
 from __future__ import annotations
 
@@ -13,12 +14,20 @@ from typing import Callable, Iterable, Iterator
 from .errors import LengthMismatch, MalformedManifest, MissingFile
 
 
-def read_json(path: str | Path):
+def read_text(path: str | Path) -> str:
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise MalformedManifest(f"line {line}: not UTF-8 ({exc.reason})", path=path) from None
+
+
+def read_json(path: str | Path):
+    try:
+        return json.loads(read_text(path))
     except ValueError as exc:
         raise MalformedManifest(f"not JSON: {exc}", path=path) from None
 

@@ -8,9 +8,10 @@ of the newcomer's is removed. Selection stops once every catalog operation
 attainable from the corpus is covered.
 
 The selection must fit the token budget as the GP prompt prefix that shows
-it: the note, each exemplar database's schema and the exemplars, rendered
-by promptforge as ``run --mode gp`` sends it. Each ``run`` prompt then adds
-its test schema and question and is checked whole, per query.
+it, before any test schema: the note, each exemplar database's schema and
+the exemplars, rendered by promptforge as ``run --mode gp`` sends it. The
+prefix of each test database adds its schema, each prompt its question,
+and ``run`` checks each prompt whole, per query.
 """
 
 from __future__ import annotations
@@ -106,12 +107,12 @@ def sample_exemplars(dataset: AnnotatedDataset,
     """Algorithm: traverse databases in descending order of the operator
     coverage of their queries, ties by ascending db_id, and each database's
     queries in manifest order; apply the replacement-greedy cover, then fit
-    the GP prompt prefix of the selection (the note, each exemplar
-    database's schema and the exemplars) within ``budget.limit`` tokens by
-    redundant-first pruning. A run's prompts add the test schema and
-    question to that prefix and are budget-checked whole, per query. Each
-    distinct SQL text is analysed once; unparseable SQL is skipped, with one
-    warning per text.
+    the GP prompt prefix of the selection, before any test schema (the
+    note, each exemplar database's schema and the exemplars), within
+    ``budget.limit`` tokens by redundant-first pruning. A run's prompts add
+    the test schema and question and are budget-checked whole, per query.
+    Each distinct SQL text is analysed once; unparseable SQL is skipped,
+    with one warning per text.
 
     Catalog ops unattainable from the corpus are reported, not fatal.
     Raises BudgetExceeded only when a sole-cover exemplar would have to go.
@@ -151,12 +152,12 @@ def sample_exemplars(dataset: AnnotatedDataset,
 def _prune_to_budget(exemplars: list[Exemplar], dataset: AnnotatedDataset,
                      budget: TokenBudget) -> list[Exemplar]:
     """Drop set-wise redundant exemplars, in place, until the GP prompt
-    prefix that shows them fits the budget. Sole covers of any op are kept;
+    prefix that shows them, before any test schema, fits the budget. Sole covers of any op are kept;
     if one must go, raise."""
 
     def prefix_tokens() -> int:
         shots = [Shot(exemplar_id(e), e.db_id, e.nl, e.sql) for e in exemplars]
-        return count_tokens(prompt_prefix("gp", shots, databases=dataset.databases).text)
+        return count_tokens(prompt_prefix("gp", shots, None, databases=dataset.databases).text)
 
     pruned: list[Exemplar] = []
     while prefix_tokens() > budget.limit:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from ..errors import MalformedManifest
+from ..records import read_text
 from .parser import parse_sql
 
 logger = logging.getLogger(__name__)
@@ -43,26 +45,27 @@ class PrimitiveOp:
 def load_catalog(path: str | Path | None = None) -> frozenset[PrimitiveOp]:
     """Load the catalog file (``kind<TAB>name`` lines, ``#`` comments allowed).
 
-    With no path, the catalog shipped with the package is used.
+    With no path, the catalog shipped with the package is used. A line that
+    is not an entry, or repeats one, is a MalformedManifest naming it.
     """
     if path is None:
         text = resources.files("psmith.data").joinpath("primitive_ops.tsv").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
-    ops = []
+        text = read_text(path)
+    ops: set[PrimitiveOp] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            kind, name = line.split("\t")
-        except ValueError:
-            raise ValueError(f"bad catalog line {lineno}: {line!r}") from None
-        ops.append(PrimitiveOp(kind, name))
-    opset = frozenset(ops)
-    if len(opset) != len(ops):
-        raise ValueError("duplicate (kind, name) entries in catalog")
-    return opset
+            op = PrimitiveOp(*line.split("\t"))
+        except (TypeError, ValueError):
+            raise MalformedManifest(f"line {lineno}: not a kind<TAB>name entry: {line!r}",
+                                    path=path) from None
+        if op in ops:
+            raise MalformedManifest(f"line {lineno}: repeats {op}", path=path)
+        ops.add(op)
+    return frozenset(ops)
 
 
 _default_catalog: frozenset[PrimitiveOp] | None = None

@@ -157,16 +157,16 @@ def test_c6_golden_prompts(train_dataset, test_dataset):
     artifacts = {
         "gp.txt": build_prompt(
             "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
-            databases=train_dataset.databases, test_schema=test_schema, budget=budget),
+            databases=train_dataset.databases, schema=test_schema, budget=budget),
         "da_gp.txt": build_prompt(
             "da-gp", da_shots(), fixturelib.TEST_QUESTION,
-            target=fixturelib.nuclear_pinned_profile(), budget=budget),
+            schema=fixturelib.nuclear_pinned_profile(), budget=budget),
         "ltmp_gp_stage1.txt": build_prompt(
             "ltmp-gp", gp_chains(train_dataset), fixturelib.TEST_QUESTION,
-            databases=train_dataset.databases, test_schema=test_schema, budget=budget),
+            databases=train_dataset.databases, schema=test_schema, budget=budget),
         "ltmp_da_gp_stage3.txt": build_prompt(
             "ltmp-da-gp", da_chains(), fixturelib.TEST_QUESTION, stage=3,
-            target=fixturelib.nuclear_pinned_profile(),
+            schema=fixturelib.nuclear_pinned_profile(),
             test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
             test_steps=fixturelib.LTMP_TEST_STEPS, budget=budget),
     }

@@ -656,3 +656,85 @@ def test_a_refused_argument_or_config_file_exits_2(runner, spider_dir, kaggledbq
     assert result.exit_code == 2, result.output + result.stderr
     assert message in result.stderr
     assert not (tmp_path / "runs").exists() and not (tmp_path / "out.json").exists()
+
+
+def _report_naming_college_9(tmp_path, _):
+    """The sampling report with college_2's exemplars moved to college_9,
+    which the train corpus lacks."""
+    path = tmp_path / "report.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        if row.get("db_id") == "college_2":
+            row["db_id"] = "college_9"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def _file(name, data):
+    return lambda tmp_path, _: (tmp_path / name).write_bytes(data)
+
+
+def _test_without_nuclear_sqlite(tmp_path, kaggledbqa_dir):
+    import shutil
+
+    shutil.copytree(kaggledbqa_dir, tmp_path / "test")
+    shutil.rmtree(tmp_path / "test" / "databases" / fixturelib.NUCLEAR_DB)
+
+
+INPUT_REFUSALS = {  # case: (what it writes first or None, arguments, message)
+    "train is test": (
+        None, [*RUN, "--mode", "gp", "--report", "{tmp}/report.jsonl", "--train", "{train}",
+             "--test", "{train}"],
+        "DatabaseMismatch: train/test database overlap: ['college_2'"),
+    "config not UTF-8": (
+        _file("bad.conf", b"seed = 1 \xe9\n"),
+        ["sample", "--train", "{train}", "--out", "{tmp}/out.jsonl", "--config", "{tmp}/bad.conf"],
+        "MalformedManifest: {tmp}/bad.conf: line 1: not UTF-8"),
+    "catalog line": (
+        _file("ops.tsv", b"clause\tSELECT\nclause SELECT\n"),
+        ["sample", "--train", "{train}", "--out", "{tmp}/out.jsonl", "--catalog", "{tmp}/ops.tsv"],
+        "MalformedManifest: {tmp}/ops.tsv: line 2: not a kind<TAB>name entry"),
+    "catalog not UTF-8": (
+        _file("ops.tsv", b"clause\tSELECT\nfunction\tCOUNT\xe9\n"),
+        ["sample", "--train", "{train}", "--out", "{tmp}/out.jsonl", "--catalog", "{tmp}/ops.tsv"],
+        "MalformedManifest: {tmp}/ops.tsv: line 2: not UTF-8"),
+    "dry run over budget": (  # the first two of the 18 prompts fit 680 tokens
+        None, [*ADAPT, "--test", "{test}", "--db", fixturelib.NUCLEAR_DB, "--dry-run",
+             "--prompts-dir", "{tmp}/prompts", "--budget-limit", "680"],
+        "BudgetExceeded: adapt_sql prompt needs 692 tokens, budget is 680"),
+    "target without SQLite": (
+        _test_without_nuclear_sqlite,
+        [*RUN, "--mode", "da-gp", "--bundle", "{tmp}/bundle.json", "--test", "{tmp}/test"],
+        f"NotADatabase: {fixturelib.NUCLEAR_DB} has no attached SQLite file"),
+    "run report database": (
+        _report_naming_college_9,
+        [*RUN, "--mode", "gp", "--report", "{tmp}/report.jsonl", "--train", "{train}",
+         "--test", "{test}", "--replay", str(STORE)],
+        "DatabaseMismatch: {tmp}/report.jsonl names databases that {train} lacks: college_9"),
+    "adapt report database": (
+        _report_naming_college_9,
+        [*ADAPT, "--test", "{test}", "--db", fixturelib.NUCLEAR_DB, "--replay", str(STORE)],
+        "DatabaseMismatch: {tmp}/report.jsonl names databases that {train} lacks: college_9"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_REFUSALS))
+def test_an_input_refusal_exits_2_and_writes_nothing(runner, spider_dir, kaggledbqa_dir,
+                                                     tmp_path, case):
+    """Each input that a command cannot take is a usage error naming what is
+    wrong, raised before the command writes a run directory, bundle, report
+    or prompt."""
+    from psmith.pipelines import AdaptationBundle
+
+    setup, args, message = INPUT_REFUSALS[case]
+    assert runner.invoke(main, ["sample", "--train", str(spider_dir),
+                                "--out", str(tmp_path / "report.jsonl")]).exit_code == 0
+    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(tmp_path / "bundle.json")
+    if setup is not None:
+        setup(tmp_path, kaggledbqa_dir)
+    before = sorted(tmp_path.rglob("*"))
+    names = dict(tmp=tmp_path, train=spider_dir, test=kaggledbqa_dir)
+    result = runner.invoke(main, [arg.format(**names) for arg in args])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert message.format(**names) in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert sorted(tmp_path.rglob("*")) == before

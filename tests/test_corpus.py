@@ -24,7 +24,8 @@ from psmith.corpus import (
 )
 from psmith.corpus import profile as profile_module
 from psmith.corpus.types import DecompositionRecord
-from psmith.errors import LengthMismatch, MalformedManifest, MissingFile, NotADatabase
+from psmith.errors import (DatabaseMismatch, LengthMismatch, MalformedManifest, MissingFile,
+                           NotADatabase)
 
 
 def test_load_spider_counts(train_dataset):
@@ -77,7 +78,8 @@ def test_load_spider_refuses_a_null_query(tmp_path):
 def test_load_kaggledbqa_counts(test_dataset):
     assert len(test_dataset.databases) == 8
     assert test_dataset.role == "test"
-    per_db = {db: len(test_dataset.examples_for(db)) for db in test_dataset.databases}
+    per_db = {db: sum(ex.db_id == db for ex in test_dataset.examples)
+              for db in test_dataset.databases}
     assert per_db[fixturelib.NUCLEAR_DB] == 22
     assert per_db["WorldSoccerDataBase"] == 12
     expected = {db["db_id"]: db["count"] for db in fixturelib.TEST_DATABASES}
@@ -86,7 +88,8 @@ def test_load_kaggledbqa_counts(test_dataset):
 
 def test_load_kaggledbqa_descriptions(test_dataset):
     nuclear = test_dataset.databases[fixturelib.NUCLEAR_DB]
-    by_name = {c.name: c for c in nuclear.table(fixturelib.NUCLEAR_TABLE).columns}
+    table, = (t for t in nuclear.tables if t.name == fixturelib.NUCLEAR_TABLE)
+    by_name = {c.name: c for c in table.columns}
     assert by_name["Capacity"].description == \
         "nuclear power plant capacity (design net capacity in MWe)"
     assert by_name["Name"].description is None
@@ -106,7 +109,7 @@ def test_load_kaggledbqa_single_db(tmp_path, kaggledbqa_dir):
 
 def test_train_test_disjoint(train_dataset, test_dataset):
     ensure_disjoint(train_dataset, test_dataset)
-    with pytest.raises(ValueError):
+    with pytest.raises(DatabaseMismatch, match="overlap"):
         ensure_disjoint(train_dataset, train_dataset)
 
 

@@ -38,7 +38,8 @@ from psmith.pipelines import (
     verify_bundle,
     write_predictions,
 )
-from psmith.promptforge import build_adapt_nl_prompt, build_adapt_sql_prompt
+from psmith.promptforge import (MODES, build_adapt_nl_prompt, build_adapt_sql_prompt,
+                                prompt_prefix)
 from psmith.sampler import Exemplar
 from psmith.sqlanalysis import extract_operators, parse_sql, tree_edit_distance
 
@@ -423,7 +424,7 @@ def test_run_gp_pipeline_identity(tmp_path, train_dataset, test_dataset):
     for example in nuclear:
         artifact = build_prompt(
             "gp", shots_for("gp", exemplars), example.nl, databases=train_dataset.databases,
-            test_schema=test_dataset.databases[example.db_id], budget=TokenBudget())
+            schema=test_dataset.databases[example.db_id], budget=TokenBudget())
         request = probe.request(artifact.text, max_output_tokens=256)
         completion = example.sql[len("SELECT"):] if example.sql.upper().startswith("SELECT") else example.sql
         append_record(store_path, request, [completion])
@@ -480,7 +481,7 @@ def build_gp_identity_store(tmp_path, train_dataset, test_dataset, examples):
     for example in examples:
         artifact = build_prompt(
             "gp", shots_for("gp", exemplars), example.nl, databases=train_dataset.databases,
-            test_schema=test_dataset.databases[example.db_id], budget=TokenBudget())
+            schema=test_dataset.databases[example.db_id], budget=TokenBudget())
         request = probe.request(artifact.text, max_output_tokens=256)
         append_record(store_path, request, [example.sql[len("SELECT"):]])
     return exemplars, store_path
@@ -631,7 +632,7 @@ def test_run_da_gp_empty_bundle_zero_shot(tmp_path, test_dataset, caplog):
     probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     store = tmp_path / "zero-shot.jsonl"
     for example in nuclear:
-        artifact = build_prompt("da-gp", [], example.nl, target=target, budget=TokenBudget())
+        artifact = build_prompt("da-gp", [], example.nl, schema=target, budget=TokenBudget())
         request = probe.request(artifact.text, max_output_tokens=256)
         append_record(store, request, [" 1"])
     client = LlmClient(mode="replay", replay_store=ReplayStore.load(store),
@@ -669,7 +670,7 @@ def test_cot_flag_changes_stage_prompt(train_dataset, test_dataset):
         test_nl=fixturelib.TEST_QUESTION,
         stage=3,
         databases=train_dataset.databases,
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
+        schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
         test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
         test_steps=fixturelib.LTMP_TEST_STEPS,
     )
@@ -705,7 +706,7 @@ def test_run_ltmp_gp_pipeline_end_to_end(tmp_path, train_dataset, test_dataset,
         steps = (f"select step one {index}", f"select step two {index}")
         common = dict(mode="ltmp-gp", shots=chains, test_nl=example.nl,
                       databases=train_dataset.databases,
-                      test_schema=test_dataset.databases[example.db_id],
+                      schema=test_dataset.databases[example.db_id],
                       budget=TokenBudget())
         stages = [
             build_prompt(stage=1, **common),
@@ -757,7 +758,7 @@ def test_run_stage2_checks_arity_and_keeps_the_completion(tmp_path, train_datase
     subs = ("first part", "second part")
     common = dict(mode="ltmp-gp", shots=shots_for("ltmp-gp", exemplars, records),
                   test_nl=example.nl, databases=train_dataset.databases,
-                  test_schema=test_dataset.databases[example.db_id])
+                  schema=test_dataset.databases[example.db_id])
     probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
     client = scripted_client(tmp_path, [
         (probe.request(build_prompt(stage=1, **common).text, stop=["\n"]),
@@ -902,7 +903,9 @@ def test_every_journaled_stage_reassembles_to_its_prompt(tmp_path, train_dataset
                                                          workers):
     """In every mode, each stage entry's prefix record and suffix join into
     the prompt built from scratch for the same query, stage and generated
-    lists, with the entry's sha256; each journal holds its prefix once."""
+    lists, with the entry's sha256; each journal holds one prefix record
+    per database answered (the target alone in the domain modes), and no
+    suffix holds a schema."""
     from psmith.corpus import load_spider_ss
     from psmith.sampler import sample_exemplars
     from test_promptforge import build_prompt
@@ -922,18 +925,25 @@ def test_every_journaled_stage_reassembles_to_its_prompt(tmp_path, train_dataset
                                target_profile=target, out_dir=out_dir)
         assert not outcome.errors
         shots = shots_for(mode, exemplars, ss_records, bundle)
-        lines = (out_dir / "queries.jsonl").read_text(encoding="utf-8").splitlines()
-        assert sum("db_id" not in json.loads(line) for line in lines) == 1
+        rows = [json.loads(line) for line in
+                (out_dir / "queries.jsonl").read_text(encoding="utf-8").splitlines()]
+        prefixes = [row["prefix"] for row in rows if "db_id" not in row]
+        answered = {row["db_id"] for row in rows if "db_id" in row}
+        assert answered == ({fixturelib.NUCLEAR_DB} if MODES[mode].domain
+                            else set(test_dataset.databases))
+        assert len(prefixes) == len(set(prefixes)) == len(answered)
+        assert not any("CREATE TABLE" in stage["suffix"]
+                       for row in rows if "db_id" in row for stage in row["stages"])
         records = journal_records(out_dir)
         assert len(records) == len(outcome.traces) >= 22
         for record in records:
             nl = record["question"]
-            schema = test_dataset.databases[record["db_id"]]
+            schema = target if MODES[mode].domain else test_dataset.databases[record["db_id"]]
             assert len(record["stages"]) == (3 if mode.startswith("ltmp") else 1)
             for number, stage in enumerate(record["stages"], 1):
                 expected = build_prompt(
                     mode, shots, nl, stage=number, databases=train_dataset.databases,
-                    target=target, test_schema=schema,
+                    schema=schema,
                     test_sub_questions=record["sub_questions"] if number > 1 else (),
                     test_steps=record["natsql_steps"] if number > 2 else ())
                 assert stage["text"] == expected.text, (mode, nl, number)
@@ -969,6 +979,42 @@ def test_a_journal_of_whole_stage_texts_still_resumes(tmp_path, train_dataset,
     assert [[stage["text"] for stage in record["stages"]]
             for record in journal_records(out_dir)] == \
         [[stage["text"] for stage in record["stages"]] for record in records]
+
+
+def test_a_journal_of_one_run_wide_prefix_still_resumes(tmp_path, train_dataset,
+                                                       test_dataset):
+    """A journal whose one prefix record served every database, each stage's
+    suffix opening with the test schema block, resumes: its done queries
+    are not generated again, and the database's own prefix is added."""
+    from psmith.sampler import sample_exemplars
+
+    nuclear, run = nuclear_gp_run(tmp_path, train_dataset, test_dataset)
+    out_dir = tmp_path / "run"
+    first = run(out_dir)
+    texts = lambda records: [[stage["text"] for stage in record["stages"]]  # noqa: E731
+                             for record in records]
+    first_texts = texts(journal_records(out_dir))
+    path = out_dir / "queries.jsonl"
+    prefix, *rows = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+    shared = prompt_prefix("gp", shots_for("gp", sample_exemplars(train_dataset).exemplars),
+                           None, databases=train_dataset.databases)
+    block = prefix["text"].removeprefix(shared.text)
+    assert block.startswith("### SQLite SQL tables") and block != prefix["text"]
+    for row in rows:
+        for stage in row["stages"]:
+            stage["prefix"], stage["suffix"] = shared.digest, block + stage["suffix"]
+    old_layout = [json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in
+                  [{"prefix": shared.digest, "text": shared.text,
+                    "exemplar_ids": prefix["exemplar_ids"]}, *rows[:-1]]]
+    path.write_text("".join(old_layout), encoding="utf-8")
+    # only the dropped query is in the store: any other regeneration would miss
+    second = run(out_dir, answered=nuclear[-1:])
+    assert not second.errors
+    assert second.predictions == first.predictions
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[:22] == old_layout and len(lines) == 24  # + a prefix record + one query
+    assert json.loads(lines[22]) == prefix
+    assert texts(journal_records(out_dir)) == first_texts
 
 
 def test_adapt_returns_failures_without_logging_them(tmp_path, train_dataset,

@@ -20,7 +20,6 @@ from psmith.promptforge import (
     render_schema_basic,
     render_schema_domain,
     save_artifact,
-    schema_block,
 )
 
 # Pinned heuristic token count of the full generic-prompt fixture; guards
@@ -28,15 +27,15 @@ from psmith.promptforge import (
 GP_FIXTURE_TOKENS = 1888
 
 
-def build_prompt(mode, shots, test_nl, *, stage=1, test_schema=None, budget=None,
+def build_prompt(mode, shots, test_nl, *, stage=1, schema=None, budget=None,
                  test_sub_questions=(), test_steps=(), **context):
-    """One *mode* prompt built from scratch: its prefix (*context*:
-    ``databases``, ``target``, ``cot_enabled``) joined to its suffix, which
-    opens with *test_schema*'s block in the generic modes."""
-    block = "" if MODES[mode].domain else schema_block(mode, test_schema)
-    suffix = prompt_suffix(mode, test_nl, stage=stage, block=block,
+    """One *mode* prompt built from scratch: its prefix, which ends with the
+    test *schema* in the generic modes and opens with the target *schema* in
+    the domain modes (*context*: ``databases``, ``cot_enabled``), joined to
+    its suffix."""
+    suffix = prompt_suffix(mode, test_nl, stage=stage,
                            test_sub_questions=test_sub_questions, test_steps=test_steps)
-    return prompt_prefix(mode, shots, **context).join(suffix, budget, stage)
+    return prompt_prefix(mode, shots, schema, **context).join(suffix, budget, stage)
 
 
 def shot(db_id, nl, sql, subs=(), steps=()):
@@ -124,7 +123,7 @@ def test_generic_prompt_matches_golden(golden, train_dataset, test_dataset):
     artifact = build_prompt(
         "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
         databases=train_dataset.databases,
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
+        schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
         budget=TokenBudget(),
     )
     assert artifact.text == golden("gp.txt")
@@ -139,7 +138,7 @@ def test_generic_prompt_token_count_pinned(golden):
 def test_generic_prompt_zero_shot(train_dataset, test_dataset):
     artifact = build_prompt(
         "gp", [], nuclear_test_example(test_dataset).nl, databases=train_dataset.databases,
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB], budget=TokenBudget())
+        schema=test_dataset.databases[fixturelib.NUCLEAR_DB], budget=TokenBudget())
     assert "classroom" not in artifact.text
     assert artifact.text.endswith("SELECT")
 
@@ -148,14 +147,14 @@ def test_generic_prompt_deterministic(golden, train_dataset, test_dataset):
     build = lambda: build_prompt(  # noqa: E731
         "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
         databases=train_dataset.databases,
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB], budget=TokenBudget())
+        schema=test_dataset.databases[fixturelib.NUCLEAR_DB], budget=TokenBudget())
     assert build().text == build().text
 
 
 def test_da_prompt_matches_golden(golden):
     artifact = build_prompt(
         "da-gp", da_shots(), fixturelib.TEST_QUESTION,
-        target=fixturelib.nuclear_pinned_profile(),
+        schema=fixturelib.nuclear_pinned_profile(),
         budget=TokenBudget(),
     )
     assert artifact.text == golden("da_gp.txt")
@@ -177,7 +176,7 @@ def test_ltmp_gp_stage1_matches_golden(golden, train_dataset, test_dataset):
     artifact = build_prompt(
         "ltmp-gp", gp_chains(train_dataset), fixturelib.TEST_QUESTION,
         databases=train_dataset.databases,
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
+        schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
         budget=TokenBudget(),
     )
     assert artifact.text == golden("ltmp_gp_stage1.txt")
@@ -188,7 +187,7 @@ def test_ltmp_gp_stage1_matches_golden(golden, train_dataset, test_dataset):
 def test_ltmp_da_gp_stage3_matches_golden(golden):
     artifact = build_prompt(
         "ltmp-da-gp", da_chains(), fixturelib.TEST_QUESTION, stage=3,
-        target=fixturelib.nuclear_pinned_profile(),
+        schema=fixturelib.nuclear_pinned_profile(),
         test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
         test_steps=fixturelib.LTMP_TEST_STEPS,
         budget=TokenBudget(),
@@ -201,7 +200,7 @@ def test_ltmp_da_gp_stage3_matches_golden(golden):
 def test_ltmp_stage2_cue(golden):
     artifact = build_prompt(
         "ltmp-da-gp", da_chains(), fixturelib.TEST_QUESTION, stage=2,
-        target=fixturelib.nuclear_pinned_profile(),
+        schema=fixturelib.nuclear_pinned_profile(),
         test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
         budget=TokenBudget(),
     )
@@ -212,65 +211,75 @@ def test_ltmp_stage2_cue(golden):
 
 
 def golden_cases(train_dataset, test_dataset):
-    """(mode, stage, shots, keyword arguments of the suffix and prefix) of
-    the four golden prompts, and their golden file."""
+    """(mode, stage, shots, schema, prefix context, suffix lists) of the four
+    golden prompts, and their golden file."""
     test_schema = test_dataset.databases[fixturelib.NUCLEAR_DB]
     target = fixturelib.nuclear_pinned_profile()
+    gp_context = dict(databases=train_dataset.databases)
+    lists = dict(test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
+                 test_steps=fixturelib.LTMP_TEST_STEPS)
     return [
-        ("gp", 1, gp_shots(train_dataset), dict(databases=train_dataset.databases),
-         dict(block=schema_block("gp", test_schema)), "gp.txt"),
-        ("da-gp", 1, da_shots(), dict(target=target), {}, "da_gp.txt"),
-        ("ltmp-gp", 1, gp_chains(train_dataset), dict(databases=train_dataset.databases),
-         dict(block=schema_block("ltmp-gp", test_schema)), "ltmp_gp_stage1.txt"),
-        ("ltmp-da-gp", 3, da_chains(), dict(target=target),
-         dict(test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
-              test_steps=fixturelib.LTMP_TEST_STEPS), "ltmp_da_gp_stage3.txt"),
+        ("gp", 1, gp_shots(train_dataset), test_schema, gp_context, {}, "gp.txt"),
+        ("da-gp", 1, da_shots(), target, {}, {}, "da_gp.txt"),
+        ("ltmp-gp", 1, gp_chains(train_dataset), test_schema, gp_context, {},
+         "ltmp_gp_stage1.txt"),
+        ("ltmp-da-gp", 3, da_chains(), target, {}, lists, "ltmp_da_gp_stage3.txt"),
     ]
 
 
 def test_prefix_and_suffix_join_into_the_golden_prompts(golden, train_dataset, test_dataset):
-    for mode, stage, shots, context, tail, name in golden_cases(train_dataset, test_dataset):
-        prefix = prompt_prefix(mode, shots, **context)
-        suffix = prompt_suffix(mode, fixturelib.TEST_QUESTION, stage=stage, **tail)
+    header = "### SQLite SQL tables, with their properties:"
+    for mode, stage, shots, schema, context, lists, name in golden_cases(train_dataset,
+                                                                         test_dataset):
+        prefix = prompt_prefix(mode, shots, schema, **context)
+        suffix = prompt_suffix(mode, fixturelib.TEST_QUESTION, stage=stage, **lists)
         artifact = prefix.join(suffix, TokenBudget(), stage)
         assert artifact.text == prefix.text + suffix == golden(name)
         assert artifact.digest == hashlib.sha256(golden(name).encode("utf-8")).hexdigest()
         assert artifact.exemplar_ids == tuple(shot.id for shot in shots)
         assert artifact.mode == name.removesuffix(".txt")
-        # the split falls after the last exemplar's separator
+        # the split falls before the test question, in every mode: the prefix
+        # holds every schema, the generic modes' test schema last
         assert prefix.text.endswith("\n#\n")
-        assert suffix.startswith("### SQLite SQL tables" if "block" in tail
-                                 else ("Q: " if mode.startswith("ltmp") else "### "))
+        assert suffix.startswith("Q: " if mode.startswith("ltmp") else "### ")
+        assert "### SQLite SQL tables" not in suffix and "CREATE TABLE" not in suffix
+        if not MODES[mode].domain:
+            block = prefix.text[prefix.text.rindex(header):]
+            assert block == "\n".join([header, render_schema_basic(schema), "#", ""])
         assert prefix.digest == hashlib.sha256(prefix.text.encode("utf-8")).hexdigest()
 
 
 def test_one_prefix_serves_every_ltmp_stage(train_dataset, test_dataset):
-    prefix = prompt_prefix("ltmp-gp", gp_chains(train_dataset),
+    test_schema = test_dataset.databases[fixturelib.NUCLEAR_DB]
+    prefix = prompt_prefix("ltmp-gp", gp_chains(train_dataset), test_schema,
                            databases=train_dataset.databases)
-    block = schema_block("ltmp-gp", test_dataset.databases[fixturelib.NUCLEAR_DB])
+    lists = dict(test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
+                 test_steps=fixturelib.LTMP_TEST_STEPS)
     for stage in (1, 2, 3):
-        lists = dict(test_sub_questions=fixturelib.LTMP_TEST_SUB_QUESTIONS,
-                     test_steps=fixturelib.LTMP_TEST_STEPS)
         # a prefix built afresh for this stage alone
         expected = build_prompt(
             "ltmp-gp", gp_chains(train_dataset), fixturelib.TEST_QUESTION, stage=stage,
-            databases=train_dataset.databases,
-            test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB], **lists)
-        suffix = prompt_suffix("ltmp-gp", fixturelib.TEST_QUESTION, stage=stage,
-                               block=block, **lists)
+            databases=train_dataset.databases, schema=test_schema, **lists)
+        suffix = prompt_suffix("ltmp-gp", fixturelib.TEST_QUESTION, stage=stage, **lists)
         artifact = prefix.join(suffix, stage=stage)
         assert artifact == expected
         assert artifact.digest == expected.digest
-
-
-def test_suffix_takes_a_schema_block_in_the_generic_modes_only(test_dataset):
-    block = schema_block("gp", test_dataset.databases[fixturelib.NUCLEAR_DB])
-    with pytest.raises(ValueError, match="need the test schema"):
-        prompt_suffix("gp", "q")
-    with pytest.raises(ValueError, match="show no test schema"):
-        prompt_suffix("da-gp", "q", block=block)
     with pytest.raises(ValueError, match="stage"):
         prompt_suffix("ltmp-da-gp", "q", stage=4)
+
+
+def test_a_generic_prefix_without_a_test_schema_is_the_shared_part(train_dataset,
+                                                                   test_dataset):
+    """The sampler budgets the prefix of no test schema: every database's
+    prefix is it followed by that database's block."""
+    shots = gp_shots(train_dataset)
+    shared = prompt_prefix("gp", shots, None, databases=train_dataset.databases)
+    for schema in test_dataset.databases.values():
+        prefix = prompt_prefix("gp", shots, schema, databases=train_dataset.databases)
+        assert prefix.text.startswith(shared.text)
+        assert prefix.text[len(shared.text):].startswith("### SQLite SQL tables")
+    with pytest.raises(ValueError, match="target schema"):
+        prompt_prefix("da-gp", da_shots(), None)
 
 
 def test_budget_counts_the_whole_prompt_not_its_parts():
@@ -287,7 +296,7 @@ def test_budget_enforced_at_construction(train_dataset, test_dataset):
         build_prompt(
             "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
             databases=train_dataset.databases,
-            test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
+            schema=test_dataset.databases[fixturelib.NUCLEAR_DB],
             budget=TokenBudget(limit=10))
 
 
@@ -295,7 +304,7 @@ def test_artifact_round_trip(tmp_path, train_dataset, test_dataset):
     artifact = build_prompt(
         "gp", gp_shots(train_dataset), nuclear_test_example(test_dataset).nl,
         databases=train_dataset.databases,
-        test_schema=test_dataset.databases[fixturelib.NUCLEAR_DB], budget=TokenBudget())
+        schema=test_dataset.databases[fixturelib.NUCLEAR_DB], budget=TokenBudget())
     path = tmp_path / "gp.prompt"
     save_artifact(artifact, path)
     header, _, text = path.read_text(encoding="utf-8").partition("\n")

@@ -226,8 +226,8 @@ def test_budget_pruning_drops_redundant_first(train_dataset):
 
 
 def test_sampled_gp_prefix_fits_every_budget(train_dataset):
-    """Whatever the budget, the sample either fails or fits the prefix that
-    ``run --mode gp`` sends within it."""
+    """Whatever the budget, the sample either fails or fits within it the
+    part of ``run --mode gp``'s prefixes that every test database shares."""
     outcomes = set()
     for limit in range(1700, 1905, 5):
         try:
@@ -235,7 +235,7 @@ def test_sampled_gp_prefix_fits_every_budget(train_dataset):
         except BudgetExceeded:
             outcomes.add("refused")
             continue
-        prefix = prompt_prefix("gp", shots_for("gp", result.exemplars),
+        prefix = prompt_prefix("gp", shots_for("gp", result.exemplars), None,
                                databases=train_dataset.databases)
         assert count_tokens(prefix.text) <= limit, limit
         outcomes.add(len(result.pruned))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ted_oracle
-from psmith.errors import ParseError
+from psmith.errors import MalformedManifest, ParseError
 from psmith.sqlanalysis import (
     PrimitiveOp,
     default_catalog,
@@ -45,6 +45,15 @@ def test_catalog_loads_from_path(tmp_path):
     catalog = load_catalog(path)
     assert len(catalog) == 2
     assert PrimitiveOp("clause", "SELECT") in catalog
+
+
+def test_catalog_refuses_a_line_it_cannot_take(tmp_path):
+    path = tmp_path / "mini.tsv"
+    for text, problem in [("clause\tSELECT\nwidget\tX\n", "line 2: not a kind<TAB>name"),
+                          ("clause\tSELECT\n# c\nclause\tSELECT\n", "line 3: repeats")]:
+        path.write_text(text)
+        with pytest.raises(MalformedManifest, match=f"mini.tsv: {problem}"):
+            load_catalog(path)
 
 
 def test_primitive_op_rejects_unknown_kind():
