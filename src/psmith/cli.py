@@ -23,7 +23,8 @@ import hashlib
 import json
 import logging
 import typing
-from dataclasses import fields
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .corpus import (
     load_spider,
     load_spider_ss,
 )
-from .errors import BudgetExceeded, DatabaseMismatch, MalformedManifest, PsmithError
+from .errors import BudgetExceeded, DatabaseMismatch, MalformedManifest, NotADatabase, PsmithError
 from .llmclient import LlmClient, ReplayStore, forbidden_transport
 from .pipelines import (
     AdaptationBundle,
@@ -45,6 +46,7 @@ from .pipelines import (
     read_predictions,
     run_pipeline,
     shots_for,
+    verify_bundle,
 )
 from .pipelines.adapt import adapt_exemplars
 from .promptforge import MODES, save_artifact
@@ -334,6 +336,8 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
         click.echo(f"wrote {len(exemplars)} stage-1 prompts to {out_dir}")
         return
 
+    if target.sqlite_path is None:
+        raise NotADatabase(f"{db_id} has no attached SQLite file")
     draft_records = None
     if draft_decompositions:
         if spider_ss_dir is None:
@@ -341,15 +345,22 @@ def adapt(report_path, train_dir, test_dir, db_id, out_path, spider_ss_dir,
         draft_records = load_spider_ss(spider_ss_dir)
 
     client = build_client(cfg, replay, record, cache_dir)
-    bundle, failed = adapt_exemplars(
-        exemplars, train.databases, target, client,
-        ted_threshold=cfg.ted_threshold,
-        max_beam_samples=cfg.max_beam_samples,
-        budget=cfg.budget,
-        max_output_tokens=cfg.max_output_tokens,
-        cot_enabled=cfg.cot_enabled,
-        draft_records=draft_records,
-        draft_context=train.databases, workers=cfg.workers)
+    with ThreadPoolExecutor(1) as pool:
+        # the target's one profile runs, on a copy, while the exemplars
+        # adapt: their prompts show the basic schema alone. Its error fails adapt
+        profiled = pool.submit(attach_value_profile, replace(target), cfg.seed,
+                               cfg.numeric_render)
+        bundle, failed = adapt_exemplars(
+            exemplars, train.databases, target, client,
+            ted_threshold=cfg.ted_threshold,
+            max_beam_samples=cfg.max_beam_samples,
+            budget=cfg.budget,
+            max_output_tokens=cfg.max_output_tokens,
+            cot_enabled=cfg.cot_enabled,
+            draft_records=draft_records,
+            draft_context=train.databases, workers=cfg.workers)
+    bundle.seed, bundle.numeric_render = cfg.seed, cfg.numeric_render
+    bundle.value_profile = profiled.result().value_profile
 
     bundle.save(out_path)
     click.echo(f"adapted {len(bundle.exemplars)} of {len(exemplars)} exemplars "
@@ -393,8 +404,14 @@ def run_cmd(mode, report_path, bundle_path, train_dir, test_dir, spider_ss_dir,
         if bundle.target_db_id not in test.databases:
             raise click.UsageError(
                 f"bundle targets {bundle.target_db_id!r}, absent from {test_dir}")
-        target_profile = attach_value_profile(
-            test.databases[bundle.target_db_id], cfg.seed, cfg.numeric_render)
+        target_profile = replace(test.databases[bundle.target_db_id],
+                                 value_profile=bundle.value_profile)
+        # an entry edited by hand since adapt verified it is checked again
+        edited = [entry for entry in bundle.exemplars if entry.edited]
+        problems = verify_bundle(replace(bundle, exemplars=edited), target_profile)
+        if problems:
+            raise click.UsageError(f"{bundle_path}: edited entries fail adapt's check:\n  "
+                                   + "\n  ".join(problems))
     shots_for(mode, exemplars, ss_records, bundle)  # refused before the run directory exists
 
     client = build_client(cfg, replay, record, cache_dir)

@@ -1,8 +1,10 @@
 """SQLite schema introspection and seeded value profiling.
 
-Profiles are deterministic functions of (database file, seed): categorical
-and date-time columns get up to four seeded-random distinct values, numeric
-columns get their (min, max) range. NULLs never appear in either form.
+``adapt`` profiles its target once and writes the profile into the
+adaptation bundle, where the domain prompts of ``run`` read it; ``run``
+never profiles. Profiles are deterministic functions of (database file,
+seed): categorical and date-time columns get up to four seeded-random
+distinct values, numeric columns get their (min, max) range. NULLs never appear in either form.
 SQLite orders NULL < INTEGER/REAL < TEXT < BLOB under any collation, so a
 numeric MAX means the column holds numbers only: in ``range`` mode an
 INTEGER/REAL column is then decided by its one MIN/MAX scan, without

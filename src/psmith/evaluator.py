@@ -8,6 +8,8 @@ prediction is fetched only while it can still equal its gold result: it
 holds at most gold's rows plus one, and gold's text and blob length plus
 one row. On Python 3.10, which cannot set the length limit, that one row is
 bounded only by sqlite's default limit of 10^9 bytes a value.
+``check_executes``, adapt's executability check, refuses what execute_sql
+refuses and steps every row of the result inside sqlite, fetching none.
 Results are compared as row sequences when the gold query has a
 top-level ORDER BY and otherwise as multisets: equivalent when a perfect
 matching pairs their rows, with no row threshold. Two ints match only when
@@ -41,7 +43,6 @@ logger = logging.getLogger(__name__)
 REL_TOLERANCE = 1e-6
 
 _PROGRESS_GRANULARITY = 10_000
-_CHECK_BATCH = 1_000  # rows check_executes steps per fetch
 
 # the only actions a query needs; writes, ATTACH, PRAGMA, temp objects and
 # transactions are all denied when the statement is prepared
@@ -83,11 +84,13 @@ def _connection(db: str | Path | sqlite3.Connection):
 
 
 @contextmanager
-def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: float):
+def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: float,
+                      explain: bool = False):
     """Yield the cursor of one query, under its own deadline and an
-    authorizer that refuses every action but reading; sqlite's errors map as
-    execute_sql documents, also those raised while the caller steps the
-    cursor."""
+    authorizer that refuses every action but reading; with *explain*, the
+    cursor of ``EXPLAIN <sql>``, which prepares the query without running
+    it. sqlite's errors map as execute_sql documents, also those raised
+    while the caller steps the cursor or runs the query."""
     deadline = time.monotonic() + timeout_s
     timed_out, denied = [], []
 
@@ -107,7 +110,7 @@ def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: 
         conn.set_authorizer(authorize)
         conn.set_progress_handler(guard, _PROGRESS_GRANULARITY)
         try:
-            cursor = conn.execute(sql)
+            cursor = conn.execute(f"EXPLAIN {sql}" if explain else sql)
             if cursor.description is None:  # blank or comment-only input
                 raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
             yield cursor
@@ -167,12 +170,15 @@ def execute_sql(db: str | Path | sqlite3.Connection, sql: str,
 
 def check_executes(db_path: str | Path, sql: str,
                    timeout_s: float = STATEMENT_TIMEOUT_S) -> None:
-    """Execute one query as execute_sql does and step through every row of
-    its result while keeping none, so an error or the timeout on any row
-    raises as it would there."""
-    with _read_only_cursor(db_path, sql, timeout_s) as cursor:
-        while cursor.fetchmany(_CHECK_BATCH):
-            pass
+    """Refuse what execute_sql refuses, and step through every row of the
+    result inside sqlite, fetching none. The statement is prepared once,
+    unrun, as ``EXPLAIN <sql>`` under the read-only authorizer, which
+    refuses a write and sqlite a second statement (input that holds no query
+    fails to prepare); then ``executescript`` steps it in C with the
+    interpreter lock released, so an error or the timeout on any row raises
+    as it would there."""
+    with _read_only_cursor(db_path, sql, timeout_s, explain=True) as cursor:
+        cursor.connection.executescript(sql)
 
 
 # --- result comparison ---------------------------------------------------------

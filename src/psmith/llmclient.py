@@ -328,6 +328,8 @@ class LlmClient:
                 self._spent_tokens += used - estimate
 
     def _post(self, request: GenerationRequest) -> GenerationResult:
+        if self.transport is http_transport and not self.api_base:
+            raise TransportError("no API base for a live call: set PSMITH_API_BASE")
         payload = {
             "model": request.model,
             "temperature": request.temperature,

@@ -4,20 +4,26 @@ Stage 1 rewrites each exemplar's SQL onto the target schema, sampling
 candidates until one both executes on the target database and stays within
 the skeleton tree-edit-distance threshold of the source query. Stage 2
 generates the NL question describing the accepted SQL.
+
+The bundle is the offline artifact of one target: its adapted exemplars,
+each with the digest of the SQL that passed the acceptance check, and the
+target's value profile, which the domain prompts render.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
-from ..corpus.types import AnnotatedExample, SchemaProfile
+from ..corpus.types import AnnotatedExample, NumericRange, SampledValues, SchemaProfile
 from ..errors import (
     AdaptationFailed,
     EmptyGeneration,
+    MalformedManifest,
     NoSelectFound,
     ParseError,
     PsmithError,
@@ -44,10 +50,16 @@ logger = logging.getLogger(__name__)
 QUESTION_MAX_TOKENS = 128
 
 
+def _sql_digest(source_sql: str, adapted_sql: str) -> str:
+    """The SHA-256 of a source query and its adaptation, as a JSON pair."""
+    return hashlib.sha256(json.dumps([source_sql, adapted_sql]).encode("utf-8")).hexdigest()
+
+
 @dataclass
 class AdaptedExemplar:
     """One entry of an adaptation bundle; its fields are the entry's keys, in
-    file order. The source fields name the training query it came from."""
+    file order. The source fields name the training query it came from;
+    ``sql_sha256`` is the digest of the SQL pair that adapt verified."""
     source_db_id: str
     source_nl: str
     source_sql: str
@@ -59,6 +71,7 @@ class AdaptedExemplar:
     # tool, finalized by a human editor
     sub_questions: tuple[str, ...] | None = None
     natsql_steps: tuple[str, ...] | None = None
+    sql_sha256: str | None = None
 
     def __post_init__(self):  # an entry read back from JSON holds lists
         self.sub_questions = tuple(self.sub_questions) if self.sub_questions else None
@@ -68,15 +81,32 @@ class AdaptedExemplar:
     def source(self) -> AnnotatedExample:
         return AnnotatedExample(self.source_db_id, self.source_nl, self.source_sql)
 
+    @property
+    def edited(self) -> bool:
+        """Whether its SQL is not the SQL that adapt verified."""
+        return self.sql_sha256 != _sql_digest(self.source_sql, self.adapted_sql)
+
+
+ValueProfile = dict[tuple[str, str], SampledValues | NumericRange]
+
 
 @dataclass
 class AdaptationBundle:
+    """The adapted exemplars of one target database, and the target's value
+    profile (by table and column) that adapt took with ``seed`` and
+    ``numeric_render``; bundle.json holds one profile entry per column."""
     target_db_id: str
     ted_threshold: int
     exemplars: list[AdaptedExemplar] = field(default_factory=list)
+    seed: int | None = None
+    numeric_render: str | None = None
+    value_profile: ValueProfile | None = None
 
     def save(self, path: str | Path) -> None:
         payload = {**vars(self), "exemplars": [vars(e) for e in self.exemplars]}
+        if self.value_profile is not None:
+            payload["value_profile"] = [_profile_entry(*item)
+                                        for item in self.value_profile.items()]
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
@@ -85,30 +115,70 @@ class AdaptationBundle:
     @classmethod
     def load(cls, path: str | Path) -> "AdaptationBundle":
         """Read a bundle as saved or as edited by hand; MalformedManifest names
-        the entry and the key that is missing, unknown or of the wrong type.
+        the entry and the key that is missing, unknown or of the wrong type,
+        and a bundle without a value profile, written before adapt took one.
         No SQL is parsed: the source fields only name the shots."""
-        bundle = read_entry(partial(_typed, cls), read_json(path), path)
+        raw = read_json(path)
+        if isinstance(raw, dict) and raw.get("value_profile") is None:
+            raise MalformedManifest("holds no value_profile: it predates the profile "
+                                    "in the bundle; run psmith adapt again", path=path)
+        bundle = read_entry(partial(_typed, cls), raw, path)
         bundle.exemplars = [read_entry(partial(_typed, AdaptedExemplar), entry, path,
                                        f"exemplar entry {index}: ")
                             for index, entry in enumerate(bundle.exemplars)]
+        bundle.value_profile = dict(read_entry(_profiled_column, entry, path,
+                                               f"value_profile entry {index}: ")
+                                    for index, entry in enumerate(bundle.value_profile))
         return bundle
+
+
+def _profile_entry(column: tuple[str, str], profile: SampledValues | NumericRange) -> dict:
+    form = ({"values": list(profile.values)} if isinstance(profile, SampledValues)
+            else {"range": [profile.low, profile.high]})
+    return {"table": column[0], "column": column[1], **form}
+
+
+def _texts(value) -> bool:
+    return isinstance(value, list) and all(type(text) is str for text in value)
+
+
+def _profiled_column(raw: dict) -> tuple[tuple[str, str], SampledValues | NumericRange]:
+    """A value_profile entry: its table and column, and either up to four
+    distinct sampled ``values`` or a ``range`` of two, all text. Else
+    KeyError or TypeError names the key."""
+    form = "range" if "range" in raw else "values"
+    value = raw[form]
+    unknown = sorted(set(raw) - {"table", "column", form})
+    if unknown:
+        raise TypeError(f"unknown key {unknown[0]!r}")
+    for key in ("table", "column"):
+        if not isinstance(raw[key], str):
+            raise TypeError(f"bad value {raw[key]!r} for {key!r}")
+    if form == "range" and _texts(value) and len(value) == 2:
+        return (raw["table"], raw["column"]), NumericRange(*value)
+    if form == "values" and _texts(value) and 0 < len(value) == len(set(value)) <= 4:
+        return (raw["table"], raw["column"]), SampledValues(tuple(value))
+    raise TypeError(f"bad value {value!r} for {form!r}")
 
 
 def _typed(cls, raw: dict):
     """*cls* built from *raw*, whose values its fields take: text is a string,
     and SQL a non-blank one; a count is an integer; a decomposition is a list
-    of strings, or null; the exemplars are a list. Else TypeError names the
-    key."""
+    of strings; the exemplars and the value profile are lists; an optional
+    key may be null. Else TypeError names the key."""
     for key in fields(cls):
         value = raw.get(key.name)
-        if key.type == "str":
+        kind = key.type.removesuffix(" | None")
+        if value is None and kind != key.type:
+            takes = True
+        elif kind == "str":
             takes = isinstance(value, str) and (value.strip() or not key.name.endswith("_sql"))
-        elif key.type == "int":
+        elif kind == "int":
             takes = type(value) is int
-        elif key.type == "list[AdaptedExemplar]":
+        elif kind in ("list[AdaptedExemplar]", "ValueProfile"):
             takes = isinstance(value, list)
         else:
-            takes = value is None or isinstance(value, list) and all(type(s) is str for s in value)
+            takes = _texts(value)
         if key.name in raw and not takes:
             raise TypeError(f"bad value {value!r} for {key.name!r}")
     return cls(**raw)
@@ -189,6 +259,8 @@ def verify_bundle(bundle: AdaptationBundle, target_schema: SchemaProfile) -> lis
     """Re-check every adapted exemplar with stage 1's acceptance check, and
     its recorded distance. Returns a list of violation descriptions (empty
     when the bundle is sound)."""
+    if target_schema.sqlite_path is None and bundle.exemplars:
+        return [f"{target_schema.db_id} has no attached SQLite file to check against"]
     problems: list[str] = []
     for entry in bundle.exemplars:
         name = exemplar_id(entry.source)
@@ -241,7 +313,7 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
         except PsmithError as exc:
             return f"{item.db_id}: {item.nl}: {exc}"
         return AdaptedExemplar(item.db_id, item.nl, item.sql, adapted_sql, adapted_nl,
-                               ted, attempts)
+                               ted, attempts, sql_sha256=_sql_digest(item.sql, adapted_sql))
 
     adapted = map_in_order(adapt_one, exemplars, workers)
     bundle = AdaptationBundle(target_schema.db_id, ted_threshold,

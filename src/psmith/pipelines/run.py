@@ -72,9 +72,9 @@ class PipelineConfig:
     mode: str = _key("gp", ("run",), choices=tuple(MODES))
     ted_threshold: int = _key(2, ("adapt",))
     max_beam_samples: int = _key(8, ("adapt",))
-    seed: int = _key(0, ("run",))
+    seed: int = _key(0, ("adapt",))
     budget_limit: int = _key(DEFAULT_LIMIT, ("sample", *_CLIENT))
-    numeric_render: str = _key("range", ("run",), choices=NUMERIC_RENDER_MODES)
+    numeric_render: str = _key("range", ("adapt",), choices=NUMERIC_RENDER_MODES)
     cot_enabled: bool = _key(True, _CLIENT)
     max_output_tokens: int = _key(256, _CLIENT)
     workers: int = _key(1, _CLIENT, runtime=True)

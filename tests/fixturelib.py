@@ -1045,6 +1045,15 @@ def nuclear_pinned_profile():
     )
 
 
+def empty_bundle(db_id: str = NUCLEAR_DB, ted_threshold: int = 2):
+    """An adaptation bundle of no exemplars for *db_id*, holding the pinned
+    Nuclear value profile as adapt would have taken it."""
+    from psmith.pipelines import AdaptationBundle
+
+    return AdaptationBundle(db_id, ted_threshold, seed=0, numeric_render="range",
+                            value_profile=nuclear_pinned_profile().value_profile)
+
+
 # NL/SQL pairs of the pinned domain-adapted prompt, in order.
 DA_PINNED_PAIRS = [
     ("Find the latitudes of nuclear power plants with capacity more than 50.",

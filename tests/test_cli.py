@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import click
 import pytest
@@ -146,16 +147,14 @@ def test_run_refuses_exemplars_missing_from_spider_ss(runner, spider_dir, spider
 def test_run_manifest_guards_config(runner, kaggledbqa_dir, tmp_path):
     bundle = tmp_path / "bundle.json"
     # an empty bundle is enough to exercise the manifest conflict check
-    from psmith.pipelines import AdaptationBundle
-
-    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    fixturelib.empty_bundle().save(bundle)
     args = ["run", "--mode", "da-gp", "--bundle", str(bundle),
             "--test", str(kaggledbqa_dir), "--runs", str(tmp_path / "runs"),
             "--run-id", "fixed", "--replay", str(STORE), "--model", "offline-model"]
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
     # changed config, same run id -> refuse
-    conflicting = runner.invoke(main, args + ["--seed", "9"])
+    conflicting = runner.invoke(main, args + ["--max-output-tokens", "128"])
     assert conflicting.exit_code != 0
     assert "different configuration" in conflicting.output + conflicting.stderr
     # a different model changes what the run outputs -> refuse
@@ -171,11 +170,10 @@ def test_run_manifest_guards_inputs(runner, kaggledbqa_dir, tmp_path):
     import shutil
 
     from psmith.llmclient import GenerationRequest
-    from psmith.pipelines import AdaptationBundle
 
     bundle, other = tmp_path / "bundle.json", tmp_path / "other.json"
-    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
-    AdaptationBundle(fixturelib.NUCLEAR_DB, 3).save(other)
+    fixturelib.empty_bundle().save(bundle)
+    fixturelib.empty_bundle(ted_threshold=3).save(other)
     args = ["run", "--mode", "da-gp", "--test", str(kaggledbqa_dir),
             "--runs", str(tmp_path / "runs"), "--run-id", "fixed", "--model", "offline-model"]
     first = runner.invoke(main, args + ["--bundle", str(bundle), "--replay", str(STORE)])
@@ -207,7 +205,6 @@ def test_run_manifest_guards_inputs(runner, kaggledbqa_dir, tmp_path):
 def test_run_manifest_names_no_replay_store_until_one_is_read(runner, kaggledbqa_dir,
                                                               tmp_path, monkeypatch):
     import psmith.cli
-    from psmith.pipelines import AdaptationBundle
 
     inner = psmith.cli.build_client
 
@@ -223,7 +220,7 @@ def test_run_manifest_names_no_replay_store_until_one_is_read(runner, kaggledbqa
 
     monkeypatch.setattr(psmith.cli, "build_client", build_client)
     bundle, cache = tmp_path / "bundle.json", tmp_path / "cache"
-    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    fixturelib.empty_bundle().save(bundle)
     args = ["run", "--mode", "da-gp", "--bundle", str(bundle), "--test", str(kaggledbqa_dir),
             "--runs", str(tmp_path / "runs"), "--run-id", "fixed", "--model", "offline-model"]
     manifest = tmp_path / "runs" / "fixed" / "manifest.json"
@@ -245,13 +242,12 @@ def test_manifests_record_input_digests_not_paths(runner, spider_dir, spider_ss_
     import shutil
 
     from psmith import __version__
-    from psmith.pipelines import AdaptationBundle
 
     report = tmp_path / "report.jsonl"
     assert runner.invoke(main, ["sample", "--train", str(spider_dir),
                                 "--out", str(report)]).exit_code == 0
     bundle = tmp_path / "bundle.json"
-    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    fixturelib.empty_bundle().save(bundle)
     manifests = []
     for copy in (tmp_path / "a", tmp_path / "a-longer-path"):
         for source in (spider_dir, spider_ss_dir, kaggledbqa_dir):
@@ -328,10 +324,8 @@ def test_sample_empty_train_manifest(runner, tmp_path):
 
 
 def test_run_same_config_rerun_resumes(runner, kaggledbqa_dir, tmp_path):
-    from psmith.pipelines import AdaptationBundle
-
     bundle = tmp_path / "bundle.json"
-    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    fixturelib.empty_bundle().save(bundle)
     args = ["run", "--mode", "da-gp", "--bundle", str(bundle),
             "--test", str(kaggledbqa_dir), "--runs", str(tmp_path / "runs"),
             "--run-id", "resume-me", "--replay", str(STORE),
@@ -346,10 +340,8 @@ def test_run_same_config_rerun_resumes(runner, kaggledbqa_dir, tmp_path):
 
 def test_run_resumes_under_a_file_setting_only_adapt_reads(runner, kaggledbqa_dir,
                                                              tmp_path):
-    from psmith.pipelines import AdaptationBundle
-
     bundle = tmp_path / "bundle.json"
-    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    fixturelib.empty_bundle().save(bundle)
     args = ["run", "--mode", "da-gp", "--bundle", str(bundle),
             "--test", str(kaggledbqa_dir), "--runs", str(tmp_path / "runs"),
             "--run-id", "shared-conf", "--replay", str(STORE),
@@ -528,15 +520,123 @@ def run_bundle(runner, bundle, kaggledbqa_dir, tmp_path, run_id="R"):
         "--run-id", run_id, "--replay", str(STORE), "--model", "offline-model"])
 
 
-def test_run_takes_a_bundle_whose_source_sql_does_not_parse(runner, spider_dir, spider_ss_dir,
-                                                             kaggledbqa_dir, tmp_path):
+@pytest.mark.parametrize("key, value, problem", [
+    ("source_sql", "SELECT FROM WHERE !!", "college_2:6f4b1ba7: unparseable"),
+    ("adapted_sql", "SELECT Nowhere FROM nuclear_power_plants", "does not execute"),
+], ids=["source_sql", "adapted_sql"])
+def test_run_refuses_a_bundle_entry_edited_past_adapts_check(runner, spider_dir, spider_ss_dir,
+                                                             kaggledbqa_dir, tmp_path,
+                                                             key, value, problem):
     bundle = adapted_bundle(runner, spider_dir, spider_ss_dir, kaggledbqa_dir, tmp_path)
     payload = json.loads(bundle.read_text(encoding="utf-8"))
-    payload["exemplars"][0]["source_sql"] = "SELECT FROM WHERE !!"
+    payload["exemplars"][0][key] = value
     bundle.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     result = run_bundle(runner, bundle, kaggledbqa_dir, tmp_path)
+    assert result.exit_code == 2
+    assert f"{bundle}: edited entries fail adapt's check" in result.stderr
+    assert problem in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_takes_an_edited_entry_that_passes_adapts_check(runner, spider_dir, spider_ss_dir,
+                                                            kaggledbqa_dir, tmp_path,
+                                                            monkeypatch):
+    import psmith.pipelines.adapt
+
+    bundle = adapted_bundle(runner, spider_dir, spider_ss_dir, kaggledbqa_dir, tmp_path)
+    payload = json.loads(bundle.read_text(encoding="utf-8"))
+    entry = payload["exemplars"][0]
+    entry["adapted_sql"] = entry["adapted_sql"].replace("SELECT", "SELECT ", 1)
+    bundle.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    checked = []
+    inner = psmith.pipelines.adapt.check_executes
+    monkeypatch.setattr(psmith.pipelines.adapt, "check_executes",
+                        lambda *args: checked.append(args[1]) or inner(*args))
+    result = run_bundle(runner, bundle, kaggledbqa_dir, tmp_path)
     assert result.exit_code == 0, result.output + result.stderr
-    assert (tmp_path / "runs" / "R" / "predictions.jsonl").exists()
+    assert checked == [entry["adapted_sql"]]  # the edited entry alone
+
+
+def test_adapt_profiles_the_target_once_and_domain_runs_never(runner, spider_dir,
+                                                              spider_ss_dir, kaggledbqa_dir,
+                                                              tmp_path, monkeypatch):
+    """adapt writes the target's value profile into the bundle; a run of an
+    unedited bundle neither profiles nor checks, and its prefix is the one
+    built from the target profiled as adapt did."""
+    import psmith.corpus.profile
+    import psmith.pipelines.adapt
+    from psmith.corpus import attach_value_profile, load_kaggledbqa
+    from psmith.pipelines import AdaptationBundle, shots_for
+    from psmith.promptforge import prompt_prefix
+
+    profiles = []
+    inner = psmith.corpus.profile.profile_schema
+    monkeypatch.setattr(psmith.corpus.profile, "profile_schema",
+                        lambda *args: profiles.append(args) or inner(*args))
+    bundle = adapted_bundle(runner, spider_dir, spider_ss_dir, kaggledbqa_dir, tmp_path)
+    assert len(profiles) == 1
+    target = attach_value_profile(
+        load_kaggledbqa(kaggledbqa_dir).databases[fixturelib.NUCLEAR_DB], seed=0)
+    adapted = AdaptationBundle.load(bundle)
+    assert (adapted.seed, adapted.numeric_render) == (0, "range")
+    assert adapted.value_profile == target.value_profile
+
+    def refuse(*args):
+        raise AssertionError("a run of an unedited bundle profiled or checked the target")
+
+    monkeypatch.setattr(psmith.corpus.profile, "profile_schema", refuse)
+    monkeypatch.setattr(psmith.pipelines.adapt, "check_executes", refuse)
+    for mode in ("da-gp", "ltmp-da-gp"):
+        result = runner.invoke(main, [
+            "run", "--mode", mode, "--bundle", str(bundle), "--test", str(kaggledbqa_dir),
+            "--runs", str(tmp_path / "runs"), "--run-id", mode, "--replay", str(STORE),
+            "--model", "offline-model"])
+        assert result.exit_code == 0, result.output + result.stderr
+        journal = (tmp_path / "runs" / mode / "queries.jsonl").read_text(encoding="utf-8")
+        prefixes = [record["text"] for record in map(json.loads, journal.splitlines())
+                    if "prefix" in record and "db_id" not in record]
+        expected = prompt_prefix(mode, shots_for(mode, bundle=adapted), target,
+                                 databases=None, cot_enabled=True)
+        assert prefixes == [expected.text]
+
+
+def test_a_bundle_without_a_value_profile_is_refused(runner, kaggledbqa_dir, tmp_path):
+    bundle = tmp_path / "bundle.json"
+    fixturelib.empty_bundle().save(bundle)
+    payload = json.loads(bundle.read_text(encoding="utf-8"))
+    del payload["value_profile"]
+    bundle.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    result = run_bundle(runner, bundle, kaggledbqa_dir, tmp_path)
+    assert result.exit_code == 2
+    assert f"MalformedManifest: {bundle}: holds no value_profile" in result.stderr
+    assert "run psmith adapt again" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda entries: entries[2].update(values=[1]),
+     "value_profile entry 2: bad value [1] for 'values'"),
+    (lambda entries: entries[1].pop("column"), "value_profile entry 1: missing key 'column'"),
+    (lambda entries: entries[0].update(range=entries[0].pop("values")[:1]),
+     "value_profile entry 0: bad value ['572'] for 'range'"),
+    (lambda entries: entries[3].update(note="x"), "value_profile entry 3: unknown key 'note'"),
+], ids=["values", "column", "range", "unknown key"])
+def test_a_malformed_value_profile_entry_names_the_entry_and_the_key(tmp_path, edit, message):
+    from psmith.errors import MalformedManifest
+    from psmith.pipelines import AdaptationBundle
+
+    bundle = tmp_path / "bundle.json"
+    fixturelib.empty_bundle().save(bundle)
+    assert AdaptationBundle.load(bundle).value_profile == \
+        fixturelib.nuclear_pinned_profile().value_profile
+    payload = json.loads(bundle.read_text(encoding="utf-8"))
+    edit(payload["value_profile"])
+    bundle.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(MalformedManifest, match=re.escape(f"{bundle}: {message}")):
+        AdaptationBundle.load(bundle)
 
 
 def test_a_bundle_entry_missing_a_key_is_a_usage_error(runner, spider_dir, spider_ss_dir,
@@ -642,12 +742,10 @@ REFUSALS = {  # case: (configuration file, arguments, message)
 @pytest.mark.parametrize("case", list(REFUSALS))
 def test_a_refused_argument_or_config_file_exits_2(runner, spider_dir, kaggledbqa_dir,
                                                    tmp_path, case):
-    from psmith.pipelines import AdaptationBundle
-
     config, args, message = REFUSALS[case]
     assert runner.invoke(main, ["sample", "--train", str(spider_dir),
                                 "--out", str(tmp_path / "report.jsonl")]).exit_code == 0
-    AdaptationBundle("NoSuchDb", 2).save(tmp_path / "bundle.json")
+    fixturelib.empty_bundle("NoSuchDb").save(tmp_path / "bundle.json")
     args = [arg.format(tmp=tmp_path, train=spider_dir) for arg in args]
     if config is not None:
         (tmp_path / "bad.conf").write_text(config + "\n")
@@ -680,6 +778,14 @@ def _test_without_nuclear_sqlite(tmp_path, kaggledbqa_dir):
     shutil.rmtree(tmp_path / "test" / "databases" / fixturelib.NUCLEAR_DB)
 
 
+def _test_with_nuclear_not_a_database(tmp_path, kaggledbqa_dir):
+    import shutil
+
+    shutil.copytree(kaggledbqa_dir, tmp_path / "test")
+    database = tmp_path / "test" / "databases" / fixturelib.NUCLEAR_DB
+    (database / f"{fixturelib.NUCLEAR_DB}.sqlite").write_bytes(b"not a database\n" * 512)
+
+
 INPUT_REFUSALS = {  # case: (what it writes first or None, arguments, message)
     "train is test": (
         None, [*RUN, "--mode", "gp", "--report", "{tmp}/report.jsonl", "--train", "{train}",
@@ -703,8 +809,13 @@ INPUT_REFUSALS = {  # case: (what it writes first or None, arguments, message)
         "BudgetExceeded: adapt_sql prompt needs 692 tokens, budget is 680"),
     "target without SQLite": (
         _test_without_nuclear_sqlite,
-        [*RUN, "--mode", "da-gp", "--bundle", "{tmp}/bundle.json", "--test", "{tmp}/test"],
+        [*ADAPT, "--test", "{tmp}/test", "--db", fixturelib.NUCLEAR_DB, "--replay", str(STORE)],
         f"NotADatabase: {fixturelib.NUCLEAR_DB} has no attached SQLite file"),
+    "target not a database": (  # found by the profile, which runs while stage 1 does
+        _test_with_nuclear_not_a_database,
+        [*ADAPT, "--test", "{tmp}/test", "--db", fixturelib.NUCLEAR_DB, "--replay", str(STORE)],
+        f"NotADatabase: {{tmp}}/test/databases/{fixturelib.NUCLEAR_DB}/"
+        f"{fixturelib.NUCLEAR_DB}.sqlite: file is not a database"),
     "run report database": (
         _report_naming_college_9,
         [*RUN, "--mode", "gp", "--report", "{tmp}/report.jsonl", "--train", "{train}",
@@ -723,12 +834,10 @@ def test_an_input_refusal_exits_2_and_writes_nothing(runner, spider_dir, kaggled
     """Each input that a command cannot take is a usage error naming what is
     wrong, raised before the command writes a run directory, bundle, report
     or prompt."""
-    from psmith.pipelines import AdaptationBundle
-
     setup, args, message = INPUT_REFUSALS[case]
     assert runner.invoke(main, ["sample", "--train", str(spider_dir),
                                 "--out", str(tmp_path / "report.jsonl")]).exit_code == 0
-    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(tmp_path / "bundle.json")
+    fixturelib.empty_bundle().save(tmp_path / "bundle.json")
     if setup is not None:
         setup(tmp_path, kaggledbqa_dir)
     before = sorted(tmp_path.rglob("*"))

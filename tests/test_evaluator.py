@@ -179,7 +179,7 @@ def test_check_executes_fails_on_a_late_row(tmp_path):
     assert check_executes(path, "SELECT abs(x) FROM t LIMIT 2") is None
     with pytest.raises(SqlError, match="overflow"):
         check_executes(path, "SELECT abs(x) FROM t")
-    # past the first batch of rows the check fetches
+    # far past the first row
     late = ("WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n WHERE i < 5000) "
             "SELECT abs(CASE WHEN i = 5000 THEN -9223372036854775808 ELSE i END) FROM n")
     with pytest.raises(SqlError, match="overflow"):
@@ -192,6 +192,27 @@ def test_check_executes_fails_on_a_late_row(tmp_path):
         check_executes(path, "SELECT count(*) FROM t a, t b, t c, t d, t e, t f, t g, t h, "
                              "t i, t j, t k, t l, t m, t n, t o, t p, t q, t r, t s, t u",
                        timeout_s=0.1)
+
+
+@pytest.mark.parametrize("sql, accepted", [
+    ("SELECT 1; SELECT 2", False),
+    ("-- a comment alone", False),
+    ("", False),
+    ("SELECT 1; -- done", True),
+    ("DELETE FROM scores", False),
+    ("SELECT name FROM scores WHERE points > 2", True),
+    ("SELECT missing FROM scores", False),
+])
+def test_check_executes_accepts_and_refuses_what_execute_sql_does(scores_db, sql, accepted):
+    def verdict(check) -> bool:
+        try:
+            check(scores_db, sql)
+        except SqlError:
+            return False
+        return True
+
+    assert verdict(execute_sql) is accepted
+    assert verdict(check_executes) is accepted
 
 
 def test_gold_nuclear_query(kaggledbqa_dir):

@@ -354,6 +354,24 @@ def test_live_does_not_retry_a_programming_error(monkeypatch):
     assert sleeps == []
 
 
+def test_a_live_call_without_an_api_base_fails_at_once(monkeypatch):
+    """The default transport with no API base is refused before the first
+    attempt, with no sleep; a client whose transport is another needs none."""
+    import requests
+
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    monkeypatch.setattr(requests, "post",
+                        lambda *args, **kwargs: pytest.fail("posted without an API base"))
+    monkeypatch.delenv("PSMITH_API_BASE", raising=False)
+    client = LlmClient(mode="live", model="test-model")
+    with pytest.raises(TransportError, match="PSMITH_API_BASE"):
+        client.generate(make_request())
+    assert sleeps == []
+    client.transport = fake_transport(["SELECT 1"])
+    assert client.generate(make_request()).text == "SELECT 1"
+
+
 @pytest.mark.parametrize("header, expected", [
     ("7", 7.0), (None, None), ("Wed, 21 Oct 2015 07:28:00 GMT", None)])
 def test_http_transport_reads_retry_after_seconds_only(monkeypatch, header, expected):

@@ -295,7 +295,7 @@ def test_da_stage2_rejects_blank(tmp_path, target_schema):
 # --- bundles ----------------------------------------------------------------------------
 
 def make_bundle(train_dataset, with_decompositions=True) -> AdaptationBundle:
-    bundle = AdaptationBundle(fixturelib.NUCLEAR_DB, ted_threshold=2)
+    bundle = fixturelib.empty_bundle()
     exemplar = source_exemplar(train_dataset)
     bundle.exemplars.append(AdaptedExemplar(
         source_db_id=exemplar.db_id, source_nl=exemplar.nl, source_sql=exemplar.sql,
@@ -316,6 +316,7 @@ def test_bundle_round_trip(tmp_path, train_dataset):
     bundle.save(path)
     loaded = AdaptationBundle.load(path)
     assert loaded.target_db_id == bundle.target_db_id
+    assert loaded.value_profile == bundle.value_profile
     entry = loaded.exemplars[0]
     assert entry.adapted_sql == bundle.exemplars[0].adapted_sql
     assert entry.sub_questions == bundle.exemplars[0].sub_questions

@@ -16,7 +16,7 @@ import fixturelib
 from conftest import REPLAY_DIR
 from psmith.cli import main
 from psmith.errors import MalformedManifest
-from psmith.pipelines import AdaptationBundle, read_predictions, write_predictions
+from psmith.pipelines import read_predictions, write_predictions
 from psmith.sampler import read_report, sample_exemplars, write_report
 
 STORE = REPLAY_DIR / "nuclear_ltmp_da_gp.jsonl"
@@ -82,7 +82,7 @@ def test_a_report_line_missing_a_key_names_it(train_dataset, tmp_path):
 def _da_gp(kaggledbqa_dir, tmp_path, *source) -> list[str]:
     """The arguments of a da-gp run, from an empty bundle, as run R."""
     bundle = tmp_path / "bundle.json"
-    AdaptationBundle(fixturelib.NUCLEAR_DB, 2).save(bundle)
+    fixturelib.empty_bundle().save(bundle)
     return ["run", "--mode", "da-gp", "--bundle", str(bundle), "--test", str(kaggledbqa_dir),
             "--runs", str(tmp_path / "runs"), "--run-id", "R", "--model", "offline-model",
             *source]
