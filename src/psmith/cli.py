@@ -237,8 +237,6 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
                 f"run {payload['run_id']} already exists with different inputs "
                 f"({', '.join(changed)}); pick a new --run-id")
         read = inputs.get("replay") or []
-        if isinstance(read, str):  # a manifest from before the list
-            read = [read]
         if replay is None or replay in read:
             return
         inputs["replay"] = read + [replay]

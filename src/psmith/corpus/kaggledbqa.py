@@ -25,7 +25,7 @@ def load_kaggledbqa(directory: str | Path) -> AnnotatedDataset:
     Column descriptions from the manifest are attached to the schemas.
     """
     root = Path(directory)
-    schemas = load_tables_manifest(root / "tables.json", descriptions_key="column_descriptions")
+    schemas = load_tables_manifest(root / "tables.json")
     _attach_sqlite_paths(schemas, root, ("databases", "database"))
 
     examples_dir = root / "examples"

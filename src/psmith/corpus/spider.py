@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-from ..errors import MissingFile
+from ..errors import MalformedManifest, MissingFile
 from ..records import read_rows
 from .types import (
     AnnotatedDataset,
@@ -37,32 +37,29 @@ logger = logging.getLogger(__name__)
 EXAMPLE_MANIFESTS = ("train_spider.json", "train.json", "examples.json")
 
 
+def _example(db_id: str, question: str, query: str, **_) -> AnnotatedExample:
+    return AnnotatedExample(db_id, question, query)
+
+
 def _read_examples(path: Path, schemas: dict[str, SchemaProfile]) -> list[AnnotatedExample]:
-    """The ``{db_id, question, query}`` rows of one examples manifest; each
-    must name a database of *schemas* and hold a question and a non-empty
-    query, both strings."""
-    def example(entry: dict) -> AnnotatedExample:
-        db_id, nl, sql = entry["db_id"], entry["question"], entry["query"]
-        if db_id not in schemas:
-            raise ValueError(f"example references unknown db_id {db_id!r}")
-        if not isinstance(nl, str) or not isinstance(sql, str) or not sql.strip():
-            raise ValueError("question and query must be strings, the query non-empty")
-        return AnnotatedExample(db_id, nl, sql)
-    return read_rows(path, example)
+    """The ``{db_id, question, query}`` rows of one examples manifest, each
+    naming a database of *schemas*."""
+    examples = read_rows(path, _example)
+    for row, item in enumerate(examples):
+        if item.db_id not in schemas:
+            raise MalformedManifest(f"example references unknown db_id {item.db_id!r}", row, path)
+    return examples
 
 
-def _schema_from_manifest(entry: dict, descriptions_key: str | None) -> SchemaProfile:
-    db_id = entry["db_id"]
-    table_names = entry["table_names_original"]
-    column_entries = entry["column_names_original"]
-    column_types = entry.get("column_types", [])
-    pk_indices = entry.get("primary_keys", [])
-    fk_pairs = entry.get("foreign_keys", [])
-    descriptions = entry.get(descriptions_key) if descriptions_key else None
-
+def _schema_from_manifest(db_id: str, table_names_original: tuple[str, ...],
+                          column_names_original: list, column_types: tuple[str, ...] = (),
+                          primary_keys: list = (), foreign_keys: list = (),
+                          column_descriptions: list | None = None, **_) -> SchemaProfile:
+    """A tables.json entry; keys it does not read, such as ``column_names``, pass."""
+    table_names, descriptions = table_names_original, column_descriptions
     per_table: list[list[Column]] = [[] for _ in table_names]
     col_owner: list[tuple[int, str]] = []  # column index -> (table idx, name)
-    for i, (tidx, col_name) in enumerate(column_entries):
+    for i, (tidx, col_name) in enumerate(column_names_original):
         col_owner.append((tidx, col_name))
         if tidx == -1:  # the '*' pseudo-column
             continue
@@ -74,13 +71,13 @@ def _schema_from_manifest(entry: dict, descriptions_key: str | None) -> SchemaPr
 
     tables = tuple(Table(name, tuple(cols)) for name, cols in zip(table_names, per_table))
 
-    primary_keys: dict[str, list[str]] = {}
-    for idx in pk_indices:
+    key_columns: dict[str, list[str]] = {}
+    for idx in primary_keys:
         tidx, col_name = col_owner[idx]
-        primary_keys.setdefault(table_names[tidx], []).append(col_name)
+        key_columns.setdefault(table_names[tidx], []).append(col_name)
 
-    foreign_keys = []
-    for from_spec, to_spec in fk_pairs:
+    references = []
+    for from_spec, to_spec in foreign_keys:
         # single-column pairs are [int, int]; composite keys may be grouped
         # as [[int, ...], [int, ...]]
         from_idxs = from_spec if isinstance(from_spec, list) else [from_spec]
@@ -89,7 +86,7 @@ def _schema_from_manifest(entry: dict, descriptions_key: str | None) -> SchemaPr
             raise ValueError(f"{db_id}: unbalanced foreign key {from_spec} -> {to_spec}")
         ftidx = col_owner[from_idxs[0]][0]
         ttidx = col_owner[to_idxs[0]][0]
-        foreign_keys.append(ForeignKey(
+        references.append(ForeignKey(
             table_names[ftidx],
             tuple(col_owner[i][1] for i in from_idxs),
             table_names[ttidx],
@@ -99,14 +96,13 @@ def _schema_from_manifest(entry: dict, descriptions_key: str | None) -> SchemaPr
     return SchemaProfile(
         db_id=db_id,
         tables=tables,
-        primary_keys={t: tuple(cols) for t, cols in primary_keys.items()},
-        foreign_keys=tuple(foreign_keys),
+        primary_keys={t: tuple(cols) for t, cols in key_columns.items()},
+        foreign_keys=tuple(references),
     )
 
 
-def load_tables_manifest(path: Path, descriptions_key: str | None = None) -> dict[str, SchemaProfile]:
-    return {profile.db_id: profile for profile in read_rows(
-        path, lambda entry: _schema_from_manifest(entry, descriptions_key))}
+def load_tables_manifest(path: Path) -> dict[str, SchemaProfile]:
+    return {profile.db_id: profile for profile in read_rows(path, _schema_from_manifest)}
 
 
 def _attach_sqlite_paths(schemas: dict[str, SchemaProfile], root: Path,
@@ -139,9 +135,12 @@ def load_spider(directory: str | Path, role: str = Role.TRAIN) -> AnnotatedDatas
     return AnnotatedDataset(databases=schemas, examples=examples, role=role)
 
 
+def _ss_record(question: str, sub_questions: tuple[str, ...], natsql_steps: tuple[str, ...],
+               query: str, **_) -> DecompositionRecord:
+    return DecompositionRecord(question, sub_questions, natsql_steps, query)
+
+
 def load_spider_ss(directory: str | Path) -> dict[str, DecompositionRecord]:
     """Load Spider-SS decompositions keyed by the exact NL question text."""
-    return {record.nl: record for record in read_rows(
-        Path(directory) / "spider_ss.json",
-        lambda entry: DecompositionRecord(entry["question"], tuple(entry["sub_questions"]),
-                                          tuple(entry["natsql_steps"]), entry["query"]))}
+    return {record.nl: record for record in read_rows(Path(directory) / "spider_ss.json",
+                                                      _ss_record)}

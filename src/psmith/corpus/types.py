@@ -14,8 +14,8 @@ class SampledValues:
     values: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.values) > 4:
-            raise ValueError("sampled values hold at most 4 entries")
+        if not 0 < len(self.values) <= 4:
+            raise ValueError("sampled values hold 1 to 4 entries")
         if len(set(self.values)) != len(self.values):
             raise ValueError("sampled values must be distinct")
 
@@ -69,9 +69,6 @@ class SchemaProfile:
                     if col not in known[tbl]:
                         raise ValueError(f"{self.db_id}: foreign key names unknown column {tbl}.{col}")
 
-    def has_profile(self) -> bool:
-        return bool(self.value_profile)
-
 
 @dataclass(frozen=True)
 class AnnotatedExample:
@@ -94,11 +91,6 @@ class AnnotatedDataset:
     databases: dict[str, SchemaProfile]
     examples: list[AnnotatedExample]
     role: str
-
-    def __post_init__(self):
-        for i, ex in enumerate(self.examples):
-            if ex.db_id not in self.databases:
-                raise ValueError(f"example {i} references unknown db_id {ex.db_id!r}")
 
 
 def ensure_disjoint(train: AnnotatedDataset, test: AnnotatedDataset) -> None:

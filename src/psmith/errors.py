@@ -66,7 +66,6 @@ class RateLimited(TransportError):
 class ReplayMiss(PsmithError):
     def __init__(self, key: str):
         super().__init__(f"no replay record for request key {key}")
-        self.key = key
 
 
 class BudgetRefused(PsmithError):
@@ -81,7 +80,6 @@ class AdaptationFailed(PsmithError):
             f"could not adapt exemplar {exemplar_id!r}: "
             f"best tree edit distance {best_ted} after {attempts} attempts"
         )
-        self.exemplar_id = exemplar_id
         self.best_ted = best_ted
         self.attempts = attempts
 
@@ -93,13 +91,11 @@ class EmptyGeneration(PsmithError):
 class UnparseableDecomposition(PsmithError):
     def __init__(self, raw: str):
         super().__init__(f"could not parse sub-question list from: {raw!r}")
-        self.raw = raw
 
 
 class UnparseableSteps(PsmithError):
     def __init__(self, raw: str):
         super().__init__(f"could not parse intermediate steps from: {raw!r}")
-        self.raw = raw
 
 
 class ArityMismatch(PsmithError):

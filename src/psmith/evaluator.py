@@ -114,8 +114,8 @@ def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: 
             if cursor.description is None:  # blank or comment-only input
                 raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
             yield cursor
-        except sqlite3.ProgrammingError as exc:
-            # e.g. "You can only execute one statement at a time."
+        except (sqlite3.ProgrammingError, sqlite3.Warning) as exc:
+            # e.g. "You can only execute one statement at a time." (a Warning on 3.10)
             raise SqlRejected(f"refusing {sql[:80]!r}: {exc}") from None
         except sqlite3.DatabaseError as exc:
             if denied:

@@ -122,10 +122,10 @@ class GenerationResult:
 STORE_NAME = "store.jsonl"
 
 
-def _store_record(record: dict) -> dict:
-    if not isinstance(record["key"], str) or not isinstance(record["completions"], list):
-        raise TypeError("a store record's key is a string and its completions a list")
-    return record
+def _store_record(key: str, completions: tuple[str, ...], **_) -> tuple[str, tuple[str, ...]]:
+    if not completions:
+        raise ValueError("bad value [] for 'completions'")
+    return key, completions
 
 
 class ReplayStore:
@@ -133,18 +133,18 @@ class ReplayStore:
     prompt_digest, completions}. The first record of a key wins, so stores
     merge by concatenation."""
 
-    def __init__(self, records: Iterable[dict] = ()):
+    def __init__(self, records: Iterable[tuple[str, Sequence[str]]] = ()):
         self._records: dict[str, list[str]] = {}
-        for record in records:
-            self.add(record)
+        for key, completions in records:
+            self.add(key, completions)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayStore":
         """The store a file holds, read without writing to it."""
         return cls(read_records(path, _store_record, torn="skip"))
 
-    def add(self, record: dict) -> None:
-        self._records.setdefault(record["key"], list(record["completions"]))
+    def add(self, key: str, completions: Sequence[str]) -> None:
+        self._records.setdefault(key, list(completions))
 
     def get(self, key: str) -> list[str] | None:
         return self._records.get(key)
@@ -297,7 +297,7 @@ class LlmClient:
             record = _record(request, result.completions)
             with self._lock:
                 write_records(self.cache_path, [record], append=True)
-                self.replay_store.add(record)
+                self.replay_store.add(key, result.completions)
             return result
         finally:
             with self._lock:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..corpus.types import AnnotatedExample, NumericRange, SampledValues, SchemaProfile
@@ -73,9 +72,10 @@ class AdaptedExemplar:
     natsql_steps: tuple[str, ...] | None = None
     sql_sha256: str | None = None
 
-    def __post_init__(self):  # an entry read back from JSON holds lists
-        self.sub_questions = tuple(self.sub_questions) if self.sub_questions else None
-        self.natsql_steps = tuple(self.natsql_steps) if self.natsql_steps else None
+    def __post_init__(self):
+        for key in ("source_sql", "adapted_sql"):
+            if not getattr(self, key).strip():
+                raise ValueError(f"bad value {getattr(self, key)!r} for {key!r}")
 
     @property
     def source(self) -> AnnotatedExample:
@@ -122,9 +122,8 @@ class AdaptationBundle:
         if isinstance(raw, dict) and raw.get("value_profile") is None:
             raise MalformedManifest("holds no value_profile: it predates the profile "
                                     "in the bundle; run psmith adapt again", path=path)
-        bundle = read_entry(partial(_typed, cls), raw, path)
-        bundle.exemplars = [read_entry(partial(_typed, AdaptedExemplar), entry, path,
-                                       f"exemplar entry {index}: ")
+        bundle = read_entry(cls, raw, path)
+        bundle.exemplars = [read_entry(AdaptedExemplar, entry, path, f"exemplar entry {index}: ")
                             for index, entry in enumerate(bundle.exemplars)]
         bundle.value_profile = dict(read_entry(_profiled_column, entry, path,
                                                f"value_profile entry {index}: ")
@@ -138,50 +137,15 @@ def _profile_entry(column: tuple[str, str], profile: SampledValues | NumericRang
     return {"table": column[0], "column": column[1], **form}
 
 
-def _texts(value) -> bool:
-    return isinstance(value, list) and all(type(text) is str for text in value)
-
-
-def _profiled_column(raw: dict) -> tuple[tuple[str, str], SampledValues | NumericRange]:
+def _profiled_column(table: str, column: str, values: tuple[str, ...] | None = None,
+                     range: tuple[str, ...] | None = None):
     """A value_profile entry: its table and column, and either up to four
-    distinct sampled ``values`` or a ``range`` of two, all text. Else
-    KeyError or TypeError names the key."""
-    form = "range" if "range" in raw else "values"
-    value = raw[form]
-    unknown = sorted(set(raw) - {"table", "column", form})
-    if unknown:
-        raise TypeError(f"unknown key {unknown[0]!r}")
-    for key in ("table", "column"):
-        if not isinstance(raw[key], str):
-            raise TypeError(f"bad value {raw[key]!r} for {key!r}")
-    if form == "range" and _texts(value) and len(value) == 2:
-        return (raw["table"], raw["column"]), NumericRange(*value)
-    if form == "values" and _texts(value) and 0 < len(value) == len(set(value)) <= 4:
-        return (raw["table"], raw["column"]), SampledValues(tuple(value))
-    raise TypeError(f"bad value {value!r} for {form!r}")
-
-
-def _typed(cls, raw: dict):
-    """*cls* built from *raw*, whose values its fields take: text is a string,
-    and SQL a non-blank one; a count is an integer; a decomposition is a list
-    of strings; the exemplars and the value profile are lists; an optional
-    key may be null. Else TypeError names the key."""
-    for key in fields(cls):
-        value = raw.get(key.name)
-        kind = key.type.removesuffix(" | None")
-        if value is None and kind != key.type:
-            takes = True
-        elif kind == "str":
-            takes = isinstance(value, str) and (value.strip() or not key.name.endswith("_sql"))
-        elif kind == "int":
-            takes = type(value) is int
-        elif kind in ("list[AdaptedExemplar]", "ValueProfile"):
-            takes = isinstance(value, list)
-        else:
-            takes = _texts(value)
-        if key.name in raw and not takes:
-            raise TypeError(f"bad value {value!r} for {key.name!r}")
-    return cls(**raw)
+    distinct sampled ``values`` or a ``range`` of two."""
+    if range is None:
+        return (table, column), SampledValues(values or ())
+    if values is not None or len(range) != 2:
+        raise ValueError(f"bad value {list(range)!r} for 'range'")
+    return (table, column), NumericRange(*range)
 
 
 def adapted_distance(database: Path, source_sql: str, sql: str) -> int:

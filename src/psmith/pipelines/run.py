@@ -40,7 +40,7 @@ from ..promptforge.prompts import (
     prompt_suffix,
 )
 from ..readonly import map_in_order
-from ..records import read_records, write_records
+from ..records import read_records, typed, write_records
 from .adapt import AdaptationBundle
 from .ltmp import (
     check_arity,
@@ -125,10 +125,6 @@ class QueryRecord:
     final_sql: str = ""
     error: str | None = None
 
-    def __post_init__(self):  # a record read back from JSON holds lists
-        self.sub_questions = tuple(self.sub_questions)
-        self.natsql_steps = tuple(self.natsql_steps)
-
 
 @dataclass
 class PipelineOutcome:
@@ -155,7 +151,7 @@ def shots_for(mode: str, exemplars: list[AnnotatedExample] | None = None,
     shots = []
     if spec.domain:
         for entry in bundle.exemplars:
-            if spec.ltmp and (entry.sub_questions is None or entry.natsql_steps is None):
+            if spec.ltmp and not (entry.sub_questions and entry.natsql_steps):
                 raise MissingAdaptation(
                     f"bundle entry {exemplar_id(entry.source)} lacks decompositions; "
                     "draft them with adapt --draft-decompositions and finalize by hand")
@@ -198,12 +194,12 @@ def _compose(record: QueryRecord, completion: str) -> None:
 _LTMP_STAGES = ((("\n",), _decompose), (("\n",), _map_steps), (("#",), _compose))
 
 
-def _journal_entry(row: dict) -> QueryRecord | str:
+def _journal_entry(**row) -> QueryRecord | str:
     """A journal line: a prefix record's digest, or a query's record without
     its prompt texts (a stage's ``suffix``, or its whole ``text``)."""
     if "db_id" not in row:
         return row["prefix"]
-    record = QueryRecord(**row)
+    record = typed(QueryRecord, row)
     for stage in record.stages:
         stage.pop("suffix", None)
         stage.pop("text", None)
@@ -332,10 +328,8 @@ def write_predictions(predictions: dict[tuple[str, str], str], path: str | Path)
 
 
 def _prediction(db_id: str, question: str, sql: str) -> tuple[tuple[str, str], str]:
-    if not all(isinstance(value, str) for value in (db_id, question, sql)):
-        raise TypeError("a prediction's db_id, question and sql are strings")
     return (db_id, question), sql
 
 
 def read_predictions(path: str | Path) -> dict[tuple[str, str], str]:
-    return dict(read_records(path, lambda record: _prediction(**record)))
+    return dict(read_records(path, _prediction))

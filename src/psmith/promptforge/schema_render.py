@@ -7,7 +7,7 @@ adds per-column sampled values / numeric ranges and descriptions.
 
 from __future__ import annotations
 
-from ..corpus.types import NumericRange, SampledValues, SchemaProfile
+from ..corpus.types import SampledValues, SchemaProfile
 from ..errors import MissingProfile
 
 
@@ -39,7 +39,7 @@ def render_schema_domain(schema: SchemaProfile) -> str:
 
     Requires a populated value profile (see corpus.attach_value_profile).
     """
-    if not schema.has_profile():
+    if not schema.value_profile:
         raise MissingProfile(f"{schema.db_id} has no value profile")
     blocks = []
     for table in schema.tables:
@@ -54,11 +54,9 @@ def render_schema_domain(schema: SchemaProfile) -> str:
                 continue
             if isinstance(profile, SampledValues):
                 line = f"{column.name}: {', '.join(profile.values)}."
-            elif isinstance(profile, NumericRange):
+            else:
                 line = (f"range of values of column {column.name} "
                         f"({profile.low}, {profile.high}).")
-            else:  # pragma: no cover
-                raise TypeError(type(profile).__name__)
             if column.description:
                 line += f" Description: {column.description}"
             lines.append(line)

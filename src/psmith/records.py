@@ -3,15 +3,21 @@ or writes: one sorted-key JSON object per line, appended to (the replay
 store and the run journal) or written whole (the sampling report,
 predictions and the eval report). A file that is not UTF-8, and an entry
 that its reader cannot take, is a ``MalformedManifest`` naming the file and
-where the entry stands."""
+where the entry stands. Each entry is read by ``typed``: the annotated
+parameters of its reader, a function or a dataclass, are its schema."""
 
 from __future__ import annotations
 
+import inspect
 import json
+from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .errors import LengthMismatch, MalformedManifest, MissingFile
+
+_JSON = {"str": str, "int": int, "dict": dict}
+_DECODE = json.JSONDecoder().decode  # json.loads without its per-call checks, for each line
 
 
 def read_text(path: str | Path) -> str:
@@ -32,13 +38,60 @@ def read_json(path: str | Path):
         raise MalformedManifest(f"not JSON: {exc}", path=path) from None
 
 
+@cache
+def _schema(read: Callable) -> tuple[dict, frozenset, bool]:
+    """Per key *read* takes, its JSON type, whether null is taken and whether it
+    is a tuple of strings; the keys it requires; whether it takes others. Once
+    per reader, so that a record costs dict lookups and type tests."""
+    takes, required, rest = {}, [], False
+    for key in inspect.signature(read).parameters.values():
+        if key.kind is key.VAR_KEYWORD:
+            rest = True
+            continue
+        kind = key.annotation.removesuffix(" | None")
+        takes[key.name] = _JSON.get(kind, list), kind != key.annotation, kind == "tuple[str, ...]"
+        if key.default is key.empty:
+            required.append(key.name)
+    return takes, frozenset(required), rest
+
+
+def typed(read: Callable, raw: dict):
+    """*read* called with the keys of *raw*, each checked against the text of
+    its parameter's annotation: ``str``, ``int`` and ``dict`` take that JSON
+    type, ``tuple[str, ...]`` a list of strings (made a tuple in *raw*), any
+    other a list, and one ending in ``| None`` null too. A missing key is a
+    KeyError, an unknown one (unless *read* takes ``**_``) or a bad value a
+    TypeError naming it."""
+    takes, required, rest = _schema(read)
+    if not (rest or raw.keys() <= takes.keys()):
+        raise TypeError(f"unknown key {next(key for key in raw if key not in takes)!r}")
+    for key, (kind, nullable, texts) in takes.items():
+        try:
+            value = raw[key]
+        except KeyError:
+            if key in required:
+                raise
+            continue
+        if value is None and nullable:
+            continue
+        if type(value) is not kind:
+            raise TypeError(f"bad value {value!r} for {key!r}")
+        if texts:
+            try:
+                "".join(value)  # refuses an item that is not a string, in C
+            except TypeError:
+                raise TypeError(f"bad value {value!r} for {key!r}") from None
+            raw[key] = tuple(value)
+    return read(**raw)
+
+
 def read_entry(read: Callable, entry, path: Path, where: str = "", row: int | None = None):
-    """A JSON object as *read* takes it; else MalformedManifest names the
-    file and *where* the object stands, or its *row*."""
+    """A JSON object as ``typed`` gives it to *read*; else MalformedManifest
+    names the file and *where* the object stands, or its *row*."""
     try:
         if not isinstance(entry, dict):
             raise TypeError("not a JSON object")
-        return read(entry)
+        return typed(read, entry)
     except KeyError as exc:
         raise MalformedManifest(f"{where}missing key {exc}", row, path) from None
     except (LookupError, TypeError, ValueError, AttributeError, LengthMismatch) as exc:
@@ -75,9 +128,9 @@ def read_records(path: str | Path, read: Callable, torn: str = "refuse") -> Iter
                 if torn == "cut":
                     f.truncate(f.tell() - len(line))
                 return
-            if line.strip():
+            if not line.isspace():
                 try:
-                    record = json.loads(line)
+                    record = _DECODE(line.decode("utf-8"))
                 except ValueError as exc:
                     raise MalformedManifest(f"line {number}: not JSON: {exc}", path=path) from None
                 yield read_entry(read, record, path, f"line {number}: ")

@@ -25,7 +25,7 @@ from .corpus.types import AnnotatedDataset, AnnotatedExample, Role
 from .errors import BudgetExceeded, ParseError
 from .promptforge.budget import TokenBudget, count_tokens
 from .promptforge.prompts import Shot, exemplar_id, prompt_prefix
-from .records import read_records, write_records
+from .records import read_records, typed, write_records
 from .sqlanalysis.ops import PrimitiveOp, default_catalog, extract_operators
 
 logger = logging.getLogger(__name__)
@@ -196,17 +196,18 @@ def write_report(result: SamplingResult, path: str | Path) -> None:
     ])
 
 
-def _exemplar(record: dict) -> Exemplar | None:
-    """An exemplar record's exemplar; None for a record of another kind."""
-    if record.pop("kind") != "exemplar":
-        return None
-    ops = record.pop("ops")
-    return Exemplar(**record, ops=frozenset(PrimitiveOp(*op.split(":", 1)) for op in ops))
+def _record(kind: str, **record) -> Exemplar | None:
+    """A report record: an exemplar record's exemplar, else None."""
+    return typed(_exemplar, record) if kind == "exemplar" else None
+
+
+def _exemplar(db_id: str, nl: str, sql: str, ops: tuple[str, ...]) -> Exemplar:
+    return Exemplar(db_id, nl, sql, frozenset(PrimitiveOp(*op.split(":", 1)) for op in ops))
 
 
 def read_report(path: str | Path) -> list[Exemplar]:
     """Reload the sampled exemplars from a sampling report."""
-    return [item for item in read_records(path, _exemplar) if item is not None]
+    return [item for item in read_records(path, _record) if item is not None]
 
 
 def summarize(result: SamplingResult) -> str:

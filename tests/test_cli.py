@@ -786,6 +786,17 @@ def _test_with_nuclear_not_a_database(tmp_path, kaggledbqa_dir):
     (database / f"{fixturelib.NUCLEAR_DB}.sqlite").write_bytes(b"not a database\n" * 512)
 
 
+def _row_set(build, name: str, row: int, **values):
+    """A fixture directory that *build* makes under tmp/in, with *values* set
+    in row *row* of its JSON array *name*."""
+    def setup(tmp_path, _):
+        path = build(tmp_path / "in") / name
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        rows[row].update(values)
+        path.write_text(json.dumps(rows), encoding="utf-8")
+    return setup
+
+
 INPUT_REFUSALS = {  # case: (what it writes first or None, arguments, message)
     "train is test": (
         None, [*RUN, "--mode", "gp", "--report", "{tmp}/report.jsonl", "--train", "{train}",
@@ -825,6 +836,15 @@ INPUT_REFUSALS = {  # case: (what it writes first or None, arguments, message)
         _report_naming_college_9,
         [*ADAPT, "--test", "{test}", "--db", fixturelib.NUCLEAR_DB, "--replay", str(STORE)],
         "DatabaseMismatch: {tmp}/report.jsonl names databases that {train} lacks: college_9"),
+    "spider example question": (
+        _row_set(fixturelib.build_spider_dir, "train_spider.json", 1, question=5),
+        ["sample", "--train", "{tmp}/in", "--out", "{tmp}/out.jsonl"],
+        "MalformedManifest: {tmp}/in/train_spider.json: bad value 5 for 'question' (row 1)"),
+    "spider-ss sub-questions": (  # a string is not the list of its characters
+        _row_set(fixturelib.build_spider_ss_dir, "spider_ss.json", 0, sub_questions="ab"),
+        [*RUN, "--mode", "ltmp-gp", "--report", "{tmp}/report.jsonl", "--train", "{train}",
+         "--test", "{test}", "--spider-ss", "{tmp}/in", "--replay", str(STORE)],
+        "MalformedManifest: {tmp}/in/spider_ss.json: bad value 'ab' for 'sub_questions' (row 0)"),
 }
 
 

@@ -17,17 +17,20 @@ from conftest import REPLAY_DIR
 from psmith.cli import main
 from psmith.errors import MalformedManifest
 from psmith.pipelines import read_predictions, write_predictions
+from psmith.records import typed
 from psmith.sampler import read_report, sample_exemplars, write_report
 
 STORE = REPLAY_DIR / "nuclear_ltmp_da_gp.jsonl"
 SRC = Path(__file__).parents[1] / "src" / "psmith"
 
 
-def break_line(path: Path, number: int = 2) -> bytes:
-    """Replace line *number* of *path* by a whole line that is not JSON;
-    returns the file's new content."""
+def break_line(path: Path, number: int = 2, values: dict | None = None) -> bytes:
+    """Replace line *number* of *path* by a whole line that is not JSON, or
+    with *values* by its record with those values set; returns the file's
+    new content."""
     lines = path.read_bytes().splitlines(keepends=True)
-    lines[number - 1] = b"!!\n"
+    lines[number - 1] = b"!!\n" if values is None else \
+        json.dumps({**json.loads(lines[number - 1]), **values}).encode() + b"\n"
     path.write_bytes(b"".join(lines))
     return path.read_bytes()
 
@@ -54,12 +57,48 @@ def test_a_file_written_whole_without_its_last_newline_is_refused(written, train
         read(path)
 
 
+def _reader(text: str, count: int, table: dict, names: tuple[str, ...], rows: list,
+            note: str | None = None):
+    return text, count, table, names, rows, note
+
+
+def _open_reader(text: str, **_):
+    return text
+
+
+GOOD = {"text": "t", "count": 1, "table": {}, "names": ["a"], "rows": [[1]]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"text": 5}, "bad value 5 for 'text'"),
+    ({"text": None}, "bad value None for 'text'"),
+    ({"count": True}, "bad value True for 'count'"),
+    ({"count": "1"}, "bad value '1' for 'count'"),
+    ({"table": []}, "bad value [] for 'table'"),
+    ({"names": "ab"}, "bad value 'ab' for 'names'"),
+    ({"names": ["a", 1]}, "bad value ['a', 1] for 'names'"),
+    ({"rows": {}}, "bad value {} for 'rows'"),
+    ({"other": 1}, "unknown key 'other'"),
+], ids=["text", "text null", "count bool", "count text", "table", "names text", "names item",
+        "rows", "unknown"])
+def test_typed_checks_each_value_against_the_text_of_its_annotation(change, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        typed(_reader, {**GOOD, **change})
+
+
+def test_typed_passes_a_tuple_of_strings_null_where_taken_and_other_keys_to_a_rest():
+    assert typed(_reader, {**GOOD, "note": None}) == ("t", 1, {}, ("a",), [[1]], None)
+    with pytest.raises(KeyError, match="'count'"):
+        typed(_reader, {"text": "t"})
+    assert typed(_open_reader, {"text": "t", "other": 1}) == "t"
+
+
 def test_a_prediction_with_an_unknown_key_or_a_bad_value_names_its_line(tmp_path):
     path = tmp_path / "predictions.jsonl"
     good = {"db_id": "db", "question": "q", "sql": "SELECT 1"}
-    for bad, message in (({**good, "gold": "SELECT 2"}, "unexpected keyword argument 'gold'"),
-                         ({"db_id": "db", "question": "q"}, "missing 1 required"),
-                         ({**good, "sql": 7}, "strings")):
+    for bad, message in (({**good, "gold": "SELECT 2"}, "unknown key 'gold'"),
+                         ({"db_id": "db", "question": "q"}, "missing key 'sql'"),
+                         ({**good, "sql": 7}, "bad value 7 for 'sql'")):
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(MalformedManifest, match=f"line 2: .*{message}"):
             read_predictions(path)
@@ -131,19 +170,30 @@ def _case(name, runner, spider_dir, kaggledbqa_dir, tmp_path):
         [run_dir / "predictions.jsonl"]
 
 
-@pytest.mark.parametrize("name", ["adapt report", "run report", "predictions", "replay store",
-                                  "cache store", "journal", "manifest"])
+MIDDLE_LINES = [pytest.param(name, None, id=name) for name in (
+    "adapt report", "run report", "predictions", "replay store", "cache store", "journal",
+    "manifest")] + [  # a whole JSON line holding a value its reader cannot take
+    pytest.param("journal", {"final_sql": 5}, id="journal final_sql"),
+    pytest.param("replay store", {"completions": []}, id="replay store no completion"),
+    pytest.param("cache store", {"completions": [5]}, id="cache store completion"),
+    pytest.param("run report", {"nl": 5}, id="run report exemplar nl"),
+]
+
+
+@pytest.mark.parametrize("name, values", MIDDLE_LINES)
 def test_a_malformed_middle_line_is_a_usage_error_naming_the_file_and_line(
-        name, spider_dir, kaggledbqa_dir, tmp_path):
+        name, values, spider_dir, kaggledbqa_dir, tmp_path):
     runner = CliRunner()
     broken, args, untouched = _case(name, runner, spider_dir, kaggledbqa_dir, tmp_path)
-    content = break_line(broken)
+    content = break_line(broken, values=values)
     before = {path: path.exists() and path.read_bytes() for path in untouched}
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output + result.stderr
     assert "Traceback" not in result.output + result.stderr
     assert f"MalformedManifest: {broken}: " in result.stderr
     assert "line 2" in result.stderr
+    for key, value in (values or {}).items():
+        assert f"line 2: bad value {value!r} for {key!r}" in result.stderr
     assert broken.read_bytes() == content  # neither cut nor rewritten
     assert {path: path.exists() and path.read_bytes() for path in untouched} == before
 
