@@ -196,6 +196,28 @@ def _json_digest(directory: str | Path) -> str:
     return hashlib.sha256(listing.encode("utf-8")).hexdigest()
 
 
+def _read_manifest(run_dir: Path) -> dict | None:
+    """*run_dir*'s manifest.json, or None when it has none."""
+    path = run_dir / "manifest.json"
+    if not path.exists():
+        return None
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise MalformedManifest("not a JSON object", path=path)
+    return manifest
+
+
+def _manifest_digest(run_dir: Path) -> str | None:
+    """The SHA-256 of *run_dir*'s manifest as sorted-key JSON, without its
+    ``run_id`` and ``created``, so that two runs of one configuration on the
+    same inputs share it; None when there is no manifest."""
+    manifest = _read_manifest(run_dir)
+    if manifest is None:
+        return None
+    what = {key: value for key, value in manifest.items() if key not in ("run_id", "created")}
+    return hashlib.sha256(json.dumps(what, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _input_digests(mode: str, test_dir, train_dir, report_path, bundle_path,
                    spider_ss_dir, replay) -> dict:
     """The SHA-256 of every input of a run (None for one it does not read),
@@ -219,12 +241,9 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
     ``llm_mode``, it is where generations come from. ``inputs.replay``
     lists the digest of every store the run's sessions read, first one
     first, and a resume from another store appends its digest."""
-    manifest = run_dir / "manifest.json"
     replay = payload["inputs"]["replay"]
-    if manifest.exists():
-        previous = read_json(manifest)
-        if not isinstance(previous, dict):
-            raise MalformedManifest("not a JSON object", path=manifest)
+    previous = _read_manifest(run_dir)
+    if previous is not None:
         if previous.get("config") != payload["config"]:
             raise click.ClickException(
                 f"run {payload['run_id']} already exists with a different "
@@ -244,8 +263,8 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
     else:
         payload["inputs"]["replay"] = [replay] if replay else None
         payload["created"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    (run_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                                          encoding="utf-8")
 
 
 class _Commands(click.Group):
@@ -447,18 +466,17 @@ def eval_cmd(predictions_path, test_dir, out_dir):
     """Score predictions by execution accuracy against the test databases.
 
     Evaluation covers every gold query of the databases the predictions
-    touch; unpredicted queries of those databases count as wrong.
+    touch; unpredicted queries of those databases count as wrong. The
+    overall record of report.jsonl names the inputs it scored by digest.
     """
     predictions = read_predictions(predictions_path)
     gold = _load_test_dataset(test_dir)
     covered = {db_id for db_id, _ in predictions}
     if covered != set(gold.databases):
-        from psmith.corpus.types import AnnotatedDataset
-
-        gold = AnnotatedDataset(
-            databases=gold.databases,
-            examples=[ex for ex in gold.examples if ex.db_id in covered],
-            role=gold.role)
+        gold = replace(gold, examples=[ex for ex in gold.examples if ex.db_id in covered])
+    scored = {"predictions_sha256": _file_digest(predictions_path),
+              "manifest_sha256": _manifest_digest(Path(predictions_path).parent),
+              "test_sha256": _json_digest(test_dir), "version": __version__}
     report = evaluator.evaluate(predictions, gold)
     text = evaluator.format_report(report)
     click.echo(text)
@@ -466,7 +484,7 @@ def eval_cmd(predictions_path, test_dir, out_dir):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(text + "\n", encoding="utf-8")
-        write_records(out / "report.jsonl", evaluator.report_records(report))
+        write_records(out / "report.jsonl", evaluator.report_records(report, **scored))
     if report.dataset_defects:
         raise SystemExit(EXIT_DEFECTS)
 

@@ -16,9 +16,17 @@ matching pairs their rows, with no row threshold. Two ints match only when
 equal; a pair with a float in it matches within 1e-6 relative tolerance. A
 comparison that runs past the statement timeout scores CompareTimeout.
 
+A prediction that is gold's text, stripped, scores correct once gold has
+run, without being executed or compared: the same text on the same
+read-only database is the same query, so nondeterministic gold (random(),
+date('now')) and gold that only just runs within the timeout are not
+rejected against themselves.
+
 Pairs are scored one thread per usable core, each pair on one read-only
-connection that runs gold and then the prediction, and merged in test
-order: a report does not depend on the number of threads.
+connection that runs gold and then the prediction. A thread keeps its
+connection while its next pair is on the same database, so sqlite reads a
+schema once per thread and database, and holds at most one. Verdicts are
+merged in test order: a report does not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -27,9 +35,10 @@ import logging
 import math
 import re
 import sqlite3
+import threading
 import time
 from collections import Counter, defaultdict
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,25 +71,27 @@ class ResultTable:
                 raise ValueError("all rows must share the arity")
 
 
-@contextmanager
-def _connection(db: str | Path | sqlite3.Connection):
-    """*db* when it is a connection; else a read-only connection to the
-    database file *db*, closed on exit. SqlError when the file is missing or
-    not a database."""
-    if isinstance(db, sqlite3.Connection):
-        yield db
-        return
-    db_path = Path(db)
+def _open(db_path: str | Path, check_same_thread: bool = True) -> sqlite3.Connection:
+    """A read-only connection to the database file *db_path*. SqlError when
+    the file is missing or not a database."""
+    db_path = Path(db_path)
     if not db_path.exists():
         raise SqlError(f"database file not found: {db_path}")
     try:
-        conn = connect_read_only(db_path)
+        return connect_read_only(db_path, check_same_thread=check_same_thread)
     except sqlite3.DatabaseError as exc:  # e.g. not a database
         raise SqlError(str(exc)) from None
-    try:
-        yield conn
-    finally:
-        conn.close()
+
+
+@contextmanager
+def _connection(db: str | Path | sqlite3.Connection):
+    """*db* when it is a connection; else a read-only connection to the
+    database file *db* (see _open), closed on exit."""
+    if isinstance(db, sqlite3.Connection):
+        yield db
+    else:
+        with closing(_open(db)) as conn:
+            yield conn
 
 
 @contextmanager
@@ -90,7 +101,9 @@ def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: 
     authorizer that refuses every action but reading; with *explain*, the
     cursor of ``EXPLAIN <sql>``, which prepares the query without running
     it. sqlite's errors map as execute_sql documents, also those raised
-    while the caller steps the cursor or runs the query."""
+    while the caller steps the cursor or runs the query. The cursor is
+    closed on exit, which ends its statement, stepped to the end or not,
+    so the connection can run the next one."""
     deadline = time.monotonic() + timeout_s
     timed_out, denied = [], []
 
@@ -106,11 +119,11 @@ def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: 
         denied.append(action)
         return sqlite3.SQLITE_DENY
 
-    with _connection(db) as conn:
+    with _connection(db) as conn, closing(conn.cursor()) as cursor:
         conn.set_authorizer(authorize)
         conn.set_progress_handler(guard, _PROGRESS_GRANULARITY)
         try:
-            cursor = conn.execute(f"EXPLAIN {sql}" if explain else sql)
+            cursor.execute(f"EXPLAIN {sql}" if explain else sql)
             if cursor.description is None:  # blank or comment-only input
                 raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
             yield cursor
@@ -313,17 +326,23 @@ class EvalReport:
         return sum(correct for correct, _, _ in self.per_db.values())
 
 
-def _score_pair(sqlite_path: Path, gold_sql: str, predicted: str,
+def _score_pair(db: str | Path | sqlite3.Connection, gold_sql: str, predicted: str,
                 timeout_s: float) -> str | SqlError | None:
     """Score one prediction against its gold query: None when it is right,
     its failure kind when it is wrong, or the gold query's SqlError, which
-    makes the pair a dataset defect. Gold and then the prediction run on one
-    connection, each statement under its own timeout."""
+    makes the pair a dataset defect. *db* is a database file or a read-only
+    connection to one. Gold and then the prediction run on one connection,
+    each statement under its own timeout; a prediction that is gold's text,
+    stripped, is right once gold has run, unexecuted: the same text on the
+    same read-only database is the same query."""
     try:
-        with _connection(sqlite_path) as conn:
+        with _connection(db) as conn:
             gold_result = execute_sql(conn, gold_sql, timeout_s)
-            if not predicted.strip():
+            stripped = predicted.strip()
+            if not stripped:
                 return FAIL_EMPTY
+            if stripped == gold_sql.strip():
+                return None
             try:
                 predicted_result = execute_sql(conn, predicted, timeout_s,
                                                within=gold_result)
@@ -360,12 +379,28 @@ def evaluate(predictions: dict[tuple[str, str], str],
     failures: list[tuple[str, str]] = []
     defects: list[str] = []
 
+    # thread -> its connection and that connection's database; each thread
+    # reads and writes only its own key
+    held: dict[int, tuple[Path, sqlite3.Connection]] = {}
+
     def score(example) -> str | SqlError | None:
-        return _score_pair(gold.databases[example.db_id].sqlite_path, example.sql,
+        path, thread = gold.databases[example.db_id].sqlite_path, threading.get_ident()
+        if thread in held and held[thread][0] != path:
+            held.pop(thread)[1].close()
+        if thread not in held:
+            try:  # closed by the main thread, after the pool has joined
+                held[thread] = path, _open(path, check_same_thread=False)
+            except SqlError as exc:
+                return exc
+        return _score_pair(held[thread][1], example.sql,
                            predictions.get((example.db_id, example.nl), ""), timeout_s)
 
     scorable = [ex for ex in gold.examples if gold.databases[ex.db_id].sqlite_path is not None]
-    verdicts = iter(map_in_order(score, scorable, usable_cores()))  # in test order
+    try:
+        verdicts = iter(map_in_order(score, scorable, usable_cores()))  # in test order
+    finally:
+        for _, conn in held.values():
+            conn.close()
     for example in gold.examples:
         if gold.databases[example.db_id].sqlite_path is None:
             defects.append(f"{example.db_id}: no database file")
@@ -416,11 +451,13 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def report_records(report: EvalReport) -> list[dict]:
-    """The records of ``report.jsonl``: the overall score, then one record
-    per database, failure and dataset defect."""
+def report_records(report: EvalReport, **scored) -> list[dict]:
+    """The records of ``report.jsonl``: the overall score, with the keys of
+    *scored* (what was scored), then one record per database, failure and
+    dataset defect."""
     return [{"kind": "overall", "correct": report.correct, "total": report.total,
-             "ex": round(report.overall_ex, 4), "defects": len(report.dataset_defects)},
+             "ex": round(report.overall_ex, 4), "defects": len(report.dataset_defects),
+             **scored},
             *({"kind": "db", "db_id": db, "correct": correct, "total": total,
                "ex": round(ex, 4)} for db, (correct, total, ex) in report.per_db.items()),
             *({"kind": "failure", "failure": kind, "question": question}

@@ -21,11 +21,13 @@ STATEMENT_TIMEOUT_S = 30.0
 MAX_LENGTH_BYTES = 1 << 20
 
 
-def connect_read_only(path: str | Path) -> sqlite3.Connection:
+def connect_read_only(path: str | Path, check_same_thread: bool = True) -> sqlite3.Connection:
     """Open *path* read-only with a small page cache and the length limit,
     set before the caller's authorizer may refuse every PRAGMA. Raises
-    sqlite3.DatabaseError when the file is not a database."""
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    sqlite3.DatabaseError when the file is not a database. Without
+    *check_same_thread*, any one thread at a time may use the connection."""
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
+                           check_same_thread=check_same_thread)
     try:
         conn.execute(f"PRAGMA cache_size = -{PAGE_CACHE_KIB}")
     except sqlite3.DatabaseError:

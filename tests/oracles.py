@@ -5,7 +5,9 @@ the tree-edit-distance oracle enumerates every order- and ancestry-
 consistent node mapping; the coverage oracle enumerates every subset; the
 multiset-match oracle tries every pairing of rows; the profile oracle
 profiles one column after another on one connection, reading every
-column's pool of distinct values before it asks for a range.
+column's pool of distinct values before it asks for a range; the
+evaluation oracle scores one pair after another, each on a fresh
+connection that executes both gold and the prediction.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from pathlib import Path
 
 from psmith.corpus.profile import (
     _POOL_LIMIT, _affinity, _as_text, _is_number, _looks_datetime, _quote_ident)
-from psmith.corpus.types import NumericRange, SampledValues
-from psmith.evaluator import _rows_equal
+from psmith.corpus.types import AnnotatedDataset, NumericRange, SampledValues
+from psmith.errors import SqlError
+from psmith.evaluator import (
+    EvalReport, _connection, _rows_equal, execute_sql, gold_is_ordered, results_equivalent)
 from psmith.sqlanalysis.skeleton import SkeletonNode
 
 
@@ -155,3 +159,44 @@ def sequential_profile_oracle(path, seed: int, numeric_render: str) -> dict:
                 if profile is not None:
                     profiles[(table, row[1])] = profile
     return profiles
+
+
+def evaluation_oracle(predictions: dict, gold: AnnotatedDataset,
+                      timeout_s: float = 30.0) -> EvalReport:
+    """The report of scoring every gold example in test order on one thread,
+    each pair on a fresh connection that executes gold and then the
+    prediction, whatever its text, and compares their results."""
+    counts: dict[str, list[int]] = {}
+    failures, defects = [], []
+    for example in gold.examples:
+        path = gold.databases[example.db_id].sqlite_path
+        if path is None:
+            defects.append(f"{example.db_id}: no database file")
+            continue
+        predicted = predictions.get((example.db_id, example.nl), "")
+        verdict = None
+        try:
+            with _connection(path) as conn:
+                gold_result = execute_sql(conn, example.sql, timeout_s)
+                try:
+                    predicted_result = execute_sql(conn, predicted, timeout_s,
+                                                   within=gold_result)
+                except SqlError:
+                    verdict = "EmptyPrediction" if not predicted.strip() else "ExecError"
+        except SqlError as exc:
+            defects.append(f"{example.db_id}: gold failed: {exc}")
+            continue
+        if verdict is None and (predicted_result.truncated or not results_equivalent(
+                gold_result, predicted_result, gold_is_ordered(example.sql), timeout_s)):
+            verdict = "Mismatch"
+        bucket = counts.setdefault(example.db_id, [0, 0])
+        bucket[1] += 1
+        if verdict is None:
+            bucket[0] += 1
+        else:
+            failures.append((example.nl, verdict))
+    per_db = {db: (correct, total, 100.0 * correct / total)
+              for db, (correct, total) in sorted(counts.items())}
+    total = sum(t for _, t in counts.values())
+    correct = sum(c for c, _ in counts.values())
+    return EvalReport(per_db, 100.0 * correct / total if total else 0.0, failures, defects)

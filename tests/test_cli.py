@@ -294,6 +294,47 @@ def test_eval_command(runner, kaggledbqa_dir, tmp_path):
     assert (tmp_path / "report" / "report.jsonl").exists()
 
 
+def test_the_eval_report_names_what_it_scored(runner, kaggledbqa_dir, tmp_path):
+    """The overall record holds the digests of the predictions file, of the
+    run's manifest without its run_id and created, and of the test set, and
+    the version; no path."""
+    from psmith import __version__
+    from psmith.cli import _json_digest
+
+    run = tmp_path / "runs" / "r1"
+    run.mkdir(parents=True)
+    predictions = run / "predictions.jsonl"
+    lines = [json.dumps({"db_id": fixturelib.NUCLEAR_DB, "question": q, "sql": sql})
+             for q, sql in fixturelib.nuclear_questions()]
+
+    def overall(manifest: dict | None = None) -> dict:
+        predictions.write_text("\n".join(lines) + "\n")
+        if manifest is not None:
+            (run / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["eval", "--predictions", str(predictions), "--test",
+                                      str(kaggledbqa_dir), "--out", str(tmp_path / "eval")])
+        assert result.exit_code == 0, result.output
+        return json.loads((tmp_path / "eval" / "report.jsonl").read_text().splitlines()[0])
+
+    first = overall()
+    assert first["predictions_sha256"] == hashlib.sha256(predictions.read_bytes()).hexdigest()
+    assert first["test_sha256"] == _json_digest(kaggledbqa_dir)
+    assert first["manifest_sha256"] is None and first["version"] == __version__
+    assert str(tmp_path) not in json.dumps(first) and str(kaggledbqa_dir) not in json.dumps(first)
+
+    lines[3] = lines[3].replace('"sql": "', '"sql": " ')
+    edited = overall()
+    assert edited["predictions_sha256"] != first["predictions_sha256"]
+    assert {key: value for key, value in edited.items() if key != "predictions_sha256"} == \
+        {key: value for key, value in first.items() if key != "predictions_sha256"}
+
+    manifest = {"run_id": "r1", "created": "then", "mode": "gp", "config": {"seed": 1}}
+    named = overall(manifest)["manifest_sha256"]
+    assert named is not None
+    assert overall({**manifest, "run_id": "r2", "created": "now"})["manifest_sha256"] == named
+    assert overall({**manifest, "config": {"seed": 2}})["manifest_sha256"] != named
+
+
 def test_eval_refuses_a_prediction_the_test_set_lacks(runner, kaggledbqa_dir, tmp_path):
     predictions = tmp_path / "p.jsonl"
     rows = [{"db_id": fixturelib.NUCLEAR_DB, "question": q, "sql": sql}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import logging
@@ -8,6 +9,7 @@ import random
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 import types
 from pathlib import Path
@@ -675,3 +677,189 @@ def test_report_formatting(tmp_path):
     assert "TOTAL" in text and "100.00" in text
     records = report_records(report)
     assert records[0]["kind"] == "overall" and records[0]["ex"] == 100.0
+
+
+# --- the cursor, held connections and the identical-text shortcut -----------------------------
+
+def test_the_cursor_is_closed_on_exit_and_the_connection_scores_the_next_pair(scores_db):
+    from psmith.readonly import connect_read_only
+
+    conn = connect_read_only(scores_db)
+    try:
+        with evaluator_module._read_only_cursor(conn, "SELECT name FROM scores", 30.0) as cursor:
+            assert cursor.fetchone() == ("ann",)
+        with pytest.raises(sqlite3.ProgrammingError, match="closed cursor"):
+            cursor.fetchone()
+        # a prediction stopped by within= leaves no statement open on the connection
+        gold = execute_sql(conn, "SELECT points FROM scores WHERE points = 3")
+        cross_join = "SELECT a.points FROM " + ", ".join(f"scores s{i}" for i in range(8)) \
+            + ", scores a"
+        assert execute_sql(conn, cross_join, within=gold).truncated
+        assert evaluator_module._score_pair(
+            conn, "SELECT name FROM scores WHERE points = 3",
+            "SELECT name FROM scores WHERE points > 2 AND points < 5", 30.0) is None
+    finally:
+        conn.close()
+
+
+MISSING_DB = "gone"
+
+
+@pytest.fixture(scope="module")
+def three_databases(tmp_path_factory):
+    """Three databases of one table t (a INTEGER, b TEXT), each holding
+    different rows, and the id of a fourth whose file does not exist."""
+    root = tmp_path_factory.mktemp("three")
+    paths = {}
+    for db_id, rows in {"red": [(1, "x"), (2, "y"), (3, "x")],
+                        "green": [(5, "y"), (5, "y"), (1.5, "z")],
+                        "blue": []}.items():
+        paths[db_id] = root / f"{db_id}.sqlite"
+        conn = sqlite3.connect(paths[db_id])
+        conn.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", rows)
+        conn.commit()
+        conn.close()
+    paths[MISSING_DB] = root / f"{MISSING_DB}.sqlite"
+    return paths
+
+
+GOLD_POOL = ["SELECT a FROM t", "SELECT b, count(*) FROM t GROUP BY b",
+             "SELECT a FROM t ORDER BY a DESC", "SELECT max(a) FROM t",
+             "SELECT a + 0.5 FROM t WHERE b <> 'y'", "SELECT nothing FROM t"]
+PREDICTION_KINDS = ["identical", "padded", "different", "failing", "empty", "unpredicted"]
+
+
+def _predicted(kind: str, gold_sql: str, other: str) -> str | None:
+    return {"identical": gold_sql, "padded": f" \n{gold_sql}\t ", "different": other,
+            "failing": "SELECT a FROM nowhere", "empty": "  ",
+            "unpredicted": None}[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["red", "green", "blue", MISSING_DB]),
+                          st.sampled_from(GOLD_POOL), st.sampled_from(PREDICTION_KINDS),
+                          st.sampled_from(GOLD_POOL)),
+                min_size=1, max_size=14))
+def test_evaluate_gives_the_report_of_a_fresh_connection_per_pair(three_databases, pairs):
+    from oracles import evaluation_oracle
+
+    databases = {db_id: SchemaProfile(db_id, (), sqlite_path=path)
+                 for db_id, path in three_databases.items()}
+    examples, predictions, identical = [], {}, set()
+    for index, (db_id, gold_sql, kind, other) in enumerate(pairs):  # databases interleave
+        examples.append(AnnotatedExample(db_id, f"q{index}", gold_sql))
+        predicted = _predicted(kind, gold_sql, other)
+        if predicted is not None:
+            predictions[db_id, f"q{index}"] = predicted
+        if predicted is not None and predicted.strip() == gold_sql:
+            identical.add(f"q{index}")
+    dataset = AnnotatedDataset(databases=databases, examples=examples, role="test")
+    expected = evaluation_oracle(predictions, dataset)
+    assert not identical & {question for question, _ in expected.failures}
+    with pytest.MonkeyPatch.context() as patch:
+        for threads in (1, 2, 5):
+            patch.setattr(evaluator_module, "usable_cores", lambda: threads)
+            assert evaluate(predictions, dataset) == expected
+
+
+@pytest.fixture()
+def tracked_connections(monkeypatch):
+    """Every connection the evaluator opens, and the ones of them still open:
+    connect_read_only wrapped, on connections whose close() is recorded."""
+    lock, opened, live, peak = threading.Lock(), [], set(), [0]
+
+    class Tracked(sqlite3.Connection):
+        def close(self):
+            with lock:
+                live.discard(self)
+            super().close()
+
+    real_connect_read_only = evaluator_module.connect_read_only
+
+    def connect(path, **kwargs):
+        conn = real_connect_read_only(path, **kwargs)
+        with lock:
+            opened.append(conn)
+            live.add(conn)
+            peak[0] = max(peak[0], len(live))
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", functools.partial(sqlite3.connect, factory=Tracked))
+    monkeypatch.setattr(evaluator_module, "connect_read_only", connect)
+    return types.SimpleNamespace(opened=opened, live=live, peak=peak)
+
+
+def test_one_thread_on_one_database_opens_one_connection(tmp_path, monkeypatch,
+                                                         tracked_connections):
+    questions = [(f"q{i}", f"SELECT a FROM t WHERE a > {i % 4}") for i in range(50)]
+    dataset = mini_dataset(tmp_path, {"db": questions})
+    predictions = {("db", q): f"SELECT a FROM t WHERE a >= {i % 3}"
+                   for i, (q, _) in enumerate(questions)}
+    monkeypatch.setattr(evaluator_module, "usable_cores", lambda: 1)
+    report = evaluate(predictions, dataset)
+    assert report.total == 50 and 0 < report.correct < 50
+    assert len(tracked_connections.opened) == 1
+    assert not tracked_connections.live
+
+
+def test_threads_hold_at_most_one_connection_each_and_close_all(tmp_path, monkeypatch,
+                                                               tracked_connections):
+    from oracles import evaluation_oracle
+
+    count_up = ("WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n "
+                "WHERE i < 20000) SELECT count(*) FROM n")
+    per_db = {db_id: [] for db_id in ("one", "two", "three")}
+    for i in range(36):  # one, two, three, one, ...
+        per_db[list(per_db)[i % 3]].append((f"q{i}", count_up if i % 5 == 0 else "SELECT a FROM t"))
+    dataset = mini_dataset(tmp_path, per_db)
+    dataset.examples.sort(key=lambda ex: int(ex.nl[1:]))
+    predictions = {(ex.db_id, ex.nl): "SELECT a FROM t ORDER BY a" for ex in dataset.examples}
+    expected = evaluation_oracle(predictions, dataset)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads change hands as often as they can
+    try:
+        for threads in (2, 8):  # more threads than most hosts have cores
+            monkeypatch.setattr(evaluator_module, "usable_cores", lambda: threads)
+            tracked_connections.peak[0] = 0
+            assert evaluate(predictions, dataset) == expected
+            assert 0 < tracked_connections.peak[0] <= threads
+            assert not tracked_connections.live
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(tracked_connections.opened) > 8
+
+
+def test_held_connections_are_closed_when_a_pair_raises(tmp_path, monkeypatch,
+                                                        tracked_connections):
+    dataset = mini_dataset(tmp_path, {"one": [("q1", "SELECT a FROM t"), ("q2", "SELECT b FROM t")],
+                                      "two": [("q3", "SELECT a FROM t")]})
+    predictions = {(ex.db_id, ex.nl): "SELECT a FROM t WHERE a > 0" for ex in dataset.examples}
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("comparison broke")
+
+    monkeypatch.setattr(evaluator_module, "results_equivalent", broken)
+    for threads in (1, 2):
+        monkeypatch.setattr(evaluator_module, "usable_cores", lambda: threads)
+        with pytest.raises(RuntimeError, match="comparison broke"):
+            evaluate(predictions, dataset)
+        assert tracked_connections.opened and not tracked_connections.live
+
+
+def test_a_prediction_that_is_gold_text_scores_correct_without_running(tmp_path, monkeypatch):
+    """Gold that differs on every run is still right against itself, and
+    only gold is executed for the pair."""
+    dataset = mini_dataset(tmp_path, {"db": [("random", "SELECT random()"),
+                                             ("today", "SELECT date('now'), random()")]})
+    calls = []
+
+    def counted(db, sql, *args, **kwargs):
+        calls.append(sql)
+        return execute_sql(db, sql, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator_module, "execute_sql", counted)
+    report = evaluate({("db", "random"): "SELECT random()",
+                       ("db", "today"): "  SELECT date('now'), random()\n"}, dataset)
+    assert report.overall_ex == 100.0 and not report.failures
+    assert sorted(calls) == ["SELECT date('now'), random()", "SELECT random()"]
