@@ -32,10 +32,13 @@ import click
 
 from . import __version__, evaluator, sampler
 from .corpus import (
+    AnnotatedDataset,
+    Role,
     attach_value_profile,
     ensure_disjoint,
     load_kaggledbqa,
     load_spider,
+    load_spider_databases,
     load_spider_ss,
 )
 from .errors import BudgetExceeded, DatabaseMismatch, MalformedManifest, NotADatabase, PsmithError
@@ -171,10 +174,10 @@ def _load_test_dataset(test_dir: str):
 
 
 def _sampled_inputs(report_path: str, train_dir: str, test):
-    """The sampling report's exemplars and the train corpus, refused unless
-    the corpus holds every exemplar's database and none of *test*'s."""
+    """The sampling report's exemplars and the train corpus's databases (not its
+    examples), refused unless it holds every exemplar's database and none of *test*'s."""
     exemplars = sampler.read_report(report_path)
-    train = load_spider(train_dir)
+    train = AnnotatedDataset(load_spider_databases(train_dir), [], Role.TRAIN)
     ensure_disjoint(train, test)
     missing = [db_id for db_id in sampler.db_ids(exemplars) if db_id not in train.databases]
     if missing:

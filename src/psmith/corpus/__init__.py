@@ -2,7 +2,7 @@
 
 from .kaggledbqa import load_kaggledbqa
 from .profile import attach_value_profile, profile_schema
-from .spider import load_spider, load_spider_ss
+from .spider import load_spider, load_spider_databases, load_spider_ss
 from .types import (
     AnnotatedDataset,
     AnnotatedExample,
@@ -32,6 +32,7 @@ __all__ = [
     "ensure_disjoint",
     "load_kaggledbqa",
     "load_spider",
+    "load_spider_databases",
     "load_spider_ss",
     "profile_schema",
 ]

@@ -117,6 +117,14 @@ def _attach_sqlite_paths(schemas: dict[str, SchemaProfile], root: Path,
             logger.warning("no SQLite file found for database %s under %s", db_id, root)
 
 
+def load_spider_databases(directory: str | Path) -> dict[str, SchemaProfile]:
+    """The schemas of a Spider-format directory, each with its SQLite file;
+    its examples manifest is not read."""
+    schemas = load_tables_manifest(Path(directory) / "tables.json")
+    _attach_sqlite_paths(schemas, Path(directory), ("database",))
+    return schemas
+
+
 def load_spider(directory: str | Path, role: str = Role.TRAIN) -> AnnotatedDataset:
     """Load a Spider-format directory.
 
@@ -124,8 +132,7 @@ def load_spider(directory: str | Path, role: str = Role.TRAIN) -> AnnotatedDatas
     demand. Raises MissingFile / MalformedManifest (with the row index).
     """
     root = Path(directory)
-    schemas = load_tables_manifest(root / "tables.json")
-    _attach_sqlite_paths(schemas, root, ("database",))
+    schemas = load_spider_databases(root)
 
     manifest = next((root / name for name in EXAMPLE_MANIFESTS if (root / name).exists()), None)
     if manifest is None:

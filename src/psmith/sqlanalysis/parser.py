@@ -19,6 +19,10 @@ from .tokenizer import Token, tokenize
 _NAME = SkeletonNode(PLACEHOLDER)
 _LITERAL = SkeletonNode(PLACEHOLDER)
 
+# skeletons by token shape; a skeleton is frozen, so all threads share them
+_SKELETONS: dict[tuple, SkeletonNode] = {}
+_SKELETONS_HELD = 1024  # then emptied: a corpus of new shapes is not held whole
+
 JOIN_INTRO = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "CROSS", "NATURAL"}
 COMPOUND_OPS = {"UNION", "INTERSECT", "EXCEPT"}
 
@@ -79,7 +83,11 @@ class _Parser:
     # -- grammar --
 
     def parse_query(self) -> SkeletonNode:
-        return _node("QUERY", self.parse_query_children())
+        query = _node("QUERY", self.parse_query_children())
+        self.accept_punct(";")
+        if self.peek() is not None:
+            raise ParseError(f"trailing tokens at {self._where()}")
+        return query
 
     def parse_subquery(self) -> SkeletonNode:
         """A SELECT whose opening parenthesis was consumed, through its close."""
@@ -355,6 +363,15 @@ class _Parser:
         return _clause("CASE", parts)
 
 
+def _shape(tokens: list[Token]) -> tuple:
+    """What ``_Parser`` reads of *tokens* (see ``parse_sql``)."""
+    shape = [t.kind if t.kind in ("IDENT", "STRING", "NUMBER") else t.value for t in tokens]
+    for i, item in enumerate(shape):
+        if item == "(" and i and shape[i - 1] == "IDENT":
+            shape[i - 1] = ("IDENT", tokens[i - 1].value.upper())
+    return tuple(shape)
+
+
 def parse_sql(sql: str) -> SkeletonNode:
     """Parse one SELECT statement (an optional trailing semicolon is allowed)
     into its skeleton, rooted at ``QUERY``.
@@ -363,13 +380,22 @@ def parse_sql(sql: str) -> SkeletonNode:
     stay as labeled nodes; clauses follow the canonical
     SELECT-FROM-WHERE-GROUP BY-HAVING-ORDER BY-LIMIT spine.
     Raises ParseError for SQL outside the supported grammar.
+
+    Each token shape is parsed once. The shape is all the parser reads: each
+    token's kind, the value of a keyword, operator or punctuation token (the
+    value names the kind), and the upper-cased name of an identifier before
+    ``(``. Texts of one shape take one path through the grammar to equal
+    skeletons with equal claims, so the memo is exact. A failed parse is not
+    kept: its ParseError names its own text and offset.
     """
     if not sql or not sql.strip():
         raise ParseError("empty SQL text")
     tokens = tokenize(sql)
-    parser = _Parser(tokens, sql)
-    query = parser.parse_query()
-    parser.accept_punct(";")
-    if parser.peek() is not None:
-        raise ParseError(f"trailing tokens at {parser._where()}")
+    shape = _shape(tokens)
+    query = _SKELETONS.get(shape)
+    if query is None:
+        query = _Parser(tokens, sql).parse_query()
+        if len(_SKELETONS) >= _SKELETONS_HELD:
+            _SKELETONS.clear()
+        _SKELETONS[shape] = query
     return query

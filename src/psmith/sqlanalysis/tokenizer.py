@@ -1,9 +1,14 @@
-"""Tokenizer for the SQLite SELECT-statement subset used by Spider-style corpora."""
+"""Tokenizer for the SQLite SELECT-statement subset used by Spider-style corpora.
+
+One ``finditer`` pass: every character matches a token pattern or the final
+catch-all, whose first match is the first character outside the lexicon.
+The parser keys its skeleton memo by what it reads of the tokens (``_shape``).
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -26,13 +31,15 @@ _TOKEN_RE = re.compile(
   | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><>|!=|<=|>=|\|\||[=<>+\-*/%])
   | (?P<punct>[(),.;])
+  | (?P<other>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+# the kind of a token whose value is its text (a keyword's is upper-cased)
+_KINDS = {"word": "IDENT", "number": "NUMBER", "string": "STRING", "op": "OP", "punct": "PUNCT"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # KEYWORD | IDENT | STRING | NUMBER | OP | PUNCT
     value: str      # keywords and ops are upper-cased/canonical
     pos: int        # character offset, for error messages
@@ -45,31 +52,16 @@ def tokenize(sql: str) -> list[Token]:
     decides whether that skips the row or aborts).
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        m = _TOKEN_RE.match(sql, i)
-        if m is None:
-            raise ParseError(f"unexpected character {sql[i]!r} at offset {i}")
-        i = m.end()
-        if m.lastgroup == "space":
+    for m in _TOKEN_RE.finditer(sql):
+        group, text = m.lastgroup, m.group()
+        if group == "space":
             continue
-        text = m.group()
-        if m.lastgroup == "string":
-            tokens.append(Token("STRING", text, m.start()))
-        elif m.lastgroup == "qident":
+        if group == "other":
+            raise ParseError(f"unexpected character {text!r} at offset {m.start()}")
+        if group == "word" and text.upper() in KEYWORDS:
+            tokens.append(Token("KEYWORD", text.upper(), m.start()))
+        elif group == "qident":
             tokens.append(Token("IDENT", text[1:-1], m.start()))
-        elif m.lastgroup == "number":
-            tokens.append(Token("NUMBER", text, m.start()))
-        elif m.lastgroup == "word":
-            upper = text.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, m.start()))
-            else:
-                tokens.append(Token("IDENT", text, m.start()))
-        elif m.lastgroup == "op":
-            canonical = "!=" if text == "<>" else text
-            tokens.append(Token("OP", canonical, m.start()))
-        else:
-            tokens.append(Token("PUNCT", text, m.start()))
+        else:  # only an operator can read "<>"
+            tokens.append(Token(_KINDS[group], "!=" if text == "<>" else text, m.start()))
     return tokens

@@ -7,12 +7,14 @@ multiset-match oracle tries every pairing of rows; the profile oracle
 profiles one column after another on one connection, reading every
 column's pool of distinct values before it asks for a range; the
 evaluation oracle scores one pair after another, each on a fresh
-connection that executes both gold and the prediction.
+connection that executes both gold and the prediction; the tokenizer oracle
+matches one token at a time, anchored where the last one ended.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import sqlite3
 from contextlib import closing
 from itertools import combinations, permutations
@@ -21,10 +23,11 @@ from pathlib import Path
 from psmith.corpus.profile import (
     _POOL_LIMIT, _affinity, _as_text, _is_number, _looks_datetime, _quote_ident)
 from psmith.corpus.types import AnnotatedDataset, NumericRange, SampledValues
-from psmith.errors import SqlError
+from psmith.errors import ParseError, SqlError
 from psmith.evaluator import (
     EvalReport, _connection, _rows_equal, execute_sql, gold_is_ordered, results_equivalent)
 from psmith.sqlanalysis.skeleton import SkeletonNode
+from psmith.sqlanalysis.tokenizer import KEYWORDS
 
 
 def _flatten(root: SkeletonNode):
@@ -200,3 +203,51 @@ def evaluation_oracle(predictions: dict, gold: AnnotatedDataset,
     total = sum(t for _, t in counts.values())
     correct = sum(c for c, _ in counts.values())
     return EvalReport(per_db, 100.0 * correct / total if total else 0.0, failures, defects)
+
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+    (?P<space>\s+)
+  | (?P<string>'(?:[^']|'')*')
+  | (?P<qident>"[^"]*"|`[^`]*`|\[[^\]]*\])
+  | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?)
+  | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op><>|!=|<=|>=|\|\||[=<>+\-*/%])
+  | (?P<punct>[(),.;])
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize_oracle(sql: str) -> list[tuple[str, str, int]]:
+    """*sql*'s (kind, value, pos) tokens, one anchored match at a time; a
+    position that no pattern matches raises ParseError naming it."""
+    tokens: list[tuple[str, str, int]] = []
+    i = 0
+    n = len(sql)
+    while i < n:
+        m = _ORACLE_TOKEN_RE.match(sql, i)
+        if m is None:
+            raise ParseError(f"unexpected character {sql[i]!r} at offset {i}")
+        i = m.end()
+        if m.lastgroup == "space":
+            continue
+        text = m.group()
+        if m.lastgroup == "string":
+            tokens.append(("STRING", text, m.start()))
+        elif m.lastgroup == "qident":
+            tokens.append(("IDENT", text[1:-1], m.start()))
+        elif m.lastgroup == "number":
+            tokens.append(("NUMBER", text, m.start()))
+        elif m.lastgroup == "word":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                tokens.append(("KEYWORD", upper, m.start()))
+            else:
+                tokens.append(("IDENT", text, m.start()))
+        elif m.lastgroup == "op":
+            canonical = "!=" if text == "<>" else text
+            tokens.append(("OP", canonical, m.start()))
+        else:
+            tokens.append(("PUNCT", text, m.start()))
+    return tokens

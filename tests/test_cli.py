@@ -110,6 +110,57 @@ def test_adapt_dry_run(runner, spider_dir, kaggledbqa_dir, tmp_path):
     assert not (tmp_path / "bundle.json").exists()
 
 
+def test_adapt_and_gp_runs_read_only_the_train_databases(runner, spider_dir, kaggledbqa_dir,
+                                                         tmp_path, monkeypatch):
+    """adapt and run --mode gp take the exemplars from the report and only
+    the schemas from --train: once sample has run, the train examples file
+    can go, and they write the same bytes."""
+    import shutil
+
+    import make_replay_store
+    import psmith.cli
+
+    def transport(url, payload, headers, timeout):
+        if "### Source SQL:" in payload["prompt"]:  # adapt's stages
+            return make_replay_store.scripted_transport(url, payload, headers, timeout)
+        # a gp answer; the cache store keys it by its whole prompt
+        return 200, {"choices": [{"text": " COUNT(*) FROM nuclear_power_plants"}],
+                     "usage": {"prompt_tokens": 1, "completion_tokens": 1}}, None
+
+    inner = psmith.cli.build_client
+
+    def build_client(cfg, replay, record, cache_dir):
+        client = inner(cfg, replay, record, cache_dir)
+        client.transport = transport
+        return client
+
+    monkeypatch.setattr(psmith.cli, "build_client", build_client)
+    train, report, out = tmp_path / "train", tmp_path / "report.jsonl", tmp_path / "out"
+    shutil.copytree(spider_dir, train)
+    assert runner.invoke(main, ["sample", "--train", str(train),
+                                "--out", str(report)]).exit_code == 0
+
+    def outputs() -> list:
+        shutil.rmtree(out, ignore_errors=True)
+        common = ["--report", str(report), "--train", str(train), "--test", str(kaggledbqa_dir),
+                  "--llm-mode", "cache", "--cache-dir", str(out / "cache"),
+                  "--spend-cap", "100000000", "--model", "offline-model"]
+        adapt = runner.invoke(main, ["adapt", *common, "--db", fixturelib.NUCLEAR_DB,
+                                     "--out", str(out / "bundle.json")])
+        run = runner.invoke(main, ["run", "--mode", "gp", *common, "--runs", str(out / "runs"),
+                                   "--run-id", "R"])
+        assert adapt.exit_code == 0, adapt.output + adapt.stderr
+        assert run.exit_code == 0, run.output + run.stderr
+        run_dir = out / "runs" / "R"
+        return [adapt.output, adapt.stderr, run.output, run.stderr,
+                (out / "bundle.json").read_bytes(), (run_dir / "predictions.jsonl").read_bytes(),
+                (run_dir / "queries.jsonl").read_bytes(), (out / "cache" / "store.jsonl").read_bytes()]
+
+    with_examples = outputs()
+    (train / "train_spider.json").unlink()
+    assert outputs() == with_examples
+
+
 def test_adapt_unknown_db(runner, spider_dir, kaggledbqa_dir, tmp_path):
     report = tmp_path / "report.jsonl"
     runner.invoke(main, ["sample", "--train", str(spider_dir), "--out", str(report)])

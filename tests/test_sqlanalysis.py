@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ted_oracle
+import psmith.sqlanalysis.ops as ops_module
+from oracles import ted_oracle, tokenize_oracle
 from psmith.errors import MalformedManifest, ParseError
 from psmith.sqlanalysis import (
     PrimitiveOp,
@@ -17,7 +22,9 @@ from psmith.sqlanalysis import (
     parse_sql,
     tree_edit_distance,
 )
+from psmith.sqlanalysis import parser as parser_module
 from psmith.sqlanalysis.skeleton import SkeletonNode
+from psmith.sqlanalysis.tokenizer import KEYWORDS, tokenize
 
 
 def ops(*names: str) -> set[str]:
@@ -411,3 +418,212 @@ def test_realistic_queries_parse_and_abstract(sql):
     assert skeleton == parse_sql(sql)
     assert skeleton.render() == REALISTIC_QUERIES[sql]
     assert tree_edit_distance(skeleton, skeleton) == 0
+
+
+# --- tokenizer and the skeleton memo -----------------------------------------
+
+# stray characters, unterminated strings and quoted names included
+SQL_ALPHABET = "aZ_09 .,;()*+-/%<>=!|'\"`[]\n\te\u00e9"
+SQL_FRAGMENTS = ["SELECT", "from", "a", "T1.x", "'it''s'", "'open", '"q id"', '"open', "`b`",
+                 "[c", "[d e]", "1.5e3", ".5", "7", "<>", "!=", "||", "!", "\n", "  ", "(", ")"]
+SQL_TEXTS = st.one_of(st.text(alphabet=SQL_ALPHABET, max_size=40),
+                      st.lists(st.sampled_from(SQL_FRAGMENTS), max_size=12).map("".join))
+
+
+def _tokens(tokenize_fn, sql: str):
+    try:
+        return [tuple(token) for token in tokenize_fn(sql)]
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sql=SQL_TEXTS)
+def test_tokenize_matches_the_match_loop_oracle(sql):
+    assert _tokens(tokenize, sql) == _tokens(tokenize_oracle, sql)
+
+
+def _fresh_parse(sql: str) -> SkeletonNode:
+    """parse_sql without the memo."""
+    return parser_module._Parser(tokenize(sql), sql).parse_query()
+
+
+def _tree(node: SkeletonNode) -> tuple:
+    return node.label, node.claims, tuple(_tree(child) for child in node.children)
+
+
+def _outcome(sql: str, memo: bool = True):
+    """*sql*'s skeleton as a (label, claims, children) tree and its extracted
+    operators, or its ParseError message; memo=False parses afresh."""
+    parse = parse_sql if memo else _fresh_parse
+    try:
+        tree = _tree(parse(sql))
+    except ParseError as exc:
+        return str(exc)
+    with contextlib.nullcontext() if memo else mock.patch.object(ops_module, "parse_sql", parse):
+        return tree, extract_operators_detailed(sql)
+
+
+# holes of a query template, each filled by one token: an identifier, a
+# literal, a function name, or one of the keywords or operators that can
+# stand in its place
+IDENT, NUMBER, STRING, FUNCTION = "\x01", "\x02", "\x03", "\x04"
+COMPARE, ARITHMETIC, JOINT, DIRECTION, COMPOUND = "\x05", "\x06", "\x07", "\x08", "\x0e"
+IDENTIFIERS = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).filter(
+        lambda word: word.upper() not in KEYWORDS),
+    st.sampled_from(['"a b"', "`c`", "[d e]", '"select"', "[Year]"]))
+FILLS = {IDENT: IDENTIFIERS,
+         NUMBER: st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["1.5", ".5", "2e3"])),
+         STRING: st.text(max_size=5).map(lambda text: "'" + text.replace("'", "''") + "'"),
+         FUNCTION: st.sampled_from(["count", "COUNT", "max", "Avg", "lower", "subquery", "SubQuery",
+                                    "orderby", '"SELECT"', '"select"', "my_fn"]),
+         COMPARE: st.sampled_from(["=", "!=", "<>", "<", ">", "<=", ">="]),
+         ARITHMETIC: st.sampled_from(["+", "-", "*", "/", "||"]),
+         JOINT: st.sampled_from(["AND", "OR"]),
+         DIRECTION: st.sampled_from(["ASC", "DESC"]),
+         COMPOUND: st.sampled_from(["UNION", "INTERSECT", "EXCEPT"])}
+
+
+@st.composite
+def _exprs(draw, depth: int = 0) -> str:
+    kind = draw(st.integers(0, 6 if depth < 2 else 2))
+    if kind < 3:
+        return (IDENT, NUMBER, STRING)[kind]
+    if kind == 3:
+        arg = draw(st.sampled_from(["*", "DISTINCT " + IDENT])) if draw(st.booleans()) \
+            else draw(_exprs(depth + 1))
+        return f"{FUNCTION}({arg})"
+    if kind == 4:
+        return f"{draw(_exprs(depth + 1))} {ARITHMETIC} {draw(_exprs(depth + 1))}"
+    if kind == 5:
+        return f"-{NUMBER}"
+    return f"(SELECT {IDENT} FROM {IDENT})"
+
+
+@st.composite
+def _conditions(draw, depth: int = 0) -> str:
+    kind = draw(st.integers(0, 6 if depth < 2 else 4))
+    not_ = draw(st.sampled_from(["", "NOT "]))
+    if kind == 0:
+        return f"{draw(_exprs())} {COMPARE} {draw(_exprs())}"
+    if kind == 1:
+        return f"{IDENT} {not_}IN ({NUMBER}, {NUMBER})"
+    if kind == 2:
+        return f"{IDENT} {not_}LIKE {STRING}"
+    if kind == 3:
+        return f"{IDENT} {not_}BETWEEN {NUMBER} AND {NUMBER}"
+    if kind == 4:
+        return f"{IDENT} IS {not_}NULL"
+    if kind == 5:
+        return f"{draw(_conditions(depth + 1))} {JOINT} {draw(_conditions(depth + 1))}"
+    return f"NOT {draw(_conditions(depth + 1))}"
+
+
+@st.composite
+def _select_cores(draw) -> str:
+    items = ", ".join(draw(st.lists(_exprs(), min_size=1, max_size=3)))
+    core = f"SELECT {draw(st.sampled_from(['', 'DISTINCT ']))}{items} FROM {IDENT}"
+    core += draw(st.sampled_from(["", f" AS {IDENT}", f" JOIN {IDENT} ON {IDENT} = {IDENT}"]))
+    if draw(st.booleans()):
+        core += f" WHERE {draw(_conditions())}"
+    if draw(st.booleans()):
+        core += f" GROUP BY {IDENT}"
+        if draw(st.booleans()):
+            core += f" HAVING {draw(_conditions())}"
+    return core
+
+
+@st.composite
+def _sql_templates(draw) -> str:
+    """A SELECT statement with holes (see FILLS); one in four is cut short
+    or given a stray token, so it fails to parse."""
+    query = draw(_select_cores())
+    if draw(st.booleans()):
+        query += f" {COMPOUND}{draw(st.sampled_from(['', ' ALL']))} {draw(_select_cores())}"
+    if draw(st.booleans()):
+        query += f" ORDER BY {draw(_exprs())}{draw(st.sampled_from(['', ' ' + DIRECTION]))}"
+    if draw(st.booleans()):
+        query += f" LIMIT {NUMBER}"
+    damage = draw(st.integers(0, 7))
+    if damage == 1:
+        words = query.split(" ")
+        query = " ".join(words[:draw(st.integers(1, len(words) - 1))])
+    elif damage == 2:
+        query += f" {IDENT} )"
+    return query
+
+
+def _fill(template: str, data) -> str:
+    return "".join(data.draw(FILLS[ch]) if ch in FILLS else ch for ch in template)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_memoised_skeleton_equals_a_fresh_parse(data):
+    """A text parses to what a fresh parse gives, node by node with claims,
+    after its twin (other identifiers, literals, function names, keywords
+    and operators) has filled the memo."""
+    template = data.draw(_sql_templates())
+    twin, sql = _fill(template, data), _fill(template, data)
+    parser_module._SKELETONS.clear()
+    warmed = _outcome(twin)
+    outcome = _outcome(sql)
+    assert outcome == _outcome(sql, memo=False)
+    if parser_module._shape(tokenize(twin)) == parser_module._shape(tokenize(sql)):
+        # one shape: both parse or both fail, and a failure is never kept
+        assert isinstance(outcome, str) == isinstance(warmed, str)
+        assert len(parser_module._SKELETONS) == (0 if isinstance(outcome, str) else 1)
+
+
+def test_a_function_named_like_a_clause_keeps_its_own_claims():
+    """The two skeletons are equal (claims take no part in equality), but
+    their shapes differ, so neither text is served the other's claims."""
+    clause = "SELECT a FROM t WHERE b IN (SELECT c FROM u)"
+    function = 'SELECT a FROM t WHERE b IN (subquery("select"(c), "from"(u)))'
+    parser_module._SKELETONS.clear()
+    assert parse_sql(clause) == parse_sql(function)
+    for sql in (clause, function, clause):
+        assert _outcome(sql) == _outcome(sql, memo=False)
+    assert PrimitiveOp("clause", "SUBQUERY") in extract_operators(clause)
+    assert PrimitiveOp("clause", "SUBQUERY") not in extract_operators(function)
+
+
+def test_each_failing_text_of_a_shape_names_its_own_offset_and_text():
+    first, second = "SELECT a FROM t WHERE b = 1 c", "SELECT abc FROM tab WHERE bcd = 100 cde"
+    assert parser_module._shape(tokenize(first)) == parser_module._shape(tokenize(second))
+    parser_module._SKELETONS.clear()
+    messages = []
+    for sql in (first, second, first):
+        with pytest.raises(ParseError) as memo:
+            parse_sql(sql)
+        with pytest.raises(ParseError) as fresh:
+            _fresh_parse(sql)
+        assert str(memo.value) == str(fresh.value)
+        assert f"offset {sql.rindex(' ') + 1} " in str(memo.value) and repr(sql) in str(memo.value)
+        messages.append(str(memo.value))
+    assert messages[0] != messages[1] and messages[0] == messages[2]
+    assert not parser_module._SKELETONS
+
+
+def test_threads_sharing_shapes_get_the_serial_results():
+    rng = random.Random(7)
+    templates = ["SELECT {c}, count(*) FROM {t} WHERE {c} > {n} GROUP BY {c}",
+                 "SELECT subquery({c}) FROM {t} WHERE {c} IN (SELECT {c} FROM {t})",
+                 'SELECT "SELECT"({c}) FROM {t} ORDER BY {c} DESC LIMIT {n}',
+                 "SELECT {c} FROM {t} WHERE {c} LIKE '{c}%' {c}",
+                 "SELECT {c} FROM {t} WHERE"]
+    texts = [template.format(c=rng.choice(["a", "name", "[Year]", '"x y"']),
+                             t=rng.choice(["t", "singer", "`u`"]), n=rng.randrange(100))
+             for template in templates for _ in range(40)]
+    rng.shuffle(texts)
+    serial = [_outcome(sql, memo=False) for sql in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-lookup and mid-store
+    try:
+        for _ in range(3):
+            parser_module._SKELETONS.clear()
+            with ThreadPoolExecutor(8) as pool:
+                assert list(pool.map(_outcome, texts, timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)
