@@ -986,6 +986,11 @@ def nuclear_questions() -> list[tuple[str, str]]:
     return _generated_questions(TEST_DATABASES[0])
 
 
+def every_test_question() -> list[tuple[str, str]]:
+    """Every test database's (question, gold SQL) pairs."""
+    return [pair for db in TEST_DATABASES for pair in _generated_questions(db)]
+
+
 # ---------------------------------------------------------------------------
 # replay stores
 # ---------------------------------------------------------------------------

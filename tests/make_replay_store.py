@@ -3,9 +3,10 @@
 The store captures one full scripted session over the fixture corpora:
 adapt every sampled exemplar to the Nuclear database (including machine
 decomposition drafts), then run the three least-to-most stages for all 22
-Nuclear test questions. A deterministic rule-based transport plays the
-generator; the resulting store makes the whole pipeline replayable with
-zero network access.
+Nuclear test questions (ltmp-da-gp), then the gp, da-gp and ltmp-gp runs;
+the generic modes answer every test database. A deterministic rule-based
+transport plays the generator; the resulting store makes all four
+pipelines replayable with zero network access.
 
 Usage (from the repository root):
 
@@ -126,13 +127,16 @@ def _fallback_decomposition(nl: str) -> tuple[list[str], list[str]]:
     return [nl], [f"select nuclear_power_plants answer for: {nl}"]
 
 
-def _final_sql_for(nl: str) -> str | None:
+def _final_sql_for(nl: str, prompt: str) -> str | None:
     if nl in SABOTAGED_FINALS:
         return SABOTAGED_FINALS[nl]
     if nl == fixturelib.TEST_QUESTION:
         return TEST_FINAL_SQL
-    for question, gold in fixturelib.nuclear_questions():
-        if question == nl:
+    # two test databases may ask one question: the gold query whose table
+    # the prompt's closing (test) schema declares answers it
+    schema = prompt[prompt.rfind("### SQLite SQL tables"):]
+    for question, gold in fixturelib.every_test_question():
+        if question == nl and f"CREATE TABLE {gold.split(' FROM ')[1].split()[0]} (" in schema:
             return gold
     raise KeyError(f"no scripted final SQL for {nl!r}")
 
@@ -164,6 +168,10 @@ def scripted_transport(url, payload, headers, timeout):
         lines = prompt.splitlines()
         sql = lines[lines.index("### SQL:") + 1]
         completions = [" " + NL_BY_ADAPTED[sql]] * n
+    elif prompt.endswith("\nSELECT"):  # gp and da-gp: the question is the line above
+        final = _final_sql_for(prompt.splitlines()[-2][len("### "):], prompt)
+        completions = [" I am not able to answer this question." if final is None
+                       else final[len("SELECT"):]] * n
     elif prompt.endswith("sub-questions:"):
         nl = _last_question(prompt)
         subs, _ = DECOMPOSITIONS.get(nl, _fallback_decomposition(nl))
@@ -174,7 +182,7 @@ def scripted_transport(url, payload, headers, timeout):
         completions = [" " + _render_list(steps)] * n
     elif prompt.endswith("A:"):
         nl = _last_question(prompt)
-        final = _final_sql_for(nl)
+        final = _final_sql_for(nl, prompt)
         if final is None:
             completions = [" I am not able to answer this question."] * n
         else:
@@ -234,6 +242,15 @@ def generate(out_path: Path = REPLAY_PATH) -> Path:
         expected_errors = sum(1 for v in SABOTAGED_FINALS.values() if v is None)
         if len(outcome.errors) != expected_errors:
             raise RuntimeError(f"unexpected per-query failures: {outcome.errors}")
+
+        # appended after the ltmp-da-gp session, whose records stay first
+        generic = dict(train=train, exemplars=exemplars)
+        for mode, inputs in (("gp", generic),
+                             ("da-gp", dict(bundle=bundle, target_profile=target_profile)),
+                             ("ltmp-gp", dict(generic, ss_records=records))):
+            outcome = run_pipeline(PipelineConfig(mode=mode), client, test, **inputs)
+            if len(outcome.errors) != (expected_errors if mode == "ltmp-gp" else 0):
+                raise RuntimeError(f"unexpected {mode} failures: {outcome.errors}")
     return out_path
 
 
