@@ -16,23 +16,3 @@ from .types import (
     Table,
     ensure_disjoint,
 )
-
-__all__ = [
-    "AnnotatedDataset",
-    "AnnotatedExample",
-    "Column",
-    "DecompositionRecord",
-    "ForeignKey",
-    "NumericRange",
-    "Role",
-    "SampledValues",
-    "SchemaProfile",
-    "Table",
-    "attach_value_profile",
-    "ensure_disjoint",
-    "load_kaggledbqa",
-    "load_spider",
-    "load_spider_databases",
-    "load_spider_ss",
-    "profile_schema",
-]

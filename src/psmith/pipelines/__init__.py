@@ -18,22 +18,3 @@ from .run import (
     shots_for,
     write_predictions,
 )
-
-__all__ = [
-    "AdaptationBundle",
-    "AdaptedExemplar",
-    "PipelineConfig",
-    "PipelineOutcome",
-    "QueryRecord",
-    "da_stage1_transfer",
-    "da_stage2_generate_nl",
-    "extract_final_sql",
-    "normalize_question",
-    "normalize_sql",
-    "parse_item_list",
-    "read_predictions",
-    "run_pipeline",
-    "shots_for",
-    "verify_bundle",
-    "write_predictions",
-]

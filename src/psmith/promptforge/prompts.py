@@ -28,7 +28,7 @@ from ..corpus.types import SchemaProfile
 from ..errors import BudgetExceeded
 from .budget import TokenBudget, count_tokens
 from .schema_render import render_schema_basic, render_schema_domain
-from .templates import Template, load_template
+from .templates import load_template
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _bracketed(items: Iterable[str], item_template: str) -> str:
     return "[" + ", ".join(item_template.replace("{text}", item) for item in items) + "]"
 
 
-def _decomposition_lines(tpl: Template, sub_questions: Sequence[str],
+def _decomposition_lines(tpl: dict[str, str], sub_questions: Sequence[str],
                          steps: Sequence[str]) -> list[str]:
     return [tpl["subquestions_prefix"] + _bracketed(sub_questions, tpl["subquestion_item"]),
             tpl["steps_prefix"] + _bracketed(steps, tpl["step_item"])]

@@ -7,22 +7,16 @@ byte of prompt punctuation and are the source of truth for prompt layout.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 
-class Template:
-    def __init__(self, name: str, fragments: dict[str, str]):
-        self.name = name
-        self._fragments = fragments
-
-    def __getitem__(self, key: str) -> str:
-        try:
-            return self._fragments[key]
-        except KeyError:
-            raise KeyError(f"template {self.name!r} has no fragment {key!r}") from None
-
-
-def _parse(name: str, text: str) -> Template:
+@functools.cache
+def load_template(mode: str) -> dict[str, str]:
+    """The fragments, by name, of the template for a prompt mode (``gp``,
+    ``da_gp``, ``ltmp_gp``, ``ltmp_da_gp``, ``adapt_sql``, ``adapt_nl``).
+    Loaded once and shared: callers only read it."""
+    text = resources.files("psmith.templates").joinpath(f"{mode}.txt").read_text("utf-8")
     fragments: dict[str, str] = {}
     current: str | None = None
     buffer: list[str] = []
@@ -39,16 +33,4 @@ def _parse(name: str, text: str) -> Template:
         if buffer and buffer[-1] == "":
             buffer.pop()
         fragments[current] = "\n".join(buffer)
-    return Template(name, fragments)
-
-
-_cache: dict[str, Template] = {}
-
-
-def load_template(mode: str) -> Template:
-    """Load the template for a prompt mode (``gp``, ``da_gp``, ``ltmp_gp``,
-    ``ltmp_da_gp``, ``adapt_sql``, ``adapt_nl``)."""
-    if mode not in _cache:
-        text = resources.files("psmith.templates").joinpath(f"{mode}.txt").read_text("utf-8")
-        _cache[mode] = _parse(mode, text)
-    return _cache[mode]
+    return fragments

@@ -68,14 +68,9 @@ def load_catalog(path: str | Path | None = None) -> frozenset[PrimitiveOp]:
     return frozenset(ops)
 
 
-_default_catalog: frozenset[PrimitiveOp] | None = None
-
-
+@functools.cache
 def default_catalog() -> frozenset[PrimitiveOp]:
-    global _default_catalog
-    if _default_catalog is None:
-        _default_catalog = load_catalog()
-    return _default_catalog
+    return load_catalog()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -84,13 +79,13 @@ def _canonical(kind: str, name: str) -> PrimitiveOp:
     return PrimitiveOp(kind, OPERATOR_ALIASES.get(name, name) if kind == "operator" else name)
 
 
-def extract_operators_detailed(
-    sql: str, catalog: frozenset[PrimitiveOp] | None = None
-) -> tuple[frozenset[PrimitiveOp], list[PrimitiveOp]]:
-    """Extract catalog members present in *sql*, plus uncatalogued claims.
+def extract_operators(sql: str,
+                      catalog: frozenset[PrimitiveOp] | None = None) -> frozenset[PrimitiveOp]:
+    """The set of canonical catalog members syntactically present in *sql*.
 
-    Returns (ops, unknowns). Unknown constructs are also logged at WARNING.
-    Raises ParseError when the SQL does not parse.
+    Deterministic and idempotent; subqueries are included. Claims outside
+    the catalog are logged at WARNING. Raises ParseError when the SQL does
+    not parse.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -101,21 +96,7 @@ def extract_operators_detailed(
         found.update(node.claims)
         stack.extend(node.children)
     claims = frozenset(_canonical(*claim) for claim in found)
-    known = claims & catalog
-    unknown = sorted(claims - known)
-    if unknown:
-        logger.warning(
-            "constructs outside the primitive-op catalog in %r: %s",
-            sql, ", ".join(str(u) for u in unknown),
-        )
-    return known, unknown
-
-
-def extract_operators(sql: str,
-                      catalog: frozenset[PrimitiveOp] | None = None) -> frozenset[PrimitiveOp]:
-    """The set of canonical catalog members syntactically present in *sql*.
-
-    Deterministic and idempotent; subqueries are included.
-    """
-    ops, _ = extract_operators_detailed(sql, catalog)
-    return ops
+    if unknown := sorted(claims - catalog):
+        logger.warning("constructs outside the primitive-op catalog in %r: %s",
+                       sql, ", ".join(map(str, unknown)))
+    return claims & catalog

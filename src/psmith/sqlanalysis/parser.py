@@ -148,12 +148,7 @@ class _Parser:
 
     def parse_select_item(self) -> SkeletonNode:
         expr = self.parse_expr()
-        if self.accept_keyword("AS"):
-            self.next()  # alias, discarded
-        elif self.peek() is not None and self.peek().kind == "IDENT" \
-                and not self.at_punct("("):
-            # bare alias (rare in Spider, but legal)
-            self.i += 1
+        self._accept_alias()
         return expr
 
     def parse_sources(self) -> list[SkeletonNode]:
@@ -190,6 +185,7 @@ class _Parser:
         return _clause("JOIN", join)
 
     def _accept_alias(self) -> None:
+        """An alias, ``AS name`` or a bare name, discarded."""
         if self.accept_keyword("AS"):
             self.next()
         elif self.peek() is not None and self.peek().kind == "IDENT":
@@ -197,20 +193,20 @@ class _Parser:
 
     # -- expressions, lowest to highest precedence --
 
-    def parse_expr(self) -> SkeletonNode:
-        return self.parse_or()
-
-    def parse_or(self) -> SkeletonNode:
-        left = self.parse_and()
-        while self.accept_keyword("OR"):
-            left = _operator("OR", [left, self.parse_and()])
+    def _chain(self, operand, kind: str, ops: tuple[str, ...]) -> SkeletonNode:
+        """Left-associative: *operand*s joined by *kind* tokens whose value
+        is one of *ops*."""
+        left = operand()
+        while (tok := self.peek()) is not None and tok.kind == kind and tok.value in ops:
+            self.i += 1
+            left = _operator(tok.value, [left, operand()])
         return left
+
+    def parse_expr(self) -> SkeletonNode:
+        return self._chain(self.parse_and, "KEYWORD", ("OR",))
 
     def parse_and(self) -> SkeletonNode:
-        left = self.parse_not()
-        while self.accept_keyword("AND"):
-            left = _operator("AND", [left, self.parse_not()])
-        return left
+        return self._chain(self.parse_not, "KEYWORD", ("AND",))
 
     def parse_not(self) -> SkeletonNode:
         if self.accept_keyword("NOT"):
@@ -259,24 +255,10 @@ class _Parser:
         return left
 
     def parse_additive(self) -> SkeletonNode:
-        left = self.parse_multiplicative()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "OP" and tok.value in ("+", "-"):
-                self.next()
-                left = _operator(tok.value, [left, self.parse_multiplicative()])
-            else:
-                return left
+        return self._chain(self.parse_multiplicative, "OP", ("+", "-"))
 
     def parse_multiplicative(self) -> SkeletonNode:
-        left = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "OP" and tok.value in ("*", "/", "%", "||"):
-                self.next()
-                left = _operator(tok.value, [left, self.parse_unary()])
-            else:
-                return left
+        return self._chain(self.parse_unary, "OP", ("*", "/", "%", "||"))
 
     def parse_unary(self) -> SkeletonNode:
         tok = self.peek()
