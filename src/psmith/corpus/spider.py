@@ -147,7 +147,8 @@ def _ss_record(question: str, sub_questions: tuple[str, ...], natsql_steps: tupl
     return DecompositionRecord(question, sub_questions, natsql_steps, query)
 
 
-def load_spider_ss(directory: str | Path) -> dict[str, DecompositionRecord]:
-    """Load Spider-SS decompositions keyed by the exact NL question text."""
-    return {record.nl: record for record in read_rows(Path(directory) / "spider_ss.json",
-                                                      _ss_record)}
+def load_spider_ss(directory: str | Path) -> dict[tuple[str, str], DecompositionRecord]:
+    """Load Spider-SS decompositions keyed by the exact question and query
+    texts, so two rows that share a question keep their own."""
+    return {(record.nl, record.gold_sql): record
+            for record in read_rows(Path(directory) / "spider_ss.json", _ss_record)}

@@ -251,7 +251,7 @@ def adapt_exemplars(exemplars, train_databases, target_schema, client, *,
 
     Per-exemplar failures, of an adaptation or of a decomposition draft,
     are returned for the caller to report, neither logged nor fatal. With
-    ``draft_records`` (NL -> DecompositionRecord) and ``draft_context``
+    ``draft_records`` ((NL, SQL) -> DecompositionRecord) and ``draft_context``
     (train databases for the few-shot schemas), machine drafts of the
     decompositions are also generated for each adapted exemplar, from
     prompts whose exemplars end in the chain-of-thought line when

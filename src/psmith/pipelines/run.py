@@ -140,11 +140,11 @@ class PipelineOutcome:
 
 
 def shots_for(mode: str, exemplars: list[AnnotatedExample] | None = None,
-              ss_records: dict[str, DecompositionRecord] | None = None,
+              ss_records: dict[tuple[str, str], DecompositionRecord] | None = None,
               bundle: AdaptationBundle | None = None) -> list[Shot]:
     """The shots every query of a *mode* run shows: the report's exemplars
     in the generic modes, with their Spider-SS decompositions (``ss_records``,
-    by NL) in ltmp-gp; the bundle's adapted exemplars in the domain modes,
+    by question and query) in ltmp-gp; the bundle's adapted exemplars in the domain modes,
     which ltmp-da-gp needs decomposed. Each shot's id is the exemplar_id of
     the training query it came from."""
     spec = MODES[mode]
@@ -162,9 +162,10 @@ def shots_for(mode: str, exemplars: list[AnnotatedExample] | None = None,
     for item in exemplars:
         chain = ()
         if spec.ltmp:
-            record = (ss_records or {}).get(item.nl)
+            record = (ss_records or {}).get((item.nl, item.sql))
             if record is None:
-                raise MissingAdaptation(f"no decomposition record for exemplar NL {item.nl!r}")
+                raise MissingAdaptation(f"no decomposition record for exemplar NL {item.nl!r} "
+                                        f"and SQL {item.sql!r}")
             chain = (record.sub_questions, record.natsql_steps)
         shots.append(Shot(exemplar_id(item), item.db_id, item.nl, item.sql, *chain))
     return shots
@@ -286,7 +287,7 @@ def run_pipeline(cfg: PipelineConfig, client: LlmClient,
                  test: AnnotatedDataset,
                  train: AnnotatedDataset | None = None,
                  exemplars: list[AnnotatedExample] | None = None,
-                 ss_records: dict[str, DecompositionRecord] | None = None,
+                 ss_records: dict[tuple[str, str], DecompositionRecord] | None = None,
                  bundle: AdaptationBundle | None = None,
                  target_profile=None,
                  out_dir: str | Path | None = None) -> PipelineOutcome:

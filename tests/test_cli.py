@@ -95,6 +95,17 @@ def test_sample_coverage_warning_exit(runner, tmp_path):
     assert "unattainable" in result.stderr
 
 
+def test_sample_exits_4_when_the_sole_cover_exemplars_overflow_the_budget(runner, spider_dir,
+                                                                         tmp_path):
+    out = tmp_path / "report.jsonl"
+    result = runner.invoke(main, ["sample", "--train", str(spider_dir), "--out", str(out),
+                                  "--budget-limit", "1000"])
+    assert result.exit_code == 4
+    assert "budget exceeded: cannot fit 17 sole-cover exemplars into 1000 tokens" \
+        in result.stderr
+    assert not out.exists()
+
+
 def test_adapt_dry_run(runner, spider_dir, kaggledbqa_dir, tmp_path):
     report = tmp_path / "report.jsonl"
     assert runner.invoke(main, ["sample", "--train", str(spider_dir),
@@ -343,6 +354,30 @@ def test_eval_command(runner, kaggledbqa_dir, tmp_path):
     assert result.exit_code == 0, result.output
     assert "100.00" in result.output
     assert (tmp_path / "report" / "report.jsonl").exists()
+
+
+def test_eval_exits_5_and_reports_a_gold_query_that_fails(runner, kaggledbqa_dir, tmp_path):
+    import shutil
+
+    test = tmp_path / "test"
+    shutil.copytree(kaggledbqa_dir, test)
+    examples = test / "examples" / f"{fixturelib.NUCLEAR_DB}.json"
+    rows = json.loads(examples.read_text(encoding="utf-8"))
+    rows[2]["query"] = "SELECT NoSuchColumn FROM nuclear_power_plants"
+    examples.write_text(json.dumps(rows), encoding="utf-8")
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text("".join(json.dumps({"db_id": fixturelib.NUCLEAR_DB,
+                                               "question": q, "sql": sql}) + "\n"
+                                   for q, sql in fixturelib.nuclear_questions()))
+    result = runner.invoke(main, ["eval", "--predictions", str(predictions),
+                                  "--test", str(test), "--out", str(tmp_path / "report")])
+    assert result.exit_code == 5
+    text = (tmp_path / "report" / "report.txt").read_text(encoding="utf-8")
+    assert "\nDATASET DEFECTS (excluded from the denominator):\n" \
+           f"  {fixturelib.NUCLEAR_DB}: gold failed: " in text
+    assert f"{'TOTAL':<28}  {21:>7}  {21:>5}  {100.0:6.2f}" in text
+    overall = json.loads((tmp_path / "report" / "report.jsonl").read_text().splitlines()[0])
+    assert (overall["defects"], overall["correct"], overall["total"]) == (1, 21, 21)
 
 
 def test_the_eval_report_names_what_it_scored(runner, kaggledbqa_dir, tmp_path):

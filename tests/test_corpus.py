@@ -115,7 +115,8 @@ def test_train_test_disjoint(train_dataset, test_dataset):
 
 def test_load_spider_ss(spider_ss_dir):
     records = load_spider_ss(spider_ss_dir)
-    record = records["Find the buildings which have rooms with capacity more than 50."]
+    record = records[("Find the buildings which have rooms with capacity more than 50.",
+                      "SELECT DISTINCT building FROM classroom WHERE capacity > 50")]
     assert record.sub_questions == ("Find the buildings",
                                     "which have rooms with capacity more than 50.")
     assert record.natsql_steps == ("select distinct classroom.building",

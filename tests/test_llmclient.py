@@ -323,6 +323,20 @@ def test_live_retries_then_succeeds(monkeypatch, tmp_path):
     assert len(attempts) == 3
 
 
+def test_live_retries_a_server_error_then_serves(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("psmith.llmclient.time.sleep", sleeps.append)
+    statuses = [503, 200]
+
+    def failing_once(url, payload, headers, timeout):
+        return statuses.pop(0), {"choices": [{"text": "SELECT ok"}], "usage": {}}, None
+
+    client = LlmClient(mode="live", transport=failing_once, model="test-model",
+                       api_base="http://example.invalid")
+    assert client.generate(make_request()).text == "SELECT ok"
+    assert statuses == [] and sleeps == [1.0]
+
+
 def test_live_gives_up_after_bounded_retries(monkeypatch):
     monkeypatch.setattr("time.sleep", lambda s: None)
 

@@ -408,6 +408,25 @@ def test_chains_require_decompositions(train_dataset):
         shots_for("ltmp-da-gp", bundle=make_bundle(train_dataset, with_decompositions=False))
 
 
+def test_exemplars_sharing_a_question_keep_their_own_decompositions(tmp_path):
+    """Spider-SS rows join their exemplars by question and query: two rows
+    that share a question give each exemplar its own decomposition."""
+    from psmith.corpus import load_spider_ss
+
+    nl = "How many rows are there?"
+    rows = [{"db_id": db_id, "question": nl, "query": f"SELECT count(*) FROM {table}",
+             "sub_questions": [f"count the {table} rows"],
+             "natsql_steps": [f"select count(*) from {table}"]}
+            for db_id, table in (("first", "t"), ("second", "u"))]
+    (tmp_path / "spider_ss.json").write_text(json.dumps(rows), encoding="utf-8")
+    exemplars = [Exemplar(row["db_id"], nl, row["query"], extract_operators(row["query"]))
+                 for row in rows]
+    shots = shots_for("ltmp-gp", exemplars, load_spider_ss(tmp_path))
+    assert [(shot.sub_questions, shot.natsql_steps) for shot in shots] == [
+        (("count the t rows",), ("select count(*) from t",)),
+        (("count the u rows",), ("select count(*) from u",))]
+
+
 # --- run_pipeline plumbed end to end on a scripted store ---------------------------------
 
 def test_run_gp_pipeline_identity(tmp_path, train_dataset, test_dataset):
@@ -775,6 +794,37 @@ def test_run_stage2_checks_arity_and_keeps_the_completion(tmp_path, train_datase
     stages = journal(tmp_path / "run")[(example.db_id, 0)]["stages"]
     assert stages[1]["completion"] == " ['only one step']"
     assert len(stages) == 2  # no stage-3 prompt
+
+
+def test_a_stage2_completion_holding_no_list_is_journaled_as_unparseable_steps(
+        tmp_path, train_dataset, test_dataset, spider_ss_dir):
+    from psmith.corpus import load_spider_ss
+    from psmith.corpus.types import AnnotatedDataset
+    from psmith.sampler import sample_exemplars
+    from test_promptforge import build_prompt
+
+    exemplars = sample_exemplars(train_dataset).exemplars
+    records = load_spider_ss(spider_ss_dir)
+    example = next(ex for ex in test_dataset.examples if ex.db_id == fixturelib.NUCLEAR_DB)
+    common = dict(mode="ltmp-gp", shots=shots_for("ltmp-gp", exemplars, records),
+                  test_nl=example.nl, databases=train_dataset.databases,
+                  schema=test_dataset.databases[example.db_id])
+    probe = LlmClient(mode="replay", replay_store=ReplayStore(), model="offline-model")
+    client = scripted_client(tmp_path, [
+        (probe.request(build_prompt(stage=1, **common).text, stop=["\n"]), ["['the question']"]),
+        (probe.request(build_prompt(stage=2, test_sub_questions=("the question",), **common).text,
+                       stop=["\n"]), [" []"]),
+    ])
+    outcome = run_pipeline(PipelineConfig(mode="ltmp-gp"), client,
+                           AnnotatedDataset(test_dataset.databases, [example], "test"),
+                           train=train_dataset, exemplars=exemplars, ss_records=records,
+                           out_dir=tmp_path / "run")
+    message = "UnparseableSteps: could not parse intermediate steps from: ' []'"
+    assert outcome.errors == [((example.db_id, example.nl), message)]
+    record = journal(tmp_path / "run")[(example.db_id, 0)]
+    assert record["error"] == message
+    assert [stage["completion"] for stage in record["stages"]] == ["['the question']", " []"]
+    assert record["final_sql"] == ""
 
 
 def committed_bundle_run(tmp_path, train_dataset, test_dataset, spider_ss_dir):
