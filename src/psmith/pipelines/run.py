@@ -144,9 +144,9 @@ def shots_for(mode: str, exemplars: list[AnnotatedExample] | None = None,
               bundle: AdaptationBundle | None = None) -> list[Shot]:
     """The shots every query of a *mode* run shows: the report's exemplars
     in the generic modes, with their Spider-SS decompositions (``ss_records``,
-    by question and query) in ltmp-gp; the bundle's adapted exemplars in the domain modes,
-    which ltmp-da-gp needs decomposed. Each shot's id is the exemplar_id of
-    the training query it came from."""
+    by question and query) in ltmp-gp; the bundle's adapted exemplars in the
+    domain modes, which ltmp-da-gp needs decomposed. Each shot's id is the
+    exemplar_id of the training query it came from."""
     spec = MODES[mode]
     shots = []
     if spec.domain:

@@ -154,7 +154,7 @@ def _bracketed(items: Iterable[str], item_template: str) -> str:
     return "[" + ", ".join(item_template.replace("{text}", item) for item in items) + "]"
 
 
-def _decomposition_lines(tpl: dict[str, str], sub_questions: Sequence[str],
+def _decomposition_lines(tpl: Mapping[str, str], sub_questions: Sequence[str],
                          steps: Sequence[str]) -> list[str]:
     return [tpl["subquestions_prefix"] + _bracketed(sub_questions, tpl["subquestion_item"]),
             tpl["steps_prefix"] + _bracketed(steps, tpl["step_item"])]

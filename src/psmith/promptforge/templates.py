@@ -8,14 +8,16 @@ byte of prompt punctuation and are the source of truth for prompt layout.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from importlib import resources
+from types import MappingProxyType
 
 
 @functools.cache
-def load_template(mode: str) -> dict[str, str]:
+def load_template(mode: str) -> Mapping[str, str]:
     """The fragments, by name, of the template for a prompt mode (``gp``,
-    ``da_gp``, ``ltmp_gp``, ``ltmp_da_gp``, ``adapt_sql``, ``adapt_nl``).
-    Loaded once and shared: callers only read it."""
+    ``da_gp``, ``ltmp_gp``, ``ltmp_da_gp``, ``adapt_sql``, ``adapt_nl``):
+    loaded once, and shared read-only."""
     text = resources.files("psmith.templates").joinpath(f"{mode}.txt").read_text("utf-8")
     fragments: dict[str, str] = {}
     current: str | None = None
@@ -33,4 +35,4 @@ def load_template(mode: str) -> dict[str, str]:
         if buffer and buffer[-1] == "":
             buffer.pop()
         fragments[current] = "\n".join(buffer)
-    return fragments
+    return MappingProxyType(fragments)

@@ -10,6 +10,8 @@ before execution).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from ..errors import ParseError
 from .skeleton import PLACEHOLDER, SkeletonNode, _clause, _negated, _node, _operator
 from .tokenizer import Token, tokenize
@@ -193,7 +195,8 @@ class _Parser:
 
     # -- expressions, lowest to highest precedence --
 
-    def _chain(self, operand, kind: str, ops: tuple[str, ...]) -> SkeletonNode:
+    def _chain(self, operand: Callable[[], SkeletonNode], kind: str,
+               ops: tuple[str, ...]) -> SkeletonNode:
         """Left-associative: *operand*s joined by *kind* tokens whose value
         is one of *ops*."""
         left = operand()
@@ -368,7 +371,8 @@ def parse_sql(sql: str) -> SkeletonNode:
     value names the kind), and the upper-cased name of an identifier before
     ``(``. Texts of one shape take one path through the grammar to equal
     skeletons with equal claims, so the memo is exact. A failed parse is not
-    kept: its ParseError names its own text and offset.
+    kept: its ParseError names its own text and offset. Nesting deeper than
+    the interpreter's recursion limit allows is a ParseError too.
     """
     if not sql or not sql.strip():
         raise ParseError("empty SQL text")
@@ -376,7 +380,10 @@ def parse_sql(sql: str) -> SkeletonNode:
     shape = _shape(tokens)
     query = _SKELETONS.get(shape)
     if query is None:
-        query = _Parser(tokens, sql).parse_query()
+        try:
+            query = _Parser(tokens, sql).parse_query()
+        except RecursionError:
+            raise ParseError(f"nesting too deep in {sql!r}") from None
         if len(_SKELETONS) >= _SKELETONS_HELD:
             _SKELETONS.clear()
         _SKELETONS[shape] = query

@@ -585,6 +585,12 @@ def test_a_function_named_like_a_clause_keeps_its_own_claims():
     assert PrimitiveOp("clause", "SUBQUERY") not in extract_operators(function)
 
 
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    sql = "SELECT a FROM t WHERE b = " + "(" * 5000 + "1" + ")" * 5000
+    with pytest.raises(ParseError, match="^nesting too deep in 'SELECT a FROM t"):
+        parse_sql(sql)
+
+
 def test_each_failing_text_of_a_shape_names_its_own_offset_and_text():
     first, second = "SELECT a FROM t WHERE b = 1 c", "SELECT abc FROM tab WHERE bcd = 100 cde"
     assert parser_module._shape(tokenize(first)) == parser_module._shape(tokenize(second))
