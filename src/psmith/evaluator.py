@@ -314,7 +314,7 @@ FAIL_COMPARE_TIMEOUT = "CompareTimeout"
 class EvalReport:
     per_db: dict[str, tuple[int, int, float]]  # db -> (correct, total, %ex)
     overall_ex: float
-    failures: list[tuple[str, str]]            # (question, failure kind)
+    failures: list[tuple[str, str, str]]       # (db_id, question, failure kind)
     dataset_defects: list[str] = field(default_factory=list)
 
     @property
@@ -376,7 +376,7 @@ def evaluate(predictions: dict[tuple[str, str], str],
             raise MissingGold(f"prediction {key!r} has no gold example")
 
     counts: dict[str, list[int]] = {}
-    failures: list[tuple[str, str]] = []
+    failures: list[tuple[str, str, str]] = []
     defects: list[str] = []
 
     # thread -> its connection and that connection's database; each thread
@@ -417,7 +417,7 @@ def evaluate(predictions: dict[tuple[str, str], str],
         if verdict is None:
             bucket[0] += 1
         else:
-            failures.append((example.nl, verdict))
+            failures.append((example.db_id, example.nl, verdict))
 
     per_db = {
         db: (correct, total, 100.0 * correct / total if total else 0.0)
@@ -446,7 +446,7 @@ def format_report(report: EvalReport) -> str:
     if report.failures:
         lines.append("")
         lines.append(f"failures: {len(report.failures)}")
-        for kind, count in sorted(Counter(k for _, k in report.failures).items()):
+        for kind, count in sorted(Counter(k for *_, k in report.failures).items()):
             lines.append(f"  {kind}: {count}")
     return "\n".join(lines)
 
@@ -460,6 +460,6 @@ def report_records(report: EvalReport, **scored) -> list[dict]:
              **scored},
             *({"kind": "db", "db_id": db, "correct": correct, "total": total,
                "ex": round(ex, 4)} for db, (correct, total, ex) in report.per_db.items()),
-            *({"kind": "failure", "failure": kind, "question": question}
-              for question, kind in report.failures),
+            *({"kind": "failure", "failure": kind, "db_id": db_id, "question": question}
+              for db_id, question, kind in report.failures),
             *({"kind": "defect", "detail": defect} for defect in report.dataset_defects)]

@@ -111,8 +111,9 @@ def sample_exemplars(dataset: AnnotatedDataset,
     note, each exemplar database's schema and the exemplars), within
     ``budget.limit`` tokens by redundant-first pruning. A run's prompts add
     the test schema and question and are budget-checked whole, per query.
-    Each distinct SQL text is analysed once; unparseable SQL is skipped,
-    with one warning per text.
+    Each distinct SQL text is read once, by one tokenizer pass, and each
+    token shape is walked once (see ``extract_operators``); unparseable SQL
+    is skipped, with one warning per text.
 
     Catalog ops unattainable from the corpus are reported, not fatal.
     Raises BudgetExceeded only when a sole-cover exemplar would have to go.

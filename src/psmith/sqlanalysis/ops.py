@@ -20,6 +20,7 @@ from pathlib import Path
 from ..errors import MalformedManifest
 from ..records import read_text
 from .parser import parse_sql
+from .skeleton import SkeletonNode
 
 logger = logging.getLogger(__name__)
 
@@ -79,24 +80,43 @@ def _canonical(kind: str, name: str) -> PrimitiveOp:
     return PrimitiveOp(kind, OPERATOR_ALIASES.get(name, name) if kind == "operator" else name)
 
 
+def _claims(skeleton: SkeletonNode) -> frozenset[PrimitiveOp]:
+    """The ops the claims of *skeleton*'s nodes stand for, catalogued or not."""
+    found: set[tuple[str, str]] = set()
+    stack = [skeleton]
+    while stack:
+        node = stack.pop()
+        found.update(node.claims)
+        stack.extend(node.children)
+    return frozenset(_canonical(*claim) for claim in found)
+
+
 def extract_operators(sql: str,
                       catalog: frozenset[PrimitiveOp] | None = None) -> frozenset[PrimitiveOp]:
     """The set of canonical catalog members syntactically present in *sql*.
 
     Deterministic and idempotent; subqueries are included. Claims outside
-    the catalog are logged at WARNING. Raises ParseError when the SQL does
-    not parse.
+    the catalog are logged at WARNING, once per call, naming *sql*. Raises
+    ParseError when the SQL does not parse.
+
+    Each shape is walked once: every text of a token shape shares one
+    skeleton (see ``parse_sql``), and the skeleton keeps its claims and
+    their reading against the catalog in use, so a text of a known shape
+    costs the tokenizer's pass and two lookups.
     """
     if catalog is None:
         catalog = default_catalog()
-    found: set[tuple[str, str]] = set()
-    stack = [parse_sql(sql)]
-    while stack:
-        node = stack.pop()
-        found.update(node.claims)
-        stack.extend(node.children)
-    claims = frozenset(_canonical(*claim) for claim in found)
-    if unknown := sorted(claims - catalog):
-        logger.warning("constructs outside the primitive-op catalog in %r: %s",
-                       sql, ", ".join(map(str, unknown)))
-    return claims & catalog
+    skeleton = parse_sql(sql)
+    # the skeleton keeps (catalog, claims, ops, uncatalogued) and goes with its
+    # memo entry; the tuple is replaced whole, so a thread reads one catalog's
+    # reading and a write lost to another thread costs a recomputation; a
+    # catalog is told by identity
+    kept = skeleton._ops
+    if kept is None or kept[0] is not catalog:
+        claims = _claims(skeleton) if kept is None else kept[1]
+        kept = (catalog, claims, claims & catalog, ", ".join(map(str, sorted(claims - catalog))))
+        object.__setattr__(skeleton, "_ops", kept)  # the skeleton is frozen
+    _, _, ops, unknown = kept
+    if unknown:
+        logger.warning("constructs outside the primitive-op catalog in %r: %s", sql, unknown)
+    return ops

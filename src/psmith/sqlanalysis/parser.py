@@ -4,8 +4,8 @@ Spider-style corpora.
 The parser builds the query's skeleton directly (see ``skeleton``):
 identifiers and literals become placeholder leaves, and every node records
 the primitive operations of the construct it was built from. Nothing else
-of the SQL is kept. DML/DDL is out of scope here (the evaluator rejects it
-before execution).
+of the SQL is kept, and each token shape is parsed once (``parse_sql``).
+DML/DDL is out of scope here (the evaluator rejects it before execution).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections.abc import Callable
 
 from ..errors import ParseError
 from .skeleton import PLACEHOLDER, SkeletonNode, _clause, _negated, _node, _operator
-from .tokenizer import Token, tokenize
+from .tokenizer import Token, _scan, _tokens
 
 # Identifiers and literals render alike; a literal is always this one leaf,
 # so a sign in front of it can be told from arithmetic negation.
@@ -31,15 +31,16 @@ COMPOUND_OPS = {"UNION", "INTERSECT", "EXCEPT"}
 
 class _Parser:
     def __init__(self, tokens: list[Token], sql: str):
-        self.tokens = tokens
+        self.tokens = [*tokens, None]  # the end reads as None
         self.sql = sql
         self.i = 0
 
     # -- token plumbing --
 
     def peek(self, offset: int = 0) -> Token | None:
-        j = self.i + offset
-        return self.tokens[j] if j < len(self.tokens) else None
+        """The token *offset* past the next one; *offset* 1 only when there
+        is a next token."""
+        return self.tokens[self.i + offset]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -348,15 +349,6 @@ class _Parser:
         return _clause("CASE", parts)
 
 
-def _shape(tokens: list[Token]) -> tuple:
-    """What ``_Parser`` reads of *tokens* (see ``parse_sql``)."""
-    shape = [t.kind if t.kind in ("IDENT", "STRING", "NUMBER") else t.value for t in tokens]
-    for i, item in enumerate(shape):
-        if item == "(" and i and shape[i - 1] == "IDENT":
-            shape[i - 1] = ("IDENT", tokens[i - 1].value.upper())
-    return tuple(shape)
-
-
 def parse_sql(sql: str) -> SkeletonNode:
     """Parse one SELECT statement (an optional trailing semicolon is allowed)
     into its skeleton, rooted at ``QUERY``.
@@ -366,22 +358,22 @@ def parse_sql(sql: str) -> SkeletonNode:
     SELECT-FROM-WHERE-GROUP BY-HAVING-ORDER BY-LIMIT spine.
     Raises ParseError for SQL outside the supported grammar.
 
-    Each token shape is parsed once. The shape is all the parser reads: each
-    token's kind, the value of a keyword, operator or punctuation token (the
-    value names the kind), and the upper-cased name of an identifier before
-    ``(``. Texts of one shape take one path through the grammar to equal
-    skeletons with equal claims, so the memo is exact. A failed parse is not
-    kept: its ParseError names its own text and offset. Nesting deeper than
-    the interpreter's recursion limit allows is a ParseError too.
+    Each token shape is parsed once. The shape is all the parser reads of
+    the tokens (see ``tokenizer._scan``), and the tokenizer's one pass gives
+    it; tokens are built only for a shape not yet parsed. Texts of one shape
+    take one path through the grammar to equal skeletons with equal claims,
+    so the memo is exact, and every text of a shape shares one skeleton. A
+    failed parse is not kept: its ParseError names its own text and offset.
+    Nesting deeper than the interpreter's recursion limit allows is a
+    ParseError too.
     """
     if not sql or not sql.strip():
         raise ParseError("empty SQL text")
-    tokens = tokenize(sql)
-    shape = _shape(tokens)
+    shape, matches = _scan(sql)
     query = _SKELETONS.get(shape)
     if query is None:
         try:
-            query = _Parser(tokens, sql).parse_query()
+            query = _Parser(_tokens(matches), sql).parse_query()
         except RecursionError:
             raise ParseError(f"nesting too deep in {sql!r}") from None
         if len(_SKELETONS) >= _SKELETONS_HELD:

@@ -27,6 +27,9 @@ class SkeletonNode:
     # (kind, name) claims of the construct this node was built from; they
     # take no part in equality, so distances and rendering see labels only
     claims: tuple[tuple[str, str], ...] = field(default=(), compare=False, repr=False)
+    # not a field: on a parsed statement's root, ``ops.extract_operators``
+    # keeps the tree's claims and their reading against a catalog here
+    _ops = None
 
     def render(self) -> str:
         if not self.children:

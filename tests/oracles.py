@@ -8,7 +8,8 @@ profiles one column after another on one connection, reading every
 column's pool of distinct values before it asks for a range; the
 evaluation oracle scores one pair after another, each on a fresh
 connection that executes both gold and the prediction; the tokenizer oracle
-matches one token at a time, anchored where the last one ended.
+matches one token at a time, anchored where the last one ended, and the
+shape oracle reads the token shape off its tokens.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def evaluation_oracle(predictions: dict, gold: AnnotatedDataset,
         if verdict is None:
             bucket[0] += 1
         else:
-            failures.append((example.nl, verdict))
+            failures.append((example.db_id, example.nl, verdict))
     per_db = {db: (correct, total, 100.0 * correct / total)
               for db, (correct, total) in sorted(counts.items())}
     total = sum(t for _, t in counts.values())
@@ -251,3 +252,19 @@ def tokenize_oracle(sql: str) -> list[tuple[str, str, int]]:
         else:
             tokens.append(("PUNCT", text, m.start()))
     return tokens
+
+
+def shape_oracle(sql: str) -> tuple:
+    """*sql*'s token shape, read off ``tokenize_oracle``'s tokens: the kind of
+    a literal or an identifier, the value of any other token, and
+    ("IDENT", NAME) for an identifier the next token opens a call on."""
+    tokens = tokenize_oracle(sql)
+    shape = []
+    for i, (kind, value, _) in enumerate(tokens):
+        if kind == "IDENT" and tokens[i + 1:i + 2] and tokens[i + 1][:2] == ("PUNCT", "("):
+            shape.append(("IDENT", value.upper()))
+        elif kind in ("IDENT", "STRING", "NUMBER"):
+            shape.append(kind)
+        else:
+            shape.append(value)
+    return tuple(shape)

@@ -282,7 +282,7 @@ def test_c9_safety(kaggledbqa_dir, test_dataset):
                for ex in nuclear}
     report = evaluate(hostile, dataset)
     assert report.overall_ex == 0.0
-    assert all(kind == "ExecError" for _, kind in report.failures)
+    assert all(kind == "ExecError" for *_, kind in report.failures)
 
     checksum_after = hashlib.sha256(db_path.read_bytes()).hexdigest()
     assert checksum_before == checksum_after

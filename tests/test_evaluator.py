@@ -430,7 +430,7 @@ def test_evaluate_hand_counted_fixture(tmp_path):
     assert report.per_db["two"][:2] == (1, 2)
     assert report.per_db["three"][:2] == (0, 2)
     assert report.overall_ex == pytest.approx(37.5)
-    kinds = sorted(kind for _, kind in report.failures)
+    kinds = sorted(kind for *_, kind in report.failures)
     assert kinds == ["EmptyPrediction", "ExecError", "Mismatch", "Mismatch", "Mismatch"]
 
 
@@ -439,7 +439,7 @@ def test_evaluate_all_empty_predictions(tmp_path):
                                              ("q2", "SELECT b FROM t")]})
     report = evaluate({(ex.db_id, ex.nl): "" for ex in dataset.examples}, dataset)
     assert report.overall_ex == 0.0
-    assert all(kind == "EmptyPrediction" for _, kind in report.failures)
+    assert all(kind == "EmptyPrediction" for *_, kind in report.failures)
 
 
 def test_evaluate_missing_gold(tmp_path):
@@ -464,7 +464,7 @@ def test_evaluate_fetches_at_most_one_row_past_gold(tmp_path):
     cut = execute_sql(tmp_path / "db.sqlite", cross_join, within=gold)
     assert cut.truncated and len(cut.rows) == len(gold.rows) + 1
     report = evaluate({("db", "q"): cross_join}, dataset, timeout_s=2.0)
-    assert report.failures == [("q", "Mismatch")]
+    assert report.failures == [("db", "q", "Mismatch")]
 
 
 # a child process's own peak resident set, in MB, as the child's code that
@@ -523,7 +523,7 @@ def test_evaluate_an_error_past_the_row_bound_is_a_mismatch(tmp_path):
     predictions = {("db", ex.nl): "SELECT abs(x) FROM u" for ex in dataset.examples}
     predictions["db", "row 4 fails"] = "SELECT abs(x) FROM w"
     report = evaluate(predictions, dataset)
-    assert dict(report.failures) == {
+    assert {question: kind for _, question, kind in report.failures} == {
         "row 3 fails": "Mismatch", "row 4 fails": "Mismatch",
         "row 3 fails, gold has 2": "ExecError", "row 3 fails, gold has 0": "Mismatch"}
 
@@ -543,9 +543,9 @@ def test_evaluate_scores_a_comparison_past_the_timeout(tmp_path):
     report = evaluate(predictions, dataset, timeout_s=0.5)
     assert time.perf_counter() - started < 1.5
     assert report.per_db["db"][:2] == (1, 2)
-    assert report.failures == [("slow", "CompareTimeout")]
+    assert report.failures == [("db", "slow", "CompareTimeout")]
     assert "  CompareTimeout: 1" in format_report(report).splitlines()
-    assert {"kind": "failure", "failure": "CompareTimeout",
+    assert {"kind": "failure", "failure": "CompareTimeout", "db_id": "db",
             "question": "slow"} in report_records(report)
 
 
@@ -584,8 +584,8 @@ def test_evaluate_report_does_not_depend_on_the_thread_count(tmp_path, monkeypat
     report, lines = outcomes[0]
     assert report.per_db == {"one": (2, 3, pytest.approx(200 / 3)),
                              "two": (1, 3, pytest.approx(100 / 3))}
-    assert report.failures == [("exec error", "ExecError"), ("mismatch", "Mismatch"),
-                               ("empty", "EmptyPrediction")]
+    assert report.failures == [("one", "exec error", "ExecError"),
+                               ("two", "mismatch", "Mismatch"), ("two", "empty", "EmptyPrediction")]
     assert [d.split(":")[0] for d in report.dataset_defects] == ["gone", "one"]
     assert len(lines) == 2 and "gone" in lines[0] and "nothing" in lines[1]
     assert all(outcome == outcomes[0] for outcome in outcomes)
@@ -756,7 +756,7 @@ def test_evaluate_gives_the_report_of_a_fresh_connection_per_pair(three_database
             identical.add(f"q{index}")
     dataset = AnnotatedDataset(databases=databases, examples=examples, role="test")
     expected = evaluation_oracle(predictions, dataset)
-    assert not identical & {question for question, _ in expected.failures}
+    assert not identical & {question for _, question, _ in expected.failures}
     with pytest.MonkeyPatch.context() as patch:
         for threads in (1, 2, 5):
             patch.setattr(evaluator_module, "usable_cores", lambda: threads)

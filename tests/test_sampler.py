@@ -76,7 +76,7 @@ def test_sample_skips_unparseable_rows(train_dataset, caplog):
 
 
 def test_sample_extracts_ops_once_per_example(train_dataset, monkeypatch, caplog):
-    """Each distinct SQL text is analysed once; every fixture training
+    """extract_operators runs once per distinct SQL text; every fixture training
     example has its own text, so that is once per example."""
     import psmith.sampler
 
@@ -113,6 +113,51 @@ def test_sample_analyses_a_repeated_sql_text_once(train_dataset, monkeypatch, ca
     assert sorted(calls) == sorted(ex.sql for ex in train_dataset.examples)
     assert caplog.text.count("skipping unparseable training SQL") == 1
     assert result.exemplars == sample_exemplars(train_dataset).exemplars
+
+
+def _dataset(*sqls: str):
+    from psmith.corpus.types import AnnotatedDataset, AnnotatedExample, SchemaProfile
+
+    return AnnotatedDataset(
+        databases={"db": SchemaProfile("db", ())},
+        examples=[AnnotatedExample("db", f"q{i}", sql) for i, sql in enumerate(sqls)],
+        role="train")
+
+
+def test_each_unparseable_text_of_a_shape_gets_its_own_skip_warning(caplog):
+    from psmith.sqlanalysis import parser
+
+    first, second = "SELECT a FROM t WHERE b = 1 c", "SELECT abc FROM tab WHERE bcd = 100 cde"
+    parser._SKELETONS.clear()
+    with caplog.at_level("WARNING", logger="psmith.sampler"):
+        sample_exemplars(_dataset(first, second, "SELECT a FROM t"))
+    skips = [record.getMessage() for record in caplog.records
+             if record.getMessage().startswith("skipping unparseable")]
+    assert len(skips) == 2
+    for sql, message in zip((first, second), skips):
+        assert message.startswith(f"skipping unparseable training SQL {sql!r}: ")
+        assert f"offset {sql.rindex(' ') + 1} " in message
+
+
+def test_sampling_walks_each_shape_once(monkeypatch):
+    """N distinct texts of K token shapes: the claims walk runs K times."""
+    from psmith.sqlanalysis import ops, parser
+
+    rng = random.Random(3)
+    templates = ["SELECT {c} FROM {t}",
+                 "SELECT {c}, count(*) FROM {t} WHERE {c} > {n} GROUP BY {c}",
+                 "SELECT max({c}) FROM {t} WHERE {c} LIKE '%{c}%'",
+                 "SELECT {c} FROM {t} WHERE {c} IN (SELECT {c} FROM {t}) ORDER BY {c} LIMIT {n}"]
+    texts = list(dict.fromkeys(
+        template.format(c=rng.choice(["a", "name", "[Year]", "b1"]), t=rng.choice(["t", "u"]),
+                        n=rng.randrange(1000))
+        for template in templates for _ in range(30)))
+    assert len(texts) > 2 * len(templates)
+    walks = []
+    monkeypatch.setattr(ops, "_claims", lambda node, walk=ops._claims: walks.append(node) or walk(node))
+    parser._SKELETONS.clear()
+    sample_exemplars(_dataset(*texts))
+    assert len(walks) == len(templates)
 
 
 def test_single_superset_example():

@@ -1,17 +1,15 @@
 from __future__ import annotations
 
-import contextlib
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psmith.sqlanalysis.ops as ops_module
-from oracles import ted_oracle, tokenize_oracle
+from oracles import shape_oracle, ted_oracle, tokenize_oracle
 from psmith.errors import MalformedManifest, ParseError
 from psmith.sqlanalysis import (
     PrimitiveOp,
@@ -22,6 +20,7 @@ from psmith.sqlanalysis import (
     tree_edit_distance,
 )
 from psmith.sqlanalysis import parser as parser_module
+from psmith.sqlanalysis import tokenizer as tokenizer_module
 from psmith.sqlanalysis.skeleton import SkeletonNode
 from psmith.sqlanalysis.tokenizer import KEYWORDS, tokenize
 
@@ -422,6 +421,7 @@ def test_realistic_queries_parse_and_abstract(sql):
 SQL_ALPHABET = "aZ_09 .,;()*+-/%<>=!|'\"`[]\n\te\u00e9"
 SQL_FRAGMENTS = ["SELECT", "from", "a", "T1.x", "'it''s'", "'open", '"q id"', '"open', "`b`",
                  "[c", "[d e]", "1.5e3", ".5", "7", "<>", "!=", "||", "!", "\n", "  ", "(", ")"]
+OUT_OF_LEXICON = "?$@#~{}^\\\x00\u2019"
 SQL_TEXTS = st.one_of(st.text(alphabet=SQL_ALPHABET, max_size=40),
                       st.lists(st.sampled_from(SQL_FRAGMENTS), max_size=12).map("".join))
 
@@ -439,6 +439,29 @@ def test_tokenize_matches_the_match_loop_oracle(sql):
     assert _tokens(tokenize, sql) == _tokens(tokenize_oracle, sql)
 
 
+def _shape_or_error(shape_fn, sql: str):
+    try:
+        return shape_fn(sql)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sql=st.one_of(SQL_TEXTS, st.text(alphabet=SQL_ALPHABET + OUT_OF_LEXICON, max_size=40)))
+def test_the_one_pass_shape_matches_the_shape_oracle(sql):
+    """The tokenizer's pass gives the shape read off the oracle's tokens; a
+    text with a character outside the lexicon raises what tokenize raises,
+    and parse_sql raises that too."""
+    shape = _shape_or_error(lambda text: tokenizer_module._scan(text)[0], sql)
+    assert shape == _shape_or_error(shape_oracle, sql)
+    if isinstance(shape, str):
+        assert shape == _tokens(tokenize, sql)
+        if sql.strip():
+            with pytest.raises(ParseError) as parsed:
+                parse_sql(sql)
+            assert str(parsed.value) == shape
+
+
 def _fresh_parse(sql: str) -> SkeletonNode:
     """parse_sql without the memo."""
     return parser_module._Parser(tokenize(sql), sql).parse_query()
@@ -448,16 +471,30 @@ def _tree(node: SkeletonNode) -> tuple:
     return node.label, node.claims, tuple(_tree(child) for child in node.children)
 
 
-def _outcome(sql: str, memo: bool = True):
+def _walked_ops(skeleton: SkeletonNode, catalog: frozenset[PrimitiveOp]) -> frozenset:
+    """The catalog members a fresh walk of *skeleton*'s claims finds."""
+    found = {PrimitiveOp(kind, ops_module.OPERATOR_ALIASES.get(name, name)
+                         if kind == "operator" else name)
+             for node in _nodes(skeleton) for kind, name in node.claims}
+    return frozenset(found) & catalog
+
+
+def _nodes(node: SkeletonNode):
+    yield node
+    for child in node.children:
+        yield from _nodes(child)
+
+
+def _outcome(sql: str, memo: bool = True, catalog: frozenset[PrimitiveOp] | None = None):
     """*sql*'s skeleton as a (label, claims, children) tree and its extracted
-    operators, or its ParseError message; memo=False parses afresh."""
-    parse = parse_sql if memo else _fresh_parse
+    operators, or its ParseError message; memo=False parses and walks afresh."""
+    catalog = catalog or default_catalog()
     try:
-        tree = _tree(parse(sql))
+        skeleton = parse_sql(sql) if memo else _fresh_parse(sql)
     except ParseError as exc:
         return str(exc)
-    with contextlib.nullcontext() if memo else mock.patch.object(ops_module, "parse_sql", parse):
-        return tree, extract_operators(sql)
+    ops = extract_operators(sql, catalog) if memo else _walked_ops(skeleton, catalog)
+    return _tree(skeleton), ops
 
 
 # holes of a query template, each filled by one token: an identifier, a
@@ -566,7 +603,7 @@ def test_a_memoised_skeleton_equals_a_fresh_parse(data):
     warmed = _outcome(twin)
     outcome = _outcome(sql)
     assert outcome == _outcome(sql, memo=False)
-    if parser_module._shape(tokenize(twin)) == parser_module._shape(tokenize(sql)):
+    if shape_oracle(twin) == shape_oracle(sql):
         # one shape: both parse or both fail, and a failure is never kept
         assert isinstance(outcome, str) == isinstance(warmed, str)
         assert len(parser_module._SKELETONS) == (0 if isinstance(outcome, str) else 1)
@@ -593,7 +630,7 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error():
 
 def test_each_failing_text_of_a_shape_names_its_own_offset_and_text():
     first, second = "SELECT a FROM t WHERE b = 1 c", "SELECT abc FROM tab WHERE bcd = 100 cde"
-    assert parser_module._shape(tokenize(first)) == parser_module._shape(tokenize(second))
+    assert shape_oracle(first) == shape_oracle(second)
     parser_module._SKELETONS.clear()
     messages = []
     for sql in (first, second, first):
@@ -609,23 +646,61 @@ def test_each_failing_text_of_a_shape_names_its_own_offset_and_text():
 
 
 def test_threads_sharing_shapes_get_the_serial_results():
+    """Skeletons, operators and failures, under two catalogs at once, with
+    the memo emptied before each round."""
     rng = random.Random(7)
     templates = ["SELECT {c}, count(*) FROM {t} WHERE {c} > {n} GROUP BY {c}",
                  "SELECT subquery({c}) FROM {t} WHERE {c} IN (SELECT {c} FROM {t})",
                  'SELECT "SELECT"({c}) FROM {t} ORDER BY {c} DESC LIMIT {n}',
                  "SELECT {c} FROM {t} WHERE {c} LIKE '{c}%' {c}",
+                 "SELECT {c} % 2 FROM {t} WHERE {c} <= {n} OR {c} IS NULL",
                  "SELECT {c} FROM {t} WHERE"]
     texts = [template.format(c=rng.choice(["a", "name", "[Year]", '"x y"']),
                              t=rng.choice(["t", "singer", "`u`"]), n=rng.randrange(100))
              for template in templates for _ in range(40)]
     rng.shuffle(texts)
-    serial = [_outcome(sql, memo=False) for sql in texts]
+    small = frozenset({PrimitiveOp("clause", "SELECT"), PrimitiveOp("operator", "<"),
+                       PrimitiveOp("function", "COUNT"), PrimitiveOp("clause", "SUBQUERY")})
+    catalogs = [default_catalog() if i % 3 else small for i in range(len(texts))]
+    serial = [_outcome(sql, False, catalog) for sql, catalog in zip(texts, catalogs)]
+    assert {type(outcome) for outcome in serial} == {str, tuple}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads mid-lookup and mid-store
     try:
         for _ in range(3):
             parser_module._SKELETONS.clear()
             with ThreadPoolExecutor(8) as pool:
-                assert list(pool.map(_outcome, texts, timeout=60)) == serial
+                threaded = pool.map(_outcome, texts, [True] * len(texts), catalogs, timeout=60)
+                assert list(threaded) == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_the_memo_stays_exact_past_its_bound(caplog):
+    """More shapes than the memo holds: it never holds more, and a text
+    whose shape it dropped reads what a fresh walk reads."""
+    held = parser_module._SKELETONS_HELD
+    texts = [f"SELECT fn{i}(a) FROM t WHERE b {'<=' if i % 2 else '='} {i}"
+             for i in range(held + 100)]
+    parser_module._SKELETONS.clear()
+    with caplog.at_level("ERROR"):
+        for sql in texts:
+            extract_operators(sql)
+            assert len(parser_module._SKELETONS) <= held
+        assert len({shape_oracle(sql) for sql in texts}) == len(texts)
+        for sql in texts[:50] + [texts[0].replace("fn0", "max")]:
+            assert _outcome(sql) == _outcome(sql, memo=False)
+    assert len(parser_module._SKELETONS) <= held
+
+
+def test_each_text_of_a_shape_logs_its_own_warning(caplog):
+    first, second = "SELECT a % 2 FROM t", "SELECT bcd % 7 FROM tab"
+    assert shape_oracle(first) == shape_oracle(second)
+    parser_module._SKELETONS.clear()
+    with caplog.at_level("WARNING", logger="psmith.sqlanalysis.ops"):
+        for sql in (first, second, first):
+            assert extract_operators(sql) == {PrimitiveOp("clause", "SELECT"),
+                                              PrimitiveOp("clause", "FROM")}
+    assert [record.getMessage() for record in caplog.records] == [
+        f"constructs outside the primitive-op catalog in {sql!r}: operator:%"
+        for sql in (first, second, first)]
