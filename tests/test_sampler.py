@@ -154,7 +154,8 @@ def test_sampling_walks_each_shape_once(monkeypatch):
         for template in templates for _ in range(30)))
     assert len(texts) > 2 * len(templates)
     walks = []
-    monkeypatch.setattr(ops, "_claims", lambda node, walk=ops._claims: walks.append(node) or walk(node))
+    walk = ops._claims
+    monkeypatch.setattr(ops, "_claims", lambda node: walks.append(node) or walk(node))
     parser._SKELETONS.clear()
     sample_exemplars(_dataset(*texts))
     assert len(walks) == len(templates)
