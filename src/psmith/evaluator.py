@@ -9,18 +9,25 @@ holds at most gold's rows plus one, and gold's text and blob length plus
 one row. On Python 3.10, which cannot set the length limit, that one row is
 bounded only by sqlite's default limit of 10^9 bytes a value.
 ``check_executes``, adapt's executability check, refuses what execute_sql
-refuses and steps every row of the result inside sqlite, fetching none.
+refuses, with the same error (an EXPLAIN statement and input that holds no
+query too), and steps every row of a query's result inside sqlite, fetching
+none.
 Results are compared as row sequences when the gold query has a
 top-level ORDER BY and otherwise as multisets: equivalent when a perfect
 matching pairs their rows, with no row threshold. Two ints match only when
 equal; a pair with a float in it matches within 1e-6 relative tolerance. A
 comparison that runs past the statement timeout scores CompareTimeout.
 
-A prediction that is gold's text, stripped, scores correct once gold has
-run, without being executed or compared: the same text on the same
-read-only database is the same query, so nondeterministic gold (random(),
-date('now')) and gold that only just runs within the timeout are not
-rejected against themselves.
+Gold's rows are fetched only for a prediction that is compared with them.
+For an empty prediction, or one that is gold's text, stripped, gold is
+stepped inside sqlite by check_executes, and a prediction that is gold's
+text scores correct once gold has run, without being executed or compared:
+the same text on the same read-only database is the same query, so
+nondeterministic gold (random(), date('now')) and gold that only just runs
+within the timeout are not rejected against themselves. Whether gold is a
+dataset defect is decided in sqlite, whatever the prediction: a gold query
+whose rows hold TEXT that is not UTF-8 runs, so its pair is fetched again
+with such text decoded losslessly (surrogateescape) instead.
 
 Pairs are scored one thread per usable core, each pair on one read-only
 connection that runs gold and then the prediction. A thread keeps its
@@ -57,6 +64,15 @@ _PROGRESS_GRANULARITY = 10_000
 # transactions are all denied when the statement is prepared
 _READ_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
                            sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
+
+# what sqlite skips before a statement's first token: its whitespace,
+# comments (one left open runs to the end of the input) and empty statements
+_LEAD = re.compile(r"(?:[ \t\n\f\r;]|--[^\n\x00]*|/\*[^\x00]*?(?:\*/|\Z))*")
+# a statement's first keyword when it is EXPLAIN (group 1) or starts a query;
+# the keyword, not an identifier that starts with it: sqlite's identifier
+# characters are ASCII letters, digits, _ and $, and every non-ASCII one
+_KEYWORD = re.compile(r"(?:(explain)|select|values|with)(?![0-9a-z_$]|[^\x00-\x7f])",
+                      re.IGNORECASE | re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -98,12 +114,15 @@ def _connection(db: str | Path | sqlite3.Connection):
 def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: float,
                       explain: bool = False):
     """Yield the cursor of one query, under its own deadline and an
-    authorizer that refuses every action but reading; with *explain*, the
-    cursor of ``EXPLAIN <sql>``, which prepares the query without running
-    it. sqlite's errors map as execute_sql documents, also those raised
-    while the caller steps the cursor or runs the query. The cursor is
-    closed on exit, which ends its statement, stepped to the end or not,
-    so the connection can run the next one."""
+    authorizer that refuses every action but reading; with *explain* and a
+    statement that starts as a query does (SELECT, VALUES, WITH), the
+    cursor of ``EXPLAIN <sql>``, which prepares it without running it.
+    Input that holds no query and an EXPLAIN statement are refused before
+    either, so both ways refuse them alike. sqlite's errors map as
+    execute_sql documents, also those raised while the caller steps the
+    cursor or runs the query. The cursor is closed on exit, which ends its
+    statement, stepped to the end or not, so the connection can run the
+    next one."""
     deadline = time.monotonic() + timeout_s
     timed_out, denied = [], []
 
@@ -119,12 +138,23 @@ def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: 
         denied.append(action)
         return sqlite3.SQLITE_DENY
 
+    start = _LEAD.match(sql).end()
+    if start == len(sql):
+        raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
+    keyword = _KEYWORD.match(sql, start)
+    if keyword and keyword[1]:
+        raise SqlRejected(f"refusing an EXPLAIN statement: {sql[:80]!r}")
     with _connection(db) as conn, closing(conn.cursor()) as cursor:
         conn.set_authorizer(authorize)
         conn.set_progress_handler(guard, _PROGRESS_GRANULARITY)
         try:
-            cursor.execute(f"EXPLAIN {sql}" if explain else sql)
-            if cursor.description is None:  # blank or comment-only input
+            # EXPLAIN has columns whatever it explains, and sqlite asks the
+            # authorizer nothing for some statements (a REINDEX with no index
+            # to rebuild, a DROP ... IF EXISTS of nothing) or only while a
+            # VACUUM runs; so only a query is prepared that way, and any
+            # other statement runs and is refused as execute_sql refuses it
+            cursor.execute(f"EXPLAIN {sql[start:]}" if explain and keyword else sql)
+            if cursor.description is None:  # a statement that returns no columns
                 raise SqlRejected(f"refusing input that holds no query: {sql[:80]!r}")
             yield cursor
         except (sqlite3.ProgrammingError, sqlite3.Warning) as exc:
@@ -150,11 +180,12 @@ def execute_sql(db: str | Path | sqlite3.Connection, sql: str,
     readonly.connect_read_only; either way the statement runs under its own
     timeout and read-only authorizer.
 
-    Raises SqlRejected for anything but a single read-only statement,
-    SqlTimeout past the statement timeout, and SqlError for syntax/semantic
-    failures (message attached). With *within*, an error while stepping
-    past its last row marks the result truncated instead: sqlite3 steps the
-    row after each row it returns, so that row exists.
+    Raises SqlRejected for anything but a single read-only query (an
+    EXPLAIN statement too), SqlTimeout past the statement timeout, and
+    SqlError for syntax/semantic failures (message attached). With
+    *within*, an error while stepping past its last row marks the result
+    truncated instead: sqlite3 steps the row after each row it returns, so
+    that row exists.
     """
     with _read_only_cursor(db, sql, timeout_s) as cursor:
         columns = len(cursor.description)
@@ -181,16 +212,18 @@ def execute_sql(db: str | Path | sqlite3.Connection, sql: str,
         return ResultTable(columns, tuple(rows))
 
 
-def check_executes(db_path: str | Path, sql: str,
+def check_executes(db: str | Path | sqlite3.Connection, sql: str,
                    timeout_s: float = STATEMENT_TIMEOUT_S) -> None:
-    """Refuse what execute_sql refuses, and step through every row of the
-    result inside sqlite, fetching none. The statement is prepared once,
-    unrun, as ``EXPLAIN <sql>`` under the read-only authorizer, which
-    refuses a write and sqlite a second statement (input that holds no query
-    fails to prepare); then ``executescript`` steps it in C with the
-    interpreter lock released, so an error or the timeout on any row raises
-    as it would there."""
-    with _read_only_cursor(db_path, sql, timeout_s, explain=True) as cursor:
+    """Refuse what execute_sql refuses, with the same error and message,
+    and step through every row of the result inside sqlite, fetching none.
+    *db* is as for execute_sql. A query is prepared once, unrun, as
+    ``EXPLAIN <sql>`` under the read-only authorizer, which refuses a write
+    and sqlite a second statement; then ``executescript`` steps it in C
+    with the interpreter lock released, so an error or the timeout on any
+    row raises as it would there. Any other statement runs, and is refused,
+    as in execute_sql. No value is decoded, so a TEXT value that is not
+    UTF-8, which execute_sql fails to fetch, passes."""
+    with _read_only_cursor(db, sql, timeout_s, explain=True) as cursor:
         cursor.connection.executescript(sql)
 
 
@@ -326,30 +359,20 @@ class EvalReport:
         return sum(correct for correct, _, _ in self.per_db.values())
 
 
-def _score_pair(db: str | Path | sqlite3.Connection, gold_sql: str, predicted: str,
-                timeout_s: float) -> str | SqlError | None:
-    """Score one prediction against its gold query: None when it is right,
-    its failure kind when it is wrong, or the gold query's SqlError, which
-    makes the pair a dataset defect. *db* is a database file or a read-only
-    connection to one. Gold and then the prediction run on one connection,
-    each statement under its own timeout; a prediction that is gold's text,
-    stripped, is right once gold has run, unexecuted: the same text on the
-    same read-only database is the same query."""
+def _lossless_text(value: bytes) -> str:
+    return value.decode("utf-8", "surrogateescape")
+
+
+def _fetch_and_compare(conn: sqlite3.Connection, gold_sql: str, predicted: str,
+                       timeout_s: float) -> str | None:
+    """Fetch gold, then the prediction within gold's bounds, and compare
+    them: None when they are equivalent, else the prediction's failure
+    kind. Gold's SqlError propagates."""
+    gold_result = execute_sql(conn, gold_sql, timeout_s)
     try:
-        with _connection(db) as conn:
-            gold_result = execute_sql(conn, gold_sql, timeout_s)
-            stripped = predicted.strip()
-            if not stripped:
-                return FAIL_EMPTY
-            if stripped == gold_sql.strip():
-                return None
-            try:
-                predicted_result = execute_sql(conn, predicted, timeout_s,
-                                               within=gold_result)
-            except SqlError:
-                return FAIL_EXEC
-    except SqlError as exc:  # the database or the gold query failed
-        return exc
+        predicted_result = execute_sql(conn, predicted, timeout_s, within=gold_result)
+    except SqlError:
+        return FAIL_EXEC
     if predicted_result.truncated:
         return FAIL_MISMATCH
     try:
@@ -358,6 +381,37 @@ def _score_pair(db: str | Path | sqlite3.Connection, gold_sql: str, predicted: s
     except CompareTimeout:
         return FAIL_COMPARE_TIMEOUT
     return None if equivalent else FAIL_MISMATCH
+
+
+def _score_pair(db: str | Path | sqlite3.Connection, gold_sql: str, predicted: str,
+                timeout_s: float) -> str | SqlError | None:
+    """Score one prediction against its gold query: None when it is right,
+    its failure kind when it is wrong, or the gold query's SqlError, which
+    makes the pair a dataset defect. *db* is a database file or a read-only
+    connection to one. Gold and then the prediction run on one connection,
+    each statement under its own timeout. Gold's rows are fetched only for
+    a prediction that is compared with them: for one that is empty or gold's
+    text, stripped, check_executes steps gold inside sqlite. Whether gold is
+    a defect is decided in sqlite, whatever the prediction: when fetching
+    gold fails but stepping it does not, as for a TEXT value that is not
+    UTF-8, the pair is fetched again with such text decoded losslessly."""
+    stripped = predicted.strip()
+    try:
+        with _connection(db) as conn:
+            if not stripped or stripped == gold_sql.strip():
+                check_executes(conn, gold_sql, timeout_s)
+                return None if stripped else FAIL_EMPTY
+            try:
+                return _fetch_and_compare(conn, gold_sql, predicted, timeout_s)
+            except SqlError:  # gold's: raise it again unless only fetching failed
+                check_executes(conn, gold_sql, timeout_s)
+            conn.text_factory = _lossless_text
+            try:
+                return _fetch_and_compare(conn, gold_sql, predicted, timeout_s)
+            finally:
+                conn.text_factory = str
+    except SqlError as exc:  # the database or the gold query failed
+        return exc
 
 
 def evaluate(predictions: dict[tuple[str, str], str],

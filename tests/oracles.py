@@ -7,7 +7,8 @@ multiset-match oracle tries every pairing of rows; the profile oracle
 profiles one column after another on one connection, reading every
 column's pool of distinct values before it asks for a range; the
 evaluation oracle scores one pair after another, each on a fresh
-connection that executes both gold and the prediction; the tokenizer oracle
+connection that executes both gold and the prediction, and the score
+oracle fetches gold's rows for every pair; the tokenizer oracle
 matches one token at a time, anchored where the last one ended, and the
 shape oracle reads the token shape off its tokens.
 """
@@ -204,6 +205,31 @@ def evaluation_oracle(predictions: dict, gold: AnnotatedDataset,
     total = sum(t for _, t in counts.values())
     correct = sum(c for c, _ in counts.values())
     return EvalReport(per_db, 100.0 * correct / total if total else 0.0, failures, defects)
+
+
+def score_oracle(db, gold_sql: str, predicted: str, timeout_s: float = 30.0):
+    """One pair's verdict, as _score_pair gives it, in the order that reads
+    every gold row: gold fetched (its SqlError makes the pair a defect),
+    then an empty prediction scores EmptyPrediction and gold's text,
+    stripped, correct; any other is fetched within gold's bounds and
+    compared."""
+    try:
+        gold_result = execute_sql(db, gold_sql, timeout_s)
+    except SqlError as exc:
+        return exc
+    stripped = predicted.strip()
+    if not stripped:
+        return "EmptyPrediction"
+    if stripped == gold_sql.strip():
+        return None
+    try:
+        predicted_result = execute_sql(db, predicted, timeout_s, within=gold_result)
+    except SqlError:
+        return "ExecError"
+    if predicted_result.truncated or not results_equivalent(
+            gold_result, predicted_result, gold_is_ordered(gold_sql), timeout_s):
+        return "Mismatch"
+    return None
 
 
 _ORACLE_TOKEN_RE = re.compile(

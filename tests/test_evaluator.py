@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import types
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixturelib
-from oracles import multiset_match_oracle
+from oracles import multiset_match_oracle, score_oracle
 from psmith.corpus.types import AnnotatedDataset, AnnotatedExample, SchemaProfile
 from psmith import evaluator as evaluator_module
 from psmith.errors import (
@@ -31,6 +32,7 @@ from psmith.errors import (
     SqlTimeout,
 )
 from psmith.evaluator import (
+    FAIL_EMPTY,
     FAIL_EXEC,
     FAIL_MISMATCH,
     ResultTable,
@@ -42,7 +44,7 @@ from psmith.evaluator import (
     report_records,
     results_equivalent,
 )
-from psmith.readonly import map_in_order
+from psmith.readonly import connect_read_only, map_in_order
 from psmith.sqlanalysis import parse_sql
 
 
@@ -116,7 +118,8 @@ def test_execute_rejects_attach_temp_objects_and_blank_input(scores_db, tmp_path
                       f"ATTACH '{tmp_path / 'abs.sqlite'}' AS other",
                       "CREATE TEMP TABLE copy AS SELECT * FROM scores",
                       "CREATE TEMP VIEW v AS SELECT name FROM scores",
-                      "", "-- no query here"]:
+                      "", "-- no query here", "EXPLAIN SELECT name FROM scores",
+                      "-- c\nexplain query plan SELECT name FROM scores"]:
         with pytest.raises(SqlRejected):
             execute_sql(scores_db, statement)
     assert sorted(tmp_path.iterdir()) == before
@@ -171,6 +174,11 @@ def test_gold_time_does_not_shorten_the_prediction_budget(scores_db, monkeypatch
                       SqlTimeout)
 
 
+# abs() overflows far past the first row
+LATE_OVERFLOW = ("WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n WHERE i < 5000) "
+                 "SELECT abs(CASE WHEN i = 5000 THEN -9223372036854775808 ELSE i END) FROM n")
+
+
 def test_check_executes_fails_on_a_late_row(tmp_path):
     path = tmp_path / "overflow.sqlite"
     conn = sqlite3.connect(path)
@@ -181,12 +189,9 @@ def test_check_executes_fails_on_a_late_row(tmp_path):
     assert check_executes(path, "SELECT abs(x) FROM t LIMIT 2") is None
     with pytest.raises(SqlError, match="overflow"):
         check_executes(path, "SELECT abs(x) FROM t")
-    # far past the first row
-    late = ("WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n WHERE i < 5000) "
-            "SELECT abs(CASE WHEN i = 5000 THEN -9223372036854775808 ELSE i END) FROM n")
     with pytest.raises(SqlError, match="overflow"):
-        check_executes(path, late)
-    check_executes(path, late.replace("i = 5000", "i = 5001"))
+        check_executes(path, LATE_OVERFLOW)
+    check_executes(path, LATE_OVERFLOW.replace("i = 5000", "i = 5001"))
     # the read-only guard and the timeout hold as in execute_sql
     with pytest.raises(SqlRejected):
         check_executes(path, "DELETE FROM t")
@@ -200,21 +205,33 @@ def test_check_executes_fails_on_a_late_row(tmp_path):
     ("SELECT 1; SELECT 2", False),
     ("-- a comment alone", False),
     ("", False),
+    (" ; ", False),
     ("SELECT 1; -- done", True),
+    ("; SELECT 1", True),
     ("DELETE FROM scores", False),
     ("SELECT name FROM scores WHERE points > 2", True),
     ("SELECT missing FROM scores", False),
+    ("EXPLAIN SELECT name FROM scores", False),
+    ("explain query plan SELECT name FROM scores", False),
+    ("/* c */ EXPLAIN SELECT name FROM scores", False),
+    ("EXPLAIN", False),
+    ("explain$ SELECT 1", False),  # an identifier, not the keyword: a syntax error
+    # statements sqlite prepares without asking the authorizer, or asks only
+    # while they run
+    ("REINDEX", False),
+    ("DROP TABLE IF EXISTS missing", False),
+    ("VACUUM", False),
 ])
 def test_check_executes_accepts_and_refuses_what_execute_sql_does(scores_db, sql, accepted):
-    def verdict(check) -> bool:
+    def outcome(check) -> tuple:
         try:
             check(scores_db, sql)
-        except SqlError:
-            return False
-        return True
+        except SqlError as exc:
+            return type(exc), str(exc)
+        return None, None
 
-    assert verdict(execute_sql) is accepted
-    assert verdict(check_executes) is accepted
+    assert (outcome(execute_sql) == (None, None)) is accepted
+    assert outcome(check_executes) == outcome(execute_sql)
 
 
 def test_gold_nuclear_query(kaggledbqa_dir):
@@ -848,18 +865,108 @@ def test_held_connections_are_closed_when_a_pair_raises(tmp_path, monkeypatch,
 
 
 def test_a_prediction_that_is_gold_text_scores_correct_without_running(tmp_path, monkeypatch):
-    """Gold that differs on every run is still right against itself, and
-    only gold is executed for the pair."""
+    """Gold that differs on every run is still right against itself: gold
+    runs once for the pair, stepped inside sqlite, and the prediction never."""
     dataset = mini_dataset(tmp_path, {"db": [("random", "SELECT random()"),
                                              ("today", "SELECT date('now'), random()")]})
     calls = []
 
-    def counted(db, sql, *args, **kwargs):
-        calls.append(sql)
-        return execute_sql(db, sql, *args, **kwargs)
+    def counted(name, inner):
+        def call(db, sql, *args, **kwargs):
+            calls.append((name, sql))
+            return inner(db, sql, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(evaluator_module, "execute_sql", counted)
+    monkeypatch.setattr(evaluator_module, "execute_sql", counted("execute_sql", execute_sql))
+    monkeypatch.setattr(evaluator_module, "check_executes",
+                        counted("check_executes", check_executes))
     report = evaluate({("db", "random"): "SELECT random()",
                        ("db", "today"): "  SELECT date('now'), random()\n"}, dataset)
     assert report.overall_ex == 100.0 and not report.failures
-    assert sorted(calls) == ["SELECT date('now'), random()", "SELECT random()"]
+    assert sorted(calls) == [("check_executes", "SELECT date('now'), random()"),
+                             ("check_executes", "SELECT random()")]
+
+
+@pytest.fixture(scope="module")
+def pairs_connection(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pairs") / "pairs.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript("""
+        CREATE TABLE scores (name TEXT, points INTEGER, ratio REAL);
+        INSERT INTO scores VALUES ('ann', 3, 0.5), ('bob', 1, 0.25),
+            ('cid', 3, 0.125), ('dee', 7, 1.0);
+        CREATE TABLE t (x INTEGER);
+        INSERT INTO t VALUES (1), (2), (-9223372036854775808);
+    """)
+    conn.close()
+    with closing(connect_read_only(path)) as held:  # one for every pair, as evaluate holds one
+        yield path, held
+
+
+GOLD_KINDS = [
+    # returns rows
+    "SELECT name, points FROM scores", "SELECT ratio FROM scores ORDER BY ratio",
+    "SELECT count(*) FROM scores", "SELECT name FROM scores WHERE points > 100",
+    # fails to prepare
+    "SELECT missing FROM scores",
+    # fails on a late row, as in test_check_executes_fails_on_a_late_row
+    "SELECT abs(x) FROM t", LATE_OVERFLOW,
+    # comment-only
+    "-- nothing", "/* c */",
+    # a second statement, a write, and statements sqlite prepares without
+    # asking the authorizer
+    "SELECT 1; SELECT 2", "DELETE FROM scores", "REINDEX", "DROP TABLE IF EXISTS missing",
+]
+
+
+@st.composite
+def scored_pairs(draw):
+    gold = draw(st.sampled_from(GOLD_KINDS))
+    space = st.text(" \t\n", max_size=3)
+    predicted = draw(st.one_of(
+        st.just(""),
+        space,
+        st.builds(lambda before, after: before + gold + after, space, space),
+        st.sampled_from([f"/* same */ {gold}", f"{gold} -- same", gold.lower()]),
+        st.sampled_from(["SELECT name FROM scores WHERE points = 7", "SELECT 1",
+                         "SELECT name, points FROM scores ORDER BY name DESC"]),
+        st.sampled_from(["SELECT nope FROM scores", "SELECT abs(x) FROM t",
+                         "DELETE FROM scores", "EXPLAIN SELECT name FROM scores"]),
+    ))
+    return gold, predicted
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=scored_pairs())
+def test_score_pair_matches_the_score_oracle(pairs_connection, pair):
+    """Stepping gold inside sqlite where no comparison reads its rows gives
+    the verdict of fetching them, and for a defect the same error."""
+    path, conn = pairs_connection
+    gold, predicted = pair
+    verdict = evaluator_module._score_pair(conn, gold, predicted, 30.0)
+    expected = score_oracle(path, gold, predicted)
+    if isinstance(expected, SqlError):
+        assert (type(verdict), str(verdict)) == (type(expected), str(expected))
+    else:
+        assert verdict == expected
+
+
+def test_gold_text_that_is_not_utf8_is_no_defect(tmp_path):
+    """Fetching a TEXT value that is not UTF-8 fails where stepping it does
+    not, so a gold query holding one is no defect, whatever the prediction;
+    the pair is fetched again with such text decoded losslessly, and the
+    connection's next pair fetches as before."""
+    path = tmp_path / "bytes.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript("CREATE TABLE t (s TEXT);"
+                       "INSERT INTO t VALUES (CAST(x'ff61' AS TEXT)), ('b');")
+    conn.close()
+    gold = "SELECT s FROM t"
+    pairs = [(gold, f" {gold}\n"), (gold, ""), (gold, "SELECT s FROM t WHERE 1"),
+             (gold, "SELECT s FROM t WHERE s = 'b'"),
+             # the default text factory is back: the prediction fails to fetch
+             ("SELECT count(*) FROM t", "SELECT s FROM t")]
+    with closing(connect_read_only(path)) as held:
+        verdicts = [evaluator_module._score_pair(held, *pair, 30.0) for pair in pairs]
+        assert held.text_factory is str
+    assert verdicts == [None, FAIL_EMPTY, None, FAIL_MISMATCH, FAIL_EXEC]
