@@ -148,6 +148,9 @@ def _read_only_cursor(db: str | Path | sqlite3.Connection, sql: str, timeout_s: 
         conn.set_authorizer(authorize)
         conn.set_progress_handler(guard, _PROGRESS_GRANULARITY)
         try:
+            # refused as cursor.execute refuses it on 3.11; 3.10 raises a bare ValueError
+            if "\x00" in sql:
+                raise SqlRejected(f"refusing {sql[:80]!r}: the query contains a null character")
             # EXPLAIN has columns whatever it explains, and sqlite asks the
             # authorizer nothing for some statements (a REINDEX with no index
             # to rebuild, a DROP ... IF EXISTS of nothing) or only while a

@@ -2,14 +2,14 @@
 
 One ``finditer`` pass: every character matches a token pattern or the final
 catch-all, whose first match is the first character outside the lexicon.
-The same pass gives the token shape the parser keys its skeleton memo by
-(``_scan``), so a text whose shape is memoised builds no ``Token``.
+The pass gives the token shape (``_scan``), which is what the parser reads
+and what it keys its skeleton memo by; a match is read again only to word
+a ParseError (``_token_text``).
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -36,24 +36,16 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-# the kind of a token whose value is its text (a keyword's is upper-cased)
-_KINDS = {"word": "IDENT", "number": "NUMBER", "string": "STRING", "op": "OP", "punct": "PUNCT"}
-
-
-class Token(NamedTuple):
-    kind: str       # KEYWORD | IDENT | STRING | NUMBER | OP | PUNCT
-    value: str      # keywords and ops are upper-cased/canonical
-    pos: int        # character offset, for error messages
 
 
 def _scan(sql: str) -> tuple[tuple, list[re.Match]]:
     """*sql*'s token shape and its token matches, from one pass.
 
-    The shape is all the parser reads of the tokens: a literal's or an
-    identifier's kind, a keyword's, operator's or punctuation's value (the
-    value names the kind), and ``("IDENT", NAME)`` for an identifier before
-    ``(``, its name upper-cased. ``_tokens`` makes the matches Tokens.
-    Raises ParseError on a character outside the lexicon.
+    The shape holds one item per token: a keyword, operator or punctuation
+    token is its own value (a keyword upper-cased, ``<>`` as ``!=``); an
+    identifier or a literal is its kind, ``IDENT``, ``NUMBER`` or
+    ``STRING``; and an identifier before ``(`` is ``("IDENT", NAME)``, its
+    name upper-cased. Raises ParseError on a character outside the lexicon.
     """
     shape: list = []
     matches: list[re.Match] = []
@@ -72,7 +64,7 @@ def _scan(sql: str) -> tuple[tuple, list[re.Match]]:
         elif group == "other":
             raise ParseError(f"unexpected character {text!r} at offset {m.start()}")
         elif group == "number" or group == "string":
-            item, name = _KINDS[group], None
+            item, name = group.upper(), None  # NUMBER or STRING
         else:  # only an operator can read "<>"
             if text == "(" and name is not None:
                 shape[-1] = ("IDENT", name)
@@ -81,26 +73,14 @@ def _scan(sql: str) -> tuple[tuple, list[re.Match]]:
     return tuple(shape), matches
 
 
-def _tokens(matches: list[re.Match]) -> list[Token]:
-    """The tokens the matches of ``_scan`` read."""
-    tokens: list[Token] = []
-    for m in matches:
-        group, text = m.lastgroup, m.group()
-        if group == "word" and (upper := text.upper()) in KEYWORDS:
-            kind, value = "KEYWORD", upper
-        elif group == "qident":
-            kind, value = "IDENT", text[1:-1]
-        else:
-            kind, value = _KINDS[group], "!=" if text == "<>" else text
-        # the same Token as Token(...) makes, without its Python-level __new__
-        tokens.append(tuple.__new__(Token, (kind, value, m.start())))
-    return tokens
-
-
-def tokenize(sql: str) -> list[Token]:
-    """Split SQL text into tokens.
-
-    Raises ParseError on characters outside the supported lexicon (the caller
-    decides whether that skips the row or aborts).
-    """
-    return _tokens(_scan(sql)[1])
+def _token_text(m: re.Match) -> str:
+    """How a ParseError names the token of *m*, a match of ``_scan``: a
+    keyword upper-cased, a quoted identifier without its quotes, ``<>`` as
+    ``!=``, any other token as written."""
+    text = m.group()
+    if m.lastgroup == "word":
+        upper = text.upper()
+        return upper if upper in KEYWORDS else text
+    if m.lastgroup == "qident":
+        return text[1:-1]
+    return "!=" if text == "<>" else text

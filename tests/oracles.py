@@ -9,8 +9,11 @@ column's pool of distinct values before it asks for a range; the
 evaluation oracle scores one pair after another, each on a fresh
 connection that executes both gold and the prediction, and the score
 oracle fetches gold's rows for every pair; the tokenizer oracle
-matches one token at a time, anchored where the last one ended, and the
-shape oracle reads the token shape off its tokens.
+matches one token at a time, anchored where the last one ended, giving
+each token's kind, value and offset (the value and offset are what the
+tokenizer's matches must give a ParseError), and the shape oracle, which
+stands for everything the parser reads, reads the token shape off its
+tokens.
 """
 
 from __future__ import annotations

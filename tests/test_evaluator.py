@@ -234,6 +234,27 @@ def test_check_executes_accepts_and_refuses_what_execute_sql_does(scores_db, sql
     assert outcome(check_executes) == outcome(execute_sql)
 
 
+def test_a_query_holding_a_null_character_is_refused_on_every_python(tmp_path):
+    """Python 3.10's sqlite3 raises a bare ValueError for such a query where
+    3.11 raises ProgrammingError; both versions refuse it with 3.11's words,
+    so the prediction scores ExecError and gold is a dataset defect."""
+    dataset = mini_dataset(tmp_path, {"db": [("q1", "SELECT a FROM t"),
+                                             ("q2", "SELECT a FROM t\x00")]})
+    db = tmp_path / "db.sqlite"
+    message = "refusing 'SELECT a FROM t\\x00': the query contains a null character"
+    for check in (execute_sql, check_executes):
+        with pytest.raises(SqlRejected) as refused:
+            check(db, "SELECT a FROM t\x00")
+        assert str(refused.value) == message
+    report = evaluate({("db", "q1"): "SELECT a FROM t\x00", ("db", "q2"): "SELECT a FROM t"},
+                      dataset)
+    assert report.failures[0][-1] == FAIL_EXEC
+    assert len(report.dataset_defects) == 1 and message in report.dataset_defects[0]
+    for predicted in ("", "SELECT a FROM t\x00"):  # gold stepped, not fetched
+        defect = evaluator_module._score_pair(db, "SELECT a FROM t\x00", predicted, 30.0)
+        assert (type(defect), str(defect)) == (SqlRejected, message)
+
+
 def test_gold_nuclear_query(kaggledbqa_dir):
     path = (kaggledbqa_dir / "databases" / fixturelib.NUCLEAR_DB
             / f"{fixturelib.NUCLEAR_DB}.sqlite")

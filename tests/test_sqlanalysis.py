@@ -20,9 +20,8 @@ from psmith.sqlanalysis import (
     tree_edit_distance,
 )
 from psmith.sqlanalysis import parser as parser_module
-from psmith.sqlanalysis import tokenizer as tokenizer_module
 from psmith.sqlanalysis.skeleton import SkeletonNode
-from psmith.sqlanalysis.tokenizer import KEYWORDS, tokenize
+from psmith.sqlanalysis.tokenizer import KEYWORDS, _scan, _token_text
 
 
 def ops(*names: str) -> set[str]:
@@ -427,24 +426,20 @@ SQL_TEXTS = st.one_of(st.text(alphabet=SQL_ALPHABET, max_size=40),
                       st.lists(st.sampled_from(SQL_FRAGMENTS), max_size=12).map("".join))
 
 
-def _tokens(tokenize_fn, sql: str):
+def _or_error(fn, sql: str):
     try:
-        return [tuple(token) for token in tokenize_fn(sql)]
+        return fn(sql)
     except ParseError as exc:
         return str(exc)
 
 
 @settings(max_examples=400, deadline=None)
 @given(sql=SQL_TEXTS)
-def test_tokenize_matches_the_match_loop_oracle(sql):
-    assert _tokens(tokenize, sql) == _tokens(tokenize_oracle, sql)
-
-
-def _shape_or_error(shape_fn, sql: str):
-    try:
-        return shape_fn(sql)
-    except ParseError as exc:
-        return str(exc)
+def test_the_scan_matches_give_the_match_loop_oracle_tokens(sql):
+    """Each match of the tokenizer's pass gives the oracle token's offset
+    and value, as a ParseError names it; or both raise one ParseError."""
+    assert _or_error(lambda text: [(m.start(), _token_text(m)) for m in _scan(text)[1]], sql) \
+        == _or_error(lambda text: [(pos, value) for _, value, pos in tokenize_oracle(text)], sql)
 
 
 @settings(max_examples=400, deadline=None)
@@ -453,21 +448,19 @@ def _shape_or_error(shape_fn, sql: str):
 @example(sql='SELECT "SELECT"(a), [my fn] (b) FROM t')
 def test_the_one_pass_shape_matches_the_shape_oracle(sql):
     """The tokenizer's pass gives the shape read off the oracle's tokens; a
-    text with a character outside the lexicon raises what tokenize raises,
+    text with a character outside the lexicon raises what the oracle raises,
     and parse_sql raises that too."""
-    shape = _shape_or_error(lambda text: tokenizer_module._scan(text)[0], sql)
-    assert shape == _shape_or_error(shape_oracle, sql)
-    if isinstance(shape, str):
-        assert shape == _tokens(tokenize, sql)
-        if sql.strip():
-            with pytest.raises(ParseError) as parsed:
-                parse_sql(sql)
-            assert str(parsed.value) == shape
+    shape = _or_error(lambda text: _scan(text)[0], sql)
+    assert shape == _or_error(shape_oracle, sql)
+    if isinstance(shape, str) and sql.strip():
+        with pytest.raises(ParseError) as parsed:
+            parse_sql(sql)
+        assert str(parsed.value) == shape
 
 
 def _fresh_parse(sql: str) -> SkeletonNode:
     """parse_sql without the memo."""
-    return parser_module._Parser(tokenize(sql), sql).parse_query()
+    return parser_module._Parser(*_scan(sql), sql).parse_query()
 
 
 def _tree(node: SkeletonNode) -> tuple:
@@ -623,6 +616,52 @@ def test_a_function_named_like_a_clause_keeps_its_own_claims():
         assert _outcome(sql) == _outcome(sql, memo=False)
     assert PrimitiveOp("clause", "SUBQUERY") in extract_operators(clause)
     assert PrimitiveOp("clause", "SUBQUERY") not in extract_operators(function)
+
+
+@pytest.mark.parametrize("sql, message", [
+    ("", "empty SQL text"),
+    ("SELECT a FROM t WHERE b = ?", "unexpected character '?' at offset 26"),
+    ("SELECT a FROM", "unexpected end of input in 'SELECT a FROM'"),
+    ("SELECT a.", "unexpected end of input in 'SELECT a.'"),
+    ("SELECT a FROM t group a", "expected BY at offset 22 ('a') in 'SELECT a FROM t group a'"),
+    ("SELECT a FROM t ORDER", "expected BY at end of 'SELECT a FROM t ORDER'"),
+    ("SELECT a FROM t LEFT t2", "expected JOIN at offset 21 ('t2') in 'SELECT a FROM t LEFT t2'"),
+    ("SELECT a FROM t WHERE b BETWEEN 1 OR 2",
+     "expected AND at offset 34 ('OR') in 'SELECT a FROM t WHERE b BETWEEN 1 OR 2'"),
+    ("SELECT CASE a WHEN 1 THEN 2 FROM t",
+     "expected END at offset 28 ('FROM') in 'SELECT CASE a WHEN 1 THEN 2 FROM t'"),
+    ("SELECT count(a FROM t", "expected ')' at offset 15 ('FROM') in 'SELECT count(a FROM t'"),
+    ("SELECT a FROM (SELECT b FROM u", "expected ')' at end of 'SELECT a FROM (SELECT b FROM u'"),
+    ("SELECT a FROM t WHERE b IN 1",
+     "expected '(' at offset 27 ('1') in 'SELECT a FROM t WHERE b IN 1'"),
+    ("SELECT a FROM 1", "expected table name at offset 14 in 'SELECT a FROM 1'"),
+    ("SELECT a FROM ;", "expected table name at offset 14 in 'SELECT a FROM ;'"),
+    ("SELECT a FROM t WHERE", "unexpected end of expression in 'SELECT a FROM t WHERE'"),
+    ("select from t", "unexpected keyword FROM at offset 7 ('FROM') in 'select from t'"),
+    ("SELECT a FROM t WHERE <> 1",
+     "unexpected token '!=' at offset 22 ('!=') in 'SELECT a FROM t WHERE <> 1'"),
+    ("SELECT a FROM t WHERE ,",
+     "unexpected token ',' at offset 22 (',') in 'SELECT a FROM t WHERE ,'"),
+    ("SELECT t.'x' FROM t", "bad column reference at offset 9"),
+    ("SELECT a FROM t Tab [x y]",
+     "trailing tokens at offset 20 ('x y') in 'SELECT a FROM t Tab [x y]'"),
+    ("SELECT a FROM t b c", "trailing tokens at offset 18 ('c') in 'SELECT a FROM t b c'"),
+    ('SELECT a FROM t b "Mixed Case"(1)',  # a call's name: upper-cased in the shape only
+     """trailing tokens at offset 18 ('Mixed Case') in 'SELECT a FROM t b "Mixed Case"(1)'"""),
+    ("SELECT a FROM t 7", "trailing tokens at offset 16 ('7') in 'SELECT a FROM t 7'"),
+    ("SELECT a FROM t 'it''s'",
+     """trailing tokens at offset 16 ("'it''s'") in "SELECT a FROM t 'it''s'\""""),
+    ("SELECT a FROM t;;", "trailing tokens at offset 16 (';') in 'SELECT a FROM t;;'"),
+    # a name before "(" is still a table name, an alias or a column name
+    ("SELECT a FROM f(x)", "trailing tokens at offset 15 ('(') in 'SELECT a FROM f(x)'"),
+    ("SELECT a b(1) FROM t", "trailing tokens at offset 10 ('(') in 'SELECT a b(1) FROM t'"),
+    ("SELECT t.f(x) FROM t", "trailing tokens at offset 10 ('(') in 'SELECT t.f(x) FROM t'"),
+])
+def test_each_parse_error_site_words_its_message(sql, message):
+    parser_module._SKELETONS.clear()
+    with pytest.raises(ParseError) as raised:
+        parse_sql(sql)
+    assert str(raised.value) == message
 
 
 def test_nesting_past_the_recursion_limit_is_a_parse_error():
